@@ -5,13 +5,15 @@ quartic dense output.  Events (crossings of x = d, x = 0, y = 0 and, in
 singular mode, x = 1) are located by bisection on the dense output.  The
 polar angle about the rotation center ((0,0) on the full line, (1,0) in
 singular mode) is lifted continuously along the samples, subdividing steps
-through the dense output whenever the swept angle would jump.
+through the dense output whenever the swept angle would jump.  A step builds
+its dense output only when an event flips sign or the angle is subdivided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,6 +115,10 @@ class HomotopyField:
     interpolates on [-1, 0]; in singular mode it does the same above x = 1,
     interpolating on [1/2, 1].  mu defaults to the midpoint of the declared
     band and may be overridden (comparison fields pinned to one edge).
+
+    The field is compiled once per instance: on first use g and h build
+    closures with lam, mu and f bound, so an evaluation does no attribute
+    lookups and never recomputes mu.
     """
 
     model: NonlinearityModel
@@ -127,7 +133,7 @@ class HomotopyField:
     def regime(self) -> str:
         return self.model.domain
 
-    @property
+    @cached_property
     def mu_mid(self) -> float:
         if self.mu is not None:
             return self.mu
@@ -136,27 +142,45 @@ class HomotopyField:
         return 0.5 * (eigenvalue_for(n, t_) + eigenvalue_for(n + 1, t_))
 
     def h(self, t: float, x: float) -> float:
+        return self._h(t, x)
+
+    def g(self, t: float, x: float) -> float:
+        return self._g(t, x)
+
+    @cached_property
+    def _h(self) -> Callable[[float, float], float]:
         mu = self.mu_mid
         f = self.model.f
         if self.regime == FULL_LINE:
-            if x < -1.0:
-                return f(t, x)
-            if x <= 0.0:
-                return mu * x + x * (mu * x - f(t, x))
-            return mu * x
-        if x < 0.5:
-            return f(t, x)
-        if x <= 1.0:
-            return (2.0 * x - 1.0) * mu * x + (2.0 - 2.0 * x) * f(t, x)
-        return mu * x
+            def h(t, x):
+                if x < -1.0:
+                    return f(t, x)
+                if x <= 0.0:
+                    return mu * x + x * (mu * x - f(t, x))
+                return mu * x
+        else:
+            def h(t, x):
+                if x < 0.5:
+                    return f(t, x)
+                if x <= 1.0:
+                    return (2.0 * x - 1.0) * mu * x + (2.0 - 2.0 * x) * f(t, x)
+                return mu * x
+        return h
 
-    def g(self, t: float, x: float) -> float:
+    @cached_property
+    def _g(self) -> Callable[[float, float], float]:
         lam = self.lam
+        f = self.model.f
         if lam == 1.0:
-            return self.model.f(t, x)
+            return f
+        h = self._h
         if lam == 0.0:
-            return self.h(t, x)
-        return lam * self.model.f(t, x) + (1.0 - lam) * self.h(t, x)
+            return h
+        lam_h = 1.0 - lam
+
+        def g(t, x):
+            return lam * f(t, x) + lam_h * h(t, x)
+        return g
 
 
 def g_lambda(fld: HomotopyField, t: float, x: float) -> float:
@@ -250,25 +274,26 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     if not (math.isfinite(z0.x) and math.isfinite(z0.y)):
         raise ValueError("initial state must be finite")
 
+    # The stage slopes of x' = y, y' = -g(t, x) are written out below: the
+    # x-slope is the stage's y, the y-slope -g(t, x).  In singular mode a
+    # stage at x <= 0 is rejected before g sees it.
     g = fld.g
     cx = 1.0 if singular else 0.0
     span = t_end - z0.t
     if span <= 0:
         raise ValueError("t_end must exceed z0.t")
     max_step = opts.max_step if opts.max_step is not None else span / 64.0
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    rtol, atol, theta_step = opts.rtol, opts.atol, opts.theta_step
 
-    def rhs(t, x, y):
-        if singular and x <= 0.0:
-            raise _StageDomain()
-        return y, -g(t, x)
-
-    # event functions on (x, y)
+    # event functions on (x, y); the step loop tests their sign flips inline
     events_def = [("cross_x_eq_0", lambda x, y: x),
                   ("cross_y_eq_0", lambda x, y: y)]
     if d is not None:
         events_def.append(("cross_x_eq_d", lambda x, y, _d=d: x - _d))
     if singular:
         events_def.append(("cross_x_eq_1", lambda x, y: x - 1.0))
+    d_event = d is not None
 
     t, x, y = z0.t, z0.x, z0.y
     ts = [t]; xs = [x]; ys = [y]
@@ -277,11 +302,11 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     rhos = [math.hypot(x - cx, y)]
     events: list[Event] = []
 
-    kx1, ky1 = rhs(t, x, y)
+    kx1, ky1 = y, -g(t, x)
     h = min(opts.first_step, max_step, span)
     n_steps = 0
 
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while t < t_stop:
         n_steps += 1
         if n_steps > opts.max_steps:
             raise RuntimeError("step budget exceeded")
@@ -296,25 +321,40 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             raise BlowUpError(t, x, y)
 
         try:
-            kx2, ky2 = rhs(t + _C2 * h, x + h * _A21 * kx1, y + h * _A21 * ky1)
-            kx3, ky3 = rhs(t + _C3 * h, x + h * (_A31 * kx1 + _A32 * kx2),
-                           y + h * (_A31 * ky1 + _A32 * ky2))
-            kx4, ky4 = rhs(t + _C4 * h,
-                           x + h * (_A41 * kx1 + _A42 * kx2 + _A43 * kx3),
-                           y + h * (_A41 * ky1 + _A42 * ky2 + _A43 * ky3))
-            kx5, ky5 = rhs(t + _C5 * h,
-                           x + h * (_A51 * kx1 + _A52 * kx2 + _A53 * kx3 + _A54 * kx4),
-                           y + h * (_A51 * ky1 + _A52 * ky2 + _A53 * ky3 + _A54 * ky4))
-            kx6, ky6 = rhs(t + h,
-                           x + h * (_A61 * kx1 + _A62 * kx2 + _A63 * kx3
-                                    + _A64 * kx4 + _A65 * kx5),
-                           y + h * (_A61 * ky1 + _A62 * ky2 + _A63 * ky3
-                                    + _A64 * ky4 + _A65 * ky5))
+            xst = x + h * _A21 * kx1
+            kx2 = y + h * _A21 * ky1
+            if singular and xst <= 0.0:
+                raise _StageDomain()
+            ky2 = -g(t + _C2 * h, xst)
+            xst = x + h * (_A31 * kx1 + _A32 * kx2)
+            kx3 = y + h * (_A31 * ky1 + _A32 * ky2)
+            if singular and xst <= 0.0:
+                raise _StageDomain()
+            ky3 = -g(t + _C3 * h, xst)
+            xst = x + h * (_A41 * kx1 + _A42 * kx2 + _A43 * kx3)
+            kx4 = y + h * (_A41 * ky1 + _A42 * ky2 + _A43 * ky3)
+            if singular and xst <= 0.0:
+                raise _StageDomain()
+            ky4 = -g(t + _C4 * h, xst)
+            xst = x + h * (_A51 * kx1 + _A52 * kx2 + _A53 * kx3 + _A54 * kx4)
+            kx5 = y + h * (_A51 * ky1 + _A52 * ky2 + _A53 * ky3 + _A54 * ky4)
+            if singular and xst <= 0.0:
+                raise _StageDomain()
+            ky5 = -g(t + _C5 * h, xst)
+            xst = x + h * (_A61 * kx1 + _A62 * kx2 + _A63 * kx3
+                           + _A64 * kx4 + _A65 * kx5)
+            kx6 = y + h * (_A61 * ky1 + _A62 * ky2 + _A63 * ky3
+                           + _A64 * ky4 + _A65 * ky5)
+            if singular and xst <= 0.0:
+                raise _StageDomain()
+            ky6 = -g(t + h, xst)
             x1 = x + h * (_A71 * kx1 + _A73 * kx3 + _A74 * kx4 + _A75 * kx5
                           + _A76 * kx6)
             y1 = y + h * (_A71 * ky1 + _A73 * ky3 + _A74 * ky4 + _A75 * ky5
                           + _A76 * ky6)
-            kx7, ky7 = rhs(t + h, x1, y1)
+            if singular and x1 <= 0.0:
+                raise _StageDomain()
+            kx7, ky7 = y1, -g(t + h, x1)
         except (_StageDomain, ValueError, ZeroDivisionError, OverflowError):
             h *= 0.5
             continue
@@ -323,8 +363,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                      + _E6 * kx6 + _E7 * kx7)
         err_y = h * (_E1 * ky1 + _E3 * ky3 + _E4 * ky4 + _E5 * ky5
                      + _E6 * ky6 + _E7 * ky7)
-        sc_x = opts.atol + opts.rtol * max(abs(x), abs(x1))
-        sc_y = opts.atol + opts.rtol * max(abs(y), abs(y1))
+        sc_x = atol + rtol * max(abs(x), abs(x1))
+        sc_y = atol + rtol * max(abs(y), abs(y1))
         # hypot stays finite even when a trial step is wildly too large
         err = math.hypot(err_x / sc_x, err_y / sc_y) / math.sqrt(2.0)
 
@@ -332,26 +372,35 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        dense = _Dense(t, h, x, y, x1, y1,
-                       (kx1, kx2, kx3, kx4, kx5, kx6, kx7),
-                       (ky1, ky2, ky3, ky4, ky5, ky6, ky7))
+        # the dense output is built only for an event or an angle subdivision
+        flips = (x * x1 < 0.0 or y * y1 < 0.0
+                 or (d_event and (x - d) * (x1 - d) < 0.0)
+                 or (singular and (x - 1.0) * (x1 - 1.0) < 0.0))
+        th_new_raw = math.atan2(y1, x1 - cx)
+        delta = th_new_raw - theta_prev
+        if not -math.pi < delta <= math.pi:
+            delta = _wrap_pi(delta)
+        subdivide = abs(delta) > theta_step
+        if flips or subdivide:
+            dense = _Dense(t, h, x, y, x1, y1,
+                           (kx1, kx2, kx3, kx4, kx5, kx6, kx7),
+                           (ky1, ky2, ky3, ky4, ky5, ky6, ky7))
 
-        # events: bisection on the dense output where the sign flips
-        step_events = []
-        for kind, phi in events_def:
-            f_a, f_b = phi(x, y), phi(x1, y1)
-            if f_a * f_b < 0.0:
-                t_ev, x_ev, y_ev = _bisect_event(dense, phi, t, t + h,
-                                                 opts.event_tol)
-                step_events.append(Event(kind, t_ev, x_ev, y_ev))
-        step_events.sort(key=lambda e: e.t)
-        events.extend(step_events)
+        if flips:
+            # events: bisection on the dense output where the sign flips
+            step_events = []
+            for kind, phi in events_def:
+                f_a, f_b = phi(x, y), phi(x1, y1)
+                if f_a * f_b < 0.0:
+                    t_ev, x_ev, y_ev = _bisect_event(dense, phi, t, t + h,
+                                                     opts.event_tol)
+                    step_events.append(Event(kind, t_ev, x_ev, y_ev))
+            step_events.sort(key=lambda e: e.t)
+            events.extend(step_events)
 
         # continuous angle lift, subdividing through the dense output
-        th_new_raw = math.atan2(y1, x1 - cx)
-        delta = _wrap_pi(th_new_raw - theta_prev)
-        if abs(delta) > opts.theta_step:
-            m = int(abs(delta) / opts.theta_step) + 1
+        if subdivide:
+            m = int(abs(delta) / theta_step) + 1
             for i in range(1, m):
                 ti = t + h * i / m
                 xi, yi = dense.eval(ti)

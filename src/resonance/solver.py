@@ -18,7 +18,7 @@ import numpy as np
 
 from .integrate import (BlowUpError, CenterHitError, DomainExitError,
                         HomotopyField, IntegrateOpts, PhaseState, Trajectory,
-                        integrate, rotation_count)
+                        _wrap_pi, integrate, rotation_count)
 from .model import FULL_LINE, SINGULAR, NonlinearityModel
 
 __all__ = [
@@ -204,14 +204,6 @@ def boundary_degree(fld: HomotopyField, radius: float,
     for s in ss:
         angles[s] = w_of(s % 1.0)[0]
 
-    def gap(a1, a2):
-        d = a2 - a1
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        while d <= -math.pi:
-            d += 2.0 * math.pi
-        return d
-
     work = True
     while work:
         work = False
@@ -219,7 +211,7 @@ def boundary_degree(fld: HomotopyField, radius: float,
             raise RuntimeError("refinement budget exceeded in winding computation")
         new_ss = [ss[0]]
         for s1, s2 in zip(ss[:-1], ss[1:]):
-            if abs(gap(angles[s1], angles[s2])) > 0.5 * math.pi:
+            if abs(_wrap_pi(angles[s2] - angles[s1])) > 0.5 * math.pi:
                 sm = 0.5 * (s1 + s2)
                 angles[sm] = w_of(sm % 1.0)[0]
                 new_ss.extend([sm, s2])
@@ -228,7 +220,8 @@ def boundary_degree(fld: HomotopyField, radius: float,
                 new_ss.append(s2)
         ss = new_ss
 
-    total = sum(gap(angles[s1], angles[s2]) for s1, s2 in zip(ss[:-1], ss[1:]))
+    total = sum(_wrap_pi(angles[s2] - angles[s1])
+                for s1, s2 in zip(ss[:-1], ss[1:]))
     deg = round(total / (2.0 * math.pi))
     if abs(total - 2.0 * math.pi * deg) > 0.5:
         raise RuntimeError(f"winding did not close up: {total / (2*math.pi):.4f}")
@@ -260,11 +253,7 @@ def _rect_winding(fld, x0, x1, y0, y1, n_side, opts):
         angles.append(math.atan2(wy, wx))
     total = 0.0
     for a1, a2 in zip(angles[:-1], angles[1:]):
-        d = a2 - a1
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        while d <= -math.pi:
-            d += 2.0 * math.pi
+        d = _wrap_pi(a2 - a1)
         if abs(d) > 0.5 * math.pi:
             return None     # under-resolved: caller refines or recurses
         total += d
@@ -504,12 +493,11 @@ def normalized_profile(trajs: list[Trajectory]) -> dict:
         raise ValueError("orbits must come with increasing sup norms")
     out = []
     for tr, sup in zip(trajs, sups):
-        zeros = [ev.t for ev in sorted(tr.events, key=lambda e: e.t)
-                 if ev.kind == "cross_x_eq_0"]
-        ups = [ev for ev in sorted(tr.events, key=lambda e: e.t)
-               if ev.kind == "cross_x_eq_0"]
+        crossings = [ev for ev in sorted(tr.events, key=lambda e: e.t)
+                     if ev.kind == "cross_x_eq_0"]
+        zeros = [ev.t for ev in crossings]
         arcs = []
-        for e1, e2 in zip(ups[:-1], ups[1:]):
+        for e1, e2 in zip(crossings[:-1], crossings[1:]):
             if e1.y > 0 > e2.y:     # positive arc between up and down crossing
                 t_mask = (tr.t >= e1.t) & (tr.t <= e2.t)
                 if not np.any(t_mask):

@@ -407,3 +407,102 @@ def test_integrate_system_t_stops_land_exactly():
                                  t_stops=stops)
     for s in stops:
         assert np.min(np.abs(ts - s)) < 1e-13
+
+
+# --------------------------------------------------------------------------
+# golden records: the integrator's output pinned bit for bit
+#
+# Each case is one period of a family from rm.FAMILIES (default parameters)
+# under HomotopyField(model, lam, mu).  The floats are float.hex literals of
+# the end state (t, x, y) and final theta, the fsum of the x samples and the
+# fsum of the event times; kinds spells the event stream, one character per
+# event ("0": x = 0, "y": y = 0, "d": x = d, "1": x = 1).  A change to the
+# tableau arithmetic, the step controller, the event location or the angle
+# lift moves at least one of them.
+
+_KIND_CHAR = {"cross_x_eq_0": "0", "cross_y_eq_0": "y", "cross_x_eq_d": "d",
+              "cross_x_eq_1": "1"}
+
+
+@pytest.mark.parametrize("family, lam, mu, z0, d, end, samples, x_sum, "
+                         "event_t_sum, kinds", [
+    pytest.param("cubic_band", 0.0, None, (-1.5, 0.0), -0.5,
+                 ("0x1.921fb54442d18p+2", "-0x1.0190a2e447168p-1",
+                  "0x1.133858c07e694p+0", "-0x1.119527712a3ffp+2"),
+                 264, "-0x1.f06c281ebce06p+6", "0x1.2303564e7d904p+4",
+                 "d0y0dy", id="band-lam0-small"),
+    pytest.param("cubic_band", 0.0, None, (64.0, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "0x1.535e9dfe7fdd3p+5",
+                  "-0x1.e8b77d4ffbd18p+5", "-0x1.b0f76bdb468a9p+3"),
+                 509, "0x1.e6739846c91b3p+12", "0x1.94980d303a3e5p+4",
+                 "0y0y0y0y", id="band-lam0-large"),
+    pytest.param("cubic_band", 0.5, None, (-1.5, 0.0), -0.5,
+                 ("0x1.921fb54442d18p+2", "-0x1.19ce49ff6bcc5p+0",
+                  "0x1.9605df682366ap-1", "-0x1.e2083740b3389p+1"),
+                 245, "-0x1.6e5c1e22d62e6p+6", "0x1.3ebfdb81555f8p+4",
+                 "d0y0dy", id="band-lam0.5-small"),
+    pytest.param("cubic_band", 0.5, None, (64.0, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "0x1.dcf59eea460bbp+5",
+                  "-0x1.ad280946cdd1ap+4", "-0x1.9fa6f660486edp+3"),
+                 591, "0x1.06936754924f1p+13", "0x1.ad11d8d72caa8p+4",
+                 "0y0y0y0y", id="band-lam0.5-large"),
+    pytest.param("cubic_band", 1.0, None, (-1.5, 0.0), -0.5,
+                 ("0x1.921fb54442d18p+2", "-0x1.76ace84ece873p+0",
+                  "0x1.1d3b3de28f043p-3", "-0x1.9e44888cb8462p+1"),
+                 240, "-0x1.45d76268cd5afp+5", "0x1.5b870f67534b2p+4",
+                 "d0y0dy", id="band-lam1-small"),
+    pytest.param("cubic_band", 1.0, None, (64.0, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "0x1.fb6767a8ab8c6p+5",
+                  "0x1.15f141bdb0310p+3", "-0x1.8dc4cd8d94c9ep+3"),
+                 603, "0x1.f463ac9cd0533p+12", "0x1.675197947dd1ep+4",
+                 "0y0y0y0", id="band-lam1-large"),
+    pytest.param("singular_band", 0.0, None, (1.2, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "0x1.61d7f5112905dp-1",
+                  "0x1.6c4aa39d35f62p-1", "-0x1.7270081bcce00p+4"),
+                 550, "0x1.d94685ab318bfp+8", "0x1.7258bee0d57b6p+5",
+                 "1y1y1y1y1y1y1y", id="singular-lam0"),
+    pytest.param("singular_band", 1.0, None, (1.2, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "0x1.27cdaa80df264p+0",
+                  "0x1.4975da8f6c0b4p-2", "-0x1.1ba9aa357ccd3p+4"),
+                 360, "0x1.830a697ec1024p+8", "0x1.204b4e343d3b1p+5",
+                 "1y1y1y1y1y1", id="singular-lam1"),
+    pytest.param("cubic_band", 0.5, 1.0, (-1.5, 0.0), None,
+                 ("0x1.921fb54442d18p+2", "-0x1.649e6be2405b5p+0",
+                  "0x1.e2b7cd492e04cp-2", "-0x1.bbe3ff8952572p+1"),
+                 240, "-0x1.18de13aea6070p+6", "0x1.e445ca5836b1ap+3",
+                 "0y0y", id="band-lam0.5-mu-override"),
+])
+def test_integrate_golden_bits(family, lam, mu, z0, d, end, samples, x_sum,
+                               event_t_sum, kinds):
+    model = rm.FAMILIES[family]()
+    fld = ig.HomotopyField(model, lam, mu=mu)
+    traj = ig.integrate(fld, ig.PhaseState(0.0, *z0), model.period, d=d)
+    last = traj.state_at_end()
+    assert (last.t.hex(), last.x.hex(), last.y.hex(),
+            float(traj.theta[-1]).hex()) == end
+    assert len(traj.t) == samples
+    assert math.fsum(traj.x).hex() == x_sum
+    assert "".join(_KIND_CHAR[ev.kind] for ev in traj.events) == kinds
+    assert math.fsum(ev.t for ev in traj.events).hex() == event_t_sum
+
+
+class _CountingF:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t, x):
+        self.calls += 1
+        return self.f(t, x)
+
+
+@pytest.mark.parametrize("lam, f_calls", [(0.5, 2807), (1.0, 1573)])
+def test_integrate_f_evaluation_count(lam, f_calls):
+    # one period of cubic_band from (-1.5, 0): the exact number of f calls
+    # pins the step count and the evaluations per step
+    base = rm.make_cubic_band()
+    counting = _CountingF(base.f)
+    model = rm.NonlinearityModel(f=counting, period=base.period,
+                                 domain=base.domain, n_mode=base.n_mode)
+    ig.integrate(ig.HomotopyField(model, lam), ig.PhaseState(0.0, -1.5, 0.0),
+                 model.period)
+    assert counting.calls == f_calls
