@@ -177,9 +177,25 @@ class HomotopyField:
         if lam == 0.0:
             return h
         lam_h = 1.0 - lam
-
-        def g(t, x):
-            return lam * f(t, x) + lam_h * h(t, x)
+        mu = self.mu_mid
+        # the blend of h, written out so that f is evaluated once per call
+        if self.regime == FULL_LINE:
+            def g(t, x):
+                fx = f(t, x)
+                if x < -1.0:
+                    return lam * fx + lam_h * fx
+                if x <= 0.0:
+                    return lam * fx + lam_h * (mu * x + x * (mu * x - fx))
+                return lam * fx + lam_h * (mu * x)
+        else:
+            def g(t, x):
+                fx = f(t, x)
+                if x < 0.5:
+                    return lam * fx + lam_h * fx
+                if x <= 1.0:
+                    return lam * fx + lam_h * ((2.0 * x - 1.0) * mu * x
+                                               + (2.0 - 2.0 * x) * fx)
+                return lam * fx + lam_h * (mu * x)
         return g
 
 

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import (HomotopyField, IntegrateOpts, PhaseState,
-                        integrate, integrate_system)
+from .integrate import (BlowUpError, DomainExitError, HomotopyField,
+                        IntegrateOpts, PhaseState, integrate, integrate_system)
 from .model import SINGULAR, NonlinearityModel
 from .solver import (NewtonError, SingularJacobianError, SolveOpts,
                      homotopy_solve, newton_fixed_point)
@@ -152,33 +152,50 @@ def solve_radial_profile(model: NonlinearityModel, L: float,
                          opts: SolveOpts = SolveOpts()):
     """T-periodic solution of the reduced radial equation at fixed L.
 
-    Warm guesses come from neighbouring L values during sweeps; without
-    one, the full interpolation homotopy bootstraps the orbit.
+    Newton starts from the warm guess (a neighbouring L's profile during
+    sweeps) or, without one, from the circular orbit of the t-averaged
+    field, (rho_c, 0).  Only when that start has no balance radius or
+    Newton fails from it does the full interpolation homotopy bootstrap
+    the orbit.
     """
     eff = effective_field(model, L)
-    if guess is not None:
-        try:
-            fld = HomotopyField(eff, 1.0)
-            z, res, _ = newton_fixed_point(fld, guess, opts.newton_tol, opts)
-            return z, res
-        except (NewtonError, SingularJacobianError) as exc:
-            pass
+    try:
+        if guess is None:
+            guess = (circular_orbit(model, L, average_t=True), 0.0)
+        z, res, _ = newton_fixed_point(HomotopyField(eff, 1.0), guess,
+                                       opts.newton_tol, opts)
+        return z, res
+    except (NoBracketError, NewtonError, SingularJacobianError, BlowUpError,
+            DomainExitError):
+        pass
     cert = homotopy_solve(eff, opts=opts, compute_degree=False)
     if not cert.converged:
         raise NewtonError(f"radial profile solve failed at L={L:.6g}")
     return (cert.z_star.x, cert.z_star.y), cert.residual
 
 
-def _delta_theta_of_L(model, L, cache, opts):
+def _delta_theta_of_L(model, L, known, opts):
+    """(Delta_theta, z, residual) at L, recorded in `known`; the profile
+    solve starts from the profile at the nearest known L."""
     guess = None
-    if cache:
-        nearest = min(cache, key=lambda Lc: abs(Lc - L))
-        guess = cache[nearest]
+    if known:
+        guess = known[min(known, key=lambda Lc: abs(Lc - L))][1]
     z, res = solve_radial_profile(model, L, guess, opts)
-    cache[L] = z
     dth = angular_progress(model, PhaseState(0.0, z[0], z[1]), L,
                            model.period, opts.integrate)
-    return dth, z, res
+    known[L] = (dth, z, res)
+    return known[L]
+
+
+def _known_bracket(known, target):
+    """The adjacent pair of known L values, smallest L first, whose
+    advances straddle the target, as ((L, dth) below, (L, dth) at or
+    above the target); None when there is none."""
+    pts = sorted((L, v[0]) for L, v in known.items())
+    for p, q in zip(pts, pts[1:]):
+        if (p[1] < target) != (q[1] < target):
+            return (p, q) if p[1] < target else (q, p)
+    return None
 
 
 def _estimate_L_max(model, target_dtheta):
@@ -207,62 +224,82 @@ def _estimate_L_max(model, target_dtheta):
     return 4.0 * L_est
 
 
+def _illinois(model, target, bracket, known, opts, dtheta_tol):
+    """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
+    (Dowell & Jarratt 1971): the secant root of the two ends, with the
+    value at an end halved when that end is kept twice in a row.  Returns
+    (L, Delta_theta, z, residual) at the first L within dtheta_tol of the
+    target, or None."""
+    (a, fa), (b, fb) = ((L, dth - target) for L, dth in bracket)
+    kept = None              # the end kept at the last step: "a" or "b"
+    for _ in range(60):
+        if abs(b - a) < 1e-12 * max(1.0, a, b):
+            return None
+        m = (a * fb - b * fa) / (fb - fa)
+        try:
+            d, z, r = _delta_theta_of_L(model, m, known, opts)
+        except (NewtonError, SingularJacobianError):
+            a = m
+            continue
+        if abs(d - target) < dtheta_tol:
+            return m, d, z, r
+        if d < target:
+            a, fa = m, d - target
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = m, d - target
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+    return None
+
+
+# what a profile solve or an advance integration can legitimately raise:
+# the package's RuntimeError subclasses (NewtonError, SingularJacobianError,
+# BlowUpError, DomainExitError) and the step-budget RuntimeError, floating
+# point trouble, and a missing balance radius
+_SOLVE_ERRORS = (RuntimeError, ArithmeticError, NoBracketError)
+
+
 def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
                   opts: SolveOpts = SolveOpts(), k_min: int = 1,
                   dtheta_tol: float = 1e-6) -> tuple[list[RotatingSolution], Optional[int]]:
     """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k.
 
     For each k the angular advance over one rho-period must equal
-    2 pi nu / k; L is located by a bracketing scan plus golden-section
-    refinement of |Delta_theta(L) - target| (the profile solver restarts
-    from warm guesses along the sweep).  Returns the solutions found and
-    the smallest succeeding k.
+    2 pi nu / k.  Delta_theta(L) does not depend on k, so every value
+    computed is kept for all k.  The bracket for k is the adjacent pair
+    of known L values, smallest L first, that straddles the target; a
+    12-point geometric scan in L runs only when there is none.  Inside
+    the bracket L is refined by Illinois steps (regula falsi that halves
+    the stale end's value when the same end is kept twice).  Profile
+    solves start from the profile at the nearest known L.  Returns the
+    solutions found and the smallest succeeding k.
     """
     results: list[RotatingSolution] = []
     k_nu: Optional[int] = None
-    cache: dict[float, tuple[float, float]] = {}
-    failures: dict[int, str] = {}
+    known: dict[float, tuple[float, tuple[float, float], float]] = {}
     for k in range(k_min, k_max + 1):
         target = 2.0 * math.pi * nu / k
         try:
-            L_hi = _estimate_L_max(model, target)
-            scan = np.geomspace(L_hi / 256.0, L_hi, 12)
-            lo = hi = None
-            for L in scan:
-                try:
-                    dth, _, _ = _delta_theta_of_L(model, float(L), cache, opts)
-                except (NewtonError, SingularJacobianError) as e:
-                    continue
-                if dth < target:
-                    lo = (float(L), dth)
-                elif hi is None:
-                    hi = (float(L), dth)
-                    break
-            if lo is None or hi is None:
-                failures[k] = "no bracket for the angular advance"
+            bracket = _known_bracket(known, target)
+            if bracket is None:
+                L_hi = _estimate_L_max(model, target)
+                for L in np.geomspace(L_hi / 256.0, L_hi, 12):
+                    try:
+                        dth, _, _ = _delta_theta_of_L(model, float(L), known,
+                                                      opts)
+                    except (NewtonError, SingularJacobianError):
+                        continue
+                    if dth >= target:
+                        break
+                bracket = _known_bracket(known, target)
+            if bracket is None:
                 continue
-            a, b = lo[0], hi[0]
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            best = None
-            for _ in range(60):
-                if abs(b - a) < 1e-12 * max(1.0, b):
-                    break
-                m1 = b - phi * (b - a)
-                m2 = a + phi * (b - a)
-                try:
-                    d1, z1, r1 = _delta_theta_of_L(model, m1, cache, opts)
-                except (NewtonError, SingularJacobianError):
-                    a = m1
-                    continue
-                if abs(d1 - target) < dtheta_tol:
-                    best = (m1, d1, z1, r1)
-                    break
-                if d1 < target:
-                    a = m1
-                else:
-                    b = m1
+            best = _illinois(model, target, bracket, known, opts, dtheta_tol)
             if best is None:
-                failures[k] = "golden-section did not reach the target advance"
                 continue
             L_star, dth, z, res = best
             traj = integrate(HomotopyField(effective_field(model, L_star), 1.0),
@@ -276,8 +313,8 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
             results.append(sol)
             if k_nu is None:
                 k_nu = k
-        except Exception as e:      # solver failure: record and move on
-            failures[k] = str(e)
+        except _SOLVE_ERRORS:       # this k has no solution; try the next
+            continue
     return results, k_nu
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import resonance.model as rm
 from resonance import radial as rd
 from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
                                  integrate, integrate_system)
+from resonance.solver import homotopy_solve
 
 
 T2PI = 2 * math.pi
@@ -87,6 +89,38 @@ def test_angular_progress_monotone_in_momentum_at_fixed_profile():
     vals = [L * base for L in (0.2, 0.5, 0.9)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[1] == pytest.approx(0.5 * base, rel=1e-14)
+
+
+# --------------------------------------------------------------------------
+# radial profile solves
+
+
+@functools.lru_cache(maxsize=None)
+def _homotopy_profile(L):
+    cert = homotopy_solve(rd.effective_field(rm.make_singular_band(), L),
+                          compute_degree=False)
+    assert cert.converged
+    return cert.z_star.x, cert.z_star.y
+
+
+# L values spanning the k = 1 scan on singular_band
+@pytest.mark.parametrize("L", [0.03, 0.373, 1.7])
+def test_profile_seeded_from_circular_orbit_matches_homotopy(L, monkeypatch):
+    homotopies = _count_calls(monkeypatch, "homotopy_solve")
+    z, res = rd.solve_radial_profile(rm.make_singular_band(), L)
+    assert not homotopies and res < 1e-8
+    assert z == pytest.approx(_homotopy_profile(L), abs=1e-9)
+
+
+def test_profile_falls_back_to_homotopy_without_balance_radius(monkeypatch):
+    def no_balance(*args, **kwargs):
+        raise rd.NoBracketError("no balance radius")
+
+    monkeypatch.setattr(rd, "circular_orbit", no_balance)
+    homotopies = _count_calls(monkeypatch, "homotopy_solve")
+    z, _ = rd.solve_radial_profile(rm.make_singular_band(), 0.373)
+    assert len(homotopies) == 1
+    assert z == pytest.approx(_homotopy_profile(0.373), abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -196,3 +230,57 @@ def test_cartesian_samples_close_up(rotating_run):
     total = angles[-1] - angles[0]
     expected = sol.delta_theta_total * (len(pts) - 1) / (len(pts))
     assert total == pytest.approx(expected, rel=5e-3)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(rd, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rd, name, counted)
+    return calls
+
+
+def test_find_rotating_pinned_work(monkeypatch):
+    # Delta_theta(L) values are shared across k, the first profile is
+    # seeded from the circular orbit, and Illinois steps refine the
+    # bracket: the exact number of advance evaluations pins that work
+    advances = _count_calls(monkeypatch, "angular_progress")
+    homotopies = _count_calls(monkeypatch, "homotopy_solve")
+    sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    assert k_nu == 1 and [s.k for s in sols] == [1, 2]
+    assert len(advances) == 18
+    assert len(homotopies) == 0
+
+
+def test_find_rotating_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken advance")
+
+    monkeypatch.setattr(rd, "angular_progress", broken)
+    with pytest.raises(TypeError, match="broken advance"):
+        rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+
+
+def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
+    # on Delta_theta = 2 pi (L / L_root)^12 plain regula falsi keeps the
+    # upper end fixed and runs out of its 60 steps; halving the value of an
+    # end kept twice (the Illinois step) reaches the target within a few
+    L_root = 0.7
+    advances = []
+
+    def fake_advance(model, z0, L, horizon, opts=None):
+        advances.append(L)
+        return 2 * math.pi * (L / L_root) ** 12
+
+    monkeypatch.setattr(rd, "solve_radial_profile",
+                        lambda model, L, guess=None, opts=None:
+                        ((1.2, 0.0), 0.0))
+    monkeypatch.setattr(rd, "angular_progress", fake_advance)
+    sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+    assert k_nu == 1
+    assert sols[0].L == pytest.approx(L_root, rel=1e-6)
+    assert len(advances) <= 20

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import resonance.cli  # noqa: F401  (the tracer wraps every submodule)
 import resonance.model as rm
-from resonance import solver
+from resonance import radial, solver
 from resonance.integrate import HomotopyField
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -56,3 +56,27 @@ def test_tracer_reconciles_return_maps_and_newton():
     assert tree.calls("integrate") == tree.calls("poincare") > len(starts)
     assert tracer.counts["trajectories"] == tree.calls("integrate")
     assert tracer.counts["g_evals"] == counting.calls > 0
+
+
+def test_tracer_sees_the_radial_search(monkeypatch):
+    advances = []
+    original = radial.angular_progress
+
+    def counted(*args, **kwargs):
+        advances.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "angular_progress", counted)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sols, _ = radial.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+    finally:
+        tracer.uninstall()
+
+    tree = spans.SpanTree(tracer.spans)
+    assert [s.k for s in sols] == [1]
+    assert spans.reconcile(tree, tracer.counts) == []
+    assert tree.calls("angular_progress") == len(advances) > 0
+    assert tree.calls("solve_radial_profile") == len(advances)
+    assert tree.under("homotopy_solve", {"solve_radial_profile"}) == 0
