@@ -453,7 +453,8 @@ def probe_N0(fld: HomotopyField, levels: Optional[np.ndarray] = None,
         for (x0, y0) in _n_level_states(float(level), n_probes):
             try:
                 traj = integrate(fld, PhaseState(0.0, x0, y0), period, opts)
-            except Exception as e:       # wall hit or blow-up disqualifies
+            except (ValueError, RuntimeError, ArithmeticError) as e:
+                # a wall hit, a blow-up or a domain error disqualifies
                 diag["failures"][float(level)] = f"integration: {e}"
                 ok = False
                 break

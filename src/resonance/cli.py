@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import apriori as ap
 from . import conditions as cd
+from . import expr as ex
 from . import model as rm
 from . import radial as rd
 from . import solver as sv
@@ -60,11 +62,29 @@ _GRID_KEYS = {"tau_points", "t_points", "lambda_points", "x_points"}
 _RADIAL_KEYS = {"nu", "k_max", "k_min"}
 _SWEEP_KEYS = {"param", "values"}
 
+# what a pipeline stage can legitimately raise: the package's errors
+# (TableRangeError, NewtonError, BlowUpError, DomainExitError, expr's
+# DomainError) all subclass one of these; anything else is a bug and
+# propagates instead of becoming a stage exit code
+_STAGE_ERRORS = (ValueError, RuntimeError, ArithmeticError)
+
 
 def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_family(family, params):
+    if family not in rm.FAMILIES:
+        raise ConfigError(f"model.family must be one of {sorted(rm.FAMILIES)}, "
+                          f"got {family!r}")
+    if not isinstance(params, dict):
+        raise ConfigError("model.params must be an object")
+    # period and n_mode come from model.T and model.N
+    known = set(inspect.signature(rm.FAMILIES[family]).parameters)
+    _reject_unknown(params, known - {"period", "n_mode"},
+                    f"model.params of family {family!r}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -92,6 +112,8 @@ def validate_config(cfg: dict) -> dict:
     has_family = "family" in mc
     if sum([has_expr, has_piece, has_family]) != 1:
         raise ConfigError("model needs exactly one of: f, (f_left, f_right), family")
+    if has_family:
+        _check_family(mc["family"], mc.get("params") or {})
     theorem = cfg.get("theorem", "main")
     if theorem not in THEOREMS:
         raise ConfigError(f"theorem must be one of {THEOREMS}")
@@ -99,6 +121,14 @@ def validate_config(cfg: dict) -> dict:
                           ("radial", _RADIAL_KEYS), ("sweep", _SWEEP_KEYS)):
         if section in cfg:
             _reject_unknown(cfg[section], keys, section)
+    # JSON true/false arrive as bool, a subclass of int
+    for key, val in cfg.get("grids", {}).items():
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise ConfigError(f"grids.{key} must be a positive integer, "
+                              f"got {val!r}")
+    for key, val in cfg.get("tolerances", {}).items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"tolerances.{key} must be a number, got {val!r}")
     out = copy.deepcopy(cfg)
     out.setdefault("theorem", theorem)
     out.setdefault("tolerances", {})
@@ -113,6 +143,15 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
     domain = mc.get("domain", rm.FULL_LINE)
     if "family" in mc:
         return rm.from_family(mc["family"], period, n_mode, mc.get("params"))
+    for key in ("f", "f_left", "f_right"):
+        if key not in mc:
+            continue
+        if not isinstance(mc[key], str):
+            raise ConfigError(f"model.{key} must be an expression string")
+        try:
+            ex.parse(mc[key])
+        except (ex.ParseError, ex.UnknownIdentifierError) as e:
+            raise ConfigError(f"model.{key}: {e}") from e
     if "f" in mc:
         return rm.from_expression(mc["f"], period, domain, n_mode)
     return rm.from_piecewise(mc["f_left"], mc["f_right"], period, domain, n_mode)
@@ -264,7 +303,7 @@ def run(cfg: dict, out_dir: str) -> Report:
             report.put("apriori.y_hat", kit.y_hat)
             report.put("apriori.R_elastic", kit.R_elastic)
             report.stop("pass")
-        except Exception as e:
+        except _STAGE_ERRORS as e:
             report.stop("fail")
             report.write(os.path.join(out_dir, "report.txt"))
             raise StageFailure("apriori", EXIT_APRIORI, str(e))
@@ -275,7 +314,7 @@ def run(cfg: dict, out_dir: str) -> Report:
             report.put("apriori.N0", n0)
             report.put("apriori.start_level", diag["start_level"])
             report.stop("pass")
-        except Exception as e:
+        except _STAGE_ERRORS as e:
             report.stop("fail")
             report.write(os.path.join(out_dir, "report.txt"))
             raise StageFailure("apriori", EXIT_APRIORI, str(e))
@@ -284,7 +323,7 @@ def run(cfg: dict, out_dir: str) -> Report:
     try:
         cert = sv.homotopy_solve(model, opts=opts, kit=kit,
                                  mu=cfg.get("mu"))
-    except Exception as e:
+    except _STAGE_ERRORS as e:
         report.stop("fail")
         report.write(os.path.join(out_dir, "report.txt"))
         raise StageFailure("solve", EXIT_SOLVER, str(e))
@@ -472,7 +511,7 @@ def _cmd_apriori(args) -> int:
                       ["amplitude", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
                        "t8", "y2", "x3", "y5", "x6", "y7", "y8", "bounds_ok"],
                       rows)
-    except Exception as e:
+    except _STAGE_ERRORS as e:
         report.put("apriori.error", str(e))
         report.write(os.path.join(out, "report.txt"))
         print(f"apriori failed: {e}", file=sys.stderr)

@@ -277,10 +277,18 @@ def _bisect_event(dense, phi, t_lo, t_hi, tol):
 
 def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
               opts: IntegrateOpts = IntegrateOpts(),
-              d: Optional[float] = None) -> Trajectory:
+              d: Optional[float] = None,
+              rider: Optional[Callable] = None) -> Trajectory:
     """Integrate the planar system from z0 to t_end with dense events.
 
     d, when given, adds crossing events for the left threshold x = d.
+    rider, when given, is a scalar quadrature channel r' = rider(t, x, y, r)
+    carried along as a passenger: it starts at r = 0, is stepped once per
+    accepted step with the same tableau on that step's stage states, and
+    its final value is returned in meta["rider"].  It stays out of the
+    error norm, the events, the dense output and the samples, so the
+    trajectory is bit-identical to the run without it; in singular mode
+    it sees only stage states with x > 0.
     Raises BlowUpError on step underflow with a growing state and
     DomainExitError when a singular-mode solution reaches the wall.
     """
@@ -319,6 +327,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     events: list[Event] = []
 
     kx1, ky1 = y, -g(t, x)
+    r = 0.0
     h = min(opts.first_step, max_step, span)
     n_steps = 0
 
@@ -337,33 +346,33 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             raise BlowUpError(t, x, y)
 
         try:
-            xst = x + h * _A21 * kx1
+            x2 = x + h * _A21 * kx1
             kx2 = y + h * _A21 * ky1
-            if singular and xst <= 0.0:
+            if singular and x2 <= 0.0:
                 raise _StageDomain()
-            ky2 = -g(t + _C2 * h, xst)
-            xst = x + h * (_A31 * kx1 + _A32 * kx2)
+            ky2 = -g(t + _C2 * h, x2)
+            x3 = x + h * (_A31 * kx1 + _A32 * kx2)
             kx3 = y + h * (_A31 * ky1 + _A32 * ky2)
-            if singular and xst <= 0.0:
+            if singular and x3 <= 0.0:
                 raise _StageDomain()
-            ky3 = -g(t + _C3 * h, xst)
-            xst = x + h * (_A41 * kx1 + _A42 * kx2 + _A43 * kx3)
+            ky3 = -g(t + _C3 * h, x3)
+            x4 = x + h * (_A41 * kx1 + _A42 * kx2 + _A43 * kx3)
             kx4 = y + h * (_A41 * ky1 + _A42 * ky2 + _A43 * ky3)
-            if singular and xst <= 0.0:
+            if singular and x4 <= 0.0:
                 raise _StageDomain()
-            ky4 = -g(t + _C4 * h, xst)
-            xst = x + h * (_A51 * kx1 + _A52 * kx2 + _A53 * kx3 + _A54 * kx4)
+            ky4 = -g(t + _C4 * h, x4)
+            x5 = x + h * (_A51 * kx1 + _A52 * kx2 + _A53 * kx3 + _A54 * kx4)
             kx5 = y + h * (_A51 * ky1 + _A52 * ky2 + _A53 * ky3 + _A54 * ky4)
-            if singular and xst <= 0.0:
+            if singular and x5 <= 0.0:
                 raise _StageDomain()
-            ky5 = -g(t + _C5 * h, xst)
-            xst = x + h * (_A61 * kx1 + _A62 * kx2 + _A63 * kx3
-                           + _A64 * kx4 + _A65 * kx5)
+            ky5 = -g(t + _C5 * h, x5)
+            x6 = x + h * (_A61 * kx1 + _A62 * kx2 + _A63 * kx3
+                          + _A64 * kx4 + _A65 * kx5)
             kx6 = y + h * (_A61 * ky1 + _A62 * ky2 + _A63 * ky3
                            + _A64 * ky4 + _A65 * ky5)
-            if singular and xst <= 0.0:
+            if singular and x6 <= 0.0:
                 raise _StageDomain()
-            ky6 = -g(t + h, xst)
+            ky6 = -g(t + h, x6)
             x1 = x + h * (_A71 * kx1 + _A73 * kx3 + _A74 * kx4 + _A75 * kx5
                           + _A76 * kx6)
             y1 = y + h * (_A71 * ky1 + _A73 * ky3 + _A74 * ky4 + _A75 * ky5
@@ -429,6 +438,23 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             delta = _wrap_pi(th_new_raw - theta_prev)
         theta_prev = theta_prev + delta
 
+        if rider is not None:
+            # the stage states (t + c_i h, x_i, kx_i) of the accepted step
+            kr1 = rider(t, x, y, r)
+            kr2 = rider(t + _C2 * h, x2, kx2, r + h * _A21 * kr1)
+            kr3 = rider(t + _C3 * h, x3, kx3,
+                        r + h * (_A31 * kr1 + _A32 * kr2))
+            kr4 = rider(t + _C4 * h, x4, kx4,
+                        r + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3))
+            kr5 = rider(t + _C5 * h, x5, kx5,
+                        r + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3
+                                 + _A54 * kr4))
+            kr6 = rider(t + h, x6, kx6,
+                        r + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3
+                                 + _A64 * kr4 + _A65 * kr5))
+            r += h * (_A71 * kr1 + _A73 * kr3 + _A74 * kr4 + _A75 * kr5
+                      + _A76 * kr6)
+
         t, x, y = t + h, x1, y1
         kx1, ky1 = kx7, ky7
         ts.append(t); xs.append(x); ys.append(y)
@@ -440,12 +466,13 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
+    meta = dict(rtol=opts.rtol, atol=opts.atol, event_tol=opts.event_tol,
+                d=d, lam=fld.lam, regime=fld.regime)
+    if rider is not None:
+        meta["rider"] = r
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
-                      (cx, 0.0),
-                      meta=dict(rtol=opts.rtol, atol=opts.atol,
-                                event_tol=opts.event_tol, d=d,
-                                lam=fld.lam, regime=fld.regime))
+                      (cx, 0.0), meta=meta)
 
 
 def _wrap_pi(a: float) -> float:

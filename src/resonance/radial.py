@@ -107,24 +107,15 @@ def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,
                      ) -> float:
     """Angle swept by the full orbit: integral of L / rho(t)^2.
 
-    The angle rides along the radial integration as an extra state, so it
-    inherits the integrator tolerance instead of a quadrature grid.
+    The angle is the rider of one planar integration of the radial
+    profile (no numpy path), so it inherits the integrator tolerance
+    instead of a quadrature grid; the singular-mode wall check keeps
+    rho > 0 at every stage the rider sees.
     """
-    eff = effective_field(model, L)
-    fld = HomotopyField(eff, 1.0)
-    g = fld.g
-
-    def rhs(t, y):
-        rho, v, _ = y
-        return np.array([v, -g(t, rho), L / rho ** 2])
-
-    def guard(t, y):
-        if y[0] <= 0.0:
-            raise ValueError("rho reached the wall")
-
-    ts, ys = integrate_system(rhs, np.array([z0.x, z0.y, 0.0]), z0.t,
-                              z0.t + horizon, opts, guard=guard)
-    return float(ys[-1, 2])
+    traj = integrate(HomotopyField(effective_field(model, L), 1.0), z0,
+                     z0.t + horizon, opts,
+                     rider=lambda t, rho, v, theta: L / rho ** 2)
+    return traj.meta["rider"]
 
 
 @dataclass

@@ -217,6 +217,16 @@ def test_singular_probe_levels_and_lap_window():
         assert round(laps) in (2, 3)
 
 
+def test_probe_N0_propagates_programming_errors(monkeypatch):
+    # only integration failures disqualify a level; a bug propagates
+    def broken(*args, **kwargs):
+        raise TypeError("broken integrate")
+
+    monkeypatch.setattr(ap, "integrate", broken)
+    with pytest.raises(TypeError, match="broken integrate"):
+        ap.probe_N0(HomotopyField(rm.make_singular_band(), 1.0))
+
+
 def test_singular_lap_timing_split_at_unit_crossing():
     # one full rotation about (1, 0): the outer stretch takes between
     # T/(n+1) and T/n (up to the probe margin), the inner one collapses

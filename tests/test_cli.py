@@ -60,6 +60,34 @@ def test_missing_period_exits_with_config_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+_BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
+
+
+@pytest.mark.parametrize("cfg, names", [
+    ({"model": dict(_BAND, params={"bogus": 1.0})}, ["model.params", "bogus"]),
+    ({"model": dict(_BAND, family="no_such_band")}, ["model.family"]),
+    ({"model": _BAND, "grids": {"tau_points": "abc"}}, ["grids.tau_points"]),
+    ({"model": _BAND, "grids": {"lambda_points": 0}}, ["grids.lambda_points"]),
+    ({"model": _BAND, "tolerances": {"rtol": "tight"}}, ["tolerances.rtol"]),
+    ({"model": {"f": "x^3 + bogus*x", "T": 2 * math.pi, "N": 2}},
+     ["model.f", "bogus"]),
+    ({"model": {"f_left": "x^3", "f_right": "2*x +", "T": 2 * math.pi,
+                "N": 2}}, ["model.f_right"]),
+], ids=["family-param", "family", "grid-type", "grid-range", "tolerance",
+        "unknown-identifier", "parse-error"])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
+                                                 names):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for name in names:
+        assert name in err
+
+
 def test_tol_override_parsing(tmp_path):
     cfg = cli.validate_config({"model": {"T": 1.0, "N": 1, "f": "x"}})
     out = cli.apply_tol_overrides(cfg, ["rtol=1e-9"])
@@ -181,6 +209,17 @@ def test_full_pipeline_on_quintic_expression_model(tmp_path):
     header = (out / "solution.csv").read_text().splitlines()[0]
     assert header == "t,x,y,rho,theta"
     assert (out / "events.csv").read_text().splitlines()[0] == "kind,t,x,y"
+
+
+def test_programming_error_in_a_stage_propagates(tmp_path, monkeypatch):
+    # a bug is not an a-priori failure: it must not exit 5
+    def broken(*args, **kwargs):
+        raise TypeError("broken kit")
+
+    monkeypatch.setattr(cli.ap, "build_kit", broken)
+    with pytest.raises(TypeError, match="broken kit"):
+        cli.main(["find", "--config", _write_config(tmp_path),
+                  "--out", str(tmp_path / "out")])
 
 
 def test_sweep_aggregates_pass_and_fail_cells(tmp_path):

@@ -509,3 +509,41 @@ def test_integrate_f_evaluation_count(lam, f_calls):
     ig.integrate(ig.HomotopyField(model, lam), ig.PhaseState(0.0, -1.5, 0.0),
                  model.period)
     assert counting.calls == f_calls
+
+
+# --------------------------------------------------------------------------
+# rider: a scalar quadrature channel carried along as a passenger
+
+
+def _bits(traj):
+    return ([v.hex() for arr in (traj.t, traj.x, traj.y, traj.theta)
+             for v in arr.tolist()],
+            [(ev.kind, ev.t.hex(), ev.x.hex(), ev.y.hex())
+             for ev in traj.events])
+
+
+@pytest.mark.parametrize("family, lam, z0, d", [
+    ("cubic_band", 0.5, (-1.5, 0.0), -0.5),
+    ("singular_band", 1.0, (1.2, 0.0), None),
+])
+def test_rider_leaves_the_trajectory_bit_identical(family, lam, z0, d):
+    model = rm.FAMILIES[family]()
+    fld = ig.HomotopyField(model, lam)
+    z = ig.PhaseState(0.0, *z0)
+    plain = ig.integrate(fld, z, model.period, d=d)
+    ridden = ig.integrate(fld, z, model.period, d=d,
+                          rider=lambda t, x, y, r: x * x + y * y + r)
+    assert _bits(ridden) == _bits(plain)
+    assert "rider" not in plain.meta
+    assert math.isfinite(ridden.meta["rider"]) and ridden.meta["rider"] > 0.0
+
+
+def test_rider_quadrature_closed_forms():
+    fld = _field(lambda t, x: x)
+    z = ig.PhaseState(0.3, 1.0, 0.0)
+    t_end = 0.3 + T2PI
+    one = ig.integrate(fld, z, t_end, rider=lambda t, x, y, r: 1.0)
+    assert one.meta["rider"] == pytest.approx(T2PI, abs=1e-12)
+    # r' = 1 + r from r = 0 gives e^T - 1: the rider's own stage values count
+    grow = ig.integrate(fld, z, t_end, rider=lambda t, x, y, r: 1.0 + r)
+    assert grow.meta["rider"] == pytest.approx(math.expm1(T2PI), rel=1e-9)

@@ -79,6 +79,34 @@ def test_angular_progress_circular():
     assert dth2 == pytest.approx(1.7, abs=1e-10)
 
 
+def _advance_by_integrate_system(model, z0, L, horizon):
+    # the numpy three-state integration of (rho, rho', theta) that
+    # angular_progress used before the angle became a rider
+    g = HomotopyField(rd.effective_field(model, L), 1.0).g
+
+    def rhs(t, y):
+        rho, v, _ = y
+        return np.array([v, -g(t, rho), L / rho ** 2])
+
+    def guard(t, y):
+        if y[0] <= 0.0:
+            raise ValueError("rho reached the wall")
+
+    _, ys = integrate_system(rhs, np.array([z0.x, z0.y, 0.0]), z0.t,
+                             z0.t + horizon, guard=guard)
+    return float(ys[-1, 2])
+
+
+@pytest.mark.parametrize("L", [0.03, 0.373, 1.72])
+def test_angular_progress_matches_integrate_system(L):
+    model = rm.make_singular_band()
+    z, _ = rd.solve_radial_profile(model, L)
+    z0 = PhaseState(0.0, *z)
+    dth = rd.angular_progress(model, z0, L, model.period)
+    assert dth == pytest.approx(
+        _advance_by_integrate_system(model, z0, L, model.period), abs=1e-9)
+
+
 def test_angular_progress_monotone_in_momentum_at_fixed_profile():
     # freezing the radial profile, the advance integral scales with L;
     # the full L-dependence (profile moves too) is only probed elsewhere

@@ -80,3 +80,6 @@ def test_tracer_sees_the_radial_search(monkeypatch):
     assert tree.calls("angular_progress") == len(advances) > 0
     assert tree.calls("solve_radial_profile") == len(advances)
     assert tree.under("homotopy_solve", {"solve_radial_profile"}) == 0
+    # the advance is one planar integration with the angle as its rider
+    assert tree.under("integrate_system", {"angular_progress"}) == 0
+    assert tree.under("integrate", {"angular_progress"}) == len(advances)
