@@ -413,20 +413,23 @@ def N_measure(x: float, y: float) -> float:
     return 1.0 / (x * x) + x * x + y * y
 
 
-def _n_level_states(level: float, n_points: int):
-    """States on the level set N(x, y) = level (an oval around (1, 0))."""
+def n_level_point(level: float, phi: float) -> tuple[float, float]:
+    """The point at angle parameter phi on the level set N(x, y) = level, an
+    oval around (1, 0): log x sweeps from the inner to the outer x-root and
+    back as phi runs over [0, 2 pi), with y taking the sign of sin(phi)."""
     disc = math.sqrt(max(level * level - 4.0, 0.0))
     x_lo = math.sqrt((level - disc) / 2.0)
     x_hi = math.sqrt((level + disc) / 2.0)
-    out = []
-    for k in range(n_points):
-        phi = 2.0 * math.pi * k / n_points
-        lx = math.log(x_lo) + (math.log(x_hi) - math.log(x_lo)) * 0.5 * (1 - math.cos(phi))
-        x = math.exp(lx)
-        y2 = level - x * x - 1.0 / (x * x)
-        y = math.copysign(math.sqrt(max(y2, 0.0)), math.sin(phi))
-        out.append((x, y))
-    return out
+    lx = math.log(x_lo) + (math.log(x_hi) - math.log(x_lo)) * 0.5 * (1.0 - math.cos(phi))
+    x = math.exp(lx)
+    y2 = level - x * x - 1.0 / (x * x)
+    return x, math.copysign(math.sqrt(max(y2, 0.0)), math.sin(phi))
+
+
+def _n_level_states(level: float, n_points: int):
+    """n_points states spaced evenly in phi on the level set N = level."""
+    return [n_level_point(level, 2.0 * math.pi * k / n_points)
+            for k in range(n_points)]
 
 
 def probe_N0(fld: HomotopyField, levels: Optional[np.ndarray] = None,

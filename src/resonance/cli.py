@@ -29,7 +29,7 @@ from . import radial as rd
 from . import solver as sv
 from . import spectrum as sp
 from .integrate import HomotopyField, IntegrateOpts, PhaseState, integrate
-from .util import fmt_float, parallel_map, write_csv
+from .util import fmt_float, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,6 +85,12 @@ def _check_family(family, params):
     known = set(inspect.signature(rm.FAMILIES[family]).parameters)
     _reject_unknown(params, known - {"period", "n_mode"},
                     f"model.params of family {family!r}")
+    for key, val in params.items():
+        # the family substitutes its parameters into an expression template
+        if key != "name" and not (isinstance(val, (int, float))
+                                  and math.isfinite(val)):
+            raise ConfigError(f"model.params.{key} must be a finite number, "
+                              f"got {val!r}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -142,7 +148,11 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
     n_mode = int(mc["N"])
     domain = mc.get("domain", rm.FULL_LINE)
     if "family" in mc:
-        return rm.from_family(mc["family"], period, n_mode, mc.get("params"))
+        try:
+            return rm.from_family(mc["family"], period, n_mode, mc.get("params"))
+        except ValueError as e:
+            # parameters are numbers by now; what is left is a bad N
+            raise ConfigError(f"model.N: {e}") from e
     for key in ("f", "f_left", "f_right"):
         if key not in mc:
             continue
@@ -567,24 +577,18 @@ def _cmd_sweep(args) -> int:
     out = args.out or cfg.get("out_dir", "out")
     os.makedirs(out, exist_ok=True)
 
-    def one_cell(item):
-        i, val = item
+    rows = []
+    for i, val in enumerate(swc["values"]):
         sub = copy.deepcopy(cfg)
         sub.pop("sweep")
         _set_by_path(sub, swc["param"], val)
-        sub_out = os.path.join(out, f"cell_{i:03d}")
         try:
-            run(sub, sub_out)
-            residual = math.nan
-            with open(os.path.join(sub_out, "report.txt")) as fh:
-                for line in fh.read().splitlines():
-                    if line.startswith("certificate.residual"):
-                        residual = float(line.split("=")[1])
-            return (float(val), "pass", residual)
+            report = run(sub, os.path.join(out, f"cell_{i:03d}"))
         except StageFailure as e:
-            return (float(val), f"fail:{e.stage}", math.nan)
-
-    rows = parallel_map(one_cell, list(enumerate(swc["values"])))
+            rows.append((float(val), f"fail:{e.stage}", math.nan))
+            continue
+        residual = dict(report.lines).get("certificate.residual", "nan")
+        rows.append((float(val), "pass", float(residual)))
     write_csv(os.path.join(out, "atlas.csv"),
               [swc["param"], "verdict", "residual"], rows)
     print(f"sweep atlas -> {os.path.join(out, 'atlas.csv')}")

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import FULL_LINE, SINGULAR, NonlinearityModel, eigenvalue_for
-from .util import gauss_legendre, parallel_map
+from .model import FULL_LINE, SINGULAR, NonlinearityModel
+from .spectrum import eigenvalue
+from .util import gauss_legendre
 
 __all__ = [
     "AsymptoticEnvelope", "LLReport",
@@ -137,8 +138,8 @@ def asymptotic_envelope(model: NonlinearityModel, mu_ref: float,
 def _band_constant(model, x_grid, t_grid):
     """Smallest c with mu_N x - c <= f <= mu_N+1 x + c on the sampled grid,
     together with its stability along the grid tail."""
-    mu_lo = eigenvalue_for(model.n_mode, model.period)
-    mu_hi = eigenvalue_for(model.n_mode + 1, model.period)
+    mu_lo = eigenvalue(model.n_mode, model.period)
+    mu_hi = eigenvalue(model.n_mode + 1, model.period)
     c_run = 0.0
     c_prefix = np.empty(len(x_grid))
     for i, x in enumerate(x_grid):
@@ -360,17 +361,17 @@ def ll_verdict(model: NonlinearityModel, n_mode: int | None = None,
     """
     n = model.n_mode if n_mode is None else n_mode
     period = model.period
-    env_lo = asymptotic_envelope(model, eigenvalue_for(n, period),
+    env_lo = asymptotic_envelope(model, eigenvalue(n, period),
                                  t_points=t_points)
-    env_hi = asymptotic_envelope(model, eigenvalue_for(n + 1, period),
+    env_hi = asymptotic_envelope(model, eigenvalue(n + 1, period),
                                  t_points=t_points)
     tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
     lo_fn = env_lo.lower_fn()
     hi_fn = env_hi.upper_fn()
-    lo_vals = np.array(parallel_map(
-        lambda tau: ll_integral(lo_fn, n, period, variant, float(tau)), tau_grid))
-    hi_vals = np.array(parallel_map(
-        lambda tau: ll_integral(hi_fn, n + 1, period, variant, float(tau)), tau_grid))
+    lo_vals = np.array([ll_integral(lo_fn, n, period, variant, float(tau))
+                        for tau in tau_grid])
+    hi_vals = np.array([ll_integral(hi_fn, n + 1, period, variant, float(tau))
+                        for tau in tau_grid])
     v_lo, m_lo = _verdict_from(lo_vals, "lower", env_lo.lower_stabilized)
     v_hi, m_hi = _verdict_from(hi_vals, "upper", env_hi.upper_stabilized)
     return (LLReport(variant, "lower", n, tau_grid, lo_vals, v_lo, m_lo),
@@ -450,8 +451,7 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf",
     tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
     zetas = sorted(zetas, reverse=True)
 
-    def one_cell(args):
-        zeta, tau = args
+    def one_cell(zeta, tau):
         prim = _window_primitive_checkpoints(model, float(tau), float(zeta),
                                              x_checks, base, side)
         out = []
@@ -460,8 +460,7 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf",
             out.append(f2v / f1v if f1v != 0.0 else math.nan)
         return out
 
-    cells = [(z, tau) for z in zetas for tau in tau_grid]
-    raw = parallel_map(one_cell, cells)
+    raw = [one_cell(z, tau) for z in zetas for tau in tau_grid]
     ratios = np.array(raw, dtype=float).reshape(len(zetas), len(tau_grid),
                                                 len(x_checks))
     dev = np.nanmax(np.abs(ratios - 1.0), axis=1)    # (zeta, X)

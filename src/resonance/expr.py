@@ -9,8 +9,8 @@ unary minus sits between * and ^):
     power  := atom ('^' unary)?
     atom   := NUMBER | 't' | 'x' | func '(' expr (',' expr)* ')' | '(' expr ')'
 
-Known functions: sin, cos, abs, exp, log (one argument), min, max (two).
-Parsed trees are immutable; evaluation is reentrant.
+Known functions: sin, cos, abs, exp, log, log2 (one argument), min, max
+(two).  Parsed trees are immutable; evaluation is reentrant.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ __all__ = [
     "parse", "to_source", "evaluate", "compile_scalar", "compile_vector_t",
 ]
 
-_FUNCS = {"sin": 1, "cos": 1, "abs": 1, "exp": 1, "log": 1, "min": 2, "max": 2}
+_FUNCS = {"sin": 1, "cos": 1, "abs": 1, "exp": 1, "log": 1, "log2": 1,
+          "min": 2, "max": 2}
 _VARS = ("t", "x")
 
 
@@ -284,10 +285,10 @@ def evaluate(node: Expr, t: float, x: float) -> float:
         return -evaluate(node.operand, t, x)
     if isinstance(node, Call):
         args = [evaluate(a, t, x) for a in node.args]
-        if node.func == "log":
+        if node.func in ("log", "log2"):
             if args[0] <= 0.0:
-                raise DomainError("log of a non-positive value", node)
-            return math.log(args[0])
+                raise DomainError(f"{node.func} of a non-positive value", node)
+            return math.log(args[0]) if node.func == "log" else math.log2(args[0])
         if node.func == "exp":
             try:
                 return math.exp(args[0])
@@ -337,20 +338,30 @@ def _codegen(node: Expr, ns: str) -> str:
     return f"({_codegen(node.left, ns)} {node.op} {_codegen(node.right, ns)})"
 
 
-def compile_scalar(node: Expr):
+def _body(node: Expr, right: Expr | None, split: float, ns: str) -> str:
+    code = _codegen(node, ns)
+    if right is None:
+        return code
+    return f"({code}) if x < {split!r} else ({_codegen(right, ns)})"
+
+
+def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
     """Compile to a fast scalar callable f(t, x) -> float.
 
-    Uses math.* so domain violations surface as ValueError /
-    ZeroDivisionError / OverflowError; the slower evaluate() names the
-    offending subtree when a diagnostic is needed.
+    With `right`, the glued pair `node if x < split else right` becomes
+    one callable.  Uses math.* so domain violations surface as
+    ValueError / ZeroDivisionError / OverflowError; the slower evaluate()
+    names the offending subtree when a diagnostic is needed.
     """
-    src = f"lambda t, x: {_codegen(node, 'math')}"
+    src = f"lambda t, x: {_body(node, right, split, 'math')}"
     return eval(src, {"math": math, "abs": abs, "min": min, "max": max})
 
 
-def compile_vector_t(node: Expr):
-    """Compile to f(t_array, x_scalar) -> array, vectorized over t."""
+def compile_vector_t(node: Expr, right: Expr | None = None, split: float = 0.0):
+    """Compile to f(t_array, x_scalar) -> array, vectorized over t; `right`
+    and `split` glue a pair as in compile_scalar."""
     import numpy as np
 
-    src = f"lambda t, x: np.broadcast_to({_codegen(node, 'np')}, np.shape(t)).astype(float)"
+    body = _body(node, right, split, "np")
+    src = f"lambda t, x: np.broadcast_to(({body}), np.shape(t)).astype(float)"
     return eval(src, {"np": np})

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FULL_LINE, SINGULAR, NonlinearityModel, eigenvalue_for
+from .model import FULL_LINE, SINGULAR, NonlinearityModel
+from .spectrum import eigenvalue
 
 __all__ = [
     "IntegrateOpts", "PhaseState", "Event", "Trajectory", "HomotopyField",
@@ -139,7 +140,7 @@ class HomotopyField:
             return self.mu
         t_ = self.model.period
         n = self.model.n_mode
-        return 0.5 * (eigenvalue_for(n, t_) + eigenvalue_for(n + 1, t_))
+        return 0.5 * (eigenvalue(n, t_) + eigenvalue(n + 1, t_))
 
     def h(self, t: float, x: float) -> float:
         return self._h(t, x)

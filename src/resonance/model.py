@@ -1,4 +1,10 @@
-"""Nonlinearity models f(t, x): expression-backed or registered families."""
+"""Nonlinearity models f(t, x), each compiled from expression trees.
+
+A model comes from one expression, from a piecewise pair glued at a
+split point, or from a registered family: an expression template whose
+parameters are substituted before parsing, so a family is written once and
+its scalar and vector forms are generated from the same trees.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
+from .spectrum import eigenvalue
 
 FULL_LINE = "full_line"
 SINGULAR = "singular"
@@ -22,7 +29,9 @@ class NonlinearityModel:
     evaluates f over an array of times at fixed x (used by envelope and
     window scans).  domain is "full_line" (x ranges over all reals) or
     "singular" (x > 0 with a wall at 0).  n_mode is the declared integer N
-    placing the linear band [mu_N, mu_N+1] at +infinity.
+    placing the linear band [mu_N, mu_N+1] at +infinity.  trees holds the
+    expression trees f was compiled from: one, or a left/right pair glued
+    at split_point(domain).
     """
 
     f: Callable[[float, float], float]
@@ -33,6 +42,7 @@ class NonlinearityModel:
     source: Optional[str] = None
     name: str = "model"
     params: dict = field(default_factory=dict)
+    trees: tuple = ()
 
     def f_over_t(self, t_grid: np.ndarray, x: float) -> np.ndarray:
         if self.f_tarr is not None:
@@ -40,51 +50,58 @@ class NonlinearityModel:
         return np.array([self.f(float(tt), x) for tt in np.atleast_1d(t_grid)])
 
 
-def eigenvalue_for(j: int, period: float) -> float:
-    return (j * math.pi / period) ** 2
+def split_point(domain: str) -> float:
+    """Where a piecewise pair is glued: 0 on the full line, 1 in singular mode."""
+    return 0.0 if domain == FULL_LINE else 1.0
 
 
 def from_expression(source: str, period: float, domain: str = FULL_LINE,
-                    n_mode: int = 1, name: str = "expr") -> NonlinearityModel:
+                    n_mode: int = 1, name: str = "expr",
+                    params: dict | None = None) -> NonlinearityModel:
     tree = ex.parse(source)
     return NonlinearityModel(
         f=ex.compile_scalar(tree), period=period, domain=domain, n_mode=n_mode,
-        f_tarr=ex.compile_vector_t(tree), source=source, name=name)
+        f_tarr=ex.compile_vector_t(tree), source=source, name=name,
+        params=dict(params or {}), trees=(tree,))
 
 
 def from_piecewise(left_src: str, right_src: str, period: float,
                    domain: str = FULL_LINE, n_mode: int = 1,
-                   name: str = "piecewise") -> NonlinearityModel:
-    """Two expressions glued at the split point (0 on the full line, 1 in
-    singular mode); continuity is the user's responsibility."""
-    split = 0.0 if domain == FULL_LINE else 1.0
-    fl = ex.compile_scalar(ex.parse(left_src))
-    fr = ex.compile_scalar(ex.parse(right_src))
-    fl_v = ex.compile_vector_t(ex.parse(left_src))
-    fr_v = ex.compile_vector_t(ex.parse(right_src))
-
-    def f(t, x):
-        return fl(t, x) if x < split else fr(t, x)
-
-    def f_tarr(t, x):
-        return fl_v(t, x) if x < split else fr_v(t, x)
-
-    return NonlinearityModel(f=f, period=period, domain=domain, n_mode=n_mode,
-                             f_tarr=f_tarr,
+                   name: str = "piecewise",
+                   params: dict | None = None) -> NonlinearityModel:
+    """Two expressions glued at split_point(domain), the left one strictly
+    below it; continuity is the user's responsibility."""
+    split = split_point(domain)
+    left, right = ex.parse(left_src), ex.parse(right_src)
+    return NonlinearityModel(f=ex.compile_scalar(left, right, split),
+                             period=period, domain=domain, n_mode=n_mode,
+                             f_tarr=ex.compile_vector_t(left, right, split),
                              source=f"[x<{split}] {left_src} | {right_src}",
-                             name=name)
+                             name=name, params=dict(params or {}),
+                             trees=(left, right))
 
 
-def _band_profile(x: float, mu_lo: float, dmu: float, lift: float, drop: float):
-    """Right-side profile mu_lo*x + ramp(x)*(lift + (dmu*x - lift - drop)*chi(x)).
+def _fill(template: str, **values) -> str:
+    """Substitute numbers into a template as parenthesised reprs, so every
+    value, negative ones included, parses back to the same double."""
+    return template.format(**{k: f"({float(v)!r})" for k, v in values.items()})
 
-    chi oscillates between 0 and 1 on a log scale, so f(t,x)/x keeps
-    visiting both edges of the band as x grows; the residues against the
-    band edges settle at +lift (lower edge) and -drop (upper edge).
-    """
-    ramp = x * x / (1.0 + x * x)
-    chi = 0.5 * (1.0 - math.cos(math.pi * math.log2(1.0 + x)))
-    return mu_lo * x + ramp * (lift + (dmu * x - lift - drop) * chi)
+
+# Each template rounds exactly like the closed form it spells out, whose
+# bits the integrator's golden records pin: x^3 is written x*x*x and s^2 is
+# s*s, because pow rounds differently from products.
+_CUBIC_LEFT = "x*x*x + {forcing}*cos({om}*t)"
+# mu_N x + ramp(x) (lift + (dmu x - lift - drop) chi(x)): chi swings between
+# 0 and 1 on a log scale, so f/x keeps visiting both band edges and the
+# residues settle at +lift (lower edge) and -drop (upper edge)
+_BAND_RIGHT = ("{mu_lo}*x + x*x/(1 + x*x)*({lift} + ({dmu}*x - {lift} - {drop})"
+               "*(0.5*(1 - cos({pi}*log2(1 + x))))) + {forcing}*cos({om}*t)")
+_MIDBAND_RIGHT = ("{mu_mid}*x + x*x/(1 + x*x)*0.5*({lift} - {drop})"
+                  " + {forcing}*cos({om}*t)")
+_EDGE_RIGHT = "{mu_hi}*x + x*x/(1 + x*x)*{offset} + {forcing}*cos({om}*t)"
+_LINEAR = "{mu}*x + {forcing}*cos({mom}*t)"
+_SINGULAR_WALL = ("{mu_mid}*x - (1 + {wobble}*sin({om}*t)*sin({om}*t))/x^5"
+                  " - 1/x^3")
 
 
 def make_cubic_band(period: float = 2 * math.pi, n_mode: int = 2,
@@ -97,34 +114,18 @@ def make_cubic_band(period: float = 2 * math.pi, n_mode: int = 2,
     +infinity are exactly +lift / -drop.  With oscillating=False the right
     side is the midline slope (strictly inside the band).
     """
-    mu_lo = eigenvalue_for(n_mode, period)
-    mu_hi = eigenvalue_for(n_mode + 1, period)
-    dmu = mu_hi - mu_lo
-    mu_mid = 0.5 * (mu_lo + mu_hi)
-    om = 2 * math.pi / period
-
-    def f(t, x):
-        e = forcing * math.cos(om * t)
-        if x <= 0.0:
-            return x * x * x + e
-        if oscillating:
-            return _band_profile(x, mu_lo, dmu, lift, drop) + e
-        ramp = x * x / (1.0 + x * x)
-        return mu_mid * x + ramp * 0.5 * (lift - drop) + e
-
-    def f_tarr(t, x):
-        e = forcing * np.cos(om * np.asarray(t, dtype=float))
-        if x <= 0.0:
-            return x * x * x + e
-        if oscillating:
-            return _band_profile(x, mu_lo, dmu, lift, drop) + e
-        ramp = x * x / (1.0 + x * x)
-        return mu_mid * x + ramp * 0.5 * (lift - drop) + e
-
-    return NonlinearityModel(f=f, period=period, domain=FULL_LINE, n_mode=n_mode,
-                             f_tarr=f_tarr, name=name,
-                             params=dict(forcing=forcing, lift=lift, drop=drop,
-                                         oscillating=oscillating))
+    mu_lo = eigenvalue(n_mode, period)
+    mu_hi = eigenvalue(n_mode + 1, period)
+    values = dict(forcing=forcing, lift=lift, drop=drop, om=2 * math.pi / period)
+    if oscillating:
+        right = _fill(_BAND_RIGHT, mu_lo=mu_lo, dmu=mu_hi - mu_lo, pi=math.pi,
+                      **values)
+    else:
+        right = _fill(_MIDBAND_RIGHT, mu_mid=0.5 * (mu_lo + mu_hi), **values)
+    return from_piecewise(_fill(_CUBIC_LEFT, **values), right, period,
+                          FULL_LINE, n_mode, name,
+                          params=dict(forcing=forcing, lift=lift, drop=drop,
+                                      oscillating=oscillating))
 
 
 def make_resonant_edge(period: float = 2 * math.pi, n_mode: int = 2,
@@ -132,64 +133,38 @@ def make_resonant_edge(period: float = 2 * math.pi, n_mode: int = 2,
                        name: str = "resonant_edge") -> NonlinearityModel:
     """Cubic left side, right side pinned to the upper band edge mu_N+1 with a
     positive residue: the sign condition against the (N+1)-profile fails."""
-    mu_hi = eigenvalue_for(n_mode + 1, period)
-    om = 2 * math.pi / period
-
-    def f(t, x):
-        e = forcing * math.cos(om * t)
-        if x <= 0.0:
-            return x * x * x + e
-        ramp = x * x / (1.0 + x * x)
-        return mu_hi * x + ramp * offset + e
-
-    def f_tarr(t, x):
-        e = forcing * np.cos(om * np.asarray(t, dtype=float))
-        if x <= 0.0:
-            return x * x * x + e
-        ramp = x * x / (1.0 + x * x)
-        return mu_hi * x + ramp * offset + e
-
-    return NonlinearityModel(f=f, period=period, domain=FULL_LINE, n_mode=n_mode,
-                             f_tarr=f_tarr, name=name,
-                             params=dict(offset=offset, forcing=forcing))
+    values = dict(forcing=forcing, om=2 * math.pi / period)
+    right = _fill(_EDGE_RIGHT, mu_hi=eigenvalue(n_mode + 1, period),
+                  offset=offset, **values)
+    return from_piecewise(_fill(_CUBIC_LEFT, **values), right, period,
+                          FULL_LINE, n_mode, name,
+                          params=dict(offset=offset, forcing=forcing))
 
 
-def make_linear_resonant(period: float = 2 * math.pi, m: int = 2,
+def make_linear_resonant(period: float = 2 * math.pi, n_mode: int = 3,
                          forcing: float = 1.0,
                          name: str = "linear_resonant") -> NonlinearityModel:
-    """f = m^2 x + forcing cos(m t'): the forcing pumps the eigenmode, so no
-    T-periodic solution exists at all (the textbook obstruction case)."""
-    om = 2 * math.pi / period
-    mu = (m * om) ** 2
-
-    def f(t, x):
-        return mu * x + forcing * math.cos(m * om * t)
-
-    def f_tarr(t, x):
-        return mu * x + forcing * np.cos(m * om * np.asarray(t, dtype=float))
-
-    return NonlinearityModel(f=f, period=period, domain=FULL_LINE,
-                             n_mode=max(2 * m - 1, 1), f_tarr=f_tarr,
-                             name=name, params=dict(m=m, forcing=forcing))
+    """f = (2 pi m / T)^2 x + forcing cos(2 pi m t / T) with m = (N + 1)/2,
+    so N is odd: the forcing pumps the eigenmode, so no T-periodic solution
+    exists at all (the textbook obstruction case)."""
+    if n_mode % 2 == 0:
+        raise ValueError(f"linear_resonant pumps mode m = (N + 1)/2, so N must "
+                         f"be odd; got N = {n_mode}")
+    mom = (n_mode + 1) // 2 * (2 * math.pi / period)
+    return from_expression(_fill(_LINEAR, mu=mom ** 2, forcing=forcing, mom=mom),
+                           period, FULL_LINE, n_mode, name,
+                           params=dict(forcing=forcing))
 
 
 def make_singular_band(period: float = 2 * math.pi, n_mode: int = 2,
                        wobble: float = 1.0, name: str = "singular_band") -> NonlinearityModel:
     """Attractive wall -(1 + wobble sin^2 t) x^-5 - x^-3 plus a midband linear
     tail: repulsive strong singularity at 0, linear band growth at infinity."""
-    mu_mid = 0.5 * (eigenvalue_for(n_mode, period) + eigenvalue_for(n_mode + 1, period))
-    om = 2 * math.pi / period
-
-    def f(t, x):
-        s = math.sin(om * t)
-        return mu_mid * x - (1.0 + wobble * s * s) / x ** 5 - 1.0 / x ** 3
-
-    def f_tarr(t, x):
-        s = np.sin(om * np.asarray(t, dtype=float))
-        return mu_mid * x - (1.0 + wobble * s * s) / x ** 5 - 1.0 / x ** 3
-
-    return NonlinearityModel(f=f, period=period, domain=SINGULAR, n_mode=n_mode,
-                             f_tarr=f_tarr, name=name, params=dict(wobble=wobble))
+    mu_mid = 0.5 * (eigenvalue(n_mode, period) + eigenvalue(n_mode + 1, period))
+    source = _fill(_SINGULAR_WALL, mu_mid=mu_mid, wobble=wobble,
+                   om=2 * math.pi / period)
+    return from_expression(source, period, SINGULAR, n_mode, name,
+                           params=dict(wobble=wobble))
 
 
 FAMILIES = {

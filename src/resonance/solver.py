@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .apriori import n_level_point
 from .integrate import (BlowUpError, CenterHitError, DomainExitError,
                         HomotopyField, IntegrateOpts, PhaseState, Trajectory,
                         _wrap_pi, integrate, rotation_count)
@@ -154,19 +155,7 @@ def circle_curve(radius: float) -> Callable[[float], tuple[float, float]]:
 
 def n_level_curve(level: float) -> Callable[[float], tuple[float, float]]:
     """Closed level set of 1/x^2 + x^2 + y^2 around (1, 0), for x > 0."""
-    disc = math.sqrt(max(level * level - 4.0, 0.0))
-    x_lo = math.sqrt((level - disc) / 2.0)
-    x_hi = math.sqrt((level + disc) / 2.0)
-
-    def curve(s: float):
-        phi = 2.0 * math.pi * s
-        lx = math.log(x_lo) + (math.log(x_hi) - math.log(x_lo)) * 0.5 * (1.0 - math.cos(phi))
-        x = math.exp(lx)
-        y2 = level - x * x - 1.0 / (x * x)
-        y = math.copysign(math.sqrt(max(y2, 0.0)), math.sin(phi))
-        return x, y
-
-    return curve
+    return lambda s: n_level_point(level, 2.0 * math.pi * s)
 
 
 def boundary_degree(fld: HomotopyField, radius: float,

@@ -1,10 +1,8 @@
-"""Shared helpers: worker pool sizing, CSV emission, quadrature nodes."""
+"""Shared helpers: CSV emission, quadrature nodes."""
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,30 +25,6 @@ def gl_panels(a: float, b: float, n_panels: int, order: int = 10):
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
-
-
-def worker_count() -> int:
-    """Worker cap from RESONANCE_THREADS; defaults to 1 (deterministic serial)."""
-    raw = os.environ.get("RESONANCE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map; threads only when RESONANCE_THREADS > 1.
-
-    Work items must be independent (no shared mutable state); results are
-    collected in input order so output files stay deterministic.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_float(v: float) -> str:

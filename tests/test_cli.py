@@ -73,8 +73,12 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["model.f", "bogus"]),
     ({"model": {"f_left": "x^3", "f_right": "2*x +", "T": 2 * math.pi,
                 "N": 2}}, ["model.f_right"]),
+    ({"model": dict(_BAND, params={"forcing": "x"})},
+     ["model.params.forcing"]),
+    ({"model": dict(_BAND, family="linear_resonant")}, ["model.N", "odd"]),
 ], ids=["family-param", "family", "grid-type", "grid-range", "tolerance",
-        "unknown-identifier", "parse-error"])
+        "unknown-identifier", "parse-error", "family-param-type",
+        "linear-resonant-even-N"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
     path = tmp_path / "bad.json"
@@ -134,6 +138,17 @@ def test_verify_command_passes_band_model(tmp_path):
     assert "sign.upper.verdict = pass" in report
     assert (out / "ll_lower.csv").exists()
     assert (out / "ll_upper.csv").exists()
+
+
+def test_verify_linear_resonant_family_fails_hypotheses(tmp_path):
+    # the pumped mode m = (N + 1)/2 = 2 puts the slope on mu_4, and the
+    # linear left side is not superlinear: hypothesis (A) fails
+    cfg_path = tmp_path / "lin.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"family": "linear_resonant", "T": 2 * math.pi, "N": 3}}))
+    code = cli.main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_HYPOTHESIS
 
 
 def test_verify_gate_failure_names_window_check(tmp_path):
@@ -239,15 +254,6 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
     verdicts = [r.split(",")[1] for r in rows[1:]]
     assert verdicts[0] == "pass"
     assert verdicts[1].startswith("fail")
-
-
-def test_parallel_map_respects_thread_env(monkeypatch):
-    from resonance.util import parallel_map
-    monkeypatch.setenv("RESONANCE_THREADS", "4")
-    out = parallel_map(lambda v: v * v, range(25))
-    assert out == [v * v for v in range(25)]
-    monkeypatch.setenv("RESONANCE_THREADS", "1")
-    assert parallel_map(lambda v: v * v, range(25)) == out
 
 
 def test_floats_serialized_with_17_digits(tmp_path):

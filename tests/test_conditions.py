@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resonance.model as rm
+from resonance.spectrum import eigenvalue
 from resonance import conditions as cd
 
 T2PI = 2 * math.pi
@@ -93,7 +94,7 @@ def test_infinite_residue_propagates_sign():
 
 def test_envelope_monotone_under_tail_enlargement():
     model = rm.make_cubic_band()
-    mu_n = rm.eigenvalue_for(2, T2PI)
+    mu_n = eigenvalue(2, T2PI)
     e18 = cd.asymptotic_envelope(model, mu_n, k_max=18)
     e20 = cd.asymptotic_envelope(model, mu_n, k_max=20)
     assert np.all(e20.lower <= e18.lower + 1e-12)
@@ -102,8 +103,8 @@ def test_envelope_monotone_under_tail_enlargement():
 
 def test_envelope_finds_band_residues():
     model = rm.make_cubic_band(lift=1.0, drop=1.0, forcing=0.5)
-    mu_n = rm.eigenvalue_for(2, T2PI)
-    mu_n1 = rm.eigenvalue_for(3, T2PI)
+    mu_n = eigenvalue(2, T2PI)
+    mu_n1 = eigenvalue(3, T2PI)
     lo = cd.asymptotic_envelope(model, mu_n)
     hi = cd.asymptotic_envelope(model, mu_n1)
     om = 2 * math.pi / T2PI
@@ -147,7 +148,7 @@ def test_bounded_above_residue_with_lower_shift_passes():
     # f = mu_N x + 1 for x > 0: lower integral is 2T/(N pi); the residue
     # against mu_N+1 drifts to -inf so the upper condition holds too
     n = 2
-    mu_n = rm.eigenvalue_for(n, T2PI)
+    mu_n = eigenvalue(n, T2PI)
 
     def f(t, x):
         if x <= 0:
@@ -170,7 +171,7 @@ def test_bounded_above_residue_with_lower_shift_passes():
 
 
 def test_validate_A_midband_linear_right():
-    mu_mid = 0.5 * (rm.eigenvalue_for(2, T2PI) + rm.eigenvalue_for(3, T2PI))
+    mu_mid = 0.5 * (eigenvalue(2, T2PI) + eigenvalue(3, T2PI))
 
     def f(t, x):
         return x ** 3 if x < 0 else mu_mid * x
@@ -184,7 +185,7 @@ def test_validate_A_midband_linear_right():
 
 def test_validate_A_reports_oscillation_amplitude_as_band_constant():
     n = 2
-    mu_n1 = rm.eigenvalue_for(n + 1, T2PI)
+    mu_n1 = eigenvalue(n + 1, T2PI)
     c0 = 0.8
 
     def f(t, x):

@@ -84,6 +84,30 @@ def test_domain_error_names_offending_subtree():
         ex.evaluate(ex.parse("x^0.5"), 0.0, -2.0)
 
 
+def test_log2_rounds_like_math_log2():
+    tree = ex.parse("log2(1 + x)")
+    fast = ex.compile_scalar(tree)
+    vec = ex.compile_vector_t(tree)
+    for x in (0.5, 3.0, 7.0, 1e6, 123.456):
+        assert ex.evaluate(tree, 0.0, x) == fast(0.0, x) == math.log2(1 + x)
+        assert float(vec(np.zeros(1), x)[0]) == pytest.approx(math.log2(1 + x),
+                                                              rel=1e-15)
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(tree, 0.0, -1.0)
+    assert "log2(1.0 + x)" in str(err.value)
+
+
+def test_compiled_glued_pair_switches_pieces_at_the_split():
+    left, right = ex.parse("x*x*x"), ex.parse("2*x + t")
+    fast = ex.compile_scalar(left, right, 1.0)
+    vec = ex.compile_vector_t(left, right, 1.0)
+    ts = np.array([0.0, 0.5])
+    for x in (-2.0, 0.0, 0.999, 1.0, 3.0):
+        piece = left if x < 1.0 else right
+        assert fast(0.5, x) == ex.evaluate(piece, 0.5, x)
+        assert list(vec(ts, x)) == [ex.evaluate(piece, t, x) for t in ts]
+
+
 def _random_ast(rng: random.Random, depth: int) -> ex.Expr:
     if depth <= 0 or rng.random() < 0.25:
         pick = rng.random()

@@ -6,6 +6,7 @@ import pytest
 
 import resonance
 import resonance.model as rm
+from resonance.spectrum import eigenvalue
 from resonance import integrate as ig
 
 T2PI = 2 * math.pi
@@ -233,7 +234,7 @@ def test_left_transit_shrinks_with_amplitude():
 def test_half_turn_matches_linear_half_period_exactly():
     # comparison field pinned to the lower band edge: pure mu_N x for x > 0
     model = rm.make_cubic_band()
-    mu_n = rm.eigenvalue_for(2, T2PI)
+    mu_n = eigenvalue(2, T2PI)
     fld = ig.HomotopyField(model, 0.0, mu=mu_n)
     right, _left = ig.measure_halfturn(fld, 500.0)
     assert right == pytest.approx(math.pi / math.sqrt(mu_n), abs=1e-6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resonance.model as rm
+from resonance.spectrum import eigenvalue
 from resonance import conditions as cd
 from resonance import solver as sv
 from resonance.integrate import (HomotopyField, PhaseState,
@@ -227,7 +228,7 @@ def test_profile_of_blowup_family_fits_band_edge_frequency():
     # edge from above carry (N+1)-lap periodic orbits whose amplitude
     # diverges: the family the sign conditions are built to exclude
     n = 3
-    mu_edge = rm.eigenvalue_for(n + 1, T2PI)
+    mu_edge = eigenvalue(n + 1, T2PI)
     opts = sv.SolveOpts()
     trajs = []
     for delta in (0.16, 0.04, 0.01):
@@ -273,7 +274,7 @@ def test_no_growing_family_when_sign_conditions_hold():
 def test_modified_polar_angle_integral_of_pure_arc():
     # for v = sin(sqrt(mu_K) t) on one arc the angular integrand is
     # identically 1, so sqrt(mu_K) * arc duration = pi
-    mu_k = rm.eigenvalue_for(3, T2PI)
+    mu_k = eigenvalue(3, T2PI)
     root = math.sqrt(mu_k)
     ts = np.linspace(0.0, math.pi / root, 20001)
     v = np.sin(root * ts)
