@@ -378,7 +378,7 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
     if cert.radius_used is not None:
         report.put("certificate.radius", cert.radius_used)
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
-                "comparison_degree"):
+                "comparison_degree", "halvings", "winding_search"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])
     write_csv(os.path.join(out_dir, "path.csv"),
@@ -386,9 +386,11 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
               [(p.lam, p.x, p.y, p.residual, p.sup_norm, p.min_x)
                for p in cert.path])
     if cert.z_star is not None:
-        fld = HomotopyField(model, 1.0, mu=mu)
-        traj = integrate(fld, PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                         model.period, opts.integrate)
+        traj = cert.orbit
+        if traj is None:    # lost: the target field from the last path point
+            traj = integrate(HomotopyField(model, 1.0, mu=mu),
+                             PhaseState(0.0, cert.z_star.x, cert.z_star.y),
+                             model.period, opts.integrate)
         write_csv(os.path.join(out_dir, "solution.csv"),
                   ["t", "x", "y", "rho", "theta"],
                   list(zip(map(float, traj.t), map(float, traj.x),
@@ -635,6 +637,10 @@ def main(argv=None) -> int:
                 "sweep": _cmd_sweep}[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ex.DomainError as e:
+        # f is undefined somewhere on the domain the config declares
+        print(f"config error: model: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Bin", "Call",
     "ParseError", "UnknownIdentifierError", "DomainError",
@@ -318,31 +320,54 @@ def evaluate(node: Expr, t: float, x: float) -> float:
     return left / right
 
 
-def _codegen(node: Expr, ns: str) -> str:
+def _integer_literal(node: Expr) -> bool:
+    if isinstance(node, Neg):
+        node = node.operand
+    return isinstance(node, Num) and node.value.is_integer()
+
+
+def _pow_array(base, exponent, node: Expr):
+    """Compiled vector ^ whose exponent is not an integer literal; numpy
+    would give nan for a negative base."""
+    if np.any((np.asarray(base) < 0.0)
+              & (np.asarray(exponent) != np.floor(exponent))):
+        raise DomainError("negative base with non-integer exponent", node)
+    return base ** exponent
+
+
+def _codegen(node: Expr, ns: str, checked: list) -> str:
+    """Source of `node` over namespace `ns` ("math" or "np"); each ^ that
+    needs a domain check is appended to `checked` and named by index."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.operand, ns)})"
+        return f"(-{_codegen(node.operand, ns, checked)})"
     if isinstance(node, Call):
-        args = ", ".join(_codegen(a, ns) for a in node.args)
+        args = ", ".join(_codegen(a, ns, checked) for a in node.args)
         if node.func in ("min", "max"):
             fn = {"min": "minimum", "max": "maximum"}[node.func] if ns == "np" else node.func
             return f"{fn}({args})" if ns != "np" else f"np.{fn}({args})"
         if node.func == "abs":
             return f"np.abs({args})" if ns == "np" else f"abs({args})"
         return f"{ns}.{node.func}({args})"
+    left = _codegen(node.left, ns, checked)
+    right = _codegen(node.right, ns, checked)
     if node.op == "^":
-        return f"({_codegen(node.left, ns)})**({_codegen(node.right, ns)})"
-    return f"({_codegen(node.left, ns)} {node.op} {_codegen(node.right, ns)})"
+        if _integer_literal(node.right):
+            return f"({left})**({right})"
+        checked.append(node)
+        return f"_pow({left}, {right}, _checked[{len(checked) - 1}])"
+    return f"({left} {node.op} {right})"
 
 
-def _body(node: Expr, right: Expr | None, split: float, ns: str) -> str:
-    code = _codegen(node, ns)
+def _body(node: Expr, right: Expr | None, split: float, ns: str,
+          checked: list) -> str:
+    code = _codegen(node, ns, checked)
     if right is None:
         return code
-    return f"({code}) if x < {split!r} else ({_codegen(right, ns)})"
+    return f"({code}) if x < {split!r} else ({_codegen(right, ns, checked)})"
 
 
 def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
@@ -350,18 +375,25 @@ def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
 
     With `right`, the glued pair `node if x < split else right` becomes
     one callable.  Uses math.* so domain violations surface as
-    ValueError / ZeroDivisionError / OverflowError; the slower evaluate()
-    names the offending subtree when a diagnostic is needed.
+    ValueError / ZeroDivisionError / OverflowError, except that a ^ whose
+    exponent is not an integer literal runs evaluate()'s checked power
+    (Python would return a complex number for a negative base) and raises
+    DomainError naming the subexpression.  The slower evaluate() names
+    the offending subtree of the other violations when a diagnostic is
+    needed.
     """
-    src = f"lambda t, x: {_body(node, right, split, 'math')}"
-    return eval(src, {"math": math, "abs": abs, "min": min, "max": max})
+    checked: list = []
+    src = f"lambda t, x: {_body(node, right, split, 'math', checked)}"
+    return eval(src, {"math": math, "abs": abs, "min": min, "max": max,
+                      "_pow": _pow, "_checked": tuple(checked)})
 
 
 def compile_vector_t(node: Expr, right: Expr | None = None, split: float = 0.0):
     """Compile to f(t_array, x_scalar) -> array, vectorized over t; `right`
-    and `split` glue a pair as in compile_scalar."""
-    import numpy as np
-
-    body = _body(node, right, split, "np")
+    and `split` glue a pair as in compile_scalar.  A ^ whose exponent is
+    not an integer literal raises DomainError on a negative base."""
+    checked: list = []
+    body = _body(node, right, split, "np", checked)
     src = f"lambda t, x: np.broadcast_to(({body}), np.shape(t)).astype(float)"
-    return eval(src, {"np": np})
+    return eval(src, {"np": np, "_pow": _pow_array,
+                      "_checked": tuple(checked)})

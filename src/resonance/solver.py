@@ -73,6 +73,10 @@ class PeriodicCertificate:
     radius_used: Optional[float]
     path: list[PathPoint]
     diagnostics: dict = field(default_factory=dict)
+    # converged only: z_star's trajectory over one period at the last grid
+    # lambda, integrated once and reused for the certificate's artifacts
+    orbit: Optional[Trajectory] = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def converged(self) -> bool:
@@ -80,38 +84,46 @@ class PeriodicCertificate:
 
 
 def poincare(fld: HomotopyField, z: tuple[float, float],
-             opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, float]:
-    """Return-map image of z = (x, y) after one period."""
+             opts: IntegrateOpts = IntegrateOpts(), *,
+             with_orbit: bool = False):
+    """Return-map image (x, y) of z = (x, y) after one period; with
+    `with_orbit`, (x, y, trajectory)."""
     traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, opts)
     end = traj.state_at_end()
-    return end.x, end.y
+    return (end.x, end.y, traj) if with_orbit else (end.x, end.y)
 
 
 def _return_residual(fld, z, opts):
-    px, py = poincare(fld, z, opts)
-    return (px - z[0], py - z[1])
+    px, py, orbit = poincare(fld, z, opts, with_orbit=True)
+    return px - z[0], py - z[1], orbit
 
 
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
-                       tol: float = 1e-9, opts: SolveOpts = SolveOpts()
-                       ) -> tuple[tuple[float, float], float, int]:
+                       tol: float = 1e-9, opts: SolveOpts = SolveOpts(), *,
+                       with_orbit: bool = False):
     """Damped Newton on P(z) - z; returns (z, residual, iterations).
 
     The Jacobian is forward-difference with step fd_step * max(1, ||z||);
-    damping halves the update until the residual decreases.
+    damping halves the update until the residual decreases.  With
+    `with_orbit` the trajectory of the returned z over one period comes
+    fourth: it is the one the last accepted residual integrated.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
     io = opts.integrate
-    gx, gy = _return_residual(fld, z, io)
+    gx, gy, orbit = _return_residual(fld, z, io)
     res = math.hypot(gx, gy)
-    for it in range(opts.newton_max_iter):
-        if res < tol:
-            return z, res, it
+    it = 0
+    while not res < tol:
         # integration noise bounds how far the residual can be polished
         stall_tol = max(tol, 100.0 * io.rtol * (1.0 + math.hypot(*z)))
+        if it == opts.newton_max_iter:
+            if res < stall_tol:
+                break
+            raise NewtonError(f"no convergence in {opts.newton_max_iter} "
+                              f"iterations; residual {res:.3g}")
         h = opts.fd_step * max(1.0, math.hypot(*z))
-        g1x, g1y = _return_residual(fld, (z[0] + h, z[1]), io)
-        g2x, g2y = _return_residual(fld, (z[0], z[1] + h), io)
+        g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), io)
+        g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), io)
         j11, j21 = (g1x - gx) / h, (g1y - gy) / h
         j12, j22 = (g2x - gx) / h, (g2y - gy) / h
         det = j11 * j22 - j12 * j21
@@ -127,23 +139,21 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
         for _ in range(8):
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
-                gnx, gny = _return_residual(fld, zn, io)
+                gnx, gny, orbitn = _return_residual(fld, zn, io)
             except (BlowUpError, DomainExitError):
                 step *= 0.5
                 continue
             rn = math.hypot(gnx, gny)
             if rn < res or rn < tol:
-                z, gx, gy, res = zn, gnx, gny, rn
+                z, gx, gy, res, orbit = zn, gnx, gny, rn, orbitn
                 break
             step *= 0.5
         else:
             if res <= stall_tol:
-                return z, res, it
+                break
             raise NewtonError(f"damping failed near {z}; residual {res:.3g}")
-    if res < max(tol, 100.0 * io.rtol * (1.0 + math.hypot(*z))):
-        return z, res, opts.newton_max_iter
-    raise NewtonError(f"no convergence in {opts.newton_max_iter} iterations; "
-                      f"residual {res:.3g}")
+        it += 1
+    return (z, res, it, orbit) if with_orbit else (z, res, it)
 
 
 def circle_curve(radius: float) -> Callable[[float], tuple[float, float]]:
@@ -312,13 +322,15 @@ def _initial_guesses(fld: HomotopyField):
         yield (1.0, -1.0)
 
 
-def _solve_at_lambda(model, lam, guesses, opts, mu=None):
+def _solve_at_lambda(model, lam, tol, opts, mu=None):
+    """First initial guess from which Newton converges: (z, residual, orbit)."""
     fld = HomotopyField(model, lam, mu=mu)
     last_err = None
-    for g in guesses:
+    for g in _initial_guesses(fld):
         try:
-            z, res, _ = newton_fixed_point(fld, g, opts.newton_tol, opts)
-            return z, res
+            z, res, _, orbit = newton_fixed_point(fld, g, tol, opts,
+                                                  with_orbit=True)
+            return z, res, orbit
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError, CenterHitError) as e:
             last_err = e
@@ -336,10 +348,17 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     gate, when given, is called with the model and must return a dict with
     a true "passed" entry before any integration starts.  Continuation
     runs Newton correctors over the lambda schedule with adaptive halving
-    and a winding-guided cell search as fallback; on success the lam = 1
-    fixed point is certified (residual, rotation count, boundary winding
-    at the certifying radius).  A lost continuation returns the surviving
-    path (status "lost") so blow-up families remain inspectable.
+    and a winding-guided cell search as fallback; on success the fixed
+    point at the last grid lambda is certified (residual, rotation count,
+    boundary winding at the certifying radius).  A waypoint below the
+    last grid lambda only seeds the next predictor, so its corrector stops
+    at sqrt(newton_tol); only the certified point is polished to
+    newton_tol.  A waypoint whose orbit amplitude more than quadruples over
+    a secant step has jumped across a fold: it must also meet newton_tol,
+    and the predictor restarts from it.  Each path point's residual is the
+    one its corrector reached.  A lost continuation returns the surviving path (status
+    "lost") so blow-up families remain inspectable.  diagnostics counts
+    the lambda-step halvings and says whether the winding search ran.
     """
     if gate is not None:
         report = gate(model)
@@ -349,82 +368,93 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     if lambda_grid is None:
         lambda_grid = np.linspace(0.0, 1.0, opts.lambda_points)
     lambda_grid = list(map(float, lambda_grid))
+    lam_end = lambda_grid[-1]
+    waypoint_tol = math.sqrt(opts.newton_tol)
     io = opts.integrate
-    period = model.period
+    halvings = 0
+    winding_search = False
 
-    def path_point(lam, z, res):
-        traj = integrate(HomotopyField(model, lam, mu=mu),
-                         PhaseState(0.0, z[0], z[1]), period, io)
-        return PathPoint(lam, z[0], z[1], res, traj.sup_norm(),
-                         float(np.min(traj.x)))
+    def corrector_tol(lam):
+        return opts.newton_tol if lam >= lam_end else waypoint_tol
+
+    def next_grid(lam):
+        return next((lv for lv in lambda_grid if lv > lam + 1e-15), lam_end)
+
+    def path_point(lam, z, res, orbit):
+        return PathPoint(lam, z[0], z[1], res, orbit.sup_norm(),
+                         float(np.min(orbit.x)))
+
+    def lost(lam, error):
+        return PeriodicCertificate(
+            status="lost", z_star=PhaseState(0.0, z[0], z[1]),
+            residual=res, rotation=None, degree=None, radius_used=None,
+            path=path, diagnostics=dict(lost_at=lam, error=error,
+                                        halvings=halvings,
+                                        winding_search=winding_search))
 
     path = []
-    z, res = _solve_at_lambda(model, lambda_grid[0], _initial_guesses(
-        HomotopyField(model, lambda_grid[0], mu=mu)), opts, mu=mu)
-    path.append(path_point(lambda_grid[0], z, res))
+    z, res, orbit = _solve_at_lambda(model, lambda_grid[0],
+                                     corrector_tol(lambda_grid[0]), opts, mu)
+    path.append(path_point(lambda_grid[0], z, res, orbit))
 
     lam_prev = lambda_grid[0]
     z_prev2 = None
-    lam_target = lambda_grid[1] if len(lambda_grid) > 1 else lambda_grid[0]
-    while lam_prev < lambda_grid[-1] - 1e-15:
+    lam_target = next_grid(lam_prev)
+    while lam_prev < lam_end - 1e-15:
         dlam = lam_target - lam_prev
         # secant predictor
-        if z_prev2 is not None and lam_prev != z_prev2[0]:
+        secant = z_prev2 is not None and lam_prev != z_prev2[0]
+        if secant:
             f = dlam / (lam_prev - z_prev2[0])
             guess = (z[0] + f * (z[0] - z_prev2[1]), z[1] + f * (z[1] - z_prev2[2]))
         else:
             guess = z
         try:
             fldn = HomotopyField(model, lam_target, mu=mu)
-            zn, resn, _ = newton_fixed_point(fldn, guess, opts.newton_tol, opts)
-            z_prev2 = (lam_prev, z[0], z[1])
-            z, res, lam_prev = zn, resn, lam_target
-            path.append(path_point(lam_prev, z, res))
+            zn, resn, _, orbitn = newton_fixed_point(
+                fldn, guess, corrector_tol(lam_target), opts, with_orbit=True)
+            # an amplitude that more than quadruples over one secant step is
+            # a jump across a fold; the point must also meet newton_tol,
+            # which a far branch whose noise floor lies above the waypoint
+            # tolerance fails, and a secant across the jump points nowhere
+            jumped = secant and orbitn.sup_norm() > 4.0 * path[-1].sup_norm
+            if jumped and resn >= opts.newton_tol:
+                zn, resn, _, orbitn = newton_fixed_point(
+                    fldn, zn, opts.newton_tol, opts, with_orbit=True)
+            z_prev2 = None if jumped else (lam_prev, z[0], z[1])
+            z, res, orbit, lam_prev = zn, resn, orbitn, lam_target
+            path.append(path_point(lam_prev, z, res, orbit))
             if path[-1].sup_norm > opts.max_sup_norm:
-                return PeriodicCertificate(
-                    status="lost", z_star=PhaseState(0.0, z[0], z[1]),
-                    residual=res, rotation=None, degree=None,
-                    radius_used=None, path=path,
-                    diagnostics=dict(lost_at=lam_prev,
-                                     error="amplitude grew past the cap"))
-            nxt = [lv for lv in lambda_grid if lv > lam_prev + 1e-15]
-            lam_target = nxt[0] if nxt else lambda_grid[-1]
+                return lost(lam_prev, "amplitude grew past the cap")
+            lam_target = next_grid(lam_prev)
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError) as err:
             if dlam <= opts.lambda_floor:
                 if math.hypot(*z) > 0.01 * opts.max_sup_norm:
-                    return PeriodicCertificate(
-                        status="lost", z_star=PhaseState(0.0, z[0], z[1]),
-                        residual=res, rotation=None, degree=None,
-                        radius_used=None, path=path,
-                        diagnostics=dict(lost_at=lam_target, error=str(err)))
+                    return lost(lam_target, str(err))
                 # last resort: winding-guided search at the stalled level
+                winding_search = True
                 rad = certify_radius or (kit.R_elastic if kit is not None else
                                          8.0 * (1.0 + math.hypot(*z)))
-                hits = degree_search(HomotopyField(model, lam_target, mu=mu),
-                                     rad, opts)
+                fldn = HomotopyField(model, lam_target, mu=mu)
+                hits = degree_search(fldn, rad, opts)
                 if hits:
                     z, res = hits[0]
+                    orbit = integrate(fldn, PhaseState(0.0, z[0], z[1]),
+                                      model.period, io)
                     z_prev2 = None
                     lam_prev = lam_target
-                    path.append(path_point(lam_prev, z, res))
-                    nxt = [lv for lv in lambda_grid if lv > lam_prev + 1e-15]
-                    lam_target = nxt[0] if nxt else lambda_grid[-1]
+                    path.append(path_point(lam_prev, z, res, orbit))
+                    lam_target = next_grid(lam_prev)
                     continue
-                return PeriodicCertificate(
-                    status="lost", z_star=PhaseState(0.0, z[0], z[1]),
-                    residual=res, rotation=None, degree=None,
-                    radius_used=None, path=path,
-                    diagnostics=dict(lost_at=lam_target, error=str(err)))
+                return lost(lam_target, str(err))
             lam_target = lam_prev + 0.5 * dlam
+            halvings += 1
 
-    fld1 = HomotopyField(model, lambda_grid[-1], mu=mu)
-    traj = integrate(fld1, PhaseState(0.0, z[0], z[1]), period, io)
     try:
-        rot = rotation_count(traj, io.center_tol)
+        rot = rotation_count(orbit, io.center_tol)
     except CenterHitError:
         rot = None
-    sup = traj.sup_norm()
 
     degree = None
     comparison_degree = None
@@ -432,7 +462,8 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     if compute_degree:
         rad = certify_radius or (kit.R_elastic if kit is not None else
                                  max(8.0 * (1.0 + math.hypot(*z)), 64.0))
-        degree = boundary_degree(fld1, rad, opts=opts)
+        degree = boundary_degree(HomotopyField(model, lam_end, mu=mu), rad,
+                                 opts=opts)
         # the comparison problem's degree is reported, never asserted
         try:
             comparison_degree = boundary_degree(
@@ -440,15 +471,16 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
         except (ValueError, RuntimeError):
             comparison_degree = None
 
-    diagnostics = dict(min_x=float(np.min(traj.x)),
-                       min_rho=traj.min_rho(), sup_norm=sup,
+    diagnostics = dict(min_x=float(np.min(orbit.x)),
+                       min_rho=orbit.min_rho(), sup_norm=orbit.sup_norm(),
                        path_min_x=min(p.min_x for p in path),
-                       comparison_degree=comparison_degree)
+                       comparison_degree=comparison_degree,
+                       halvings=halvings, winding_search=winding_search)
     return PeriodicCertificate(status="converged",
                                z_star=PhaseState(0.0, z[0], z[1]),
                                residual=res, rotation=rot, degree=degree,
                                radius_used=rad, path=path,
-                               diagnostics=diagnostics)
+                               diagnostics=diagnostics, orbit=orbit)
 
 
 def path_trajectories(model: NonlinearityModel, path: list[PathPoint],

@@ -92,6 +92,21 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
         assert name in err
 
 
+@pytest.mark.parametrize("command", ["verify", "find"])
+def test_model_undefined_on_its_domain_exits_2_naming_the_subtree(
+        tmp_path, capsys, command):
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps({"model": {
+        "f": "1.5*x + 0.1*x^1.5 + 0.5*cos(t)", "T": 2 * math.pi, "N": 1},
+        "grids": {"tau_points": 32}}))
+    code = cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "negative base" in err and "'x^1.5'" in err
+
+
 def test_tol_override_parsing(tmp_path):
     cfg = cli.validate_config({"model": {"T": 1.0, "N": 1, "f": "x"}})
     out = cli.apply_tol_overrides(cfg, ["rtol=1e-9"])

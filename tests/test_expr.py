@@ -180,3 +180,31 @@ def test_vectorized_compile_matches_scalar():
     got = fv(ts, -2.5)
     want = np.array([fs(float(t), -2.5) for t in ts])
     assert np.allclose(got, want, rtol=1e-14)
+
+
+def test_compiled_power_rejects_negative_base_naming_the_subtree():
+    tree = ex.parse("1.5*x + 0.1*x^1.5 + 0.5*cos(t)")
+    fast = ex.compile_scalar(tree)
+    vec = ex.compile_vector_t(tree)
+    ts = np.linspace(0.0, 1.0, 5)
+    for f, t in ((fast, 0.0), (vec, ts)):
+        with pytest.raises(ex.DomainError) as err:
+            f(t, -1.0)
+        assert "x^1.5" in str(err.value)
+    # a non-integer exponent computed from a subexpression is checked too
+    with pytest.raises(ex.DomainError, match=r"\(x - 2.0\)\^\(1.0/2.0\)"):
+        ex.compile_scalar(ex.parse("(x-2)^(1/2)"))(0.0, 1.0)
+    # on a non-negative base the checked power agrees with evaluate
+    for x in (0.0, 0.25, 4.0):
+        assert fast(0.3, x) == ex.evaluate(tree, 0.3, x)
+        assert list(vec(ts, x)) == [ex.evaluate(tree, t, x) for t in ts]
+
+
+def test_integer_literal_powers_compile_to_plain_pow():
+    tree = ex.parse("(1+sin(t)^2)*x^5 + x^3 - 1/x^-2")
+    for compiled in (ex.compile_scalar(tree), ex.compile_vector_t(tree)):
+        assert "_pow" not in compiled.__code__.co_names
+    # an integer-valued exponent from a subexpression takes any base
+    fast = ex.compile_scalar(ex.parse("x^(1+1)"))
+    assert "_pow" in fast.__code__.co_names
+    assert fast(0.0, -3.0) == 9.0

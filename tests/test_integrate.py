@@ -390,6 +390,15 @@ def test_blowup_reported_with_state():
     assert err.value.x > 100.0
 
 
+def test_compiled_domain_error_names_the_subexpression():
+    # x^1.5 at x < 0 once returned a complex number and died in the loop
+    # with a TypeError; it is a domain error, not a step to halve away
+    model = rm.from_expression("1.5*x + 0.1*x^1.5 + 0.5*cos(t)", T2PI)
+    with pytest.raises(resonance.expr.DomainError, match="'x\\^1.5'"):
+        ig.integrate(ig.HomotopyField(model, 1.0),
+                     ig.PhaseState(0.0, -1.0, 0.0), T2PI)
+
+
 def test_integrate_system_matches_planar_on_harmonic():
     def rhs(t, y):
         return np.array([y[1], -y[0]])

@@ -5,6 +5,7 @@ import pytest
 
 import resonance.model as rm
 from resonance.spectrum import eigenvalue
+from resonance import cli
 from resonance import conditions as cd
 from resonance import solver as sv
 from resonance.integrate import (HomotopyField, PhaseState,
@@ -181,6 +182,123 @@ def test_lost_continuation_reports_growing_family():
     assert sups[-1] > 1e3
     assert sups[-1] > 4 * sups[len(sups) // 2]
     assert cert.diagnostics["lost_at"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def band_certificate():
+    """The band model's certificate, with the return maps it took."""
+    calls = []
+    original = sv.poincare
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "poincare", counted)
+        cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+    return cert, len(calls)
+
+
+def test_homotopy_return_map_count_is_pinned(band_certificate):
+    # a deterministic work count: a corrector that polishes waypoints again
+    # (735 maps) fails here without any wall-clock noise
+    cert, maps = band_certificate
+    assert cert.converged
+    assert maps == 183
+
+
+def test_homotopy_polishes_only_the_certified_point(band_certificate):
+    cert, _ = band_certificate
+    tol = sv.SolveOpts().newton_tol
+    assert all(p.residual < math.sqrt(tol) for p in cert.path)
+    assert cert.path[-1].residual == cert.residual < tol
+    # the waypoints stop well above the certificate's tolerance
+    assert max(p.residual for p in cert.path[:-1]) > 10 * tol
+
+
+def test_homotopy_reports_halvings_and_winding_search(band_certificate):
+    cert, _ = band_certificate
+    assert cert.diagnostics["halvings"] == 0
+    assert cert.diagnostics["winding_search"] is False
+    assert len(cert.path) == sv.SolveOpts().lambda_points
+
+
+def test_homotopy_orbit_is_the_certified_trajectory(band_certificate):
+    # the corrector's last integration is reused, not repeated: it must be
+    # bit-identical to a fresh one
+    cert, _ = band_certificate
+    model = rm.make_cubic_band()
+    fresh = integrate(HomotopyField(model, 1.0),
+                      PhaseState(0.0, cert.z_star.x, cert.z_star.y),
+                      model.period, sv.SolveOpts().integrate)
+    for name in ("t", "x", "y", "rho", "theta"):
+        assert np.array_equal(getattr(cert.orbit, name), getattr(fresh, name))
+    assert [(e.kind, e.t, e.x, e.y) for e in cert.orbit.events] == \
+        [(e.kind, e.t, e.x, e.y) for e in fresh.events]
+    assert cert.path[-1].sup_norm == fresh.sup_norm()
+    assert cert.path[-1].min_x == float(np.min(fresh.x))
+
+
+def test_certificate_report_says_how_the_path_went(band_certificate,
+                                                   tmp_path):
+    cert, _ = band_certificate
+    report = cli.Report()
+    cli._write_certificate(cert, rm.make_cubic_band(), sv.SolveOpts(),
+                           str(tmp_path), report)
+    lines = dict(report.lines)
+    assert lines["certificate.halvings"] == "0"
+    assert lines["certificate.winding_search"] == "False"
+    rows = (tmp_path / "solution.csv").read_text().splitlines()
+    assert len(rows) == len(cert.orbit.t) + 1
+    assert (tmp_path / "path.csv").read_text().count("\n") == \
+        len(cert.path) + 1
+
+
+def test_newton_orbit_is_the_returned_points_trajectory():
+    fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
+    io = sv.SolveOpts().integrate
+    # the three exits: the start is converged, a trial converges, and (with
+    # a tolerance no residual meets) the stall rule
+    for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
+                                ((0.0, 0.0), 0.0, 6)):
+        z, res, it, orbit = sv.newton_fixed_point(fld, guess, tol,
+                                                  with_orbit=True)
+        assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)
+        assert it == exit_it
+        end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, io)
+        assert np.array_equal(orbit.x, end.x) and np.array_equal(orbit.y, end.y)
+        assert math.hypot(orbit.x[-1] - z[0], orbit.y[-1] - z[1]) == res
+
+
+@pytest.mark.parametrize("forcing", [
+    0.5000528931982315,     # stalled on the noise floor at lambda = 0.25
+    0.5000567850356834,     # limped along a far branch for 56 s
+    0.5001799998928425,     # lost on a far branch after 78 s
+], ids=["noise-floor-stall", "far-branch-slow", "far-branch-lost"])
+def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
+    # the small-amplitude branch folds near lambda = 0.1; these inputs once
+    # ended on the noise floor or on a large-amplitude branch (amplitude
+    # ~18) whose residual cannot be polished below ~3e-5
+    failures = []
+    original = sv.newton_fixed_point
+
+    def counted(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except Exception:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(sv, "newton_fixed_point", counted)
+    cert = sv.homotopy_solve(rm.make_cubic_band(forcing=forcing),
+                             compute_degree=False)
+    assert cert.converged
+    assert cert.residual < 1e-8
+    assert max(p.sup_norm for p in cert.path) < 2.0
+    # each failed continuation step halves the next one
+    assert cert.diagnostics["halvings"] == len(failures) > 0
+    assert cert.diagnostics["winding_search"] is False
 
 
 # --------------------------------------------------------------------------
