@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, verify, apriori, find, radial, sweep.  Runs are
 driven by a JSON config; every tolerance and grid size is echoed into the
-report so a run is reproducible from its artifacts alone.  Exit codes:
+report so a run is reproducible from its artifacts alone.  Each run
+command is `run`, the one gated pipeline, up to its last stage.  Exit codes:
 0 success, 2 config error, 3 hypothesis gate failed, 4 sign-condition gate
 failed, 5 a-priori construction failed, 6 solver failed, 7 radial search
 failed.
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +53,21 @@ class StageFailure(RuntimeError):
         self.stage = stage
         self.code = code
         self.reason = reason
-        super().__init__(f"stage {stage} failed: {reason}")
+        super().__init__(f"{stage}=fail: {reason}")
 
+
+# pipeline stages in run order; the radial theorem runs "radial" in place
+# of "apriori" and "solve"
+STAGES = ("hypotheses", "sign_conditions", "apriori", "solve", "radial")
+_SINGULAR_THEOREMS = ("singular-weak", "singular-strong", "radial")
+_ABS_SINE_THEOREMS = ("main2", "singular-strong")
+_RADIAL_DEFAULTS = {"nu": 1, "k_max": 4, "k_min": 1}
 
 _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir", "seed", "mu"}
 _TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
 _GRID_KEYS = {"tau_points", "t_points", "lambda_points", "x_points"}
-_RADIAL_KEYS = {"nu", "k_max", "k_min"}
 _SWEEP_KEYS = {"param", "values"}
 
 # what a pipeline stage can legitimately raise: the package's errors
@@ -73,6 +81,11 @@ def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+# JSON true/false arrive as bool, a subclass of int
+def _is_positive_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
 
 
 def _check_family(family, params):
@@ -124,17 +137,32 @@ def validate_config(cfg: dict) -> dict:
     if theorem not in THEOREMS:
         raise ConfigError(f"theorem must be one of {THEOREMS}")
     for section, keys in (("tolerances", _TOL_KEYS), ("grids", _GRID_KEYS),
-                          ("radial", _RADIAL_KEYS), ("sweep", _SWEEP_KEYS)):
+                          ("radial", set(_RADIAL_DEFAULTS)),
+                          ("sweep", _SWEEP_KEYS)):
         if section in cfg:
+            if not isinstance(cfg[section], dict):
+                raise ConfigError(f"{section} must be an object")
             _reject_unknown(cfg[section], keys, section)
-    # JSON true/false arrive as bool, a subclass of int
     for key, val in cfg.get("grids", {}).items():
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        if not _is_positive_int(val):
             raise ConfigError(f"grids.{key} must be a positive integer, "
                               f"got {val!r}")
     for key, val in cfg.get("tolerances", {}).items():
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"tolerances.{key} must be a number, got {val!r}")
+    # the pipeline reads these only after its gates, so check them first
+    radial = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
+    for key, val in radial.items():
+        if not _is_positive_int(val):
+            raise ConfigError(f"radial.{key} must be a positive integer, "
+                              f"got {val!r}")
+    if radial["k_min"] > radial["k_max"]:
+        raise ConfigError(f"radial.k_min ({radial['k_min']}) exceeds "
+                          f"radial.k_max ({radial['k_max']})")
+    mu = cfg.get("mu")
+    if mu is not None and (isinstance(mu, bool) or not isinstance(
+            mu, (int, float)) or not math.isfinite(mu)):
+        raise ConfigError(f"mu must be a finite number, got {mu!r}")
     out = copy.deepcopy(cfg)
     out.setdefault("theorem", theorem)
     out.setdefault("tolerances", {})
@@ -218,6 +246,17 @@ class Report:
         self.put(f"stage.{self._stage}.verdict", verdict)
         self.put(f"stage.{self._stage}.seconds", dt)
 
+    def fail(self, code: int, reason: str):
+        """Stop the stage as failed and end the run with its exit code."""
+        self.stop("fail")
+        raise StageFailure(self._stage, code, reason)
+
+    def gate(self, passed: bool, code: int, reason: str):
+        """Stop the stage with its verdict; a failed gate ends the run."""
+        if not passed:
+            self.fail(code, reason)
+        self.stop("pass")
+
     def write(self, path: str):
         with open(path, "w") as fh:
             for k, v in self.lines:
@@ -241,109 +280,106 @@ def _echo_config(report: Report, cfg: dict):
 # pipeline
 
 
-def run(cfg: dict, out_dir: str) -> Report:
+@dataclass
+class RunResult:
+    """What the stages of one run produced."""
+    report: Report
+    model: rm.NonlinearityModel
+    kit: ap.AprioriKit | None = None
+    cert: sv.PeriodicCertificate | None = None
+
+
+def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
     """Gated pipeline for the configured theorem variant.
 
-    Stops at the first failed gate with a StageFailure carrying the exit
-    code; artifacts produced so far stay on disk.
+    Runs the STAGES up to `last` (all of them when None).  Each stage is a
+    gate: the first that fails raises a StageFailure carrying its exit
+    code.  However the run ends, report.txt is written, and the artifacts
+    produced so far stay on disk.
     """
     cfg = validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     report = Report()
     _echo_config(report, cfg)
-    model = build_model(cfg)
-    opts = build_opts(cfg)
-    theorem = cfg["theorem"]
-    grids = cfg.get("grids", {})
-    tau_points = int(grids.get("tau_points", 256))
-    singular = theorem in ("singular-weak", "singular-strong", "radial")
+    res = RunResult(report, build_model(cfg))
+    model, opts, theorem = res.model, build_opts(cfg), cfg["theorem"]
+    singular = theorem in _SINGULAR_THEOREMS
+    abs_sine = theorem in _ABS_SINE_THEOREMS
+    mu = cfg.get("mu")
 
-    report.start("hypotheses")
-    if singular:
-        rep = cd.validate_A0_Ainf(model)
-    else:
-        rep = cd.validate_A(model)
-    if theorem == "main2":
-        hrep = cd.check_H(model, "x_to_minus_inf")
-        rep["passed"] = rep["passed"] and hrep["passed"]
-        report.put("hypotheses.window_ratio_worst", hrep["worst_final"])
-    if theorem == "singular-strong":
-        hrep = cd.check_H(model, "x_to_zero_plus")
-        rep["passed"] = rep["passed"] and hrep["passed"]
-        report.put("hypotheses.window_ratio_worst", hrep["worst_final"])
-    report.put("hypotheses.band_constant", rep.get("band_constant", math.nan))
-    report.stop("pass" if rep["passed"] else "fail")
-    if not rep["passed"]:
-        report.write(os.path.join(out_dir, "report.txt"))
-        raise StageFailure("hypotheses", EXIT_HYPOTHESIS,
-                           "asymptotic hypotheses not satisfied")
+    def beyond(stage):
+        return last is not None and STAGES.index(stage) > STAGES.index(last)
 
-    report.start("sign_conditions")
-    variant = cd.ABS_SINE if theorem in ("main2", "singular-strong") else cd.TRUNCATED_SINE
-    lo, hi = cd.ll_verdict(model, variant=variant, tau_points=tau_points)
-    write_csv(os.path.join(out_dir, "ll_lower.csv"), ["tau", "integral"],
-              list(zip(map(float, lo.tau_grid), map(float, lo.integrals))))
-    write_csv(os.path.join(out_dir, "ll_upper.csv"), ["tau", "integral"],
-              list(zip(map(float, hi.tau_grid), map(float, hi.integrals))))
-    report.put("sign.lower.verdict", lo.verdict)
-    report.put("sign.lower.margin", lo.margin)
-    report.put("sign.upper.verdict", hi.verdict)
-    report.put("sign.upper.margin", hi.margin)
-    report.stop("pass" if lo.passed and hi.passed else "fail")
-    if not (lo.passed and hi.passed):
-        report.write(os.path.join(out_dir, "report.txt"))
-        raise StageFailure("sign_conditions", EXIT_SIGN_CONDITION,
-                           f"lower={lo.verdict} upper={hi.verdict}")
-
-    if theorem == "radial":
-        _radial_stage(cfg, model, opts, out_dir, report)
-        report.write(os.path.join(out_dir, "report.txt"))
-        return report
-
-    kit = None
-    if not singular:
-        report.start("apriori")
-        try:
-            fld = HomotopyField(model, 1.0, mu=cfg.get("mu"))
-            kit = ap.build_kit(fld, opts=IntegrateOpts())
-            _write_kit(kit, out_dir)
-            report.put("apriori.R0", kit.R0)
-            report.put("apriori.kappa", kit.kappa)
-            report.put("apriori.a", kit.a)
-            report.put("apriori.y_hat", kit.y_hat)
-            report.put("apriori.R_elastic", kit.R_elastic)
-            report.stop("pass")
-        except _STAGE_ERRORS as e:
-            report.stop("fail")
-            report.write(os.path.join(out_dir, "report.txt"))
-            raise StageFailure("apriori", EXIT_APRIORI, str(e))
-    else:
-        report.start("apriori")
-        try:
-            n0, diag = ap.probe_N0(HomotopyField(model, 1.0), opts=opts.integrate)
-            report.put("apriori.N0", n0)
-            report.put("apriori.start_level", diag["start_level"])
-            report.stop("pass")
-        except _STAGE_ERRORS as e:
-            report.stop("fail")
-            report.write(os.path.join(out_dir, "report.txt"))
-            raise StageFailure("apriori", EXIT_APRIORI, str(e))
-
-    report.start("solve")
     try:
-        cert = sv.homotopy_solve(model, opts=opts, kit=kit,
-                                 mu=cfg.get("mu"))
-    except _STAGE_ERRORS as e:
-        report.stop("fail")
+        report.start("hypotheses")
+        rep = cd.validate_A0_Ainf(model) if singular else cd.validate_A(model)
+        passed = rep["passed"]
+        if abs_sine:
+            hrep = cd.check_H(model, "x_to_zero_plus" if singular
+                              else "x_to_minus_inf")
+            passed = passed and hrep["passed"]
+            report.put("window_ratio.passed", hrep["passed"])
+            report.put("window_ratio.worst", hrep["worst_final"])
+        report.put("hypotheses.band_constant",
+                   rep.get("band_constant", math.nan))
+        report.gate(passed, EXIT_HYPOTHESIS,
+                    "asymptotic hypotheses not satisfied")
+
+        if beyond("sign_conditions"):
+            return res
+        report.start("sign_conditions")
+        lo, hi = cd.ll_verdict(
+            model, variant=cd.ABS_SINE if abs_sine else cd.TRUNCATED_SINE,
+            tau_points=cfg["grids"].get("tau_points", 256))
+        for side, v in (("lower", lo), ("upper", hi)):
+            write_csv(os.path.join(out_dir, f"ll_{side}.csv"),
+                      ["tau", "integral"],
+                      list(zip(map(float, v.tau_grid), map(float, v.integrals))))
+            report.put(f"sign.{side}.verdict", v.verdict)
+            report.put(f"sign.{side}.margin", v.margin)
+        report.gate(lo.passed and hi.passed, EXIT_SIGN_CONDITION,
+                    f"lower={lo.verdict} upper={hi.verdict}")
+
+        if theorem == "radial":
+            if not beyond("radial"):
+                report.start("radial")
+                _radial_stage(cfg, model, opts, out_dir, report)
+            return res
+
+        if beyond("apriori"):
+            return res
+        report.start("apriori")
+        try:
+            if singular:
+                n0, diag = ap.probe_N0(HomotopyField(model, 1.0),
+                                       opts=opts.integrate)
+                report.put("apriori.N0", n0)
+                report.put("apriori.start_level", diag["start_level"])
+            else:
+                # the kit's probes run at the integrator's own tolerances
+                res.kit = ap.build_kit(HomotopyField(model, 1.0, mu=mu),
+                                       opts=IntegrateOpts())
+                _write_kit(res.kit, out_dir)
+                for key in ("R0", "kappa", "omega0", "ell0", "a", "y_hat",
+                            "R_elastic"):
+                    report.put(f"apriori.{key}", getattr(res.kit, key))
+        except _STAGE_ERRORS as e:
+            report.fail(EXIT_APRIORI, str(e))
+        report.stop("pass")
+
+        if beyond("solve"):
+            return res
+        report.start("solve")
+        try:
+            res.cert = sv.homotopy_solve(model, opts=opts, kit=res.kit, mu=mu)
+        except _STAGE_ERRORS as e:
+            report.fail(EXIT_SOLVER, str(e))
+        _write_certificate(res.cert, model, opts, out_dir, report, mu)
+        report.gate(res.cert.converged, EXIT_SOLVER, "continuation lost at "
+                    f"{res.cert.diagnostics.get('lost_at')}")
+        return res
+    finally:
         report.write(os.path.join(out_dir, "report.txt"))
-        raise StageFailure("solve", EXIT_SOLVER, str(e))
-    _write_certificate(cert, model, opts, out_dir, report, cfg.get("mu"))
-    report.stop("pass" if cert.converged else "fail")
-    report.write(os.path.join(out_dir, "report.txt"))
-    if not cert.converged:
-        raise StageFailure("solve", EXIT_SOLVER,
-                           f"continuation lost at {cert.diagnostics.get('lost_at')}")
-    return report
 
 
 def _write_kit(kit: ap.AprioriKit, out_dir: str):
@@ -378,7 +414,8 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
     if cert.radius_used is not None:
         report.put("certificate.radius", cert.radius_used)
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
-                "comparison_degree", "halvings", "winding_search"):
+                "comparison_degree", "initial_guess", "halvings",
+                "winding_search"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])
     write_csv(os.path.join(out_dir, "path.csv"),
@@ -401,12 +438,9 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
 
 
 def _radial_stage(cfg, model, opts, out_dir, report):
-    rc = cfg.get("radial", {})
-    nu = int(rc.get("nu", 1))
-    k_max = int(rc.get("k_max", 4))
-    k_min = int(rc.get("k_min", 1))
-    report.start("radial")
-    sols, k_nu = rd.find_rotating(model, nu, k_max, opts, k_min=k_min)
+    rc = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
+    sols, k_nu = rd.find_rotating(model, rc["nu"], rc["k_max"], opts,
+                                  k_min=rc["k_min"])
     report.put("radial.k_nu", k_nu if k_nu is not None else "none")
     rows = []
     for s in sols:
@@ -416,10 +450,7 @@ def _radial_stage(cfg, model, opts, out_dir, report):
                   ["t", "x1", "x2"], pts)
     write_csv(os.path.join(out_dir, "radial.csv"),
               ["k", "nu", "L", "residual", "delta_theta"], rows)
-    report.stop("pass" if sols else "fail")
-    if not sols:
-        report.write(os.path.join(out_dir, "report.txt"))
-        raise StageFailure("radial", EXIT_RADIAL, "no rotating solutions found")
+    report.gate(bool(sols), EXIT_RADIAL, "no rotating solutions found")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +469,8 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> dict:
+def _load_config(args) -> tuple[dict, str]:
+    """The validated config and the output directory of a run command."""
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
     try:
@@ -449,69 +481,30 @@ def _load_config(args) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     cfg = apply_tol_overrides(cfg, args.tol_override)
-    if args.theorem:
+    if args.command == "radial":
+        cfg["theorem"] = "radial"
+    elif args.theorem:
         cfg["theorem"] = args.theorem
-    return validate_config(cfg)
+    cfg = validate_config(cfg)
+    return cfg, args.out or cfg.get("out_dir", "out")
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg)
-    out = args.out or cfg.get("out_dir", "out")
-    os.makedirs(out, exist_ok=True)
-    report = Report()
-    _echo_config(report, cfg)
-    theorem = cfg["theorem"]
-    singular = theorem in ("singular-weak", "singular-strong", "radial")
-    rep = cd.validate_A0_Ainf(model) if singular else cd.validate_A(model)
-    report.put("hypotheses.passed", rep["passed"])
-    report.put("hypotheses.band_constant", rep.get("band_constant", math.nan))
-    variant = cd.ABS_SINE if theorem in ("main2", "singular-strong") else cd.TRUNCATED_SINE
-    tau_points = int(cfg.get("grids", {}).get("tau_points", 256))
-    lo, hi = cd.ll_verdict(model, variant=variant, tau_points=tau_points)
-    write_csv(os.path.join(out, "ll_lower.csv"), ["tau", "integral"],
-              list(zip(map(float, lo.tau_grid), map(float, lo.integrals))))
-    write_csv(os.path.join(out, "ll_upper.csv"), ["tau", "integral"],
-              list(zip(map(float, hi.tau_grid), map(float, hi.integrals))))
-    report.put("sign.lower.verdict", lo.verdict)
-    report.put("sign.lower.margin", lo.margin)
-    report.put("sign.upper.verdict", hi.verdict)
-    report.put("sign.upper.margin", hi.margin)
-    if theorem in ("main2", "singular-strong"):
-        direction = "x_to_zero_plus" if singular else "x_to_minus_inf"
-        hrep = cd.check_H(model, direction)
-        report.put("window_ratio.passed", hrep["passed"])
-        report.put("window_ratio.worst", hrep["worst_final"])
-    report.write(os.path.join(out, "report.txt"))
-    ok = rep["passed"] and lo.passed and hi.passed
-    print(f"verify: hypotheses={'pass' if rep['passed'] else 'fail'} "
-          f"lower={lo.verdict} upper={hi.verdict} -> {out}/report.txt")
-    return EXIT_OK if ok else (EXIT_HYPOTHESIS if not rep["passed"]
-                               else EXIT_SIGN_CONDITION)
+    cfg, out = _load_config(args)
+    lines = dict(run(cfg, out, last="sign_conditions").report.lines)
+    print(f"verify: hypotheses=pass lower={lines['sign.lower.verdict']} "
+          f"upper={lines['sign.upper.verdict']} -> {out}/report.txt")
+    return EXIT_OK
 
 
 def _cmd_apriori(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg)
-    out = args.out or cfg.get("out_dir", "out")
-    os.makedirs(out, exist_ok=True)
-    report = Report()
-    _echo_config(report, cfg)
-    fld = HomotopyField(model, 1.0, mu=cfg.get("mu"))
-    try:
-        if model.domain == rm.SINGULAR:
-            n0, diag = ap.probe_N0(fld)
-            report.put("apriori.N0", n0)
-            report.put("apriori.start_level", diag["start_level"])
-        else:
-            kit = ap.build_kit(fld)
-            _write_kit(kit, out)
-            for key, val in (("R0", kit.R0), ("kappa", kit.kappa),
-                             ("omega0", kit.omega0), ("ell0", kit.ell0),
-                             ("a", kit.a), ("y_hat", kit.y_hat),
-                             ("R_elastic", kit.R_elastic)):
-                report.put(f"apriori.{key}", val)
-            rows = []
+    cfg, out = _load_config(args)
+    res = run(cfg, out, last="apriori")
+    if res.kit is not None:
+        kit = res.kit
+        fld = HomotopyField(res.model, 1.0, mu=cfg.get("mu"))
+        rows = []
+        try:
             for amp in np.geomspace(max(4.0 * kit.R0, 100.0), 1e3, 8):
                 lap = ap.lap_report(fld, kit, float(amp))
                 li = lap["lap"]
@@ -519,17 +512,15 @@ def _cmd_apriori(args) -> int:
                              li.t6, li.t7, li.t8, lap["y2"], lap["x3"],
                              lap["y5"], lap["x6"], lap["y7"], lap["y8"],
                              int(lap["all_ok"])))
-            write_csv(os.path.join(out, "laps.csv"),
-                      ["amplitude", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
-                       "t8", "y2", "x3", "y5", "x6", "y7", "y8", "bounds_ok"],
-                      rows)
-    except _STAGE_ERRORS as e:
-        report.put("apriori.error", str(e))
-        report.write(os.path.join(out, "report.txt"))
-        print(f"apriori failed: {e}", file=sys.stderr)
-        return EXIT_APRIORI
-    report.write(os.path.join(out, "report.txt"))
-    for k, v in report.lines:
+        except _STAGE_ERRORS as e:
+            res.report.put("apriori.laps_error", str(e))
+            res.report.write(os.path.join(out, "report.txt"))
+            raise StageFailure("apriori", EXIT_APRIORI, f"lap table: {e}")
+        write_csv(os.path.join(out, "laps.csv"),
+                  ["amplitude", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
+                   "t8", "y2", "x3", "y5", "x6", "y7", "y8", "bounds_ok"],
+                  rows)
+    for k, v in res.report.lines:
         if k.startswith("apriori."):
             print(f"{k} = {v}")
     print(f"apriori artifacts -> {out}")
@@ -537,27 +528,10 @@ def _cmd_apriori(args) -> int:
 
 
 def _cmd_find(args) -> int:
-    cfg = _load_config(args)
-    out = args.out or cfg.get("out_dir", "out")
-    try:
-        run(cfg, out)
-    except StageFailure as e:
-        print(f"find: {e}", file=sys.stderr)
-        return e.code
-    print(f"find artifacts -> {out}")
-    return EXIT_OK
-
-
-def _cmd_radial(args) -> int:
-    cfg = _load_config(args)
-    cfg["theorem"] = "radial"
-    out = args.out or cfg.get("out_dir", "out")
-    try:
-        run(cfg, out)
-    except StageFailure as e:
-        print(f"radial: {e}", file=sys.stderr)
-        return e.code
-    print(f"radial artifacts -> {out}")
+    """find and radial: every stage of the pipeline."""
+    cfg, out = _load_config(args)
+    run(cfg, out)
+    print(f"{args.command} artifacts -> {out}")
     return EXIT_OK
 
 
@@ -572,11 +546,10 @@ def _set_by_path(cfg: dict, dotted: str, value):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg, out = _load_config(args)
     swc = cfg.get("sweep")
     if not swc or "param" not in swc or "values" not in swc:
         raise ConfigError("sweep requires config section {'sweep': {'param', 'values'}}")
-    out = args.out or cfg.get("out_dir", "out")
     os.makedirs(out, exist_ok=True)
 
     rows = []
@@ -585,12 +558,12 @@ def _cmd_sweep(args) -> int:
         sub.pop("sweep")
         _set_by_path(sub, swc["param"], val)
         try:
-            report = run(sub, os.path.join(out, f"cell_{i:03d}"))
+            cert = run(sub, os.path.join(out, f"cell_{i:03d}")).cert
         except StageFailure as e:
             rows.append((float(val), f"fail:{e.stage}", math.nan))
             continue
-        residual = dict(report.lines).get("certificate.residual", "nan")
-        rows.append((float(val), "pass", float(residual)))
+        rows.append((float(val), "pass",
+                     math.nan if cert is None else float(cert.residual)))
     write_csv(os.path.join(out, "atlas.csv"),
               [swc["param"], "verdict", "residual"], rows)
     print(f"sweep atlas -> {os.path.join(out, 'atlas.csv')}")
@@ -633,8 +606,11 @@ def main(argv=None) -> int:
                 args.out = "out"
             return _cmd_spectrum(args)
         return {"verify": _cmd_verify, "apriori": _cmd_apriori,
-                "find": _cmd_find, "radial": _cmd_radial,
+                "find": _cmd_find, "radial": _cmd_find,
                 "sweep": _cmd_sweep}[args.command](args)
+    except StageFailure as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return e.code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -323,14 +323,15 @@ def _initial_guesses(fld: HomotopyField):
 
 
 def _solve_at_lambda(model, lam, tol, opts, mu=None):
-    """First initial guess from which Newton converges: (z, residual, orbit)."""
+    """First initial guess from which Newton converges:
+    (guess, z, residual, orbit)."""
     fld = HomotopyField(model, lam, mu=mu)
     last_err = None
     for g in _initial_guesses(fld):
         try:
             z, res, _, orbit = newton_fixed_point(fld, g, tol, opts,
                                                   with_orbit=True)
-            return z, res, orbit
+            return g, z, res, orbit
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError, CenterHitError) as e:
             last_err = e
@@ -357,8 +358,9 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     a secant step has jumped across a fold: it must also meet newton_tol,
     and the predictor restarts from it.  Each path point's residual is the
     one its corrector reached.  A lost continuation returns the surviving path (status
-    "lost") so blow-up families remain inspectable.  diagnostics counts
-    the lambda-step halvings and says whether the winding search ran.
+    "lost") so blow-up families remain inspectable.  diagnostics names the
+    initial guess that converged at the first lambda, counts the
+    lambda-step halvings and says whether the winding search ran.
     """
     if gate is not None:
         report = gate(model)
@@ -389,12 +391,13 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
             status="lost", z_star=PhaseState(0.0, z[0], z[1]),
             residual=res, rotation=None, degree=None, radius_used=None,
             path=path, diagnostics=dict(lost_at=lam, error=error,
+                                        initial_guess=initial_guess,
                                         halvings=halvings,
                                         winding_search=winding_search))
 
     path = []
-    z, res, orbit = _solve_at_lambda(model, lambda_grid[0],
-                                     corrector_tol(lambda_grid[0]), opts, mu)
+    initial_guess, z, res, orbit = _solve_at_lambda(
+        model, lambda_grid[0], corrector_tol(lambda_grid[0]), opts, mu)
     path.append(path_point(lambda_grid[0], z, res, orbit))
 
     lam_prev = lambda_grid[0]
@@ -475,7 +478,8 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
                        min_rho=orbit.min_rho(), sup_norm=orbit.sup_norm(),
                        path_min_x=min(p.min_x for p in path),
                        comparison_degree=comparison_degree,
-                       halvings=halvings, winding_search=winding_search)
+                       initial_guess=initial_guess, halvings=halvings,
+                       winding_search=winding_search)
     return PeriodicCertificate(status="converged",
                                z_star=PhaseState(0.0, z[0], z[1]),
                                residual=res, rotation=rot, degree=degree,

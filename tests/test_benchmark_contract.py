@@ -1,0 +1,43 @@
+"""The benchmark's inputs still meet its checks through `cli.main`.
+
+perfbench/workloads.py reads the exit code and the standard output of each
+invocation (`hypotheses=fail`, `lower=pass upper=pass`).  A change to the
+commands' output or exit codes that the benchmark has not caught up with
+fails here first, on one failing and one passing `screen_expr` input.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from resonance import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True      # leave the benchmark's directory clean
+try:
+    import workloads
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+
+def _screen_case(expected_exit):
+    cases = workloads.screen_expr(seed=1, defaults=True)
+    return next(c for c in cases if c.expected_exit == expected_exit)
+
+
+@pytest.mark.parametrize("expected_exit", [workloads.EXIT_HYPOTHESIS,
+                                           workloads.EXIT_OK],
+                         ids=["hypotheses-fail", "sign-pass"])
+def test_screen_expr_case_meets_its_check(tmp_path, capsys, expected_exit):
+    case = _screen_case(expected_exit)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(case.config))
+    out = str(tmp_path / "out")
+    code = cli.main(case.argv + ["--config", str(config), "--out", out])
+    # the benchmark hands its checks stdout and stderr as one stream
+    captured = capsys.readouterr()
+    assert code == case.expected_exit
+    assert case.check(out, captured.out + captured.err) == []

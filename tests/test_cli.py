@@ -76,9 +76,17 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": dict(_BAND, params={"forcing": "x"})},
      ["model.params.forcing"]),
     ({"model": dict(_BAND, family="linear_resonant")}, ["model.N", "odd"]),
+    ({"model": _BAND, "radial": {"nu": "one"}}, ["radial.nu"]),
+    ({"model": _BAND, "radial": {"k_max": 0}}, ["radial.k_max"]),
+    ({"model": _BAND, "radial": {"k_min": 3, "k_max": 2}},
+     ["radial.k_min", "radial.k_max"]),
+    ({"model": _BAND, "mu": "big"}, ["mu", "finite"]),
+    ({"model": _BAND, "mu": math.inf}, ["mu", "finite"]),
+    ({"model": _BAND, "radial": 2}, ["radial", "object"]),
 ], ids=["family-param", "family", "grid-type", "grid-range", "tolerance",
         "unknown-identifier", "parse-error", "family-param-type",
-        "linear-resonant-even-N"])
+        "linear-resonant-even-N", "radial-nu-type", "radial-k-range",
+        "radial-k-order", "mu-type", "mu-finite", "section-type"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
     path = tmp_path / "bad.json"
@@ -181,6 +189,79 @@ def test_verify_gate_failure_names_window_check(tmp_path):
     code = cli.main(["verify", "--config", str(cfg_path), "--out", str(out)])
     report = (out / "report.txt").read_text()
     assert "window_ratio.passed = False" in report
+
+
+def test_verify_and_find_agree_on_the_window_ratio_gate(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"f_left": "x^3 + sin(t)^2*x^5",
+                  "f_right": "1.625*x + x^2/(1+x^2)",
+                  "T": 2 * math.pi, "N": 2},
+        "theorem": "main2",
+        "grids": {"tau_points": 32},
+    }))
+    codes, verdicts = [], []
+    for command in ("verify", "find"):
+        out = tmp_path / command
+        codes.append(cli.main([command, "--config", str(cfg_path),
+                               "--out", str(out)]))
+        report = (out / "report.txt").read_text().splitlines()
+        verdicts.append([ln for ln in report
+                         if ln.startswith("stage.hypotheses.verdict")])
+        assert "window_ratio.passed = False" in report
+        # the sign conditions are not evaluated past a failed gate
+        assert not (out / "ll_lower.csv").exists()
+    assert codes == [cli.EXIT_HYPOTHESIS] * 2
+    assert verdicts[0] == verdicts[1] == ["stage.hypotheses.verdict = fail"]
+    assert "verify: hypotheses=fail" in capsys.readouterr().err
+
+
+def test_apriori_and_find_report_the_same_N0(tmp_path):
+    cfg_path = tmp_path / "sing.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"family": "singular_band", "T": 2 * math.pi, "N": 2,
+                  "domain": "singular"},
+        "theorem": "singular-weak",
+        "grids": {"tau_points": 32},
+    }))
+    n0 = []
+    for command in ("apriori", "find"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        report = (out / "report.txt").read_text().splitlines()
+        n0 += [ln for ln in report if ln.startswith("apriori.N0 = ")]
+    assert len(n0) == 2 and n0[0] == n0[1]
+    # apriori runs the sign conditions before the a-priori stage
+    assert (tmp_path / "apriori" / "ll_lower.csv").exists()
+    assert not (tmp_path / "apriori" / "path.csv").exists()
+
+
+def test_apriori_stops_at_the_hypothesis_gate(tmp_path):
+    cfg_path = tmp_path / "lin.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"family": "linear_resonant", "T": 2 * math.pi, "N": 3}}))
+    out = tmp_path / "out"
+    code = cli.main(["apriori", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_HYPOTHESIS
+    assert not (out / "envelopes.csv").exists()
+    assert "stage.apriori" not in (out / "report.txt").read_text()
+
+
+def test_apriori_lap_table_failure_exits_5(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise RuntimeError("lap did not close")
+
+    monkeypatch.setattr(cli.ap, "lap_report", failing)
+    out = tmp_path / "out"
+    code = cli.main(["apriori", "--config", _write_config(tmp_path),
+                     "--out", str(out)])
+    assert code == cli.EXIT_APRIORI
+    assert "lap did not close" in capsys.readouterr().err
+    assert (out / "envelopes.csv").exists()
+    assert not (out / "laps.csv").exists()
+    assert "apriori.laps_error = lap did not close" in \
+        (out / "report.txt").read_text()
 
 
 def test_find_pipeline_stops_at_hypothesis_gate(tmp_path):

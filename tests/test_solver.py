@@ -247,6 +247,7 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
     cli._write_certificate(cert, rm.make_cubic_band(), sv.SolveOpts(),
                            str(tmp_path), report)
     lines = dict(report.lines)
+    assert lines["certificate.initial_guess"] == "(0.0, 0.0)"
     assert lines["certificate.halvings"] == "0"
     assert lines["certificate.winding_search"] == "False"
     rows = (tmp_path / "solution.csv").read_text().splitlines()
