@@ -414,7 +414,7 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
     if cert.radius_used is not None:
         report.put("certificate.radius", cert.radius_used)
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
-                "comparison_degree", "initial_guess", "halvings",
+                "index", "index_note", "initial_guess", "halvings",
                 "winding_search"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])

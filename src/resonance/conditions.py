@@ -282,35 +282,35 @@ def ll_integral(residue: Callable, j: int, period: float, variant: str,
     positive weight makes the whole integral infinite of that sign, and
     conflicting infinities return nan.  The quadrature splits [0, T] at the
     kinks of the translated profile so each panel sees a smooth integrand.
+    All panels go into one (panels, order) node array: residue and the
+    profile are each evaluated once, and the panel sums are added from left
+    to right.
     """
     phi = (phi_truncated if variant == TRUNCATED_SINE else phi_abs)(j, period)
     kinks = _phi_kinks(j, period, variant, tau)
     xs_gl, ws_gl = gauss_legendre(order)
-    total = 0.0
-    has_pos_inf = has_neg_inf = False
+    edges = []
     for a, b in zip(kinks[:-1], kinks[1:]):
         m = max(2, int(round(n_panels * (b - a) / period)))
-        edges = np.linspace(a, b, m + 1)
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            nodes = mid + half * xs_gl
-            rv = np.asarray(residue(nodes), dtype=float)
-            wv = np.asarray(phi(nodes + tau), dtype=float)
-            inf_mask = np.isinf(rv)
-            if np.any(inf_mask):
-                active = inf_mask & (np.abs(wv) > 1e-12)
-                if np.any(active & (rv > 0)):
-                    has_pos_inf = True
-                if np.any(active & (rv < 0)):
-                    has_neg_inf = True
-                rv = np.where(inf_mask, 0.0, rv)
-            total += half * float(np.sum(ws_gl * rv * wv))
-    if has_pos_inf and has_neg_inf:
-        return math.nan
-    if has_pos_inf:
-        return math.inf
-    if has_neg_inf:
-        return -math.inf
+        edges.append(np.linspace(a, b, m + 1))
+    pa = np.concatenate([e[:-1] for e in edges])
+    pb = np.concatenate([e[1:] for e in edges])
+    mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+    nodes = mid[:, None] + half[:, None] * xs_gl
+    rv = np.asarray(residue(nodes), dtype=float)
+    wv = np.asarray(phi(nodes + tau), dtype=float)
+    inf_mask = np.isinf(rv)
+    if np.any(inf_mask):
+        active = inf_mask & (np.abs(wv) > 1e-12)
+        pos, neg = np.any(active & (rv > 0)), np.any(active & (rv < 0))
+        if pos and neg:
+            return math.nan
+        if pos or neg:
+            return math.inf if pos else -math.inf
+        rv = np.where(inf_mask, 0.0, rv)
+    total = 0.0
+    for h, s in zip(half.tolist(), np.sum(ws_gl * rv * wv, axis=1).tolist()):
+        total += h * s
     return total
 
 
@@ -357,7 +357,8 @@ def ll_verdict(model: NonlinearityModel, n_mode: int | None = None,
 
     Lower: integrals of the liminf residue against the N-profile must stay
     positive; upper: integrals of the limsup residue against the
-    (N+1)-profile must stay negative.
+    (N+1)-profile must stay negative.  Each tau is one ll_integral call,
+    which evaluates the residue envelope once.
     """
     n = model.n_mode if n_mode is None else n_mode
     period = model.period
@@ -382,15 +383,19 @@ def ll_verdict(model: NonlinearityModel, n_mode: int | None = None,
 # window-envelope primitive ratios (uniform-order-of-infinity checks)
 
 
-def _window_primitive_checkpoints(model, tau, zeta, x_checks, base, side,
+def _window_primitive_checkpoints(model, taus, zetas, x_checks, base, side,
                                   t_samples=33, order=12):
-    """F_i at the checkpoints, integrating the windowed envelopes from base.
+    """F_i at the checkpoints for every cell, integrating the windowed
+    envelopes from base.
 
-    side "left": base 0, checkpoints negative, geometric ladder toward
-    -inf.  side "wall": base delta, checkpoints in (0, delta), ladder
-    toward 0+.
+    Cell c is the time window [taus[c] - zetas[c], taus[c] + zetas[c]].
+    The quadrature nodes depend only on the checkpoints, so f is evaluated
+    once per node on the windows of all cells together.  side "left": base
+    0, checkpoints negative, geometric ladder toward -inf.  side "wall":
+    base delta, checkpoints in (0, delta), ladder toward 0+.  Returns
+    {checkpoint: (F1, F2)} with one entry per cell in each array.
     """
-    t_win = np.linspace(tau - zeta, tau + zeta, t_samples)
+    t_win = np.linspace(taus - zetas, taus + zetas, t_samples, axis=1).ravel()
     # geometric fill between consecutive checkpoints, ratio <= 2
     full_edges = [base]
     for xc in x_checks:
@@ -406,7 +411,7 @@ def _window_primitive_checkpoints(model, tau, zeta, x_checks, base, side,
             fill = np.geomspace(a, b, n_fill + 1)[1:]
             full_edges.extend([v for v in fill])
     xs_gl, ws_gl = gauss_legendre(order)
-    f1_acc = f2_acc = 0.0
+    f1_acc = f2_acc = np.zeros(len(taus))
     out = {}
     check_iter = iter(x_checks)
     next_check = next(check_iter)
@@ -415,11 +420,12 @@ def _window_primitive_checkpoints(model, tau, zeta, x_checks, base, side,
         nodes = mid + half * xs_gl
         p1 = p2 = 0.0
         for xn, wn in zip(nodes, ws_gl):
-            fv = np.asarray(model.f_over_t(t_win, float(xn)), dtype=float)
-            p1 += wn * float(np.min(fv))
-            p2 += wn * float(np.max(fv))
-        f1_acc += half * p1
-        f2_acc += half * p2
+            fv = np.asarray(model.f_over_t(t_win, float(xn)),
+                            dtype=float).reshape(len(taus), t_samples)
+            p1 = p1 + wn * np.min(fv, axis=1)
+            p2 = p2 + wn * np.max(fv, axis=1)
+        f1_acc = f1_acc + half * p1
+        f2_acc = f2_acc + half * p2
         if next_check is not None and math.isclose(b, next_check, rel_tol=1e-12):
             out[next_check] = (f1_acc, f2_acc)
             next_check = next(check_iter, None)
@@ -437,6 +443,8 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf",
     (or singular) part has the same order for every t.  Verdict: the worst
     deviation at the smallest window must be below pass_tol, must improve
     as the window shrinks, and must not explode along the checkpoints.
+    f is evaluated once per quadrature node, on the windows of all
+    (zeta, tau) cells at once.
     """
     if direction == "x_to_minus_inf":
         side, base = "left", 0.0
@@ -451,18 +459,17 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf",
     tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
     zetas = sorted(zetas, reverse=True)
 
-    def one_cell(zeta, tau):
-        prim = _window_primitive_checkpoints(model, float(tau), float(zeta),
-                                             x_checks, base, side)
-        out = []
-        for xc in x_checks:
-            f1v, f2v = prim[xc]
-            out.append(f2v / f1v if f1v != 0.0 else math.nan)
-        return out
-
-    raw = [one_cell(z, tau) for z in zetas for tau in tau_grid]
-    ratios = np.array(raw, dtype=float).reshape(len(zetas), len(tau_grid),
-                                                len(x_checks))
+    # cells in (zeta, tau) order, tau varying fastest
+    cell_zetas = np.repeat(np.array(zetas, dtype=float), len(tau_grid))
+    cell_taus = np.tile(tau_grid, len(zetas))
+    prim = _window_primitive_checkpoints(model, cell_taus, cell_zetas,
+                                         x_checks, base, side)
+    ratios = np.empty((len(cell_taus), len(x_checks)))
+    for k, xc in enumerate(x_checks):
+        f1v, f2v = prim[xc]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios[:, k] = np.where(f1v != 0.0, f2v / f1v, math.nan)
+    ratios = ratios.reshape(len(zetas), len(tau_grid), len(x_checks))
     dev = np.nanmax(np.abs(ratios - 1.0), axis=1)    # (zeta, X)
     if np.any(np.isnan(ratios)):
         dev = np.where(np.isnan(dev), math.inf, dev)

@@ -98,6 +98,17 @@ def _return_residual(fld, z, opts):
     return px - z[0], py - z[1], orbit
 
 
+def _fd_jacobian(fld, z, g, opts):
+    """Forward-difference Jacobian ((j11, j12), (j21, j22)) of P(z) - z at
+    z, whose residual g is known, with step fd_step * max(1, ||z||): two
+    return maps."""
+    h = opts.fd_step * max(1.0, math.hypot(*z))
+    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), opts.integrate)
+    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), opts.integrate)
+    return (((g1x - g[0]) / h, (g2x - g[0]) / h),
+            ((g1y - g[1]) / h, (g2y - g[1]) / h))
+
+
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                        tol: float = 1e-9, opts: SolveOpts = SolveOpts(), *,
                        with_orbit: bool = False):
@@ -121,11 +132,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                 break
             raise NewtonError(f"no convergence in {opts.newton_max_iter} "
                               f"iterations; residual {res:.3g}")
-        h = opts.fd_step * max(1.0, math.hypot(*z))
-        g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), io)
-        g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), io)
-        j11, j21 = (g1x - gx) / h, (g1y - gy) / h
-        j12, j22 = (g2x - gx) / h, (g2y - gy) / h
+        (j11, j12), (j21, j22) = _fd_jacobian(fld, z, (gx, gy), opts)
         det = j11 * j22 - j12 * j21
         scale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
         # scale below finite-difference noise means the return map is
@@ -351,7 +358,10 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     runs Newton correctors over the lambda schedule with adaptive halving
     and a winding-guided cell search as fallback; on success the fixed
     point at the last grid lambda is certified (residual, rotation count,
-    boundary winding at the certifying radius).  A waypoint below the
+    boundary winding at the certifying radius).  With the winding comes
+    the local index sign det D(P - I) at the fixed point, from one
+    finite-difference Jacobian; diagnostics notes "other fixed points
+    inside R" when it differs from the winding.  A waypoint below the
     last grid lambda only seeds the next predictor, so its corrector stops
     at sqrt(newton_tol); only the certified point is polished to
     newton_tol.  A waypoint whose orbit amplitude more than quadruples over
@@ -459,25 +469,26 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
     except CenterHitError:
         rot = None
 
-    degree = None
-    comparison_degree = None
+    degree = index = index_note = None
     rad = None
     if compute_degree:
         rad = certify_radius or (kit.R_elastic if kit is not None else
                                  max(8.0 * (1.0 + math.hypot(*z)), 64.0))
-        degree = boundary_degree(HomotopyField(model, lam_end, mu=mu), rad,
-                                 opts=opts)
-        # the comparison problem's degree is reported, never asserted
-        try:
-            comparison_degree = boundary_degree(
-                HomotopyField(model, 0.0, mu=mu), rad, opts=opts)
-        except (ValueError, RuntimeError):
-            comparison_degree = None
+        fld_end = HomotopyField(model, lam_end, mu=mu)
+        degree = boundary_degree(fld_end, rad, opts=opts)
+        # local index sign det D(P - I) at z*; the boundary degree is the
+        # sum of the indices of all fixed points inside the curve
+        end = orbit.state_at_end()
+        (j11, j12), (j21, j22) = _fd_jacobian(
+            fld_end, z, (end.x - z[0], end.y - z[1]), opts)
+        index = int(np.sign(j11 * j22 - j12 * j21))
+        if index != degree:
+            index_note = "other fixed points inside R"
 
     diagnostics = dict(min_x=float(np.min(orbit.x)),
                        min_rho=orbit.min_rho(), sup_norm=orbit.sup_norm(),
                        path_min_x=min(p.min_x for p in path),
-                       comparison_degree=comparison_degree,
+                       index=index, index_note=index_note,
                        initial_guess=initial_guess, halvings=halvings,
                        winding_search=winding_search)
     return PeriodicCertificate(status="converged",

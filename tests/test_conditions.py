@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -86,6 +88,56 @@ def test_infinite_residue_propagates_sign():
     inf_neg = lambda t: np.full(np.shape(t), -math.inf)
     v = cd.ll_integral(inf_neg, 2, T2PI, cd.TRUNCATED_SINE, 0.5)
     assert v == -math.inf
+
+
+def _residue_on(t, pieces, default=1.0):
+    """default, overridden by value on each [lo, hi) of t mod T2PI."""
+    tt = np.mod(np.asarray(t, dtype=float), T2PI)
+    out = np.full(tt.shape, default)
+    for lo, hi, value in pieces:
+        out[(tt >= lo) & (tt < hi)] = value
+    return out
+
+
+def test_conflicting_infinities_under_the_profile_give_nan():
+    residue = lambda t: _residue_on(t, [(0.2, 1.0, math.inf),
+                                        (2.0, 2.8, -math.inf)])
+    for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
+        v = cd.ll_integral(residue, 2, T2PI, variant, 0.0)
+        assert math.isnan(v)
+
+
+def test_infinite_residue_where_the_profile_vanishes_is_ignored():
+    # the truncated 2-profile at tau = 0 is sin t on [0, pi] and 0 after:
+    # infinities of both signs on (pi, 2 pi) carry no weight
+    residue = lambda t: _residue_on(t, [(3.5, 4.5, math.inf),
+                                        (5.0, 6.0, -math.inf)])
+    v = cd.ll_integral(residue, 2, T2PI, cd.TRUNCATED_SINE, 0.0)
+    assert v == pytest.approx(2.0, abs=1e-8)
+
+
+def test_one_signed_infinity_on_part_of_the_support_gives_its_sign():
+    for sign in (1.0, -1.0):
+        residue = lambda t: _residue_on(t, [(1.0, 1.5, sign * math.inf)],
+                                        default=-sign)
+        for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
+            v = cd.ll_integral(residue, 2, T2PI, variant, 0.3)
+            assert v == sign * math.inf
+
+
+@pytest.mark.parametrize("variant", [cd.TRUNCATED_SINE, cd.ABS_SINE])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_ll_integral_evaluates_the_residue_once(variant, j):
+    # a deterministic work count: one array evaluation per tau, however
+    # many kink intervals and panels the profile needs
+    calls = []
+
+    def residue(t):
+        calls.append(np.size(t))
+        return 1.0 + 0.3 * np.cos(t)
+
+    cd.ll_integral(residue, j, T2PI, variant, 0.7)
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
@@ -269,3 +321,63 @@ def test_window_ratio_wall_direction_pair():
     assert cd.check_H(good, direction="x_to_zero_plus")["passed"]
     rep = cd.check_H(bad, direction="x_to_zero_plus")
     assert not rep["passed"]
+
+
+def test_check_H_evaluates_f_once_per_node(monkeypatch):
+    # a deterministic work count: 25 panels x 12 Gauss nodes between 0 and
+    # -1e4, each evaluated once on the windows of all 3 x 24 cells
+    calls = []
+    original = rm.NonlinearityModel.f_over_t
+
+    def counted(self, t_grid, x):
+        calls.append(np.size(t_grid))
+        return original(self, t_grid, x)
+
+    monkeypatch.setattr(rm.NonlinearityModel, "f_over_t", counted)
+    cd.check_H(rm.from_expression("(1+sin(t)^2)*x^5 + x^3", T2PI))
+    assert len(calls) == 300
+    assert set(calls) == {3 * 24 * 33}
+
+
+# --------------------------------------------------------------------------
+# golden records: ll_verdict and check_H pinned bit for bit
+#
+# tests/data/conditions_golden.json holds float.hex literals recorded with
+# the panel-by-panel and cell-by-cell quadratures that the array forms
+# replaced: the tau = 64 integrals and margins of both variants and sides,
+# and the check_H ratio tables (wall direction for singular_band).
+
+_GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                      / "conditions_golden.json").read_text())
+
+
+def _golden_model(name):
+    if name == "cubic_band":
+        return rm.make_cubic_band(), "x_to_minus_inf"
+    if name == "singular_band":
+        return rm.make_singular_band(), "x_to_zero_plus"
+    src = _GOLDEN["screen_expr_input"]
+    return (rm.from_piecewise(src["f_left"], src["f_right"], T2PI, n_mode=2),
+            "x_to_minus_inf")
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
+def test_sign_conditions_pinned_in_float_hex(name):
+    model, _ = _golden_model(name)
+    table = _GOLDEN["models"][name]
+    for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
+        for rep in cd.ll_verdict(model, variant=variant, tau_points=64):
+            want = table[f"{variant}/{rep.side}"]
+            assert _hex(rep.integrals) == want["integrals"]
+            assert float(rep.margin).hex() == want["margin"]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
+def test_window_ratios_pinned_in_float_hex(name):
+    model, direction = _golden_model(name)
+    rep = cd.check_H(model, direction)
+    assert _hex(rep["ratios"]) == _GOLDEN["models"][name]["check_H_ratios"]

@@ -303,6 +303,52 @@ def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# local index of the certified fixed point
+
+
+@pytest.mark.parametrize("source, sign", [
+    ("1.5*x - 0.5*cos(t)", 1),    # x'' + 1.5x = 0.5 cos t: det(I - M) > 0
+    ("-x - 0.5*cos(t)", -1),      # x'' - x = 0.5 cos t: det(I - M) < 0
+])
+def test_local_index_equals_the_degree_of_a_lone_fixed_point(source, sign):
+    # a linear equation has one fixed point, so its index
+    # sign det(I - M) is the boundary winding
+    cert = sv.homotopy_solve(rm.from_expression(source, T2PI))
+    assert cert.converged
+    assert cert.degree == cert.diagnostics["index"] == sign
+    assert cert.diagnostics["index_note"] is None
+
+
+def test_index_mismatch_is_noted_and_costs_two_return_maps(monkeypatch,
+                                                           tmp_path):
+    model = rm.from_expression("-x - 0.5*cos(t)", T2PI)
+    calls = []
+    original = sv.poincare
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "poincare", counted)
+    sv.homotopy_solve(model, compute_degree=False)
+    plain = len(calls)
+    calls.clear()
+    # a winding of +1 around an index -1 point: more fixed points inside
+    monkeypatch.setattr(sv, "boundary_degree", lambda *args, **kwargs: 1)
+    cert = sv.homotopy_solve(model)
+    assert len(calls) == plain + 2
+    assert cert.converged and cert.degree == 1
+    assert cert.diagnostics["index"] == -1
+    assert cert.diagnostics["index_note"] == "other fixed points inside R"
+    report = cli.Report()
+    cli._write_certificate(cert, model, sv.SolveOpts(), str(tmp_path),
+                           report)
+    lines = dict(report.lines)
+    assert lines["certificate.index"] == "-1"
+    assert lines["certificate.index_note"] == "other fixed points inside R"
+
+
+# --------------------------------------------------------------------------
 # normalized profiles
 
 
