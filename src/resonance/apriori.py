@@ -74,8 +74,7 @@ class EnvelopePair:
 
 
 def build_envelopes(model: NonlinearityModel, x_points: int = 4096,
-                    t_points: int = 96, x_far: float = 1e6,
-                    d_override: Optional[float] = None) -> EnvelopePair:
+                    t_points: int = 96, x_far: float = 1e6) -> EnvelopePair:
     """Tabulate f1 = min_t f, f2 = max_t f with cumulative primitives.
 
     The threshold (d on the full line, delta in singular mode) is detected
@@ -86,35 +85,25 @@ def build_envelopes(model: NonlinearityModel, x_points: int = 4096,
     t_grid = np.linspace(0.0, model.period, t_points, endpoint=False)
     singular = model.domain == SINGULAR
 
-    if d_override is not None:
-        base = float(d_override)
+    base = None
+    if singular:
+        # the last x of the stretch (0, x] on which f2 < 0
+        for x in np.geomspace(1e-3, x_far, 200):
+            if x > 1.0 or np.max(model.f_over_t(t_grid, float(x))) >= 0.0:
+                break
+            base = float(x)
     else:
-        scan = (np.geomspace(1e-3, x_far, 200) if singular
-                else -np.geomspace(1e-3, x_far, 200))
-        if singular:
-            scan = scan[scan <= 1.0]
-        base = None
-        for x in scan:
+        # the largest |x| end of the sign change: scan walks toward -infinity
+        for x in -np.geomspace(1e-3, x_far, 200):
             f2v = float(np.max(model.f_over_t(t_grid, float(x))))
-            if f2v < 0.0:
+            if f2v < 0.0 and base is None:
                 base = float(x)
-            else:
-                if singular:
-                    break
+            elif f2v >= 0.0:
                 base = None
-        # full line: find the largest |x| end of the sign change instead
-        if not singular:
-            base = None
-            for x in scan:          # scan walks toward -infinity
-                f2v = float(np.max(model.f_over_t(t_grid, float(x))))
-                if f2v < 0.0 and base is None:
-                    base = float(x)
-                elif f2v >= 0.0:
-                    base = None
-            if base is not None:
-                base = min(base * 1.0001, -1.0)
-        if base is None:
-            raise ValueError("no threshold with f2 < 0 found in scan range")
+        if base is not None:
+            base = min(base * 1.0001, -1.0)
+    if base is None:
+        raise ValueError("no threshold with f2 < 0 found in scan range")
 
     if singular:
         grid = np.geomspace(1e-6, base, x_points)

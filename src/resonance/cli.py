@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -67,7 +68,7 @@ _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir", "seed", "mu"}
 _TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
-_GRID_KEYS = {"tau_points", "t_points", "lambda_points", "x_points"}
+_GRID_KEYS = {"tau_points", "lambda_points"}
 _SWEEP_KEYS = {"param", "values"}
 
 # what a pipeline stage can legitimately raise: the package's errors
@@ -86,6 +87,11 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 # JSON true/false arrive as bool, a subclass of int
 def _is_positive_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
+def _is_finite_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
 
 
 def _check_family(family, params):
@@ -117,12 +123,14 @@ def validate_config(cfg: dict) -> dict:
     _reject_unknown(mc, _MODEL_KEYS, "model")
     if "T" not in mc:
         raise ConfigError("model.T (the period) is required")
-    if not isinstance(mc["T"], (int, float)) or mc["T"] <= 0:
-        raise ConfigError("model.T must be a positive number")
+    if not (_is_finite_number(mc["T"]) and mc["T"] > 0):
+        raise ConfigError(f"model.T must be a finite positive number, "
+                          f"got {mc['T']!r}")
     if "N" not in mc:
         raise ConfigError("model.N (the band index) is required")
-    if not isinstance(mc["N"], int) or mc["N"] < 1:
-        raise ConfigError("model.N must be a positive integer")
+    if not _is_positive_int(mc["N"]):
+        raise ConfigError(f"model.N must be a positive integer, "
+                          f"got {mc['N']!r}")
     domain = mc.get("domain", rm.FULL_LINE)
     if domain not in (rm.FULL_LINE, rm.SINGULAR):
         raise ConfigError("model.domain must be 'full_line' or 'singular'")
@@ -147,9 +155,13 @@ def validate_config(cfg: dict) -> dict:
         if not _is_positive_int(val):
             raise ConfigError(f"grids.{key} must be a positive integer, "
                               f"got {val!r}")
+    # one lambda point is the comparison field alone, never the model
+    if cfg.get("grids", {}).get("lambda_points", 2) < 2:
+        raise ConfigError("grids.lambda_points must be at least 2, got 1")
     for key, val in cfg.get("tolerances", {}).items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerances.{key} must be a number, got {val!r}")
+        if not (_is_finite_number(val) and val > 0):
+            raise ConfigError(f"tolerances.{key} must be a finite positive "
+                              f"number, got {val!r}")
     # the pipeline reads these only after its gates, so check them first
     radial = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
     for key, val in radial.items():
@@ -160,8 +172,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"radial.k_min ({radial['k_min']}) exceeds "
                           f"radial.k_max ({radial['k_max']})")
     mu = cfg.get("mu")
-    if mu is not None and (isinstance(mu, bool) or not isinstance(
-            mu, (int, float)) or not math.isfinite(mu)):
+    if mu is not None and not _is_finite_number(mu):
         raise ConfigError(f"mu must be a finite number, got {mu!r}")
     out = copy.deepcopy(cfg)
     out.setdefault("theorem", theorem)
@@ -196,19 +207,16 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
 
 
 def build_opts(cfg: dict) -> sv.SolveOpts:
-    tol = cfg.get("tolerances", {})
-    grids = cfg.get("grids", {})
-    io = IntegrateOpts(
-        rtol=float(tol.get("rtol", 1e-11)),
-        atol=float(tol.get("atol", 1e-11)),
-        event_tol=float(tol.get("event_tol", 1e-10)),
-        max_step=tol.get("max_step"),
-    )
-    return sv.SolveOpts(
-        newton_tol=float(tol.get("newton_tol", 1e-9)),
-        lambda_points=int(grids.get("lambda_points", 33)),
-        integrate=io,
-    )
+    """SolveOpts() with the tolerances and lambda_points the config gives."""
+    tol = {k: float(v) for k, v in cfg.get("tolerances", {}).items()}
+    opts = sv.SolveOpts()
+    solve = {}
+    if "newton_tol" in tol:
+        solve["newton_tol"] = tol.pop("newton_tol")
+    if "lambda_points" in cfg.get("grids", {}):
+        solve["lambda_points"] = cfg["grids"]["lambda_points"]
+    return dataclasses.replace(
+        opts, integrate=dataclasses.replace(opts.integrate, **tol), **solve)
 
 
 def apply_tol_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -220,7 +228,11 @@ def apply_tol_overrides(cfg: dict, overrides: list[str]) -> dict:
         key = key.strip()
         if key not in _TOL_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(_TOL_KEYS)}")
-        cfg.setdefault("tolerances", {})[key] = float(val)
+        try:
+            cfg.setdefault("tolerances", {})[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"--tol-override {key}: expected a number, "
+                              f"got {val!r}") from None
     return cfg
 
 
@@ -357,7 +369,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
                 report.put("apriori.start_level", diag["start_level"])
             else:
                 # the kit's probes run at the integrator's own tolerances
-                res.kit = ap.build_kit(HomotopyField(model, 1.0, mu=mu),
+                res.kit = ap.build_kit(HomotopyField(model, 1.0),
                                        opts=IntegrateOpts())
                 _write_kit(res.kit, out_dir)
                 for key in ("R0", "kappa", "omega0", "ell0", "a", "y_hat",
@@ -374,7 +386,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
             res.cert = sv.homotopy_solve(model, opts=opts, kit=res.kit, mu=mu)
         except _STAGE_ERRORS as e:
             report.fail(EXIT_SOLVER, str(e))
-        _write_certificate(res.cert, model, opts, out_dir, report, mu)
+        _write_certificate(res.cert, model, opts, out_dir, report)
         report.gate(res.cert.converged, EXIT_SOLVER, "continuation lost at "
                     f"{res.cert.diagnostics.get('lost_at')}")
         return res
@@ -401,7 +413,7 @@ def _write_kit(kit: ap.AprioriKit, out_dir: str):
               ["v", "T_of_v", "L_of_v", "M_of_v"], rows)
 
 
-def _write_certificate(cert, model, opts, out_dir, report, mu=None):
+def _write_certificate(cert, model, opts, out_dir, report):
     report.put("certificate.status", cert.status)
     if cert.z_star is not None:
         report.put("certificate.x0", cert.z_star.x)
@@ -425,7 +437,7 @@ def _write_certificate(cert, model, opts, out_dir, report, mu=None):
     if cert.z_star is not None:
         traj = cert.orbit
         if traj is None:    # lost: the target field from the last path point
-            traj = integrate(HomotopyField(model, 1.0, mu=mu),
+            traj = integrate(HomotopyField(model, 1.0),
                              PhaseState(0.0, cert.z_star.x, cert.z_star.y),
                              model.period, opts.integrate)
         write_csv(os.path.join(out_dir, "solution.csv"),
@@ -502,7 +514,7 @@ def _cmd_apriori(args) -> int:
     res = run(cfg, out, last="apriori")
     if res.kit is not None:
         kit = res.kit
-        fld = HomotopyField(res.model, 1.0, mu=cfg.get("mu"))
+        fld = HomotopyField(res.model, 1.0)
         rows = []
         try:
             for amp in np.geomspace(max(4.0 * kit.R0, 100.0), 1e3, 8):

@@ -63,13 +63,15 @@ class IntegrateOpts:
     atol: float = 1e-10
     event_tol: float = 1e-10       # bisection width for event times
     max_step: Optional[float] = None  # default: span / 64
-    first_step: float = 1e-4
-    step_floor: float = 1e-14
-    blowup_bound: float = 1e100    # escaping orbits hit this fast; bounded
-                                   # dynamics never do
-    center_tol: float = 1e-8
-    theta_step: float = math.pi / 4   # max swept angle between samples
-    max_steps: int = 5_000_000
+
+
+_FIRST_STEP = 1e-4
+_STEP_FLOOR = 1e-14
+_BLOWUP_BOUND = 1e100      # escaping orbits hit this fast; bounded dynamics
+                           # never do
+_CENTER_TOL = 1e-8         # closest approach to the center for an angle lift
+_THETA_STEP = math.pi / 4  # max swept angle between samples
+_MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,6 @@ class HomotopyField:
         t_ = self.model.period
         n = self.model.n_mode
         return 0.5 * (eigenvalue(n, t_) + eigenvalue(n + 1, t_))
-
-    def h(self, t: float, x: float) -> float:
-        return self._h(t, x)
 
     def g(self, t: float, x: float) -> float:
         return self._g(t, x)
@@ -309,7 +308,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         raise ValueError("t_end must exceed z0.t")
     max_step = opts.max_step if opts.max_step is not None else span / 64.0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
-    rtol, atol, theta_step = opts.rtol, opts.atol, opts.theta_step
+    rtol, atol, theta_step = opts.rtol, opts.atol, _THETA_STEP
+    step_floor, blowup_bound = _STEP_FLOOR, _BLOWUP_BOUND
 
     # event functions on (x, y); the step loop tests their sign flips inline
     events_def = [("cross_x_eq_0", lambda x, y: x),
@@ -329,19 +329,19 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
     kx1, ky1 = y, -g(t, x)
     r = 0.0
-    h = min(opts.first_step, max_step, span)
+    h = min(_FIRST_STEP, max_step, span)
     n_steps = 0
 
     while t < t_stop:
         n_steps += 1
-        if n_steps > opts.max_steps:
+        if n_steps > _MAX_STEPS:
             raise RuntimeError("step budget exceeded")
         h = min(h, t_end - t, max_step)
         if singular and y < 0.0:
             # predictive wall cap: one step cannot carry x across 0
             cap = 0.8 * x / (-y)
-            h = min(h, max(cap, opts.step_floor))
-        if h < opts.step_floor:
+            h = min(h, max(cap, step_floor))
+        if h < step_floor:
             if singular and x < 1e-6:
                 raise DomainExitError(t, x, y)
             raise BlowUpError(t, x, y)
@@ -462,7 +462,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         thetas.append(theta_prev)
         rhos.append(math.hypot(x - cx, y))
 
-        if abs(x) > opts.blowup_bound or abs(y) > opts.blowup_bound:
+        if abs(x) > blowup_bound or abs(y) > blowup_bound:
             raise BlowUpError(t, x, y, "state bound exceeded")
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
@@ -514,19 +514,20 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
 
     ts = [t]
     ys = [y.copy()]
+    rtol, atol, step_floor = opts.rtol, opts.atol, _STEP_FLOOR
     k1 = np.asarray(rhs(t, y))
-    h = min(opts.first_step, max_step, span)
+    h = min(_FIRST_STEP, max_step, span)
     n = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         n += 1
-        if n > opts.max_steps:
+        if n > _MAX_STEPS:
             raise RuntimeError("step budget exceeded")
         h = min(h, t_end - t, max_step)
         if stops is not None:
             k_next = int(np.searchsorted(stops, t + 1e-14 * max(1.0, abs(t))))
             if k_next < len(stops):
                 h = min(h, stops[k_next] - t)
-        if h < opts.step_floor:
+        if h < step_floor:
             raise BlowUpError(t, float(y[0]), float(y[-1]))
         try:
             ks = [k1]
@@ -544,7 +545,7 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
             h *= 0.5
             continue
         err_vec = h * sum(ee * kk for ee, kk in zip(e, ks))
-        sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y1))
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         ratios = np.abs(err_vec / sc)
         peak = float(np.max(ratios))
         err = (peak * math.sqrt(float(np.mean((ratios / peak) ** 2)))
@@ -559,9 +560,9 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
     return np.array(ts), np.array(ys)
 
 
-def rotation_count(traj: Trajectory, center_tol: float = 1e-8) -> float:
+def rotation_count(traj: Trajectory) -> float:
     """Clockwise turns about the rotation center over the whole trajectory."""
-    if traj.min_rho() < center_tol:
+    if traj.min_rho() < _CENTER_TOL:
         raise CenterHitError(
             f"trajectory reached rho={traj.min_rho():.3g}; angle lift is unreliable")
     return float((traj.theta[0] - traj.theta[-1]) / (2.0 * math.pi))
@@ -571,10 +572,6 @@ def rotation_count(traj: Trajectory, center_tol: float = 1e-8) -> float:
 class LapInstants:
     t1: float; t2: float; t3: float; t4: float
     t5: float; t6: float; t7: float; t8: float
-
-    def as_tuple(self):
-        return (self.t1, self.t2, self.t3, self.t4,
-                self.t5, self.t6, self.t7, self.t8)
 
 
 def _classify_event(ev: Event, d: float) -> Optional[str]:

@@ -26,7 +26,7 @@ __all__ = [
     "SolveOpts", "PathPoint", "PeriodicCertificate", "SingularJacobianError",
     "NewtonError", "poincare", "newton_fixed_point",
     "boundary_degree", "degree_search", "homotopy_solve",
-    "path_trajectories", "normalized_profile", "circle_curve", "n_level_curve",
+    "normalized_profile", "circle_curve", "n_level_curve",
 ]
 
 
@@ -41,16 +41,18 @@ class NewtonError(RuntimeError):
 @dataclass(frozen=True)
 class SolveOpts:
     newton_tol: float = 1e-9
-    newton_max_iter: int = 25
-    fd_step: float = 1e-6          # relative Jacobian step, scaled by ||z||
     lambda_points: int = 33
-    lambda_floor: float = 1e-6     # smallest allowed continuation step
-    degree_samples: int = 48
-    degree_budget: int = 2048
-    boundary_tol: float = 1e-7     # relative: fixed point on the curve
     max_sup_norm: float = 1e6      # growth cap: beyond it the branch is lost
     # shooting needs the return map resolved below the Newton tolerance
     integrate: IntegrateOpts = IntegrateOpts(rtol=1e-11, atol=1e-11)
+
+
+_NEWTON_MAX_ITER = 25
+_FD_STEP = 1e-6          # relative Jacobian step, scaled by ||z||
+_LAMBDA_FLOOR = 1e-6     # smallest allowed continuation step
+_DEGREE_SAMPLES = 48     # starting samples of a boundary winding
+_DEGREE_BUDGET = 2048    # most samples a winding may refine to
+_BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ def _return_residual(fld, z, opts):
 
 def _fd_jacobian(fld, z, g, opts):
     """Forward-difference Jacobian ((j11, j12), (j21, j22)) of P(z) - z at
-    z, whose residual g is known, with step fd_step * max(1, ||z||): two
+    z, whose residual g is known, with step _FD_STEP * max(1, ||z||): two
     return maps."""
-    h = opts.fd_step * max(1.0, math.hypot(*z))
+    h = _FD_STEP * max(1.0, math.hypot(*z))
     g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), opts.integrate)
     g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), opts.integrate)
     return (((g1x - g[0]) / h, (g2x - g[0]) / h),
@@ -114,7 +116,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                        with_orbit: bool = False):
     """Damped Newton on P(z) - z; returns (z, residual, iterations).
 
-    The Jacobian is forward-difference with step fd_step * max(1, ||z||);
+    The Jacobian is forward-difference with step _FD_STEP * max(1, ||z||);
     damping halves the update until the residual decreases.  With
     `with_orbit` the trajectory of the returned z over one period comes
     fourth: it is the one the last accepted residual integrated.
@@ -127,10 +129,10 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     while not res < tol:
         # integration noise bounds how far the residual can be polished
         stall_tol = max(tol, 100.0 * io.rtol * (1.0 + math.hypot(*z)))
-        if it == opts.newton_max_iter:
+        if it == _NEWTON_MAX_ITER:
             if res < stall_tol:
                 break
-            raise NewtonError(f"no convergence in {opts.newton_max_iter} "
+            raise NewtonError(f"no convergence in {_NEWTON_MAX_ITER} "
                               f"iterations; residual {res:.3g}")
         (j11, j12), (j21, j22) = _fd_jacobian(fld, z, (gx, gy), opts)
         det = j11 * j22 - j12 * j21
@@ -176,20 +178,15 @@ def n_level_curve(level: float) -> Callable[[float], tuple[float, float]]:
 
 
 def boundary_degree(fld: HomotopyField, radius: float,
-                    n_samples: Optional[int] = None,
-                    opts: SolveOpts = SolveOpts(),
-                    curve: Optional[Callable] = None) -> int:
+                    opts: SolveOpts = SolveOpts()) -> int:
     """Winding number of z - P(z) along a closed curve of initial states.
 
     radius picks a centered circle (full line) or a largeness level
-    (singular mode); a custom closed curve s in [0,1) -> (x, y) overrides
-    it.  Samples are refined until adjacent angular increments stay below
-    pi/2; a fixed point on the curve is an error.
+    (singular mode).  Samples are refined until adjacent angular increments
+    stay below pi/2; a fixed point on the curve is an error.
     """
-    if curve is None:
-        curve = (n_level_curve(radius) if fld.regime == SINGULAR
-                 else circle_curve(radius))
-    n0 = n_samples or opts.degree_samples
+    curve = (n_level_curve(radius) if fld.regime == SINGULAR
+             else circle_curve(radius))
     io = opts.integrate
     cache: dict[float, tuple[float, float, float]] = {}
 
@@ -200,12 +197,12 @@ def boundary_degree(fld: HomotopyField, radius: float,
             wx, wy = zx - px, zy - py
             norm = math.hypot(wx, wy)
             ref = math.hypot(zx, zy) or 1.0
-            if norm < opts.boundary_tol * ref:
+            if norm < _BOUNDARY_TOL * ref:
                 raise ValueError(f"fixed point on the boundary curve at s={s}")
             cache[s] = (math.atan2(wy, wx), wx, wy)
         return cache[s]
 
-    ss = [k / n0 for k in range(n0)] + [1.0]
+    ss = [k / _DEGREE_SAMPLES for k in range(_DEGREE_SAMPLES)] + [1.0]
     angles = {}
     for s in ss:
         angles[s] = w_of(s % 1.0)[0]
@@ -213,7 +210,7 @@ def boundary_degree(fld: HomotopyField, radius: float,
     work = True
     while work:
         work = False
-        if len(ss) > opts.degree_budget:
+        if len(ss) > _DEGREE_BUDGET:
             raise RuntimeError("refinement budget exceeded in winding computation")
         new_ss = [ss[0]]
         for s1, s2 in zip(ss[:-1], ss[1:]):
@@ -345,41 +342,40 @@ def _solve_at_lambda(model, lam, tol, opts, mu=None):
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
 
-def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
+def homotopy_solve(model: NonlinearityModel,
                    opts: SolveOpts = SolveOpts(), kit=None,
                    gate: Optional[Callable] = None,
                    compute_degree: bool = True,
-                   certify_radius: Optional[float] = None,
                    mu: Optional[float] = None) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
     gate, when given, is called with the model and must return a dict with
-    a true "passed" entry before any integration starts.  Continuation
-    runs Newton correctors over the lambda schedule with adaptive halving
-    and a winding-guided cell search as fallback; on success the fixed
-    point at the last grid lambda is certified (residual, rotation count,
-    boundary winding at the certifying radius).  With the winding comes
-    the local index sign det D(P - I) at the fixed point, from one
-    finite-difference Jacobian; diagnostics notes "other fixed points
-    inside R" when it differs from the winding.  A waypoint below the
-    last grid lambda only seeds the next predictor, so its corrector stops
-    at sqrt(newton_tol); only the certified point is polished to
-    newton_tol.  A waypoint whose orbit amplitude more than quadruples over
-    a secant step has jumped across a fold: it must also meet newton_tol,
-    and the predictor restarts from it.  Each path point's residual is the
-    one its corrector reached.  A lost continuation returns the surviving path (status
-    "lost") so blow-up families remain inspectable.  diagnostics names the
-    initial guess that converged at the first lambda, counts the
-    lambda-step halvings and says whether the winding search ran.
+    a true "passed" entry before any integration starts.  Continuation runs
+    Newton correctors over opts.lambda_points evenly spaced lambdas in
+    [0, 1] with adaptive halving and a winding-guided cell search as fallback;
+    the search box and the certifying radius are the kit's R_elastic when a
+    kit is given.  On success the fixed point at the last grid lambda is
+    certified (residual, rotation count, boundary winding at the certifying
+    radius).  With the winding comes the local index sign det D(P - I) at
+    the fixed point, from one finite-difference Jacobian; diagnostics notes
+    "other fixed points inside R" when it differs from the winding.  A
+    waypoint below the last grid lambda only seeds the next predictor, so
+    its corrector stops at sqrt(newton_tol); only the certified point is
+    polished to newton_tol.  A waypoint whose orbit amplitude more than
+    quadruples over a secant step has jumped across a fold: it must also
+    meet newton_tol, and the predictor restarts from it.  Each path point's
+    residual is the one its corrector reached.  A lost continuation returns
+    the surviving path (status "lost") so blow-up families remain
+    inspectable.  diagnostics names the initial guess that converged at the
+    first lambda, counts the lambda-step halvings and says whether the
+    winding search ran.
     """
     if gate is not None:
         report = gate(model)
         if not report.get("passed", False):
             raise ValueError(f"hypothesis gate refused the model: {report}")
 
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.0, 1.0, opts.lambda_points)
-    lambda_grid = list(map(float, lambda_grid))
+    lambda_grid = list(map(float, np.linspace(0.0, 1.0, opts.lambda_points)))
     lam_end = lambda_grid[-1]
     waypoint_tol = math.sqrt(opts.newton_tol)
     io = opts.integrate
@@ -442,13 +438,13 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
             lam_target = next_grid(lam_prev)
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError) as err:
-            if dlam <= opts.lambda_floor:
+            if dlam <= _LAMBDA_FLOOR:
                 if math.hypot(*z) > 0.01 * opts.max_sup_norm:
                     return lost(lam_target, str(err))
                 # last resort: winding-guided search at the stalled level
                 winding_search = True
-                rad = certify_radius or (kit.R_elastic if kit is not None else
-                                         8.0 * (1.0 + math.hypot(*z)))
+                rad = (kit.R_elastic if kit is not None else
+                       8.0 * (1.0 + math.hypot(*z)))
                 fldn = HomotopyField(model, lam_target, mu=mu)
                 hits = degree_search(fldn, rad, opts)
                 if hits:
@@ -465,15 +461,15 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
             halvings += 1
 
     try:
-        rot = rotation_count(orbit, io.center_tol)
+        rot = rotation_count(orbit)
     except CenterHitError:
         rot = None
 
     degree = index = index_note = None
     rad = None
     if compute_degree:
-        rad = certify_radius or (kit.R_elastic if kit is not None else
-                                 max(8.0 * (1.0 + math.hypot(*z)), 64.0))
+        rad = (kit.R_elastic if kit is not None else
+               max(8.0 * (1.0 + math.hypot(*z)), 64.0))
         fld_end = HomotopyField(model, lam_end, mu=mu)
         degree = boundary_degree(fld_end, rad, opts=opts)
         # local index sign det D(P - I) at z*; the boundary degree is the
@@ -496,21 +492,6 @@ def homotopy_solve(model: NonlinearityModel, lambda_grid=None,
                                residual=res, rotation=rot, degree=degree,
                                radius_used=rad, path=path,
                                diagnostics=diagnostics, orbit=orbit)
-
-
-def path_trajectories(model: NonlinearityModel, path: list[PathPoint],
-                      mu: Optional[float] = None,
-                      opts: SolveOpts = SolveOpts(),
-                      min_sup: float = 0.0) -> list[Trajectory]:
-    """Re-integrate the orbits along a continuation path (profile input)."""
-    out = []
-    for p in path:
-        if p.sup_norm < min_sup:
-            continue
-        fld = HomotopyField(model, p.lam, mu=mu)
-        out.append(integrate(fld, PhaseState(0.0, p.x, p.y), model.period,
-                             opts.integrate))
-    return out
 
 
 def normalized_profile(trajs: list[Trajectory]) -> dict:

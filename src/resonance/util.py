@@ -16,17 +16,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def gl_panels(a: float, b: float, n_panels: int, order: int = 10):
-    """Composite Gauss-Legendre nodes/weights over [a, b]."""
-    xs, ws = gauss_legendre(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    weights = (half[:, None] * ws[None, :]).ravel()
-    return nodes, weights
-
-
 def fmt_float(v: float) -> str:
     """17 significant digits: round-trips any IEEE double."""
     return format(float(v), ".17g")

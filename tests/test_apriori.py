@@ -72,6 +72,25 @@ def test_envelope_ordering_and_monotonicity(band_kit):
     assert np.all(env.f2 < 0)
 
 
+@pytest.mark.parametrize("model, calls", [
+    (rm.make_cubic_band(), 200 + 4096),
+    (rm.make_singular_band(), 67 + 4096),
+], ids=["full-line", "singular"])
+def test_envelopes_scan_for_the_threshold_once(monkeypatch, model, calls):
+    # one threshold scan (200 points toward -1e6 on the full line, up to the
+    # first f2 >= 0 below x = 1 in singular mode), then one t-sweep per node
+    counted = []
+    original = rm.NonlinearityModel.f_over_t
+
+    def f_over_t(self, t_grid, x):
+        counted.append(x)
+        return original(self, t_grid, x)
+
+    monkeypatch.setattr(rm.NonlinearityModel, "f_over_t", f_over_t)
+    ap.build_envelopes(model)
+    assert len(counted) == calls
+
+
 def test_no_threshold_for_everywhere_positive_model():
     model = _flat_model(lambda x: 1.0 + x * x)
     with pytest.raises(ValueError):

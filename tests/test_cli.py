@@ -2,9 +2,12 @@ import json
 import math
 import os
 
+import dataclasses
+
 import pytest
 
 from resonance import cli
+from resonance import solver as sv
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -83,10 +86,31 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "mu": "big"}, ["mu", "finite"]),
     ({"model": _BAND, "mu": math.inf}, ["mu", "finite"]),
     ({"model": _BAND, "radial": 2}, ["radial", "object"]),
+    ({"model": _BAND, "tolerances": {"rtol": -1}},
+     ["tolerances.rtol", "positive"]),
+    ({"model": _BAND, "tolerances": {"max_step": 0}},
+     ["tolerances.max_step", "positive"]),
+    ({"model": _BAND, "tolerances": {"newton_tol": math.nan}},
+     ["tolerances.newton_tol", "finite"]),
+    ({"model": _BAND, "tolerances": {"atol": math.inf}},
+     ["tolerances.atol", "finite"]),
+    ({"model": dict(_BAND, T=math.nan)}, ["model.T", "finite"]),
+    ({"model": dict(_BAND, T=math.inf)}, ["model.T", "finite"]),
+    ({"model": dict(_BAND, T=True)}, ["model.T"]),
+    ({"model": dict(_BAND, N=True)}, ["model.N", "positive integer"]),
+    ({"model": _BAND, "grids": {"t_points": 96}}, ["unknown keys", "t_points"]),
+    ({"model": _BAND, "grids": {"x_points": 4096}},
+     ["unknown keys", "x_points"]),
+    ({"model": _BAND, "grids": {"lambda_points": 1}},
+     ["grids.lambda_points", "at least 2"]),
 ], ids=["family-param", "family", "grid-type", "grid-range", "tolerance",
         "unknown-identifier", "parse-error", "family-param-type",
         "linear-resonant-even-N", "radial-nu-type", "radial-k-range",
-        "radial-k-order", "mu-type", "mu-finite", "section-type"])
+        "radial-k-order", "mu-type", "mu-finite", "section-type",
+        "tolerance-negative", "tolerance-zero", "tolerance-nan",
+        "tolerance-inf", "period-nan", "period-inf", "period-bool",
+        "band-index-bool", "grid-t-points", "grid-x-points",
+        "grid-one-lambda"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
     path = tmp_path / "bad.json"
@@ -121,6 +145,38 @@ def test_tol_override_parsing(tmp_path):
     assert out["tolerances"]["rtol"] == 1e-9
     with pytest.raises(cli.ConfigError):
         cli.apply_tol_overrides(cfg, ["nonsense=1"])
+    # every tolerance is a finite positive number, from the command line too
+    for bad in ("rtol=abc", "rtol=nan", "atol=inf", "rtol=-1", "max_step=0"):
+        key = bad.split("=")[0]
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.validate_config(cli.apply_tol_overrides(cfg, [bad]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": _BAND}))
+    assert cli.main(["verify", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--tol-override",
+                     "rtol=abc"]) == cli.EXIT_CONFIG
+
+
+def test_build_opts_fills_only_the_keys_the_config_gives():
+    # SolveOpts holds the defaults; the config overrides field by field
+    default = sv.SolveOpts()
+    assert cli.build_opts(cli.validate_config({"model": _BAND})) == default
+    assert cli.build_opts(cli.validate_config(
+        {"model": _BAND, "tolerances": {}, "grids": {"tau_points": 16}})) \
+        == default
+    given = {"rtol": 1e-9, "atol": 2e-9, "event_tol": 3e-9, "max_step": 0.5}
+    for key, val in given.items():
+        opts = cli.build_opts(cli.validate_config(
+            {"model": _BAND, "tolerances": {key: val}}))
+        assert opts == dataclasses.replace(default, integrate=dataclasses
+                                           .replace(default.integrate,
+                                                    **{key: val}))
+    opts = cli.build_opts(cli.validate_config(
+        {"model": _BAND, "tolerances": {"newton_tol": 4e-9}}))
+    assert opts == dataclasses.replace(default, newton_tol=4e-9)
+    opts = cli.build_opts(cli.validate_config(
+        {"model": _BAND, "grids": {"lambda_points": 9}}))
+    assert opts == dataclasses.replace(default, lambda_points=9)
 
 
 def test_expression_model_roundtrip():

@@ -126,11 +126,29 @@ def _random_ast(rng: random.Random, depth: int) -> ex.Expr:
 
 
 def test_print_parse_roundtrip_on_random_trees():
+    # each tree also runs its compiled forms against evaluate at 10 points:
+    # the scalar form bit for bit, the vector form to 1e-12, and where
+    # evaluate raises DomainError the scalar form must raise as well
     rng = random.Random(20240817)
+    pts = random.Random(7)
     for _ in range(1000):
         tree = _random_ast(rng, rng.randint(1, 5))
         printed = ex.to_source(tree)
         assert ex.parse(printed) == tree, printed
+        fast, vec = ex.compile_scalar(tree), ex.compile_vector_t(tree)
+        for _ in range(10):
+            t, x = pts.uniform(-4.0, 4.0), pts.uniform(-4.0, 4.0)
+            try:
+                want = ex.evaluate(tree, t, x)
+            except ex.DomainError:
+                with pytest.raises((ArithmeticError, ValueError)):
+                    fast(t, x)
+                continue
+            assert float.hex(fast(t, x)) == float.hex(want), (printed, t, x)
+            with np.errstate(all="ignore"):
+                got = float(vec(np.array([t]), x)[0])
+            assert np.isclose(got, want, rtol=1e-12, atol=1e-12,
+                              equal_nan=True), (printed, t, x)
 
 
 # table-driven oracle corpus: 20 expressions x 20 points, independent lambdas
