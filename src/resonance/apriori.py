@@ -11,20 +11,29 @@ a periodic orbit must stay R0-large for a whole period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
                         crossing_times, integrate)
-from .model import SINGULAR, NonlinearityModel
+from .model import (ENVELOPE_T_POINTS, SINGULAR, NonlinearityModel,
+                    periodic_grid)
 
 __all__ = [
     "EnvelopePair", "AprioriKit", "TableRangeError",
     "build_envelopes", "map_T", "map_L", "map_M", "probe_R0", "build_kit",
     "lap_report", "check_elastic", "N_measure", "probe_N0",
 ]
+
+
+ENVELOPE_X_POINTS = 4096        # geometric nodes of the envelope table ...
+ENVELOPE_X_FAR = 1e6            # ... reaching out to |x| = 1e6
+R0_PROBES = 8                   # probe orbits per radius (4x at a candidate)
+N0_LEVELS = np.geomspace(32.0, 1e6, 17)   # start levels of the probe_N0 scan
+N0_PROBES = 8                   # probe orbits per level
+ELASTIC_AMPLITUDES = (1e2, 1e3, 1e4)      # check_elastic's amplitude ladder
 
 
 class TableRangeError(ValueError):
@@ -73,29 +82,32 @@ class EnvelopePair:
         return float(xs[k - 1] + w * (xs[k] - xs[k - 1]))
 
 
-def build_envelopes(model: NonlinearityModel, x_points: int = 4096,
-                    t_points: int = 96, x_far: float = 1e6) -> EnvelopePair:
-    """Tabulate f1 = min_t f, f2 = max_t f with cumulative primitives.
+def build_envelopes(model: NonlinearityModel) -> EnvelopePair:
+    """Tabulate f1 = min_t f, f2 = max_t f (model.t_envelope at
+    ENVELOPE_T_POINTS times) on ENVELOPE_X_POINTS nodes out to
+    ENVELOPE_X_FAR (down to 1e-6 in singular mode), with cumulative
+    primitives.
 
     The threshold (d on the full line, delta in singular mode) is detected
     as the widest range next to the relevant end on which f2 < 0; on the
     full line d is clamped to <= -1 so the interpolation zone of the
     comparison field stays out of the envelope region.
     """
-    t_grid = np.linspace(0.0, model.period, t_points, endpoint=False)
+    t_grid = periodic_grid(model.period, ENVELOPE_T_POINTS)
     singular = model.domain == SINGULAR
+    scan = np.geomspace(1e-3, ENVELOPE_X_FAR, 200)
 
     base = None
     if singular:
-        # the last x of the stretch (0, x] on which f2 < 0
-        for x in np.geomspace(1e-3, x_far, 200):
-            if x > 1.0 or np.max(model.f_over_t(t_grid, float(x))) >= 0.0:
-                break
-            base = float(x)
+        # the last x <= 1 of the stretch (0, x] on which f2 < 0
+        scan = scan[scan <= 1.0]
+        f2 = model.t_envelope(scan, t_grid)[1]
+        lead = np.logical_and.accumulate(~(f2 >= 0.0))
+        if lead[0]:
+            base = float(scan[lead][-1])
     else:
         # the largest |x| end of the sign change: scan walks toward -infinity
-        for x in -np.geomspace(1e-3, x_far, 200):
-            f2v = float(np.max(model.f_over_t(t_grid, float(x))))
+        for x, f2v in zip(-scan, model.t_envelope(-scan, t_grid)[1]):
             if f2v < 0.0 and base is None:
                 base = float(x)
             elif f2v >= 0.0:
@@ -106,16 +118,12 @@ def build_envelopes(model: NonlinearityModel, x_points: int = 4096,
         raise ValueError("no threshold with f2 < 0 found in scan range")
 
     if singular:
-        grid = np.geomspace(1e-6, base, x_points)
+        grid = np.geomspace(1e-6, base, ENVELOPE_X_POINTS)
     else:
-        grid = -np.geomspace(x_far, -base, x_points)  # ascending toward d < 0
+        # ascending toward d < 0
+        grid = -np.geomspace(ENVELOPE_X_FAR, -base, ENVELOPE_X_POINTS)
 
-    f1 = np.empty(x_points)
-    f2 = np.empty(x_points)
-    for i, x in enumerate(grid):
-        fv = np.asarray(model.f_over_t(t_grid, float(x)), dtype=float)
-        f1[i] = float(np.min(fv))
-        f2[i] = float(np.max(fv))
+    f1, f2 = model.t_envelope(grid, t_grid)
     if np.any(f2 >= 0.0):
         raise ValueError("f2 is not negative on the whole envelope range")
 
@@ -123,7 +131,7 @@ def build_envelopes(model: NonlinearityModel, x_points: int = 4096,
     # cumulative trapezoid accumulated from the right
     def primitive(f_tab):
         df = 0.5 * (f_tab[1:] + f_tab[:-1]) * np.diff(grid)
-        out = np.zeros(x_points)
+        out = np.zeros(ENVELOPE_X_POINTS)
         out[:-1] = -np.cumsum(df[::-1])[::-1]
         return out
 
@@ -230,10 +238,11 @@ def _en1_holds(env: EnvelopePair, r: float, kappa: float) -> bool:
 
 
 def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
-             r_grid: Optional[np.ndarray] = None, n_probes: int = 8,
+             r_grid: Optional[np.ndarray] = None,
              opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
     """Smallest grid radius with clockwise probe rotation plus the energy
-    confinement inequalities; diagnostics record which constraint binds."""
+    confinement inequalities; diagnostics record which constraint binds.
+    Each radius is probed by R0_PROBES orbits, a candidate by 4x as many."""
     if env is None:
         env = build_envelopes(fld.model)
     d = env.base
@@ -247,7 +256,7 @@ def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
             diagnostics["failures"][float(r)] = "threshold inside radius"
             continue
         if kappa_pre is None:
-            om, el, cw = _measure_kappa(fld, d, 2.0 * r, n_probes, opts)
+            om, el, cw = _measure_kappa(fld, d, 2.0 * r, R0_PROBES, opts)
             if not cw or om <= 0.0:
                 diagnostics["failures"][float(r)] = "not clockwise"
                 continue
@@ -259,7 +268,7 @@ def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
             diagnostics["failures"][float(r)] = "in-out confinement"
             continue
         # final measurement at the candidate radius
-        om, el, cw = _measure_kappa(fld, d, 2.0 * float(r), 4 * n_probes, opts)
+        om, el, cw = _measure_kappa(fld, d, 2.0 * float(r), 4 * R0_PROBES, opts)
         if not cw or om <= 0.0:
             diagnostics["failures"][float(r)] = "not clockwise at candidate"
             kappa_pre = None
@@ -324,17 +333,13 @@ def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
     traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * period, opts,
                      d=kit.d)
     lap = crossing_times(traj, kit.d)
-    ev_by_time = {ev.t: ev for ev in traj.events}
-
-    def state(t):
-        return ev_by_time[t]
-
-    y2 = state(lap.t2).y
-    x3 = state(lap.t3).x
-    y5 = abs(state(lap.t5).y)
-    x6 = state(lap.t6).x
-    y7 = state(lap.t7).y
-    y8 = state(lap.t8).y
+    state = {ev.t: ev for ev in traj.events}
+    y2 = state[lap.t2].y
+    x3 = state[lap.t3].x
+    y5 = abs(state[lap.t5].y)
+    x6 = state[lap.t6].x
+    y7 = state[lap.t7].y
+    y8 = state[lap.t8].y
 
     t_of = map_T(kit, y5)
     l_of = map_L(kit, y2)
@@ -351,7 +356,7 @@ def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
         T_bound=t_of, L_bound=l_of, M_bound=m_of,
         T_ok=y7 < t_of, L_ok=y8 <= l_of, M_ok=x6 > m_of,
         sandwich_ok=(x3 / c <= abs(y2) <= c * x3
-                     and x3 / c <= abs(state(lap.t4).y) <= c * x3),
+                     and x3 / c <= abs(state[lap.t4].y) <= c * x3),
         polar_ok=polar_ok,
         rotation_ok=mtd.min() > 0.0 if np.all(traj.rho > kit.R0) else None,
     )
@@ -360,23 +365,19 @@ def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
     if not (report["L_ok"] and report["M_ok"]):
         # the shift a = kappa*arcsin(d/R0) is negative as defined; flag
         # whether flipping its sign would have rescued the failed bounds
-        alt = AprioriKit(env=kit.env, d=kit.d, omega0=kit.omega0,
-                         ell0=kit.ell0, kappa=kit.kappa, a=abs(kit.a),
-                         R0=kit.R0, y_hat=kit.y_hat, R_elastic=kit.R_elastic,
-                         n_mode=kit.n_mode, period=kit.period)
+        alt = replace(kit, a=abs(kit.a))
         report["abs_shift_would_pass"] = bool(
             y8 <= map_L(alt, y2) and x6 > map_M(alt, x3))
     return report
 
 
-def check_elastic(fld: HomotopyField, kit: AprioriKit, n_orbits: int = 8,
-                  amplitudes=(1e2, 1e3, 1e4),
-                  opts: IntegrateOpts = IntegrateOpts()) -> dict:
+def check_elastic(fld: HomotopyField, kit: AprioriKit,
+                  n_orbits: int = 8) -> dict:
     """Empirical escape-radius validation plus the vanishing-minimum trend.
 
     Orbits started beyond R_elastic must stay R0-large for a full period;
-    orbits of growing amplitude must show |min x| / sup|x| decreasing
-    toward zero (the left excursion is of lower order).
+    orbits started at the ELASTIC_AMPLITUDES must show |min x| / sup|x|
+    decreasing toward zero (the left excursion is of lower order).
     """
     period = fld.model.period
     start = 1.05 * kit.R_elastic
@@ -384,11 +385,11 @@ def check_elastic(fld: HomotopyField, kit: AprioriKit, n_orbits: int = 8,
     for k in range(n_orbits):
         ang = 2.0 * math.pi * (k + 0.5) / n_orbits
         z0 = PhaseState(0.0, start * math.cos(ang), start * math.sin(ang))
-        traj = integrate(fld, z0, period, opts)
+        traj = integrate(fld, z0, period)
         stays_large.append(bool(traj.min_rho() > kit.R0))
     ratios = []
-    for amp in amplitudes:
-        traj = integrate(fld, PhaseState(0.0, 0.0, float(amp)), period, opts)
+    for amp in ELASTIC_AMPLITUDES:
+        traj = integrate(fld, PhaseState(0.0, 0.0, float(amp)), period)
         ratios.append(float(-np.min(traj.x) / np.max(np.abs(traj.x))))
     decreasing = bool(np.all(np.diff(ratios) < 0))
     return dict(stays_large=stays_large, all_large=all(stays_large),
@@ -421,28 +422,26 @@ def _n_level_states(level: float, n_points: int):
             for k in range(n_points)]
 
 
-def probe_N0(fld: HomotopyField, levels: Optional[np.ndarray] = None,
-             n_probes: int = 8, opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
+def probe_N0(fld: HomotopyField,
+             opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
     """Empirical largeness threshold for the singular phase portrait.
 
-    Scans start levels of 1/x^2 + x^2 + y^2: a level passes when all its
-    probe orbits rotate clockwise about (1, 0) with between n and n+1 laps
-    over one period.  Orbits trade the functional down by a bounded factor
-    while they rotate, so the returned threshold is the worst value the
-    passing probes actually reach (with a small safety margin), together
-    with the start level that realizes it.
+    Scans the start levels N0_LEVELS of 1/x^2 + x^2 + y^2: a level passes
+    when all its N0_PROBES probe orbits rotate clockwise about (1, 0) with
+    between n and n+1 laps over one period.  Orbits trade the functional
+    down by a bounded factor while they rotate, so the returned threshold
+    is the worst value the passing probes actually reach (with a small
+    safety margin), together with the start level that realizes it.
     """
     if fld.regime != SINGULAR:
         raise ValueError("probe_N0 applies to singular fields")
     period = fld.model.period
     n = fld.model.n_mode
-    if levels is None:
-        levels = np.geomspace(32.0, 1e6, 17)
     diag = {"failures": {}, "level_floor": {}}
-    for level in levels:
+    for level in N0_LEVELS:
         ok = True
         reached = math.inf
-        for (x0, y0) in _n_level_states(float(level), n_probes):
+        for (x0, y0) in _n_level_states(float(level), N0_PROBES):
             try:
                 traj = integrate(fld, PhaseState(0.0, x0, y0), period, opts)
             except (ValueError, RuntimeError, ArithmeticError) as e:

@@ -559,16 +559,29 @@ def _set_by_path(cfg: dict, dotted: str, value):
 
 def _cmd_sweep(args) -> int:
     cfg, out = _load_config(args)
-    swc = cfg.get("sweep")
-    if not swc or "param" not in swc or "values" not in swc:
-        raise ConfigError("sweep requires config section {'sweep': {'param', 'values'}}")
+    swc = cfg.get("sweep", {})
+    param, values = swc.get("param"), swc.get("values")
+    if not (isinstance(param, str) and param):
+        raise ConfigError(f"sweep.param must be a dotted config key, "
+                          f"got {param!r}")
+    if not (isinstance(values, list) and values
+            and all(map(_is_finite_number, values))):
+        raise ConfigError(f"sweep.values must be a non-empty list of finite "
+                          f"numbers, got {values!r}")
+    cells = []      # every cell's config is checked before the first runs
+    for i, val in enumerate(values):
+        sub = copy.deepcopy(cfg)
+        del sub["sweep"]
+        _set_by_path(sub, param, val)
+        try:
+            cells.append(validate_config(sub))
+            build_model(cells[-1])
+        except ConfigError as e:
+            raise ConfigError(f"sweep.values[{i}] = {val!r}: {e}") from None
     os.makedirs(out, exist_ok=True)
 
     rows = []
-    for i, val in enumerate(swc["values"]):
-        sub = copy.deepcopy(cfg)
-        sub.pop("sweep")
-        _set_by_path(sub, swc["param"], val)
+    for i, (val, sub) in enumerate(zip(values, cells)):
         try:
             cert = run(sub, os.path.join(out, f"cell_{i:03d}")).cert
         except StageFailure as e:
@@ -577,7 +590,7 @@ def _cmd_sweep(args) -> int:
         rows.append((float(val), "pass",
                      math.nan if cert is None else float(cert.residual)))
     write_csv(os.path.join(out, "atlas.csv"),
-              [swc["param"], "verdict", "residual"], rows)
+              [param, "verdict", "residual"], rows)
     print(f"sweep atlas -> {os.path.join(out, 'atlas.csv')}")
     return EXIT_OK
 

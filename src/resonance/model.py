@@ -19,6 +19,7 @@ from .spectrum import eigenvalue
 
 FULL_LINE = "full_line"
 SINGULAR = "singular"
+ENVELOPE_T_POINTS = 96      # t samples per period of the envelope scans
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,24 @@ class NonlinearityModel:
         if self.f_tarr is not None:
             return self.f_tarr(t_grid, x)
         return np.array([self.f(float(tt), x) for tt in np.atleast_1d(t_grid)])
+
+    def t_envelope(self, xs, t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The t-envelopes f1 = min_t f and f2 = max_t f at each x of xs,
+        one f_over_t call per x.  A 2-D t_grid holds one time window per
+        row, and f1[i], f2[i] then hold one value per window."""
+        t_grid = np.asarray(t_grid, dtype=float)
+        flat = t_grid.ravel()
+        f1, f2 = np.empty((2, len(xs)) + t_grid.shape[:-1])
+        for i, x in enumerate(xs):
+            fv = np.asarray(self.f_over_t(flat, float(x)),
+                            dtype=float).reshape(t_grid.shape)
+            f1[i], f2[i] = fv.min(axis=-1), fv.max(axis=-1)
+        return f1, f2
+
+
+def periodic_grid(period: float, n: int) -> np.ndarray:
+    """n evenly spaced times on [0, period): the grid of every scan over t."""
+    return np.linspace(0.0, period, n, endpoint=False)
 
 
 def split_point(domain: str) -> float:

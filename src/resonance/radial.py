@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrate import (BlowUpError, DomainExitError, HomotopyField,
                         IntegrateOpts, PhaseState, integrate, integrate_system)
-from .model import SINGULAR, NonlinearityModel
+from .model import SINGULAR, NonlinearityModel, periodic_grid
 from .solver import (NewtonError, SingularJacobianError, SolveOpts,
                      homotopy_solve, newton_fixed_point)
 
@@ -26,6 +26,11 @@ __all__ = [
     "angular_progress", "solve_radial_profile", "find_rotating",
     "cartesian_samples", "NoBracketError",
 ]
+
+
+MEAN_F_T_POINTS = 64       # t samples of the t-average of f
+CIRCULAR_TOL = 1e-12       # relative bracket width of the circular balance
+DTHETA_TOL = 1e-6          # |Delta_theta(L) - 2 pi nu / k| that ends a search
 
 
 class NoBracketError(ValueError):
@@ -53,8 +58,9 @@ def effective_field(model: NonlinearityModel, L: float) -> NonlinearityModel:
                              params=dict(model.params, L=L))
 
 
-def _mean_f(model: NonlinearityModel, t_points: int = 64):
-    t_grid = np.linspace(0.0, model.period, t_points, endpoint=False)
+def _mean_f(model: NonlinearityModel):
+    """rho -> the mean of f(t, rho) over MEAN_F_T_POINTS times per period."""
+    t_grid = periodic_grid(model.period, MEAN_F_T_POINTS)
 
     def fbar(rho: float) -> float:
         return float(np.mean(model.f_over_t(t_grid, rho)))
@@ -64,8 +70,9 @@ def _mean_f(model: NonlinearityModel, t_points: int = 64):
 
 def circular_orbit(model: NonlinearityModel, L: float,
                    bracket: Optional[tuple[float, float]] = None,
-                   average_t: bool = False, tol: float = 1e-12) -> float:
-    """Radius of the circular balance f(rho) = L^2/rho^3, by bisection.
+                   average_t: bool = False) -> float:
+    """Radius of the circular balance f(rho) = L^2/rho^3, by bisection to
+    a relative bracket width of CIRCULAR_TOL.
 
     The model must be autonomous unless average_t is set, in which case
     the t-average of f is balanced instead (useful for search estimates).
@@ -78,7 +85,6 @@ def circular_orbit(model: NonlinearityModel, L: float,
     if bracket is None:
         grid = np.geomspace(1e-2, 1e3, 120)
         vals = [balance(float(r)) for r in grid]
-        bracket = None
         for (r1, v1), (r2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
             if v1 < 0.0 < v2:
                 bracket = (float(r1), float(r2))
@@ -93,7 +99,7 @@ def circular_orbit(model: NonlinearityModel, L: float,
         raise NoBracketError(f"bracket {bracket} does not straddle a balance radius")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol * max(1.0, mid):
+        if hi - lo < CIRCULAR_TOL * max(1.0, mid):
             break
         if f_lo * balance(mid) <= 0.0:
             hi = mid
@@ -215,11 +221,11 @@ def _estimate_L_max(model, target_dtheta):
     return 4.0 * L_est
 
 
-def _illinois(model, target, bracket, known, opts, dtheta_tol):
+def _illinois(model, target, bracket, known, opts):
     """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
     (Dowell & Jarratt 1971): the secant root of the two ends, with the
     value at an end halved when that end is kept twice in a row.  Returns
-    (L, Delta_theta, z, residual) at the first L within dtheta_tol of the
+    (L, Delta_theta, z, residual) at the first L within DTHETA_TOL of the
     target, or None."""
     (a, fa), (b, fb) = ((L, dth - target) for L, dth in bracket)
     kept = None              # the end kept at the last step: "a" or "b"
@@ -232,7 +238,7 @@ def _illinois(model, target, bracket, known, opts, dtheta_tol):
         except (NewtonError, SingularJacobianError):
             a = m
             continue
-        if abs(d - target) < dtheta_tol:
+        if abs(d - target) < DTHETA_TOL:
             return m, d, z, r
         if d < target:
             a, fa = m, d - target
@@ -255,8 +261,8 @@ _SOLVE_ERRORS = (RuntimeError, ArithmeticError, NoBracketError)
 
 
 def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
-                  opts: SolveOpts = SolveOpts(), k_min: int = 1,
-                  dtheta_tol: float = 1e-6) -> tuple[list[RotatingSolution], Optional[int]]:
+                  opts: SolveOpts = SolveOpts(), k_min: int = 1
+                  ) -> tuple[list[RotatingSolution], Optional[int]]:
     """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k.
 
     For each k the angular advance over one rho-period must equal
@@ -265,7 +271,8 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     of known L values, smallest L first, that straddles the target; a
     12-point geometric scan in L runs only when there is none.  Inside
     the bracket L is refined by Illinois steps (regula falsi that halves
-    the stale end's value when the same end is kept twice).  Profile
+    the stale end's value when the same end is kept twice) until the
+    advance is within DTHETA_TOL of the target.  Profile
     solves start from the profile at the nearest known L.  Returns the
     solutions found and the smallest succeeding k.
     """
@@ -289,7 +296,7 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
                 bracket = _known_bracket(known, target)
             if bracket is None:
                 continue
-            best = _illinois(model, target, bracket, known, opts, dtheta_tol)
+            best = _illinois(model, target, bracket, known, opts)
             if best is None:
                 continue
             L_star, dth, z, res = best

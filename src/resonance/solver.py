@@ -368,8 +368,11 @@ def homotopy_solve(model: NonlinearityModel,
     the surviving path (status "lost") so blow-up families remain
     inspectable.  diagnostics names the initial guess that converged at the
     first lambda, counts the lambda-step halvings and says whether the
-    winding search ran.
+    winding search ran.  lambda_points below 2 raise ValueError.
     """
+    if opts.lambda_points < 2:
+        raise ValueError(f"opts.lambda_points must be at least 2, "
+                         f"got {opts.lambda_points}")
     if gate is not None:
         report = gate(model)
         if not report.get("passed", False):

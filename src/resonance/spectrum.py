@@ -24,6 +24,8 @@ SIMPLE_RESONANCE = "simple_resonance"
 DOUBLE_RESONANCE = "double_resonance"
 UNBOUNDED_DOUBLE_RESONANCE = "unbounded_double_resonance"
 
+CURVE_MU_SPAN = 1e6    # sample_curve samples C_j for mu in (mu_j, 1e6 mu_j]
+
 
 @dataclass(frozen=True)
 class SpectrumPoint:
@@ -152,14 +154,13 @@ def classify(w: AsymptoticRectangle, period: float):
     return DOUBLE_RESONANCE, contacts
 
 
-def sample_curve(j: int, period: float, n: int = 200, mu_max: float = None):
-    """Points (mu, nu) along C_j on a log grid in mu, for plotting/CSV."""
+def sample_curve(j: int, period: float, n: int = 200):
+    """Points (mu, nu) along C_j on a log grid in mu from mu_j out to
+    CURVE_MU_SPAN * mu_j, for plotting/CSV."""
     if j == 0:
-        out = [(0.0, 0.0)]
-        return out
+        return [(0.0, 0.0)]
     mu_j = eigenvalue(j, period)
-    if mu_max is None:
-        mu_max = mu_j * 1e6
+    mu_max = mu_j * CURVE_MU_SPAN
     pts = []
     for k in range(n):
         mu = mu_j * (mu_max / mu_j) ** ((k + 1) / n)

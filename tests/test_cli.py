@@ -408,6 +408,36 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
     assert verdicts[1].startswith("fail")
 
 
+@pytest.mark.parametrize("sweep, names", [
+    ({"param": "model.params.forcing", "values": 5}, ["sweep.values"]),
+    ({"param": "model.params.forcing", "values": []}, ["sweep.values"]),
+    ({"param": "model.params.forcing", "values": [0.5, math.nan]},
+     ["sweep.values"]),
+    ({"param": 5, "values": [0.5]}, ["sweep.param"]),
+    ({"param": "tolerances.rtol", "values": [1e-11, -1]},
+     ["sweep.values[1]", "tolerances.rtol", "positive"]),
+    ({"param": "model.N", "values": [2, 2.5]},
+     ["sweep.values[1]", "model.N", "positive integer"]),
+], ids=["values-scalar", "values-empty", "values-nan", "param-type",
+        "cell-tolerance", "cell-band-index"])
+def test_sweep_checks_every_cell_before_running_one(tmp_path, capsys, sweep,
+                                                    names):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"family": "cubic_band", "T": 2 * math.pi, "N": 2,
+                  "params": {"forcing": 0.5}},
+        "sweep": sweep,
+    }))
+    out = tmp_path / "atlas_out"
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for name in names:
+        assert name in err
+    assert not list(tmp_path.glob("**/cell_*"))
+
+
 def test_floats_serialized_with_17_digits(tmp_path):
     from resonance.util import fmt_float
     v = 1.0 / 3.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 import resonance.model as rm
 from resonance.spectrum import eigenvalue
+from resonance import apriori as ap
 from resonance import conditions as cd
 
 T2PI = 2 * math.pi
@@ -381,3 +383,34 @@ def test_window_ratios_pinned_in_float_hex(name):
     model, direction = _golden_model(name)
     rep = cd.check_H(model, direction)
     assert _hex(rep["ratios"]) == _GOLDEN["models"][name]["check_H_ratios"]
+
+
+# the hypothesis validators and the a-priori envelope table, pinned the same
+# way: validate_A (full line) or validate_A0_Ainf (singular) in float.hex,
+# and build_envelopes by a sha256 of the hex of x, f1, f2, F1, F2 and base
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
+def test_hypothesis_validators_pinned_in_float_hex(name):
+    model, _ = _golden_model(name)
+    table = _GOLDEN["models"][name]
+    if model.domain == rm.SINGULAR:
+        rep, want = cd.validate_A0_Ainf(model), table["validate_A0_Ainf"]
+        assert float(rep["delta_found"]).hex() == want["delta_found"]
+        for i in (1, 2):
+            assert _hex(rep["wall_integrals"][i]) == want["wall_integrals"][str(i)]
+    else:
+        rep, want = cd.validate_A(model), table["validate_A"]
+        assert _hex(rep["left_ratios"]) == want["left_ratios"]
+        assert _hex(rep["band_constant_prefix"]) == want["band_constant_prefix"]
+    assert float(rep["band_constant"]).hex() == want["band_constant"]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
+def test_envelope_table_pinned_by_digest(name):
+    model, _ = _golden_model(name)
+    env = ap.build_envelopes(model)
+    blob = " ".join(_hex(env.x) + _hex(env.f1) + _hex(env.f2) + _hex(env.F1)
+                    + _hex(env.F2) + [float(env.base).hex()])
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == _GOLDEN["models"][name]["build_envelopes_sha256"]

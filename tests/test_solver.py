@@ -224,6 +224,15 @@ def test_homotopy_reports_halvings_and_winding_search(band_certificate):
     assert len(cert.path) == sv.SolveOpts().lambda_points
 
 
+@pytest.mark.parametrize("points", [1, 0])
+def test_homotopy_rejects_a_grid_without_the_model(points):
+    # one lambda point is lambda = 0 alone: the comparison field, never the
+    # model whose fixed point the certificate would claim
+    with pytest.raises(ValueError, match="lambda_points must be at least 2"):
+        sv.homotopy_solve(rm.make_cubic_band(),
+                          opts=sv.SolveOpts(lambda_points=points))
+
+
 def test_homotopy_orbit_is_the_certified_trajectory(band_certificate):
     # the corrector's last integration is reused, not repeated: it must be
     # bit-identical to a fresh one
