@@ -433,7 +433,7 @@ def probe_N0(fld: HomotopyField,
     is the worst value the passing probes actually reach (with a small
     safety margin), together with the start level that realizes it.
     """
-    if fld.regime != SINGULAR:
+    if fld.model.domain != SINGULAR:
         raise ValueError("probe_N0 applies to singular fields")
     period = fld.model.period
     n = fld.model.n_mode

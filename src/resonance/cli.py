@@ -42,7 +42,15 @@ EXIT_APRIORI = 5
 EXIT_SOLVER = 6
 EXIT_RADIAL = 7
 
-THEOREMS = ("main", "main2", "singular-weak", "singular-strong", "radial")
+# theorem -> (the model's domain, the sign-condition profile); the
+# window-ratio check (H) runs exactly under the ABS_SINE profile
+THEOREMS = {
+    "main": (rm.FULL_LINE, cd.TRUNCATED_SINE),
+    "main2": (rm.FULL_LINE, cd.ABS_SINE),
+    "singular-weak": (rm.SINGULAR, cd.TRUNCATED_SINE),
+    "singular-strong": (rm.SINGULAR, cd.ABS_SINE),
+    "radial": (rm.SINGULAR, cd.TRUNCATED_SINE),
+}
 
 
 class ConfigError(ValueError):
@@ -60,13 +68,11 @@ class StageFailure(RuntimeError):
 # pipeline stages in run order; the radial theorem runs "radial" in place
 # of "apriori" and "solve"
 STAGES = ("hypotheses", "sign_conditions", "apriori", "solve", "radial")
-_SINGULAR_THEOREMS = ("singular-weak", "singular-strong", "radial")
-_ABS_SINE_THEOREMS = ("main2", "singular-strong")
 _RADIAL_DEFAULTS = {"nu": 1, "k_max": 4, "k_min": 1}
 
 _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
-             "out_dir", "seed", "mu"}
+             "out_dir"}
 _TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
 _GRID_KEYS = {"tau_points", "lambda_points"}
 _SWEEP_KEYS = {"param", "values"}
@@ -106,8 +112,7 @@ def _check_family(family, params):
                     f"model.params of family {family!r}")
     for key, val in params.items():
         # the family substitutes its parameters into an expression template
-        if key != "name" and not (isinstance(val, (int, float))
-                                  and math.isfinite(val)):
+        if not (isinstance(val, (int, float)) and math.isfinite(val)):
             raise ConfigError(f"model.params.{key} must be a finite number, "
                               f"got {val!r}")
 
@@ -131,8 +136,7 @@ def validate_config(cfg: dict) -> dict:
     if not _is_positive_int(mc["N"]):
         raise ConfigError(f"model.N must be a positive integer, "
                           f"got {mc['N']!r}")
-    domain = mc.get("domain", rm.FULL_LINE)
-    if domain not in (rm.FULL_LINE, rm.SINGULAR):
+    if mc.get("domain", rm.FULL_LINE) not in (rm.FULL_LINE, rm.SINGULAR):
         raise ConfigError("model.domain must be 'full_line' or 'singular'")
     has_expr = "f" in mc
     has_piece = "f_left" in mc and "f_right" in mc
@@ -143,7 +147,7 @@ def validate_config(cfg: dict) -> dict:
         _check_family(mc["family"], mc.get("params") or {})
     theorem = cfg.get("theorem", "main")
     if theorem not in THEOREMS:
-        raise ConfigError(f"theorem must be one of {THEOREMS}")
+        raise ConfigError(f"theorem must be one of {tuple(THEOREMS)}")
     for section, keys in (("tolerances", _TOL_KEYS), ("grids", _GRID_KEYS),
                           ("radial", set(_RADIAL_DEFAULTS)),
                           ("sweep", _SWEEP_KEYS)):
@@ -171,9 +175,6 @@ def validate_config(cfg: dict) -> dict:
     if radial["k_min"] > radial["k_max"]:
         raise ConfigError(f"radial.k_min ({radial['k_min']}) exceeds "
                           f"radial.k_max ({radial['k_max']})")
-    mu = cfg.get("mu")
-    if mu is not None and not _is_finite_number(mu):
-        raise ConfigError(f"mu must be a finite number, got {mu!r}")
     out = copy.deepcopy(cfg)
     out.setdefault("theorem", theorem)
     out.setdefault("tolerances", {})
@@ -182,16 +183,32 @@ def validate_config(cfg: dict) -> dict:
 
 
 def build_model(cfg: dict) -> rm.NonlinearityModel:
+    """The configured model on its theorem's domain.
+
+    An expression model without model.domain takes the theorem's domain; a
+    family brings its own.  A model.domain or a family's domain other than
+    the theorem's is a config error.
+    """
     mc = cfg["model"]
+    theorem = cfg.get("theorem", "main")
+    domain = THEOREMS[theorem][0]
     period = float(mc["T"])
     n_mode = int(mc["N"])
-    domain = mc.get("domain", rm.FULL_LINE)
+    if mc.get("domain", domain) != domain:
+        raise ConfigError(f"theorem {theorem!r} needs model.domain "
+                          f"{domain!r}, got {mc['domain']!r}")
     if "family" in mc:
         try:
-            return rm.from_family(mc["family"], period, n_mode, mc.get("params"))
+            model = rm.from_family(mc["family"], period, n_mode,
+                                   mc.get("params"))
         except ValueError as e:
             # parameters are numbers by now; what is left is a bad N
             raise ConfigError(f"model.N: {e}") from e
+        if model.domain != domain:
+            raise ConfigError(f"theorem {theorem!r} needs model.domain "
+                              f"{domain!r}, but family {mc['family']!r} is "
+                              f"{model.domain!r}")
+        return model
     for key in ("f", "f_left", "f_right"):
         if key not in mc:
             continue
@@ -310,14 +327,14 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
     produced so far stay on disk.
     """
     cfg = validate_config(cfg)
+    model = build_model(cfg)
     os.makedirs(out_dir, exist_ok=True)
     report = Report()
     _echo_config(report, cfg)
-    res = RunResult(report, build_model(cfg))
-    model, opts, theorem = res.model, build_opts(cfg), cfg["theorem"]
-    singular = theorem in _SINGULAR_THEOREMS
-    abs_sine = theorem in _ABS_SINE_THEOREMS
-    mu = cfg.get("mu")
+    res = RunResult(report, model)
+    opts, theorem = build_opts(cfg), cfg["theorem"]
+    singular = model.domain == rm.SINGULAR
+    variant = THEOREMS[theorem][1]
 
     def beyond(stage):
         return last is not None and STAGES.index(stage) > STAGES.index(last)
@@ -326,9 +343,8 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         report.start("hypotheses")
         rep = cd.validate_A0_Ainf(model) if singular else cd.validate_A(model)
         passed = rep["passed"]
-        if abs_sine:
-            hrep = cd.check_H(model, "x_to_zero_plus" if singular
-                              else "x_to_minus_inf")
+        if variant == cd.ABS_SINE:
+            hrep = cd.check_H(model)
             passed = passed and hrep["passed"]
             report.put("window_ratio.passed", hrep["passed"])
             report.put("window_ratio.worst", hrep["worst_final"])
@@ -340,9 +356,8 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         if beyond("sign_conditions"):
             return res
         report.start("sign_conditions")
-        lo, hi = cd.ll_verdict(
-            model, variant=cd.ABS_SINE if abs_sine else cd.TRUNCATED_SINE,
-            tau_points=cfg["grids"].get("tau_points", 256))
+        lo, hi = cd.ll_verdict(model, variant=variant,
+                               tau_points=cfg["grids"].get("tau_points", 256))
         for side, v in (("lower", lo), ("upper", hi)):
             write_csv(os.path.join(out_dir, f"ll_{side}.csv"),
                       ["tau", "integral"],
@@ -383,7 +398,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
             return res
         report.start("solve")
         try:
-            res.cert = sv.homotopy_solve(model, opts=opts, kit=res.kit, mu=mu)
+            res.cert = sv.homotopy_solve(model, opts=opts, kit=res.kit)
         except _STAGE_ERRORS as e:
             report.fail(EXIT_SOLVER, str(e))
         _write_certificate(res.cert, model, opts, out_dir, report)

@@ -54,14 +54,13 @@ H_PASS_TOL = 0.2            # check_H: largest passing final ratio deviation
 
 @dataclass
 class AsymptoticEnvelope:
-    """Per-t tail estimates of the residue f(t,x) - mu_ref*x as x -> +inf."""
+    """Per-t tail estimates of one residue as x -> +inf: the liminf of
+    f(t,x) - mu_N x (side "lower") or the limsup of f(t,x) - mu_N+1 x
+    (side "upper")."""
 
-    mu_ref: float
     t_grid: np.ndarray
-    lower: np.ndarray           # liminf estimates, may hold +-inf
-    upper: np.ndarray           # limsup estimates
-    lower_stabilized: bool
-    upper_stabilized: bool
+    values: np.ndarray          # may hold +-inf
+    stabilized: bool
 
 
 def _periodic_interp(t_grid, values):
@@ -107,22 +106,23 @@ def _tail_estimate(vals: np.ndarray, mode: str):
     return est, stab
 
 
-def asymptotic_envelope(model: NonlinearityModel, mu_ref: float,
+def asymptotic_envelope(model: NonlinearityModel, side: str,
                         k_max: int = 20) -> AsymptoticEnvelope:
-    """Estimate per-t liminf/limsup of f(t,x) - mu_ref*x along the ladder
-    x = 2^k, k = 0..k_max, at RESIDUE_T_POINTS times per period."""
+    """Estimate the per-t liminf of f(t,x) - mu_N x (side "lower") or the
+    limsup of f(t,x) - mu_N+1 x (side "upper") along the ladder x = 2^k,
+    k = 0..k_max, at RESIDUE_T_POINTS times per period."""
+    n = model.n_mode if side == "lower" else model.n_mode + 1
+    mode = "inf" if side == "lower" else "sup"
     t_grid = periodic_grid(model.period, RESIDUE_T_POINTS)
     xs = 2.0 ** np.arange(k_max + 1)
     table = np.array([model.f_over_t(t_grid, float(x)) for x in xs],
-                     dtype=float) - mu_ref * xs[:, None]
-    lower, upper = np.empty(RESIDUE_T_POINTS), np.empty(RESIDUE_T_POINTS)
-    stab_lo = stab_hi = True
+                     dtype=float) - eigenvalue(n, model.period) * xs[:, None]
+    values = np.empty(RESIDUE_T_POINTS)
+    stabilized = True
     for jt in range(RESIDUE_T_POINTS):
-        lower[jt], s1 = _tail_estimate(table[:, jt], "inf")
-        upper[jt], s2 = _tail_estimate(table[:, jt], "sup")
-        stab_lo = stab_lo and s1
-        stab_hi = stab_hi and s2
-    return AsymptoticEnvelope(mu_ref, t_grid, lower, upper, stab_lo, stab_hi)
+        values[jt], settled = _tail_estimate(table[:, jt], mode)
+        stabilized = stabilized and settled
+    return AsymptoticEnvelope(t_grid, values, stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +347,15 @@ def ll_verdict(model: NonlinearityModel, variant: str = TRUNCATED_SINE,
     LL_MARGIN_FLOOR is inconclusive.
     """
     n, period = model.n_mode, model.period
-    env_lo = asymptotic_envelope(model, eigenvalue(n, period))
-    env_hi = asymptotic_envelope(model, eigenvalue(n + 1, period))
     tau_grid = periodic_grid(period, tau_points)
     reports = []
-    for side, j, env, values, stabilized in (
-            ("lower", n, env_lo, env_lo.lower, env_lo.lower_stabilized),
-            ("upper", n + 1, env_hi, env_hi.upper, env_hi.upper_stabilized)):
-        fn = _periodic_interp(env.t_grid, values)
+    for side, j in (("lower", n), ("upper", n + 1)):
+        env = asymptotic_envelope(model, side)
+        fn = _periodic_interp(env.t_grid, env.values)
         vals = np.array([ll_integral(fn, j, period, variant, float(tau))
                          for tau in tau_grid])
         reports.append(LLReport(variant, side, j, tau_grid, vals,
-                                *_verdict_from(vals, side, stabilized)))
+                                *_verdict_from(vals, side, env.stabilized)))
     return tuple(reports)
 
 
@@ -394,13 +391,14 @@ def _window_primitive_checkpoints(model, taus, zetas, x_checks, base, side):
     return F1[ends].T, F2[ends].T
 
 
-def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf") -> dict:
+def check_H(model: NonlinearityModel) -> dict:
     """Uniformity of the one-sided blow-up order across t.
 
     For shrinking time windows around each tau the primitives of the
     window envelopes must agree to leading order: their ratio at deep
     checkpoints tends to 1 uniformly in tau exactly when the superlinear
-    (or singular) part has the same order for every t.  The windows have
+    (or singular) part has the same order for every t: toward -inf on the
+    full line, toward the wall at 0+ in singular mode.  The windows have
     the half-widths H_ZETAS around H_TAU_POINTS centres, the checkpoints
     lie H_X_SCALES away from the base (as 1/scale toward the wall).
     Verdict: the worst deviation at the smallest window must be below
@@ -408,14 +406,12 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf") -> dict
     along the checkpoints.  f is evaluated once per quadrature node, on
     the windows of all (zeta, tau) cells at once.
     """
-    if direction == "x_to_minus_inf":
+    if model.domain == FULL_LINE:
         side, base = "left", 0.0
         x_checks = [-float(s) for s in H_X_SCALES]
-    elif direction == "x_to_zero_plus":
+    else:
         side, base = "wall", 1.0
         x_checks = [1.0 / float(s) for s in H_X_SCALES]
-    else:
-        raise ValueError("direction must be x_to_minus_inf or x_to_zero_plus")
 
     tau_grid = periodic_grid(model.period, H_TAU_POINTS)
     # cells in (zeta, tau) order, tau varying fastest
@@ -435,7 +431,7 @@ def check_H(model: NonlinearityModel, direction: str = "x_to_minus_inf") -> dict
     shrink_ok = d_final <= 0.75 * d_first + 1e-9
     x_stable = d_final <= 1.25 * float(dev[-1, -2]) + 1e-9
     passed = (d_final <= H_PASS_TOL) and shrink_ok and x_stable
-    return dict(passed=passed, direction=direction, zetas=list(H_ZETAS),
+    return dict(passed=passed, zetas=list(H_ZETAS),
                 x_checks=x_checks, tau_grid=tau_grid, ratios=ratios,
                 deviation_table=dev, worst_final=d_final,
                 shrink_ok=shrink_ok, x_stable=x_stable)

@@ -132,10 +132,6 @@ class HomotopyField:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
 
-    @property
-    def regime(self) -> str:
-        return self.model.domain
-
     @cached_property
     def mu_mid(self) -> float:
         if self.mu is not None:
@@ -151,7 +147,7 @@ class HomotopyField:
     def _h(self) -> Callable[[float, float], float]:
         mu = self.mu_mid
         f = self.model.f
-        if self.regime == FULL_LINE:
+        if self.model.domain == FULL_LINE:
             def h(t, x):
                 if x < -1.0:
                     return f(t, x)
@@ -179,7 +175,7 @@ class HomotopyField:
         lam_h = 1.0 - lam
         mu = self.mu_mid
         # the blend of h, written out so that f is evaluated once per call
-        if self.regime == FULL_LINE:
+        if self.model.domain == FULL_LINE:
             def g(t, x):
                 fx = f(t, x)
                 if x < -1.0:
@@ -201,7 +197,7 @@ class HomotopyField:
 
 def g_lambda(fld: HomotopyField, t: float, x: float) -> float:
     """Value of the interpolated nonlinearity; exact endpoints at lam 0/1."""
-    if fld.regime == SINGULAR and x <= 0.0:
+    if fld.model.domain == SINGULAR and x <= 0.0:
         raise DomainExitError(t, x, 0.0)
     return fld.g(t, x)
 
@@ -292,7 +288,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     Raises BlowUpError on step underflow with a growing state and
     DomainExitError when a singular-mode solution reaches the wall.
     """
-    singular = fld.regime == SINGULAR
+    singular = fld.model.domain == SINGULAR
     if singular and z0.x <= 0.0:
         raise DomainExitError(z0.t, z0.x, z0.y)
     if not (math.isfinite(z0.x) and math.isfinite(z0.y)):
@@ -468,7 +464,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
     meta = dict(rtol=opts.rtol, atol=opts.atol, event_tol=opts.event_tol,
-                d=d, lam=fld.lam, regime=fld.regime)
+                d=d, lam=fld.lam, domain=fld.model.domain)
     if rider is not None:
         meta["rider"] = r
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),

@@ -9,7 +9,7 @@ its scalar and vector forms are generated from the same trees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,9 +40,6 @@ class NonlinearityModel:
     domain: str = FULL_LINE
     n_mode: int = 1
     f_tarr: Optional[Callable] = None
-    source: Optional[str] = None
-    name: str = "model"
-    params: dict = field(default_factory=dict)
     trees: tuple = ()
 
     def f_over_t(self, t_grid: np.ndarray, x: float) -> np.ndarray:
@@ -75,19 +72,16 @@ def split_point(domain: str) -> float:
 
 
 def from_expression(source: str, period: float, domain: str = FULL_LINE,
-                    n_mode: int = 1, name: str = "expr",
-                    params: dict | None = None) -> NonlinearityModel:
+                    n_mode: int = 1) -> NonlinearityModel:
     tree = ex.parse(source)
     return NonlinearityModel(
         f=ex.compile_scalar(tree), period=period, domain=domain, n_mode=n_mode,
-        f_tarr=ex.compile_vector_t(tree), source=source, name=name,
-        params=dict(params or {}), trees=(tree,))
+        f_tarr=ex.compile_vector_t(tree), trees=(tree,))
 
 
 def from_piecewise(left_src: str, right_src: str, period: float,
-                   domain: str = FULL_LINE, n_mode: int = 1,
-                   name: str = "piecewise",
-                   params: dict | None = None) -> NonlinearityModel:
+                   domain: str = FULL_LINE,
+                   n_mode: int = 1) -> NonlinearityModel:
     """Two expressions glued at split_point(domain), the left one strictly
     below it; continuity is the user's responsibility."""
     split = split_point(domain)
@@ -95,8 +89,6 @@ def from_piecewise(left_src: str, right_src: str, period: float,
     return NonlinearityModel(f=ex.compile_scalar(left, right, split),
                              period=period, domain=domain, n_mode=n_mode,
                              f_tarr=ex.compile_vector_t(left, right, split),
-                             source=f"[x<{split}] {left_src} | {right_src}",
-                             name=name, params=dict(params or {}),
                              trees=(left, right))
 
 
@@ -125,7 +117,7 @@ _SINGULAR_WALL = ("{mu_mid}*x - (1 + {wobble}*sin({om}*t)*sin({om}*t))/x^5"
 
 def make_cubic_band(period: float = 2 * math.pi, n_mode: int = 2,
                     forcing: float = 0.5, lift: float = 1.0, drop: float = 1.0,
-                    oscillating: bool = True, name: str = "cubic_band") -> NonlinearityModel:
+                    oscillating: bool = True) -> NonlinearityModel:
     """Superlinear (cubic) left side, band-limited right side, bounded forcing.
 
     Right side stays between mu_N x - c and mu_N+1 x + c; with
@@ -142,27 +134,23 @@ def make_cubic_band(period: float = 2 * math.pi, n_mode: int = 2,
     else:
         right = _fill(_MIDBAND_RIGHT, mu_mid=0.5 * (mu_lo + mu_hi), **values)
     return from_piecewise(_fill(_CUBIC_LEFT, **values), right, period,
-                          FULL_LINE, n_mode, name,
-                          params=dict(forcing=forcing, lift=lift, drop=drop,
-                                      oscillating=oscillating))
+                          FULL_LINE, n_mode)
 
 
 def make_resonant_edge(period: float = 2 * math.pi, n_mode: int = 2,
-                       offset: float = 1.0, forcing: float = 0.5,
-                       name: str = "resonant_edge") -> NonlinearityModel:
+                       offset: float = 1.0,
+                       forcing: float = 0.5) -> NonlinearityModel:
     """Cubic left side, right side pinned to the upper band edge mu_N+1 with a
     positive residue: the sign condition against the (N+1)-profile fails."""
     values = dict(forcing=forcing, om=2 * math.pi / period)
     right = _fill(_EDGE_RIGHT, mu_hi=eigenvalue(n_mode + 1, period),
                   offset=offset, **values)
     return from_piecewise(_fill(_CUBIC_LEFT, **values), right, period,
-                          FULL_LINE, n_mode, name,
-                          params=dict(offset=offset, forcing=forcing))
+                          FULL_LINE, n_mode)
 
 
 def make_linear_resonant(period: float = 2 * math.pi, n_mode: int = 3,
-                         forcing: float = 1.0,
-                         name: str = "linear_resonant") -> NonlinearityModel:
+                         forcing: float = 1.0) -> NonlinearityModel:
     """f = (2 pi m / T)^2 x + forcing cos(2 pi m t / T) with m = (N + 1)/2,
     so N is odd: the forcing pumps the eigenmode, so no T-periodic solution
     exists at all (the textbook obstruction case)."""
@@ -171,19 +159,17 @@ def make_linear_resonant(period: float = 2 * math.pi, n_mode: int = 3,
                          f"be odd; got N = {n_mode}")
     mom = (n_mode + 1) // 2 * (2 * math.pi / period)
     return from_expression(_fill(_LINEAR, mu=mom ** 2, forcing=forcing, mom=mom),
-                           period, FULL_LINE, n_mode, name,
-                           params=dict(forcing=forcing))
+                           period, FULL_LINE, n_mode)
 
 
 def make_singular_band(period: float = 2 * math.pi, n_mode: int = 2,
-                       wobble: float = 1.0, name: str = "singular_band") -> NonlinearityModel:
+                       wobble: float = 1.0) -> NonlinearityModel:
     """Attractive wall -(1 + wobble sin^2 t) x^-5 - x^-3 plus a midband linear
     tail: repulsive strong singularity at 0, linear band growth at infinity."""
     mu_mid = 0.5 * (eigenvalue(n_mode, period) + eigenvalue(n_mode + 1, period))
     source = _fill(_SINGULAR_WALL, mu_mid=mu_mid, wobble=wobble,
                    om=2 * math.pi / period)
-    return from_expression(source, period, SINGULAR, n_mode, name,
-                           params=dict(wobble=wobble))
+    return from_expression(source, period, SINGULAR, n_mode)
 
 
 FAMILIES = {

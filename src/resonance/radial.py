@@ -10,7 +10,7 @@ close up into kT-periodic orbits making exactly nu revolutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,9 +53,7 @@ def effective_field(model: NonlinearityModel, L: float) -> NonlinearityModel:
         return np.asarray(model.f_over_t(t, x), dtype=float) - L2 / x ** 3
 
     return NonlinearityModel(f=f_eff, period=model.period, domain=SINGULAR,
-                             n_mode=model.n_mode, f_tarr=f_eff_tarr,
-                             name=f"{model.name}+L^2/r^3",
-                             params=dict(model.params, L=L))
+                             n_mode=model.n_mode, f_tarr=f_eff_tarr)
 
 
 def _mean_f(model: NonlinearityModel):

@@ -185,7 +185,7 @@ def boundary_degree(fld: HomotopyField, radius: float,
     (singular mode).  Samples are refined until adjacent angular increments
     stay below pi/2; a fixed point on the curve is an error.
     """
-    curve = (n_level_curve(radius) if fld.regime == SINGULAR
+    curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
              else circle_curve(radius))
     io = opts.integrate
     cache: dict[float, tuple[float, float, float]] = {}
@@ -275,7 +275,7 @@ def degree_search(fld: HomotopyField, radius: float,
     small cells seed Newton.  Returns converged fixed points (z, residual)
     sorted by residual.
     """
-    if fld.regime == SINGULAR:
+    if fld.model.domain == SINGULAR:
         box = (1e-3, max(2.0, radius), -radius, radius)
     else:
         box = (-radius, radius, -radius, radius)
@@ -314,7 +314,7 @@ def degree_search(fld: HomotopyField, radius: float,
 
 
 def _initial_guesses(fld: HomotopyField):
-    if fld.regime == FULL_LINE:
+    if fld.model.domain == FULL_LINE:
         yield (0.0, 0.0)
         for r in (0.5, 1.0, 2.0, 4.0):
             yield (r, 0.0)
@@ -326,10 +326,10 @@ def _initial_guesses(fld: HomotopyField):
         yield (1.0, -1.0)
 
 
-def _solve_at_lambda(model, lam, tol, opts, mu=None):
+def _solve_at_lambda(model, lam, tol, opts):
     """First initial guess from which Newton converges:
     (guess, z, residual, orbit)."""
-    fld = HomotopyField(model, lam, mu=mu)
+    fld = HomotopyField(model, lam)
     last_err = None
     for g in _initial_guesses(fld):
         try:
@@ -344,39 +344,33 @@ def _solve_at_lambda(model, lam, tol, opts, mu=None):
 
 def homotopy_solve(model: NonlinearityModel,
                    opts: SolveOpts = SolveOpts(), kit=None,
-                   gate: Optional[Callable] = None,
-                   compute_degree: bool = True,
-                   mu: Optional[float] = None) -> PeriodicCertificate:
+                   compute_degree: bool = True) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
-    gate, when given, is called with the model and must return a dict with
-    a true "passed" entry before any integration starts.  Continuation runs
-    Newton correctors over opts.lambda_points evenly spaced lambdas in
-    [0, 1] with adaptive halving and a winding-guided cell search as fallback;
-    the search box and the certifying radius are the kit's R_elastic when a
-    kit is given.  On success the fixed point at the last grid lambda is
-    certified (residual, rotation count, boundary winding at the certifying
-    radius).  With the winding comes the local index sign det D(P - I) at
-    the fixed point, from one finite-difference Jacobian; diagnostics notes
-    "other fixed points inside R" when it differs from the winding.  A
-    waypoint below the last grid lambda only seeds the next predictor, so
-    its corrector stops at sqrt(newton_tol); only the certified point is
-    polished to newton_tol.  A waypoint whose orbit amplitude more than
-    quadruples over a secant step has jumped across a fold: it must also
-    meet newton_tol, and the predictor restarts from it.  Each path point's
-    residual is the one its corrector reached.  A lost continuation returns
-    the surviving path (status "lost") so blow-up families remain
-    inspectable.  diagnostics names the initial guess that converged at the
-    first lambda, counts the lambda-step halvings and says whether the
-    winding search ran.  lambda_points below 2 raise ValueError.
+    Continuation runs Newton correctors over opts.lambda_points evenly
+    spaced lambdas in [0, 1] with adaptive halving and a winding-guided
+    cell search as fallback; the search box and the certifying radius are
+    the kit's R_elastic when a kit is given.  Checking the hypotheses
+    (conditions.validate_A or validate_A0_Ainf) is the caller's part.  On
+    success the fixed point at the last grid lambda is certified (residual,
+    rotation count, boundary winding at the certifying radius).  With the
+    winding comes the local index sign det D(P - I) at the fixed point,
+    from one finite-difference Jacobian; diagnostics notes "other fixed
+    points inside R" when it differs from the winding.  A waypoint below
+    the last grid lambda only seeds the next predictor, so its corrector
+    stops at sqrt(newton_tol); only the certified point is polished to
+    newton_tol.  A waypoint whose orbit amplitude more than quadruples over
+    a secant step has jumped across a fold: it must also meet newton_tol,
+    and the predictor restarts from it.  Each path point's residual is the
+    one its corrector reached.  A lost continuation returns the surviving
+    path (status "lost") so blow-up families remain inspectable.
+    diagnostics names the initial guess that converged at the first lambda,
+    counts the lambda-step halvings and says whether the winding search
+    ran.  lambda_points below 2 raise ValueError.
     """
     if opts.lambda_points < 2:
         raise ValueError(f"opts.lambda_points must be at least 2, "
                          f"got {opts.lambda_points}")
-    if gate is not None:
-        report = gate(model)
-        if not report.get("passed", False):
-            raise ValueError(f"hypothesis gate refused the model: {report}")
 
     lambda_grid = list(map(float, np.linspace(0.0, 1.0, opts.lambda_points)))
     lam_end = lambda_grid[-1]
@@ -406,7 +400,7 @@ def homotopy_solve(model: NonlinearityModel,
 
     path = []
     initial_guess, z, res, orbit = _solve_at_lambda(
-        model, lambda_grid[0], corrector_tol(lambda_grid[0]), opts, mu)
+        model, lambda_grid[0], corrector_tol(lambda_grid[0]), opts)
     path.append(path_point(lambda_grid[0], z, res, orbit))
 
     lam_prev = lambda_grid[0]
@@ -422,7 +416,7 @@ def homotopy_solve(model: NonlinearityModel,
         else:
             guess = z
         try:
-            fldn = HomotopyField(model, lam_target, mu=mu)
+            fldn = HomotopyField(model, lam_target)
             zn, resn, _, orbitn = newton_fixed_point(
                 fldn, guess, corrector_tol(lam_target), opts, with_orbit=True)
             # an amplitude that more than quadruples over one secant step is
@@ -448,7 +442,7 @@ def homotopy_solve(model: NonlinearityModel,
                 winding_search = True
                 rad = (kit.R_elastic if kit is not None else
                        8.0 * (1.0 + math.hypot(*z)))
-                fldn = HomotopyField(model, lam_target, mu=mu)
+                fldn = HomotopyField(model, lam_target)
                 hits = degree_search(fldn, rad, opts)
                 if hits:
                     z, res = hits[0]
@@ -473,7 +467,7 @@ def homotopy_solve(model: NonlinearityModel,
     if compute_degree:
         rad = (kit.R_elastic if kit is not None else
                max(8.0 * (1.0 + math.hypot(*z)), 64.0))
-        fld_end = HomotopyField(model, lam_end, mu=mu)
+        fld_end = HomotopyField(model, lam_end)
         degree = boundary_degree(fld_end, rad, opts=opts)
         # local index sign det D(P - I) at z*; the boundary degree is the
         # sum of the indices of all fixed points inside the curve

@@ -225,8 +225,8 @@ def test_criterion_6_window_ratio_discrimination():
                                        domain=rm.SINGULAR)
         wall_bad = rm.from_expression("-x^-3 - sin(t)^2*x^-5", T2PI,
                                       domain=rm.SINGULAR)
-        assert cd.check_H(wall_good, direction="x_to_zero_plus")["passed"]
-        assert not cd.check_H(wall_bad, direction="x_to_zero_plus")["passed"]
+        assert cd.check_H(wall_good)["passed"]
+        assert not cd.check_H(wall_bad)["passed"]
 
 
 register_criterion(7, "end-to-end certified solution of the band model")
@@ -238,7 +238,8 @@ def test_criterion_7_end_to_end_existence(band_model, band_kit):
         lo, hi = cd.ll_verdict(band_model, tau_points=64)
         assert lo.passed and hi.passed
 
-        cert = sv.homotopy_solve(band_model, gate=cd.validate_A, kit=kit)
+        assert cd.validate_A(band_model)["passed"]
+        cert = sv.homotopy_solve(band_model, kit=kit)
         assert cert.converged
         assert cert.path[-1].lam == 1.0
         assert cert.residual < 1e-8

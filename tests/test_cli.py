@@ -1,12 +1,12 @@
 import json
 import math
-import os
 
 import dataclasses
 
 import pytest
 
 from resonance import cli
+from resonance import model as rm
 from resonance import solver as sv
 
 
@@ -69,6 +69,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
 @pytest.mark.parametrize("cfg, names", [
     ({"model": dict(_BAND, params={"bogus": 1.0})}, ["model.params", "bogus"]),
     ({"model": dict(_BAND, family="no_such_band")}, ["model.family"]),
+    ({"model": dict(_BAND, params={"name": "band"})},
+     ["model.params", "name"]),
     ({"model": _BAND, "grids": {"tau_points": "abc"}}, ["grids.tau_points"]),
     ({"model": _BAND, "grids": {"lambda_points": 0}}, ["grids.lambda_points"]),
     ({"model": _BAND, "tolerances": {"rtol": "tight"}}, ["tolerances.rtol"]),
@@ -83,8 +85,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "radial": {"k_max": 0}}, ["radial.k_max"]),
     ({"model": _BAND, "radial": {"k_min": 3, "k_max": 2}},
      ["radial.k_min", "radial.k_max"]),
-    ({"model": _BAND, "mu": "big"}, ["mu", "finite"]),
-    ({"model": _BAND, "mu": math.inf}, ["mu", "finite"]),
+    ({"model": _BAND, "mu": 0.5}, ["unknown keys", "mu"]),
+    ({"model": _BAND, "seed": 1}, ["unknown keys", "seed"]),
     ({"model": _BAND, "radial": 2}, ["radial", "object"]),
     ({"model": _BAND, "tolerances": {"rtol": -1}},
      ["tolerances.rtol", "positive"]),
@@ -103,13 +105,13 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["unknown keys", "x_points"]),
     ({"model": _BAND, "grids": {"lambda_points": 1}},
      ["grids.lambda_points", "at least 2"]),
-], ids=["family-param", "family", "grid-type", "grid-range", "tolerance",
-        "unknown-identifier", "parse-error", "family-param-type",
-        "linear-resonant-even-N", "radial-nu-type", "radial-k-range",
-        "radial-k-order", "mu-type", "mu-finite", "section-type",
-        "tolerance-negative", "tolerance-zero", "tolerance-nan",
-        "tolerance-inf", "period-nan", "period-inf", "period-bool",
-        "band-index-bool", "grid-t-points", "grid-x-points",
+], ids=["family-param", "family", "family-param-name", "grid-type",
+        "grid-range", "tolerance", "unknown-identifier", "parse-error",
+        "family-param-type", "linear-resonant-even-N", "radial-nu-type",
+        "radial-k-range", "radial-k-order", "mu-unknown", "seed-unknown",
+        "section-type", "tolerance-negative", "tolerance-zero",
+        "tolerance-nan", "tolerance-inf", "period-nan", "period-inf",
+        "period-bool", "band-index-bool", "grid-t-points", "grid-x-points",
         "grid-one-lambda"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
@@ -122,6 +124,55 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
     assert err.startswith("config error:")
     for name in names:
         assert name in err
+
+
+# the theorem fixes the domain: an expression model without model.domain
+# takes it, a family brings its own, and any disagreement exits 2
+_WALL = "1.625*x - (1+sin(t)^2)*x^-5 - x^-3"
+
+
+@pytest.mark.parametrize("theorem", sorted(cli.THEOREMS))
+@pytest.mark.parametrize("source", ["f"] + sorted(rm.FAMILIES))
+@pytest.mark.parametrize("domain", [None, rm.FULL_LINE, rm.SINGULAR])
+def test_theorem_and_model_domain_must_agree(tmp_path, capsys, theorem,
+                                             source, domain):
+    mc = {"T": 2 * math.pi, "N": 3}
+    if source == "f":
+        mc["f"], own = _WALL, None
+    else:
+        mc["family"], own = source, rm.FAMILIES[source]().domain
+    if domain is not None:
+        mc["domain"] = domain
+    cfg = {"model": mc, "theorem": theorem}
+    want = cli.THEOREMS[theorem][0]
+    if {domain, own} <= {None, want}:
+        assert cli.build_model(cli.validate_config(cfg)).domain == want
+        return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"theorem {theorem!r}" in err and "model.domain" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_singular_theorem_runs_an_expression_in_singular_mode(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"f": _WALL, "T": 2 * math.pi,
+                                          "N": 2},
+                                "grids": {"tau_points": 32}}))
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", str(path), "--out", str(out),
+                     "--theorem", "singular-weak"])
+    assert code == cli.EXIT_OK
+    report = (out / "report.txt").read_text()
+    assert "stage.hypotheses.verdict = pass" in report
+    assert "stage.sign_conditions.verdict = pass" in report
+    # the filled-in domain is not echoed: the config is reported as given
+    assert "config.model.domain" not in report
 
 
 @pytest.mark.parametrize("command", ["verify", "find"])

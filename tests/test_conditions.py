@@ -148,25 +148,40 @@ def test_ll_integral_evaluates_the_residue_once(variant, j):
 
 def test_envelope_monotone_under_tail_enlargement():
     model = rm.make_cubic_band()
-    mu_n = eigenvalue(2, T2PI)
-    e18 = cd.asymptotic_envelope(model, mu_n, k_max=18)
-    e20 = cd.asymptotic_envelope(model, mu_n, k_max=20)
-    assert np.all(e20.lower <= e18.lower + 1e-12)
-    assert np.all(e20.upper >= e18.upper - 1e-12)
+    lo18 = cd.asymptotic_envelope(model, "lower", k_max=18)
+    lo20 = cd.asymptotic_envelope(model, "lower", k_max=20)
+    hi18 = cd.asymptotic_envelope(model, "upper", k_max=18)
+    hi20 = cd.asymptotic_envelope(model, "upper", k_max=20)
+    assert np.all(lo20.values <= lo18.values + 1e-12)
+    assert np.all(hi20.values >= hi18.values - 1e-12)
 
 
 def test_envelope_finds_band_residues():
     model = rm.make_cubic_band(lift=1.0, drop=1.0, forcing=0.5)
-    mu_n = eigenvalue(2, T2PI)
-    mu_n1 = eigenvalue(3, T2PI)
-    lo = cd.asymptotic_envelope(model, mu_n)
-    hi = cd.asymptotic_envelope(model, mu_n1)
+    lo = cd.asymptotic_envelope(model, "lower")
+    hi = cd.asymptotic_envelope(model, "upper")
     om = 2 * math.pi / T2PI
     e = 0.5 * np.cos(om * lo.t_grid)
     # liminf(f - mu_N x) = lift + forcing(t); limsup(f - mu_N+1 x) = -drop + forcing(t)
-    assert np.allclose(lo.lower, 1.0 + e, atol=2e-2)
-    assert np.allclose(hi.upper, -1.0 + e, atol=2e-2)
-    assert lo.lower_stabilized and hi.upper_stabilized
+    assert np.allclose(lo.values, 1.0 + e, atol=2e-2)
+    assert np.allclose(hi.values, -1.0 + e, atol=2e-2)
+    assert lo.stabilized and hi.stabilized
+
+
+def test_ll_verdict_estimates_each_tail_it_reads_once(monkeypatch):
+    # the liminf against mu_N and the limsup against mu_N+1: one tail
+    # estimate per residue-table time for each of the two sides
+    modes = []
+    original = cd._tail_estimate
+
+    def counted(vals, mode):
+        modes.append(mode)
+        return original(vals, mode)
+
+    monkeypatch.setattr(cd, "_tail_estimate", counted)
+    cd.ll_verdict(rm.make_cubic_band(), tau_points=4)
+    assert len(modes) == 2 * cd.RESIDUE_T_POINTS == 256
+    assert modes.count("inf") == modes.count("sup") == cd.RESIDUE_T_POINTS
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +335,8 @@ def test_window_ratio_exact_for_time_independent_left():
 def test_window_ratio_wall_direction_pair():
     good = rm.from_expression("-(1+sin(t)^2)*x^-5 - x^-3", T2PI, domain=rm.SINGULAR)
     bad = rm.from_expression("-x^-3 - sin(t)^2*x^-5", T2PI, domain=rm.SINGULAR)
-    assert cd.check_H(good, direction="x_to_zero_plus")["passed"]
-    rep = cd.check_H(bad, direction="x_to_zero_plus")
+    assert cd.check_H(good)["passed"]
+    rep = cd.check_H(bad)
     assert not rep["passed"]
 
 
@@ -355,12 +370,11 @@ _GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
 
 def _golden_model(name):
     if name == "cubic_band":
-        return rm.make_cubic_band(), "x_to_minus_inf"
+        return rm.make_cubic_band()
     if name == "singular_band":
-        return rm.make_singular_band(), "x_to_zero_plus"
+        return rm.make_singular_band()
     src = _GOLDEN["screen_expr_input"]
-    return (rm.from_piecewise(src["f_left"], src["f_right"], T2PI, n_mode=2),
-            "x_to_minus_inf")
+    return rm.from_piecewise(src["f_left"], src["f_right"], T2PI, n_mode=2)
 
 
 def _hex(values):
@@ -369,7 +383,7 @@ def _hex(values):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
 def test_sign_conditions_pinned_in_float_hex(name):
-    model, _ = _golden_model(name)
+    model = _golden_model(name)
     table = _GOLDEN["models"][name]
     for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
         for rep in cd.ll_verdict(model, variant=variant, tau_points=64):
@@ -380,8 +394,7 @@ def test_sign_conditions_pinned_in_float_hex(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
 def test_window_ratios_pinned_in_float_hex(name):
-    model, direction = _golden_model(name)
-    rep = cd.check_H(model, direction)
+    rep = cd.check_H(_golden_model(name))
     assert _hex(rep["ratios"]) == _GOLDEN["models"][name]["check_H_ratios"]
 
 
@@ -392,7 +405,7 @@ def test_window_ratios_pinned_in_float_hex(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
 def test_hypothesis_validators_pinned_in_float_hex(name):
-    model, _ = _golden_model(name)
+    model = _golden_model(name)
     table = _GOLDEN["models"][name]
     if model.domain == rm.SINGULAR:
         rep, want = cd.validate_A0_Ainf(model), table["validate_A0_Ainf"]
@@ -408,8 +421,7 @@ def test_hypothesis_validators_pinned_in_float_hex(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN["models"]))
 def test_envelope_table_pinned_by_digest(name):
-    model, _ = _golden_model(name)
-    env = ap.build_envelopes(model)
+    env = ap.build_envelopes(_golden_model(name))
     blob = " ".join(_hex(env.x) + _hex(env.f1) + _hex(env.f2) + _hex(env.F1)
                     + _hex(env.F2) + [float(env.base).hex()])
     digest = hashlib.sha256(blob.encode()).hexdigest()

@@ -104,7 +104,7 @@ def test_family_values_pinned_in_float_hex(family, n_mode, params, table):
 @pytest.mark.parametrize("family", sorted(rm.FAMILIES))
 def test_compiled_family_equals_tree_evaluation(family):
     model = rm.FAMILIES[family]()
-    assert model.source and model.trees
+    assert model.trees
     split = rm.split_point(model.domain)
     rng = random.Random(11)
     lo = 0.05 if model.domain == rm.SINGULAR else -20.0
