@@ -383,13 +383,17 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
                 report.put("apriori.N0", n0)
                 report.put("apriori.start_level", diag["start_level"])
             else:
-                # the kit's probes run at the integrator's own tolerances
+                # the kit's probes run at the integrator's own tolerances,
+                # not the configured ones; the report names those it used
+                kit_opts = IntegrateOpts()
                 res.kit = ap.build_kit(HomotopyField(model, 1.0),
-                                       opts=IntegrateOpts())
+                                       opts=kit_opts)
                 _write_kit(res.kit, out_dir)
                 for key in ("R0", "kappa", "omega0", "ell0", "a", "y_hat",
                             "R_elastic"):
                     report.put(f"apriori.{key}", getattr(res.kit, key))
+                report.put("apriori.rtol", kit_opts.rtol)
+                report.put("apriori.atol", kit_opts.atol)
         except _STAGE_ERRORS as e:
             report.fail(EXIT_APRIORI, str(e))
         report.stop("pass")

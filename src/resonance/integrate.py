@@ -463,13 +463,9 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
 
-    meta = dict(rtol=opts.rtol, atol=opts.atol, event_tol=opts.event_tol,
-                d=d, lam=fld.lam, domain=fld.model.domain)
-    if rider is not None:
-        meta["rider"] = r
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
-                      (cx, 0.0), meta=meta)
+                      (cx, 0.0), meta={} if rider is None else {"rider": r})
 
 
 def _wrap_pi(a: float) -> float:

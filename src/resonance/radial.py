@@ -144,42 +144,46 @@ class RotatingSolution:
 
 def solve_radial_profile(model: NonlinearityModel, L: float,
                          guess: Optional[tuple[float, float]] = None,
-                         opts: SolveOpts = SolveOpts()):
-    """T-periodic solution of the reduced radial equation at fixed L.
+                         opts: SolveOpts = SolveOpts(), jac=None):
+    """T-periodic solution of the reduced radial equation at fixed L:
+    (z, residual, Jacobian of P(z) - z at z, or None).
 
-    Newton starts from the warm guess (a neighbouring L's profile during
-    sweeps) or, without one, from the circular orbit of the t-averaged
-    field, (rho_c, 0).  Only when that start has no balance radius or
-    Newton fails from it does the full interpolation homotopy bootstrap
-    the orbit.
+    Newton starts from the warm guess and Jacobian (a neighbouring L's
+    profile and final Jacobian during sweeps) or, without a guess, from
+    the circular orbit of the t-averaged field, (rho_c, 0).  Only when
+    that start has no balance radius or Newton fails from it does the
+    full interpolation homotopy bootstrap the orbit; its Jacobian is not
+    kept, so the result carries None.
     """
     eff = effective_field(model, L)
     try:
         if guess is None:
             guess = (circular_orbit(model, L, average_t=True), 0.0)
-        z, res, _ = newton_fixed_point(HomotopyField(eff, 1.0), guess,
-                                       opts.newton_tol, opts)
-        return z, res
+        z, res, _, _, jac = newton_fixed_point(
+            HomotopyField(eff, 1.0), guess, opts.newton_tol, opts, jac=jac,
+            full_output=True)
+        return z, res, jac
     except (NoBracketError, NewtonError, SingularJacobianError, BlowUpError,
             DomainExitError):
         pass
     cert = homotopy_solve(eff, opts=opts, compute_degree=False)
     if not cert.converged:
         raise NewtonError(f"radial profile solve failed at L={L:.6g}")
-    return (cert.z_star.x, cert.z_star.y), cert.residual
+    return (cert.z_star.x, cert.z_star.y), cert.residual, None
 
 
 def _delta_theta_of_L(model, L, known, opts):
-    """(Delta_theta, z, residual) at L, recorded in `known`; the profile
-    solve starts from the profile at the nearest known L."""
-    guess = None
+    """(Delta_theta, z, residual) at L, recorded in `known` with the
+    profile solve's final Jacobian; the solve starts from the profile and
+    the Jacobian at the nearest known L."""
+    guess = jac = None
     if known:
-        guess = known[min(known, key=lambda Lc: abs(Lc - L))][1]
-    z, res = solve_radial_profile(model, L, guess, opts)
+        _, guess, _, jac = known[min(known, key=lambda Lc: abs(Lc - L))]
+    z, res, jac = solve_radial_profile(model, L, guess, opts, jac)
     dth = angular_progress(model, PhaseState(0.0, z[0], z[1]), L,
                            model.period, opts.integrate)
-    known[L] = (dth, z, res)
-    return known[L]
+    known[L] = (dth, z, res, jac)
+    return dth, z, res
 
 
 def _known_bracket(known, target):
@@ -270,13 +274,15 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     12-point geometric scan in L runs only when there is none.  Inside
     the bracket L is refined by Illinois steps (regula falsi that halves
     the stale end's value when the same end is kept twice) until the
-    advance is within DTHETA_TOL of the target.  Profile
-    solves start from the profile at the nearest known L.  Returns the
-    solutions found and the smallest succeeding k.
+    advance is within DTHETA_TOL of the target.  Profile solves start
+    from the profile and the shooting Jacobian at the nearest known L, so
+    Newton along the L-search rarely pays for a finite-difference
+    Jacobian.  Returns the solutions found and the smallest succeeding k.
     """
     results: list[RotatingSolution] = []
     k_nu: Optional[int] = None
-    known: dict[float, tuple[float, tuple[float, float], float]] = {}
+    # L -> (Delta_theta, profile, residual, Jacobian); local to this call
+    known: dict[float, tuple] = {}
     for k in range(k_min, k_max + 1):
         target = 2.0 * math.pi * nu / k
         try:

@@ -1,11 +1,16 @@
 """Periodic-solution search: return map, shooting, boundary degree, homotopy.
 
 A T-periodic solution is a fixed point of the time-T return map of the
-planar system.  Fixed points are found by damped Newton shooting with a
-finite-difference Jacobian, certified by the winding number of z - P(z)
-along a large closed curve (nonzero winding = the disc must contain a
-fixed point), and transported from the solvable comparison field (lam = 0)
-to the target field (lam = 1) along an adaptive interpolation schedule.
+planar system.  Fixed points are found by damped quasi-Newton shooting,
+certified by the winding number of z - P(z) along a large closed curve
+(nonzero winding = the disc must contain a fixed point), and transported
+from the solvable comparison field (lam = 0) to the target field (lam = 1)
+along an adaptive interpolation schedule.  The shooting Jacobian is
+carried from one continuation step to the next and kept current by
+Broyden's secant update, so a finite-difference Jacobian (two return maps)
+is taken only when the carried one is missing, singular or making poor
+progress (the predictor-corrector practice of Allgower & Georg, Numerical
+Continuation Methods, 1990).
 """
 
 from __future__ import annotations
@@ -111,20 +116,54 @@ def _fd_jacobian(fld, z, g, opts):
             ((g1y - g[1]) / h, (g2y - g[1]) / h))
 
 
+def _looks_singular(jac):
+    """Whether a Jacobian of P(z) - z looks singular: its scale is below
+    finite-difference noise (the return map is numerically the identity, a
+    resonant linearization) or its determinant is negligible against its
+    scale."""
+    (j11, j12), (j21, j22) = jac
+    scale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
+    return (scale < 1e-3
+            or abs(j11 * j22 - j12 * j21) < 1e-10 * scale * scale)
+
+
+def _broyden(jac, s, dg):
+    """Broyden's "good" rank-one update of jac along the accepted step s,
+    which changed the residual by dg: the least change to jac that maps s
+    to dg (Broyden, Math. Comp. 19, 1965)."""
+    (j11, j12), (j21, j22) = jac
+    rx = dg[0] - (j11 * s[0] + j12 * s[1])
+    ry = dg[1] - (j21 * s[0] + j22 * s[1])
+    ss = s[0] * s[0] + s[1] * s[1]
+    return ((j11 + rx * s[0] / ss, j12 + rx * s[1] / ss),
+            (j21 + ry * s[0] / ss, j22 + ry * s[1] / ss))
+
+
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                        tol: float = 1e-9, opts: SolveOpts = SolveOpts(), *,
-                       with_orbit: bool = False):
-    """Damped Newton on P(z) - z; returns (z, residual, iterations).
+                       jac=None, full_output: bool = False):
+    """Quasi-Newton on P(z) - z; returns (z, residual, iterations).
 
-    The Jacobian is forward-difference with step _FD_STEP * max(1, ||z||);
-    damping halves the update until the residual decreases.  With
-    `with_orbit` the trajectory of the returned z over one period comes
-    fourth: it is the one the last accepted residual integrated.
+    The iteration starts from `jac`, a Jacobian ((j11, j12), (j21, j22))
+    of P(z) - z carried over from a neighbouring solve, and updates it
+    after each accepted step by Broyden's rank-one secant rule, which
+    costs no return map.  A forward-difference Jacobian (two return maps,
+    step _FD_STEP * max(1, ||z||)) replaces it when none was given, when
+    it looks singular, when the last accepted step cut the residual by
+    less than half, or when all 8 damping trials (each halving the
+    update until the residual decreases) failed.  Only a fresh
+    finite-difference Jacobian can raise SingularJacobianError or end the
+    solve by the stall rule (a residual at the integration noise floor
+    that no damped step lowers).  With `full_output`, the trajectory of
+    the returned z over one period comes fourth (it is the one the last
+    accepted residual integrated) and the final Jacobian fifth, ready to
+    start the next solve of a continuation.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
     io = opts.integrate
     gx, gy, orbit = _return_residual(fld, z, io)
     res = math.hypot(gx, gy)
+    refresh = jac is None
     it = 0
     while not res < tol:
         # integration noise bounds how far the residual can be polished
@@ -134,12 +173,12 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                 break
             raise NewtonError(f"no convergence in {_NEWTON_MAX_ITER} "
                               f"iterations; residual {res:.3g}")
-        (j11, j12), (j21, j22) = _fd_jacobian(fld, z, (gx, gy), opts)
+        fresh = refresh or _looks_singular(jac)
+        if fresh:
+            jac = _fd_jacobian(fld, z, (gx, gy), opts)
+        (j11, j12), (j21, j22) = jac
         det = j11 * j22 - j12 * j21
-        scale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
-        # scale below finite-difference noise means the return map is
-        # numerically the identity (resonant linearization)
-        if scale < 1e-3 or abs(det) < 1e-10 * scale * scale:
+        if fresh and _looks_singular(jac):
             raise SingularJacobianError(
                 f"return-map linearization is singular near {z} (det={det:.3g})")
         dx = -(j22 * gx - j12 * gy) / det
@@ -154,15 +193,22 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                 continue
             rn = math.hypot(gnx, gny)
             if rn < res or rn < tol:
+                jac = _broyden(jac, (zn[0] - z[0], zn[1] - z[1]),
+                               (gnx - gx, gny - gy))
+                refresh = not rn < 0.5 * res
                 z, gx, gy, res, orbit = zn, gnx, gny, rn, orbitn
                 break
             step *= 0.5
         else:
-            if res <= stall_tol:
+            if not fresh:
+                refresh = True
+            elif res <= stall_tol:
                 break
-            raise NewtonError(f"damping failed near {z}; residual {res:.3g}")
+            else:
+                raise NewtonError(f"damping failed near {z}; "
+                                  f"residual {res:.3g}")
         it += 1
-    return (z, res, it, orbit) if with_orbit else (z, res, it)
+    return (z, res, it, orbit, jac) if full_output else (z, res, it)
 
 
 def circle_curve(radius: float) -> Callable[[float], tuple[float, float]]:
@@ -328,14 +374,14 @@ def _initial_guesses(fld: HomotopyField):
 
 def _solve_at_lambda(model, lam, tol, opts):
     """First initial guess from which Newton converges:
-    (guess, z, residual, orbit)."""
+    (guess, z, residual, orbit, Jacobian)."""
     fld = HomotopyField(model, lam)
     last_err = None
     for g in _initial_guesses(fld):
         try:
-            z, res, _, orbit = newton_fixed_point(fld, g, tol, opts,
-                                                  with_orbit=True)
-            return g, z, res, orbit
+            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts,
+                                                       full_output=True)
+            return g, z, res, orbit, jac
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError, CenterHitError) as e:
             last_err = e
@@ -350,12 +396,16 @@ def homotopy_solve(model: NonlinearityModel,
     Continuation runs Newton correctors over opts.lambda_points evenly
     spaced lambdas in [0, 1] with adaptive halving and a winding-guided
     cell search as fallback; the search box and the certifying radius are
-    the kit's R_elastic when a kit is given.  Checking the hypotheses
+    the kit's R_elastic when a kit is given.  Each corrector starts from
+    the final Jacobian of the last accepted point (the fold re-polish
+    included), so most corrector steps cost one return map; a failed
+    corrector's Jacobian is dropped with it.  Checking the hypotheses
     (conditions.validate_A or validate_A0_Ainf) is the caller's part.  On
     success the fixed point at the last grid lambda is certified (residual,
     rotation count, boundary winding at the certifying radius).  With the
     winding comes the local index sign det D(P - I) at the fixed point,
-    from one finite-difference Jacobian; diagnostics notes "other fixed
+    from its own fresh finite-difference Jacobian (a certificate quantity
+    never rests on a carried one); diagnostics notes "other fixed
     points inside R" when it differs from the winding.  A waypoint below
     the last grid lambda only seeds the next predictor, so its corrector
     stops at sqrt(newton_tol); only the certified point is polished to
@@ -399,7 +449,7 @@ def homotopy_solve(model: NonlinearityModel,
                                         winding_search=winding_search))
 
     path = []
-    initial_guess, z, res, orbit = _solve_at_lambda(
+    initial_guess, z, res, orbit, jac = _solve_at_lambda(
         model, lambda_grid[0], corrector_tol(lambda_grid[0]), opts)
     path.append(path_point(lambda_grid[0], z, res, orbit))
 
@@ -417,18 +467,20 @@ def homotopy_solve(model: NonlinearityModel,
             guess = z
         try:
             fldn = HomotopyField(model, lam_target)
-            zn, resn, _, orbitn = newton_fixed_point(
-                fldn, guess, corrector_tol(lam_target), opts, with_orbit=True)
+            zn, resn, _, orbitn, jacn = newton_fixed_point(
+                fldn, guess, corrector_tol(lam_target), opts, jac=jac,
+                full_output=True)
             # an amplitude that more than quadruples over one secant step is
             # a jump across a fold; the point must also meet newton_tol,
             # which a far branch whose noise floor lies above the waypoint
             # tolerance fails, and a secant across the jump points nowhere
             jumped = secant and orbitn.sup_norm() > 4.0 * path[-1].sup_norm
             if jumped and resn >= opts.newton_tol:
-                zn, resn, _, orbitn = newton_fixed_point(
-                    fldn, zn, opts.newton_tol, opts, with_orbit=True)
+                zn, resn, _, orbitn, jacn = newton_fixed_point(
+                    fldn, zn, opts.newton_tol, opts, jac=jacn,
+                    full_output=True)
             z_prev2 = None if jumped else (lam_prev, z[0], z[1])
-            z, res, orbit, lam_prev = zn, resn, orbitn, lam_target
+            z, res, orbit, jac, lam_prev = zn, resn, orbitn, jacn, lam_target
             path.append(path_point(lam_prev, z, res, orbit))
             if path[-1].sup_norm > opts.max_sup_norm:
                 return lost(lam_prev, "amplitude grew past the cap")
@@ -445,7 +497,7 @@ def homotopy_solve(model: NonlinearityModel,
                 fldn = HomotopyField(model, lam_target)
                 hits = degree_search(fldn, rad, opts)
                 if hits:
-                    z, res = hits[0]
+                    (z, res), jac = hits[0], None
                     orbit = integrate(fldn, PhaseState(0.0, z[0], z[1]),
                                       model.period, io)
                     z_prev2 = None

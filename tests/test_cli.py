@@ -8,6 +8,7 @@ import pytest
 from resonance import cli
 from resonance import model as rm
 from resonance import solver as sv
+from resonance.integrate import IntegrateOpts
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -342,6 +343,18 @@ def test_apriori_and_find_report_the_same_N0(tmp_path):
     # apriori runs the sign conditions before the a-priori stage
     assert (tmp_path / "apriori" / "ll_lower.csv").exists()
     assert not (tmp_path / "apriori" / "path.csv").exists()
+
+
+def test_report_names_the_tolerances_the_kit_used(tmp_path):
+    # the full-line kit runs at the integrator's defaults, not at the
+    # configured tolerances, and the report says so next to the echo
+    with open(_write_config(tmp_path)) as fh:
+        cfg = cli.apply_tol_overrides(json.load(fh), ["rtol=1e-12"])
+    res = cli.run(cfg, str(tmp_path / "out"), last="apriori")
+    lines = dict(res.report.lines)
+    assert lines["config.tolerances.rtol"] == cli.fmt_float(1e-12)
+    assert lines["apriori.rtol"] == cli.fmt_float(IntegrateOpts().rtol)
+    assert lines["apriori.atol"] == cli.fmt_float(IntegrateOpts().atol)
 
 
 def test_apriori_stops_at_the_hypothesis_gate(tmp_path):

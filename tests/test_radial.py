@@ -6,6 +6,7 @@ import pytest
 
 import resonance.model as rm
 from resonance import radial as rd
+from resonance import solver as sv
 from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
                                  integrate, integrate_system)
 from resonance.solver import homotopy_solve
@@ -100,7 +101,7 @@ def _advance_by_integrate_system(model, z0, L, horizon):
 @pytest.mark.parametrize("L", [0.03, 0.373, 1.72])
 def test_angular_progress_matches_integrate_system(L):
     model = rm.make_singular_band()
-    z, _ = rd.solve_radial_profile(model, L)
+    z, _, _ = rd.solve_radial_profile(model, L)
     z0 = PhaseState(0.0, *z)
     dth = rd.angular_progress(model, z0, L, model.period)
     assert dth == pytest.approx(
@@ -135,7 +136,7 @@ def _homotopy_profile(L):
 @pytest.mark.parametrize("L", [0.03, 0.373, 1.7])
 def test_profile_seeded_from_circular_orbit_matches_homotopy(L, monkeypatch):
     homotopies = _count_calls(monkeypatch, "homotopy_solve")
-    z, res = rd.solve_radial_profile(rm.make_singular_band(), L)
+    z, res, _ = rd.solve_radial_profile(rm.make_singular_band(), L)
     assert not homotopies and res < 1e-8
     assert z == pytest.approx(_homotopy_profile(L), abs=1e-9)
 
@@ -146,7 +147,7 @@ def test_profile_falls_back_to_homotopy_without_balance_radius(monkeypatch):
 
     monkeypatch.setattr(rd, "circular_orbit", no_balance)
     homotopies = _count_calls(monkeypatch, "homotopy_solve")
-    z, _ = rd.solve_radial_profile(rm.make_singular_band(), 0.373)
+    z, _, _ = rd.solve_radial_profile(rm.make_singular_band(), 0.373)
     assert len(homotopies) == 1
     assert z == pytest.approx(_homotopy_profile(0.373), abs=1e-9)
 
@@ -260,28 +261,41 @@ def test_cartesian_samples_close_up(rotating_run):
     assert total == pytest.approx(expected, rel=5e-3)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=rd):
     calls = []
-    original = getattr(rd, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rd, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_find_rotating_pinned_work(monkeypatch):
     # Delta_theta(L) values are shared across k, the first profile is
-    # seeded from the circular orbit, and Illinois steps refine the
-    # bracket: the exact number of advance evaluations pins that work
+    # seeded from the circular orbit, Illinois steps refine the bracket,
+    # and each profile solve starts from the Jacobian of the nearest known
+    # L: the exact numbers of advance evaluations and return maps pin that
+    # work (a finite-difference Jacobian on every Newton iteration took
+    # 153 maps)
     advances = _count_calls(monkeypatch, "angular_progress")
     homotopies = _count_calls(monkeypatch, "homotopy_solve")
-    sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    maps = _count_calls(monkeypatch, "poincare", sv)
+    runs = []
+    for _ in range(2):
+        runs.append((rd.find_rotating(rm.make_singular_band(), nu=1,
+                                      k_max=2), len(advances), len(maps)))
+        advances.clear()
+        maps.clear()
+    (sols, k_nu), n_advances, n_maps = runs[0]
     assert k_nu == 1 and [s.k for s in sols] == [1, 2]
-    assert len(advances) == 18
+    assert n_advances == 18
+    assert n_maps == 95
     assert len(homotopies) == 0
+    # no state survives a call: a second search repeats the first exactly
+    assert runs[1] == runs[0]
 
 
 def test_find_rotating_propagates_programming_errors(monkeypatch):
@@ -305,8 +319,8 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
         return 2 * math.pi * (L / L_root) ** 12
 
     monkeypatch.setattr(rd, "solve_radial_profile",
-                        lambda model, L, guess=None, opts=None:
-                        ((1.2, 0.0), 0.0))
+                        lambda model, L, guess=None, opts=None, jac=None:
+                        ((1.2, 0.0), 0.0, None))
     monkeypatch.setattr(rd, "angular_progress", fake_advance)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
     assert k_nu == 1

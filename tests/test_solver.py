@@ -73,6 +73,60 @@ def test_newton_flags_singular_linearization():
         sv.newton_fixed_point(fld, (0.5, 0.2), tol=1e-13)
 
 
+def _forced_linear(mu, forcing=1.0):
+    # x'' + mu x = forcing cos t: the return map P is affine, and for
+    # mu != 1 its fixed point is (forcing / (mu - 1), 0)
+    return HomotopyField(_model(lambda t, x: mu * x - forcing * math.cos(t)),
+                         1.0)
+
+
+def _count_fd_jacobians(monkeypatch):
+    calls = []
+    original = sv._fd_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_fd_jacobian", counted)
+    return calls
+
+
+def test_newton_from_a_neighbouring_jacobian_reaches_the_closed_form(
+        monkeypatch):
+    *_, jac = sv.newton_fixed_point(_forced_linear(2.1), (0.0, 0.0),
+                                    full_output=True)
+    fds = _count_fd_jacobians(monkeypatch)
+    z, res, _ = sv.newton_fixed_point(_forced_linear(2.0), (0.5, 0.1),
+                                      jac=jac)
+    assert res < 1e-9
+    assert math.hypot(z[0] - 1.0, z[1]) < 1e-8
+    # the carried Jacobian is enough: no finite-difference one is taken
+    assert not fds
+
+
+@pytest.mark.parametrize("bad", ["singular", "wrong-signed"])
+def test_newton_refreshes_a_bad_carried_jacobian(bad, monkeypatch):
+    fld = _forced_linear(2.0)
+    *_, jac = sv.newton_fixed_point(fld, (0.0, 0.0), full_output=True)
+    carried = (((0.0, 0.0), (0.0, 0.0)) if bad == "singular" else
+               tuple(tuple(-v for v in row) for row in jac))
+    fds = _count_fd_jacobians(monkeypatch)
+    z, res, _ = sv.newton_fixed_point(fld, (0.5, 0.1), jac=carried)
+    assert res < 1e-9
+    assert math.hypot(z[0] - 1.0, z[1]) < 1e-8
+    assert len(fds) >= 1
+
+
+def test_newton_with_a_carried_jacobian_still_flags_resonance():
+    # x'' + x = cos t: P(z) = z + const, so no fixed point; the Jacobian
+    # carried from mu = 1.21 is regular, the fresh one vanishes
+    *_, jac = sv.newton_fixed_point(_forced_linear(1.21), (0.0, 0.0),
+                                    full_output=True)
+    with pytest.raises(sv.SingularJacobianError):
+        sv.newton_fixed_point(_forced_linear(1.0), (0.5, 0.2), jac=jac)
+
+
 def test_newton_result_is_guess_independent():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
     z1, _, _ = sv.newton_fixed_point(fld, (0.0, 0.0))
@@ -194,10 +248,35 @@ def band_certificate():
 
 def test_homotopy_return_map_count_is_pinned(band_certificate):
     # a deterministic work count: a corrector that polishes waypoints again
-    # (735 maps) fails here without any wall-clock noise
+    # (735 maps), or one that takes a finite-difference Jacobian on every
+    # iteration instead of carrying one along the path (183), fails here
+    # without any wall-clock noise
     cert, maps = band_certificate
     assert cert.converged
-    assert maps == 183
+    assert maps == 93
+
+
+def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
+                                                      monkeypatch):
+    # one corrector fails at lambda = 1/2: the step is halved once, and the
+    # continuation reaches the same certified point
+    base, _ = band_certificate
+    original = sv.newton_fixed_point
+    failed = []
+
+    def fail_once_at_half(fld, *args, **kwargs):
+        if fld.lam == 0.5 and not failed:
+            failed.append(fld.lam)
+            raise sv.NewtonError("forced failure")
+        return original(fld, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_fixed_point", fail_once_at_half)
+    cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+    assert failed == [0.5]
+    assert cert.converged and cert.residual < sv.SolveOpts().newton_tol
+    assert cert.diagnostics["halvings"] == 1
+    assert 0.484375 in [p.lam for p in cert.path]
+    assert cert.z_star.x == pytest.approx(base.z_star.x, abs=1e-9)
 
 
 def test_homotopy_polishes_only_the_certified_point(band_certificate):
@@ -261,11 +340,11 @@ def test_newton_orbit_is_the_returned_points_trajectory():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
     io = sv.SolveOpts().integrate
     # the three exits: the start is converged, a trial converges, and (with
-    # a tolerance no residual meets) the stall rule
+    # a tolerance no residual meets) the stall rule on a fresh Jacobian
     for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
-                                ((0.0, 0.0), 0.0, 6)):
-        z, res, it, orbit = sv.newton_fixed_point(fld, guess, tol,
-                                                  with_orbit=True)
+                                ((0.0, 0.0), 0.0, 8)):
+        z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol,
+                                                     full_output=True)
         assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)
         assert it == exit_it
         end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, io)
@@ -299,7 +378,7 @@ def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
     assert cert.residual < 1e-8
     assert max(p.sup_norm for p in cert.path) < 2.0
     # each failed continuation step halves the next one
-    assert cert.diagnostics["halvings"] == len(failures) > 0
+    assert cert.diagnostics["halvings"] == len(failures)
     assert cert.diagnostics["winding_search"] is False
 
 
