@@ -5,12 +5,14 @@ planar system.  Fixed points are found by damped quasi-Newton shooting,
 certified by the winding number of z - P(z) along a large closed curve
 (nonzero winding = the disc must contain a fixed point), and transported
 from the solvable comparison field (lam = 0) to the target field (lam = 1)
-along an adaptive interpolation schedule.  The shooting Jacobian is
-carried from one continuation step to the next and kept current by
-Broyden's secant update, so a finite-difference Jacobian (two return maps)
-is taken only when the carried one is missing, singular or making poor
-progress (the predictor-corrector practice of Allgower & Georg, Numerical
-Continuation Methods, 1990).
+along an adaptive interpolation schedule; a path that stalls below the
+smallest step is lost.  One winding routine serves the certifying curve
+and the rectangles of the standalone degree_search.  The shooting
+Jacobian is carried from one continuation step to the next and kept
+current by Broyden's secant update, so a finite-difference Jacobian (two
+return maps) is taken only when the carried one is missing, singular or
+making poor progress (the predictor-corrector practice of Allgower &
+Georg, Numerical Continuation Methods, 1990).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ _LAMBDA_FLOOR = 1e-6     # smallest allowed continuation step
 _DEGREE_SAMPLES = 48     # starting samples of a boundary winding
 _DEGREE_BUDGET = 2048    # most samples a winding may refine to
 _BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve
+_SEARCH_CELLS = 96       # most cells degree_search visits
 
 
 @dataclass(frozen=True)
@@ -223,16 +226,27 @@ def n_level_curve(level: float) -> Callable[[float], tuple[float, float]]:
     return lambda s: n_level_point(level, 2.0 * math.pi * s)
 
 
-def boundary_degree(fld: HomotopyField, radius: float,
-                    opts: SolveOpts = SolveOpts()) -> int:
-    """Winding number of z - P(z) along a closed curve of initial states.
+def _rect_curve(x0: float, x1: float, y0: float, y1: float
+                ) -> Callable[[float], tuple[float, float]]:
+    """Boundary of [x0, x1] x [y0, y1], counterclockwise from (x0, y0)."""
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
 
-    radius picks a centered circle (full line) or a largeness level
-    (singular mode).  Samples are refined until adjacent angular increments
-    stay below pi/2; a fixed point on the curve is an error.
+    def curve(s: float):
+        side, u = divmod(4.0 * s, 1.0)
+        (ax, ay), (bx, by) = corners[int(side)], corners[int(side) + 1]
+        return ax + (bx - ax) * u, ay + (by - ay) * u
+    return curve
+
+
+def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
+             opts: SolveOpts) -> int:
+    """Winding number of z - P(z) along the closed curve s -> curve(s),
+    s in [0, 1).
+
+    Samples are refined until adjacent angular increments stay below pi/2;
+    a fixed point on the curve is a ValueError, and a winding that exceeds
+    the sample budget or does not close up a RuntimeError.
     """
-    curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
-             else circle_curve(radius))
     io = opts.integrate
     cache: dict[float, tuple[float, float, float]] = {}
 
@@ -277,49 +291,31 @@ def boundary_degree(fld: HomotopyField, radius: float,
     return int(deg)
 
 
-def _rect_winding(fld, x0, x1, y0, y1, n_side, opts):
-    """Winding of z - P(z) along a rectangle boundary; None if unresolved."""
-    pts = []
-    for k in range(n_side):
-        pts.append((x0 + (x1 - x0) * k / n_side, y0))
-    for k in range(n_side):
-        pts.append((x1, y0 + (y1 - y0) * k / n_side))
-    for k in range(n_side):
-        pts.append((x1 - (x1 - x0) * k / n_side, y1))
-    for k in range(n_side):
-        pts.append((x0, y1 - (y1 - y0) * k / n_side))
-    pts.append(pts[0])
-    io = opts.integrate
-    angles = []
-    for (zx, zy) in pts:
-        try:
-            px, py = poincare(fld, (zx, zy), io)
-        except (BlowUpError, DomainExitError):
-            return None
-        wx, wy = zx - px, zy - py
-        if math.hypot(wx, wy) == 0.0:
-            return None
-        angles.append(math.atan2(wy, wx))
-    total = 0.0
-    for a1, a2 in zip(angles[:-1], angles[1:]):
-        d = _wrap_pi(a2 - a1)
-        if abs(d) > 0.5 * math.pi:
-            return None     # under-resolved: caller refines or recurses
-        total += d
-    return round(total / (2.0 * math.pi))
+def boundary_degree(fld: HomotopyField, radius: float,
+                    opts: SolveOpts = SolveOpts()) -> int:
+    """Winding number of z - P(z) along a closed curve of initial states.
+
+    radius picks a centered circle (full line) or a largeness level
+    (singular mode); the winding is _winding's, so a fixed point on the
+    curve is an error.
+    """
+    curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
+             else circle_curve(radius))
+    return _winding(fld, curve, opts)
 
 
 def degree_search(fld: HomotopyField, radius: float,
-                  opts: SolveOpts = SolveOpts(), max_cells: int = 96,
-                  n_side: int = 8, stop_after: int = 2
+                  opts: SolveOpts = SolveOpts(), stop_after: int = 2
                   ) -> list[tuple[tuple[float, float], float]]:
     """Locate return-map fixed points by recursive winding bisection.
 
-    Splits the bounding box into four sub-cells at a jittered point (so a
-    fixed point almost never sits on a subdivision line), recursing
-    depth-first into cells with nonzero (or unresolved) boundary winding;
-    small cells seed Newton.  Returns converged fixed points (z, residual)
-    sorted by residual.
+    A standalone tool: no solve path calls it.  Splits the bounding box
+    into four sub-cells at a jittered point (so a fixed point almost never
+    sits on a subdivision line), recursing depth-first into cells whose
+    boundary winding (_winding on the cell's rectangle) is nonzero or
+    unresolved; small cells seed Newton.  At most _SEARCH_CELLS cells are
+    visited.  Returns converged fixed points (z, residual) sorted by
+    residual.
     """
     if fld.model.domain == SINGULAR:
         box = (1e-3, max(2.0, radius), -radius, radius)
@@ -329,7 +325,7 @@ def degree_search(fld: HomotopyField, radius: float,
     found: list[tuple[tuple[float, float], float]] = []
     visited = 0
     small = max(1e-6, 1e-3 * radius)
-    while stack and visited < max_cells and len(found) < stop_after:
+    while stack and visited < _SEARCH_CELLS and len(found) < stop_after:
         x0, x1, y0, y1 = stack.pop()
         visited += 1
         if min(x1 - x0, y1 - y0) < small:
@@ -344,9 +340,10 @@ def degree_search(fld: HomotopyField, radius: float,
                     DomainExitError, CenterHitError):
                 pass
             continue
-        w = _rect_winding(fld, x0, x1, y0, y1, n_side, opts)
-        if w is None:
-            w = _rect_winding(fld, x0, x1, y0, y1, 3 * n_side, opts)
+        try:
+            w = _winding(fld, _rect_curve(x0, x1, y0, y1), opts)
+        except (ValueError, RuntimeError):
+            w = None    # unresolved: subdivide
         if w == 0:
             continue
         # jittered split keeps zeros off the subdivision lines
@@ -394,9 +391,10 @@ def homotopy_solve(model: NonlinearityModel,
     """Transport a fixed point from the comparison field to the target one.
 
     Continuation runs Newton correctors over opts.lambda_points evenly
-    spaced lambdas in [0, 1] with adaptive halving and a winding-guided
-    cell search as fallback; the search box and the certifying radius are
-    the kit's R_elastic when a kit is given.  Each corrector starts from
+    spaced lambdas in [0, 1], halving a step whose corrector fails; a
+    failure at a step of _LAMBDA_FLOOR or less loses the path there.  The
+    certifying radius is the kit's R_elastic when a kit is given.  Each
+    corrector starts from
     the final Jacobian of the last accepted point (the fold re-polish
     included), so most corrector steps cost one return map; a failed
     corrector's Jacobian is dropped with it.  Checking the hypotheses
@@ -414,9 +412,9 @@ def homotopy_solve(model: NonlinearityModel,
     and the predictor restarts from it.  Each path point's residual is the
     one its corrector reached.  A lost continuation returns the surviving
     path (status "lost") so blow-up families remain inspectable.
-    diagnostics names the initial guess that converged at the first lambda,
-    counts the lambda-step halvings and says whether the winding search
-    ran.  lambda_points below 2 raise ValueError.
+    diagnostics names the initial guess that converged at the first lambda
+    and counts the lambda-step halvings.  lambda_points below 2 raise
+    ValueError.
     """
     if opts.lambda_points < 2:
         raise ValueError(f"opts.lambda_points must be at least 2, "
@@ -425,9 +423,7 @@ def homotopy_solve(model: NonlinearityModel,
     lambda_grid = list(map(float, np.linspace(0.0, 1.0, opts.lambda_points)))
     lam_end = lambda_grid[-1]
     waypoint_tol = math.sqrt(opts.newton_tol)
-    io = opts.integrate
     halvings = 0
-    winding_search = False
 
     def corrector_tol(lam):
         return opts.newton_tol if lam >= lam_end else waypoint_tol
@@ -445,8 +441,7 @@ def homotopy_solve(model: NonlinearityModel,
             residual=res, rotation=None, degree=None, radius_used=None,
             path=path, diagnostics=dict(lost_at=lam, error=error,
                                         initial_guess=initial_guess,
-                                        halvings=halvings,
-                                        winding_search=winding_search))
+                                        halvings=halvings))
 
     path = []
     initial_guess, z, res, orbit, jac = _solve_at_lambda(
@@ -488,23 +483,6 @@ def homotopy_solve(model: NonlinearityModel,
         except (NewtonError, SingularJacobianError, BlowUpError,
                 DomainExitError) as err:
             if dlam <= _LAMBDA_FLOOR:
-                if math.hypot(*z) > 0.01 * opts.max_sup_norm:
-                    return lost(lam_target, str(err))
-                # last resort: winding-guided search at the stalled level
-                winding_search = True
-                rad = (kit.R_elastic if kit is not None else
-                       8.0 * (1.0 + math.hypot(*z)))
-                fldn = HomotopyField(model, lam_target)
-                hits = degree_search(fldn, rad, opts)
-                if hits:
-                    (z, res), jac = hits[0], None
-                    orbit = integrate(fldn, PhaseState(0.0, z[0], z[1]),
-                                      model.period, io)
-                    z_prev2 = None
-                    lam_prev = lam_target
-                    path.append(path_point(lam_prev, z, res, orbit))
-                    lam_target = next_grid(lam_prev)
-                    continue
                 return lost(lam_target, str(err))
             lam_target = lam_prev + 0.5 * dlam
             halvings += 1
@@ -534,8 +512,7 @@ def homotopy_solve(model: NonlinearityModel,
                        min_rho=orbit.min_rho(), sup_norm=orbit.sup_norm(),
                        path_min_x=min(p.min_x for p in path),
                        index=index, index_note=index_note,
-                       initial_guess=initial_guess, halvings=halvings,
-                       winding_search=winding_search)
+                       initial_guess=initial_guess, halvings=halvings)
     return PeriodicCertificate(status="converged",
                                z_star=PhaseState(0.0, z[0], z[1]),
                                residual=res, rotation=rot, degree=degree,

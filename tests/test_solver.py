@@ -163,6 +163,30 @@ def test_degree_rejects_boundary_fixed_point():
         sv.boundary_degree(fld, 1.0)    # the fixed point (1, 0) sits on it
 
 
+def test_boundary_degree_at_the_certifying_radius_costs_62_maps(monkeypatch):
+    # R_elastic of the band model: 48 starting samples and 14 refinements
+    calls = []
+    original = sv.poincare
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "poincare", counted)
+    fld = HomotopyField(rm.make_cubic_band(), 1.0)
+    assert sv.boundary_degree(fld, 351851.0706289556) == 1
+    assert len(calls) == 62
+
+
+@pytest.mark.parametrize("box, winding", [
+    ((0.5, 1.7, -0.4, 0.6), 1),     # holds the fixed point (1, 0)
+    ((1.5, 2.5, -0.5, 0.5), 0),     # holds none
+])
+def test_winding_around_a_rectangle_counts_the_fixed_point(box, winding):
+    fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
+    assert sv._winding(fld, sv._rect_curve(*box), sv.SolveOpts()) == winding
+
+
 def test_degree_search_locates_fixed_point():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
     hits = sv.degree_search(fld, 3.0, stop_after=1)
@@ -288,10 +312,9 @@ def test_homotopy_polishes_only_the_certified_point(band_certificate):
     assert max(p.residual for p in cert.path[:-1]) > 10 * tol
 
 
-def test_homotopy_reports_halvings_and_winding_search(band_certificate):
+def test_homotopy_reports_halvings(band_certificate):
     cert, _ = band_certificate
     assert cert.diagnostics["halvings"] == 0
-    assert cert.diagnostics["winding_search"] is False
     assert len(cert.path) == sv.SolveOpts().lambda_points
 
 
@@ -329,7 +352,6 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
     lines = dict(report.lines)
     assert lines["certificate.initial_guess"] == "(0.0, 0.0)"
     assert lines["certificate.halvings"] == "0"
-    assert lines["certificate.winding_search"] == "False"
     rows = (tmp_path / "solution.csv").read_text().splitlines()
     assert len(rows) == len(cert.orbit.t) + 1
     assert (tmp_path / "path.csv").read_text().count("\n") == \
@@ -379,7 +401,31 @@ def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
     assert max(p.sup_norm for p in cert.path) < 2.0
     # each failed continuation step halves the next one
     assert cert.diagnostics["halvings"] == len(failures)
-    assert cert.diagnostics["winding_search"] is False
+
+
+def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
+    # every corrector at lambda >= 1/2 fails: the step to 1/2 halves from
+    # 1/32 down to the floor, and the failure there ends the path with no
+    # search for a fixed point
+    original = sv.newton_fixed_point
+    failures, searches = [], []
+
+    def fail_from_half(fld, *args, **kwargs):
+        if fld.lam >= 0.5:
+            failures.append(fld.lam)
+            raise sv.NewtonError("forced failure")
+        return original(fld, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_fixed_point", fail_from_half)
+    monkeypatch.setattr(sv, "degree_search",
+                        lambda *args, **kwargs: searches.append(1) or [])
+    cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+    assert cert.status == "lost"
+    assert cert.diagnostics["lost_at"] == 0.5
+    assert len(failures) == 16
+    assert cert.diagnostics["halvings"] == 15
+    assert searches == []
+    assert cert.path[-1].lam < 0.5
 
 
 # --------------------------------------------------------------------------
