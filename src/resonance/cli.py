@@ -475,7 +475,7 @@ def _radial_stage(cfg, model, opts, out_dir, report):
     rows = []
     for s in sols:
         rows.append((s.k, s.nu, s.L, s.residual, s.delta_theta_total))
-        pts = rd.cartesian_samples(model, s, opts=opts.integrate)
+        pts = rd.cartesian_samples(s)
         write_csv(os.path.join(out_dir, f"orbit_k{s.k}.csv"),
                   ["t", "x1", "x2"], pts)
     write_csv(os.path.join(out_dir, "radial.csv"),

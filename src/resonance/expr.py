@@ -335,9 +335,18 @@ def _pow_array(base, exponent, node: Expr):
     return base ** exponent
 
 
+def _log_array(arg, node: Call):
+    """Compiled vector log or log2; numpy would give nan or -inf for a
+    non-positive argument."""
+    if np.any(np.asarray(arg) <= 0.0):
+        raise DomainError(f"{node.func} of a non-positive value", node)
+    return np.log(arg) if node.func == "log" else np.log2(arg)
+
+
 def _codegen(node: Expr, ns: str, checked: list) -> str:
-    """Source of `node` over namespace `ns` ("math" or "np"); each ^ that
-    needs a domain check is appended to `checked` and named by index."""
+    """Source of `node` over namespace `ns` ("math" or "np"); each ^ (and,
+    over numpy, each log) that needs a domain check is appended to
+    `checked` and named by index."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -351,6 +360,9 @@ def _codegen(node: Expr, ns: str, checked: list) -> str:
             return f"{fn}({args})" if ns != "np" else f"np.{fn}({args})"
         if node.func == "abs":
             return f"np.abs({args})" if ns == "np" else f"abs({args})"
+        if ns == "np" and node.func in ("log", "log2"):
+            checked.append(node)
+            return f"_log({args}, _checked[{len(checked) - 1}])"
         return f"{ns}.{node.func}({args})"
     left = _codegen(node.left, ns, checked)
     right = _codegen(node.right, ns, checked)
@@ -391,9 +403,10 @@ def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
 def compile_vector_t(node: Expr, right: Expr | None = None, split: float = 0.0):
     """Compile to f(t_array, x_scalar) -> array, vectorized over t; `right`
     and `split` glue a pair as in compile_scalar.  A ^ whose exponent is
-    not an integer literal raises DomainError on a negative base."""
+    not an integer literal raises DomainError on a negative base, and log
+    or log2 on a non-positive argument, as evaluate() does."""
     checked: list = []
     body = _body(node, right, split, "np", checked)
     src = f"lambda t, x: np.broadcast_to(({body}), np.shape(t)).astype(float)"
-    return eval(src, {"np": np, "_pow": _pow_array,
+    return eval(src, {"np": np, "_pow": _pow_array, "_log": _log_array,
                       "_checked": tuple(checked)})

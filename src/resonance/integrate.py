@@ -24,7 +24,7 @@ from .spectrum import eigenvalue
 __all__ = [
     "IntegrateOpts", "PhaseState", "Event", "Trajectory", "HomotopyField",
     "BlowUpError", "DomainExitError", "CenterHitError", "LapPatternError",
-    "g_lambda", "integrate", "integrate_system", "rotation_count",
+    "g_lambda", "integrate", "integrate_system", "hermite", "rotation_count",
     "crossing_times", "measure_halfturn", "LapInstants",
 ]
 
@@ -279,12 +279,12 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
     d, when given, adds crossing events for the left threshold x = d.
     rider, when given, is a scalar quadrature channel r' = rider(t, x, y, r)
-    carried along as a passenger: it starts at r = 0, is stepped once per
-    accepted step with the same tableau on that step's stage states, and
-    its final value is returned in meta["rider"].  It stays out of the
-    error norm, the events, the dense output and the samples, so the
-    trajectory is bit-identical to the run without it; in singular mode
-    it sees only stage states with x > 0.
+    carried as a passenger: it starts at r = 0, is stepped once per accepted
+    step with the same tableau on the stage states, ends in meta["rider"] and
+    is sampled in meta["rider_samples"] (a cubic Hermite through the step's
+    ends at an angle subdivision).  Outside the error norm, the events and
+    the dense output, it leaves the trajectory bit-identical to the run
+    without it; in singular mode it sees only stage states with x > 0.
     Raises BlowUpError on step underflow with a growing state and
     DomainExitError when a singular-mode solution reaches the wall.
     """
@@ -324,7 +324,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     events: list[Event] = []
 
     kx1, ky1 = y, -g(t, x)
-    r = 0.0
+    r, rs = 0.0, [0.0]
+    kr1 = rider(t, x, y, r) if rider is not None else None
     h = min(_FIRST_STEP, max_step, span)
     n_steps = 0
 
@@ -436,8 +437,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         theta_prev = theta_prev + delta
 
         if rider is not None:
-            # the stage states (t + c_i h, x_i, kx_i) of the accepted step
-            kr1 = rider(t, x, y, r)
+            # the stage states (t + c_i h, x_i, kx_i) of the accepted step;
+            # kr1, the slope at its start, is carried first-same-as-last
             kr2 = rider(t + _C2 * h, x2, kx2, r + h * _A21 * kr1)
             kr3 = rider(t + _C3 * h, x3, kx3,
                         r + h * (_A31 * kr1 + _A32 * kr2))
@@ -449,8 +450,12 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             kr6 = rider(t + h, x6, kx6,
                         r + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3
                                  + _A64 * kr4 + _A65 * kr5))
-            r += h * (_A71 * kr1 + _A73 * kr3 + _A74 * kr4 + _A75 * kr5
-                      + _A76 * kr6)
+            r0, r = r, r + h * (_A71 * kr1 + _A73 * kr3 + _A74 * kr4
+                                + _A75 * kr5 + _A76 * kr6)
+            kr0, kr1 = kr1, rider(t + h, x1, y1, r)
+            rs.extend(hermite((ti - t) / h, h, r0, r, kr0, kr1)
+                      for ti in ts[len(rs):])
+            rs.append(r)
 
         t, x, y = t + h, x1, y1
         kx1, ky1 = kx7, ky7
@@ -465,7 +470,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
-                      (cx, 0.0), meta={} if rider is None else {"rider": r})
+                      (cx, 0.0), meta={} if rider is None else
+                      {"rider": r, "rider_samples": np.array(rs)})
 
 
 def _wrap_pi(a: float) -> float:
@@ -476,15 +482,21 @@ def _wrap_pi(a: float) -> float:
     return a
 
 
+def hermite(s, h, p0, p1, m0, m1):
+    """Cubic Hermite at fraction s of a step h: values p0, p1, slopes m0, m1."""
+    return ((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * p0 + s * h * m0)
+            + s * s * ((3.0 - 2.0 * s) * p1 + (s - 1.0) * h * m1))
+
+
 def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
                      opts: IntegrateOpts = IntegrateOpts(),
                      guard: Optional[Callable] = None,
                      t_stops=None):
-    """General-dimension variant of the same pair (numpy states, no events).
+    """General-dimension variant of the same pair (numpy states, no events),
+    kept as the tests' reference: no program path calls it.
 
-    rhs(t, y) -> array; guard(t, y) may raise to abort a stage; steps are
-    clamped to land exactly on any times in t_stops.  Returns (ts, ys)
-    sample arrays.
+    rhs(t, y) -> array; guard(t, y) may raise to abort a stage; steps land
+    exactly on any times in t_stops.  Returns (ts, ys) sample arrays.
     """
     y = np.asarray(y0, dtype=float)
     t = t0

@@ -10,13 +10,14 @@ close up into kT-periodic orbits making exactly nu revolutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .integrate import (BlowUpError, DomainExitError, HomotopyField,
-                        IntegrateOpts, PhaseState, integrate, integrate_system)
+                        IntegrateOpts, PhaseState, Trajectory, hermite,
+                        integrate)
 from .model import SINGULAR, NonlinearityModel, periodic_grid
 from .solver import (NewtonError, SingularJacobianError, SolveOpts,
                      homotopy_solve, newton_fixed_point)
@@ -109,29 +110,32 @@ def circular_orbit(model: NonlinearityModel, L: float,
 def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,
                      horizon: float, opts: IntegrateOpts = IntegrateOpts()
                      ) -> float:
-    """Angle swept by the full orbit: integral of L / rho(t)^2.
+    """Angle swept by the full orbit: integral of L / rho(t)^2."""
+    return _profile_orbit(model, z0, L, horizon, opts).meta["rider"]
 
-    The angle is the rider of one planar integration of the radial
-    profile (no numpy path), so it inherits the integrator tolerance
-    instead of a quadrature grid; the singular-mode wall check keeps
-    rho > 0 at every stage the rider sees.
-    """
-    traj = integrate(HomotopyField(effective_field(model, L), 1.0), z0,
+
+def _profile_orbit(model, z0, L, horizon, opts) -> Trajectory:
+    """One planar integration of the radial profile with the angle as its
+    rider, at the integrator's tolerance; the wall check keeps rho > 0."""
+    return integrate(HomotopyField(effective_field(model, L), 1.0), z0,
                      z0.t + horizon, opts,
                      rider=lambda t, rho, v, theta: L / rho ** 2)
-    return traj.meta["rider"]
 
 
 @dataclass
 class RotatingSolution:
+    """A rotating solution.  orbit is the profile's one integration over a
+    period with the angle as its rider, so orbit.meta["rider"] is exactly
+    delta_theta_period; cartesian_samples post-processes it."""
     k: int
     nu: int
     L: float
     z0: PhaseState               # (rho, rho') at t = 0
     residual: float
     delta_theta_period: float    # angle advance over one rho-period
-    rho_min: float
-    rho_max: float
+    orbit: Trajectory = field(repr=False, compare=False)
+    rho_min = property(lambda self: float(np.min(self.orbit.x)))
+    rho_max = property(lambda self: float(np.max(self.orbit.x)))
 
     @property
     def delta_theta_total(self) -> float:
@@ -304,15 +308,12 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
             if best is None:
                 continue
             L_star, dth, z, res = best
-            traj = integrate(HomotopyField(effective_field(model, L_star), 1.0),
-                             PhaseState(0.0, z[0], z[1]), model.period,
-                             opts.integrate)
-            sol = RotatingSolution(k=k, nu=nu, L=L_star,
-                                   z0=PhaseState(0.0, z[0], z[1]),
-                                   residual=res, delta_theta_period=dth,
-                                   rho_min=float(np.min(traj.x)),
-                                   rho_max=float(np.max(traj.x)))
-            results.append(sol)
+            z0 = PhaseState(0.0, z[0], z[1])
+            results.append(RotatingSolution(
+                k=k, nu=nu, L=L_star, z0=z0, residual=res,
+                delta_theta_period=dth,
+                orbit=_profile_orbit(model, z0, L_star, model.period,
+                                     opts.integrate)))
             if k_nu is None:
                 k_nu = k
         except _SOLVE_ERRORS:       # this k has no solution; try the next
@@ -320,28 +321,26 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     return results, k_nu
 
 
-def cartesian_samples(model: NonlinearityModel, sol: RotatingSolution,
-                      n: int = 720, opts: IntegrateOpts = IntegrateOpts()):
-    """(t, x1, x2) samples of the plane orbit over the full kT window."""
-    eff = effective_field(model, sol.L)
-    fld = HomotopyField(eff, 1.0)
-    g = fld.g
-    L = sol.L
+def cartesian_samples(sol: RotatingSolution, n: int = 720):
+    """(t, x1, x2) samples of the plane orbit over the full kT window.
 
-    def rhs(t, y):
-        rho, v, _ = y
-        return np.array([v, -g(t, rho), L / rho ** 2])
-
-    period = model.period
-    stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)
-    ts, ys = integrate_system(rhs, np.array([sol.z0.x, sol.z0.y, 0.0]),
-                              0.0, period, opts, t_stops=stops)
-    idx = np.searchsorted(ts, stops[:-1])
-    rho_p = ys[idx, 0]
-    th_p = ys[idx, 2]
+    No integration: on n // k uniform times per period (sol.orbit spans
+    one), rho and theta are cubic Hermite values through the neighbouring
+    samples of sol.orbit (rho' = v, theta' = L / rho^2), and period m adds
+    m advances.
+    """
+    orb = sol.orbit
+    period = float(orb.t[-1])
+    stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)[:-1]
+    i = np.searchsorted(orb.t, stops, side="right") - 1
+    h = orb.t[i + 1] - orb.t[i]
+    s = (stops - orb.t[i]) / h
+    rho_p = hermite(s, h, orb.x[i], orb.x[i + 1], orb.y[i], orb.y[i + 1])
+    theta, dtheta = orb.meta["rider_samples"], sol.L / orb.x ** 2
+    th_p = hermite(s, h, theta[i], theta[i + 1], dtheta[i], dtheta[i + 1])
     out = []
     for m in range(sol.k):
-        for tt, rho, th in zip(stops[:-1], rho_p, th_p):
+        for tt, rho, th in zip(stops, rho_p, th_p):
             ang = th + m * sol.delta_theta_period
             out.append((float(m * period + tt), float(rho * math.cos(ang)),
                         float(rho * math.sin(ang))))

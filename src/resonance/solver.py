@@ -222,8 +222,9 @@ def circle_curve(radius: float) -> Callable[[float], tuple[float, float]]:
 
 
 def n_level_curve(level: float) -> Callable[[float], tuple[float, float]]:
-    """Closed level set of 1/x^2 + x^2 + y^2 around (1, 0), for x > 0."""
-    return lambda s: n_level_point(level, 2.0 * math.pi * s)
+    """Closed level set of 1/x^2 + x^2 + y^2 around (1, 0), for x > 0, run
+    counterclockwise like circle_curve (n_level_point runs clockwise)."""
+    return lambda s: n_level_point(level, -2.0 * math.pi * s)
 
 
 def _rect_curve(x0: float, x1: float, y0: float, y1: float

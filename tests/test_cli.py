@@ -179,16 +179,20 @@ def test_singular_theorem_runs_an_expression_in_singular_mode(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "find"])
 def test_model_undefined_on_its_domain_exits_2_naming_the_subtree(
         tmp_path, capsys, command):
-    path = tmp_path / "pow.json"
-    path.write_text(json.dumps({"model": {
-        "f": "1.5*x + 0.1*x^1.5 + 0.5*cos(t)", "T": 2 * math.pi, "N": 1},
-        "grids": {"tau_points": 32}}))
-    code = cli.main([command, "--config", str(path),
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "negative base" in err and "'x^1.5'" in err
+    # a non-integer power and a log, each of a negative value somewhere
+    for f, N, cause, subtree in (
+            ("1.5*x + 0.1*x^1.5 + 0.5*cos(t)", 1, "negative base", "'x^1.5'"),
+            ("x^3 + x*log(x) + cos(t)", 2, "log of a non-positive value",
+             "'log(x)'")):
+        path = tmp_path / "undefined.json"
+        path.write_text(json.dumps({"model": {
+            "f": f, "T": 2 * math.pi, "N": N}, "grids": {"tau_points": 32}}))
+        code = cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert cause in err and subtree in err
 
 
 def test_tol_override_parsing(tmp_path):

@@ -546,14 +546,39 @@ def test_rider_leaves_the_trajectory_bit_identical(family, lam, z0, d):
     assert _bits(ridden) == _bits(plain)
     assert "rider" not in plain.meta
     assert math.isfinite(ridden.meta["rider"]) and ridden.meta["rider"] > 0.0
+    # one rider value per sample, the last one its final value
+    samples = ridden.meta["rider_samples"]
+    assert len(samples) == len(ridden.t)
+    assert samples[-1] == ridden.meta["rider"]
 
 
 def test_rider_quadrature_closed_forms():
-    fld = _field(lambda t, x: x)
+    # x'' + x = 0 over a period, then x'' + 2500 x = 0 over a unit time:
+    # its fast phase rotation makes the angle lift subdivide steps, and
+    # the rider's samples there are Hermite values between step ends
     z = ig.PhaseState(0.3, 1.0, 0.0)
-    t_end = 0.3 + T2PI
-    one = ig.integrate(fld, z, t_end, rider=lambda t, x, y, r: 1.0)
-    assert one.meta["rider"] == pytest.approx(T2PI, abs=1e-12)
-    # r' = 1 + r from r = 0 gives e^T - 1: the rider's own stage values count
-    grow = ig.integrate(fld, z, t_end, rider=lambda t, x, y, r: 1.0 + r)
-    assert grow.meta["rider"] == pytest.approx(math.expm1(T2PI), rel=1e-9)
+    for w2, span in ((1.0, T2PI), (2500.0, 1.0)):
+        fld = _field(lambda t, x: w2 * x)
+        calls = []
+
+        def unit(t, x, y, r):
+            calls.append(1)
+            return 1.0
+
+        one = ig.integrate(fld, z, 0.3 + span, rider=unit)
+        assert one.meta["rider"] == pytest.approx(span, abs=1e-12)
+        np.testing.assert_allclose(one.meta["rider_samples"], one.t - 0.3,
+                                   rtol=0.0, atol=1e-12)
+        if w2 > 1.0:
+            # a step's first stage is the last step's end slope, so the
+            # rider costs 6 calls per accepted step plus the starting
+            # slope: more samples than accepted steps are subdivisions
+            assert len(one.t) - 1 > (len(calls) - 1) // 6
+        # r' = 1 + r from r = 0 gives e^t - 1: the rider's own stage
+        # values count
+        grow = ig.integrate(fld, z, 0.3 + span,
+                            rider=lambda t, x, y, r: 1.0 + r)
+        assert grow.meta["rider"] == pytest.approx(math.expm1(span),
+                                                   rel=1e-9)
+        np.testing.assert_allclose(grow.meta["rider_samples"],
+                                   np.expm1(grow.t - 0.3), rtol=1e-9)

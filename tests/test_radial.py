@@ -246,10 +246,50 @@ def test_reduced_solution_satisfies_cartesian_equation(rotating_run):
     assert worst < 1e-6
 
 
+def _cartesian_samples_by_integrate_system(model, sol, n=720):
+    # the numpy three-state integration of (rho, rho', theta), landing on
+    # the sample times, that cartesian_samples ran before it
+    # post-processed the search's own orbit
+    g = HomotopyField(rd.effective_field(model, sol.L), 1.0).g
+    L = sol.L
+
+    def rhs(t, y):
+        rho, v, _ = y
+        return np.array([v, -g(t, rho), L / rho ** 2])
+
+    period = model.period
+    stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)
+    ts, ys = integrate_system(rhs, np.array([sol.z0.x, sol.z0.y, 0.0]),
+                              0.0, period, sv.SolveOpts().integrate,
+                              t_stops=stops)
+    idx = np.searchsorted(ts, stops[:-1])
+    out = []
+    for m in range(sol.k):
+        for tt, rho, th in zip(stops[:-1], ys[idx, 0], ys[idx, 2]):
+            ang = th + m * sol.delta_theta_period
+            out.append((m * period + tt, rho * math.cos(ang),
+                        rho * math.sin(ang)))
+    return out
+
+
+def test_cartesian_samples_post_process_the_search_orbit(rotating_run):
+    # the orbit is the profile integration whose rider gave the advance,
+    # and the Hermite rows through its samples match a fresh integration
+    # that lands on every row's time
+    model, sols, _ = rotating_run
+    assert len(sols) > 1
+    for sol in sols:
+        assert sol.orbit.meta["rider"] == sol.delta_theta_period
+        got = np.array(rd.cartesian_samples(sol))
+        want = np.array(_cartesian_samples_by_integrate_system(model, sol))
+        assert got.shape == want.shape == (720 // sol.k * sol.k, 3)
+        assert np.max(np.abs(got - want)) < 1e-8
+
+
 def test_cartesian_samples_close_up(rotating_run):
     model, sols, _ = rotating_run
     sol = sols[2]
-    pts = rd.cartesian_samples(model, sol, n=360)
+    pts = rd.cartesian_samples(sol, n=360)
     assert len(pts) > 0
     t0, x0, y0 = pts[0]
     # the kT-periodic orbit returns to its start after k periods

@@ -157,6 +157,18 @@ def test_degree_invariant_between_certified_radii():
     assert degs.pop() != 0
 
 
+def test_boundary_curves_run_counterclockwise():
+    # a winding counts turns with the curve's orientation, so a clockwise
+    # N-level oval would report minus the degree in singular mode
+    def signed_area(curve, n=400):
+        pts = [curve(k / n) for k in range(n)]
+        return 0.5 * sum(x1 * y2 - x2 * y1
+                         for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+
+    assert signed_area(sv.circle_curve(2.0)) > 0.0
+    assert signed_area(sv.n_level_curve(64.0)) > 0.0
+
+
 def test_degree_rejects_boundary_fixed_point():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
     with pytest.raises(ValueError):
@@ -224,8 +236,11 @@ def test_homotopy_full_line_certificate():
 def test_homotopy_singular_certificate_positive():
     model = rm.make_singular_band()
     assert cd.validate_A0_Ainf(model)["passed"]
-    cert = sv.homotopy_solve(model, compute_degree=False)
+    cert = sv.homotopy_solve(model)
     assert cert.converged
+    # the winding on the N-level oval counts the lone fixed point once
+    assert cert.degree == cert.diagnostics["index"] == 1
+    assert cert.diagnostics["index_note"] is None
     assert cert.residual < 1e-8
     assert cert.diagnostics["min_x"] > 0
     assert cert.diagnostics["path_min_x"] > 0.05
