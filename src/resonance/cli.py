@@ -101,11 +101,11 @@ def _is_finite_number(val) -> bool:
 
 
 def _check_family(family, params):
-    if family not in rm.FAMILIES:
+    if not (isinstance(family, str) and family in rm.FAMILIES):
         raise ConfigError(f"model.family must be one of {sorted(rm.FAMILIES)}, "
                           f"got {family!r}")
     if not isinstance(params, dict):
-        raise ConfigError("model.params must be an object")
+        raise ConfigError(f"model.params must be an object, got {params!r}")
     # period and n_mode come from model.T and model.N
     known = set(inspect.signature(rm.FAMILIES[family]).parameters)
     _reject_unknown(params, known - {"period", "n_mode"},
@@ -125,6 +125,8 @@ def validate_config(cfg: dict) -> dict:
     if "model" not in cfg:
         raise ConfigError("config requires a 'model' section")
     mc = cfg["model"]
+    if not isinstance(mc, dict):
+        raise ConfigError(f"model must be an object, got {mc!r}")
     _reject_unknown(mc, _MODEL_KEYS, "model")
     if "T" not in mc:
         raise ConfigError("model.T (the period) is required")
@@ -144,7 +146,10 @@ def validate_config(cfg: dict) -> dict:
     if sum([has_expr, has_piece, has_family]) != 1:
         raise ConfigError("model needs exactly one of: f, (f_left, f_right), family")
     if has_family:
-        _check_family(mc["family"], mc.get("params") or {})
+        _check_family(mc["family"], mc.get("params", {}))
+    elif "params" in mc:
+        raise ConfigError("model.params needs model.family; an expression "
+                          "model takes no parameters")
     theorem = cfg.get("theorem", "main")
     if theorem not in THEOREMS:
         raise ConfigError(f"theorem must be one of {tuple(THEOREMS)}")
@@ -376,12 +381,15 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         if beyond("apriori"):
             return res
         report.start("apriori")
+        # the certifying curve lies beyond the a-priori bound: the N-level
+        # whose probe orbits passed, or the circle at the escape radius
         try:
             if singular:
                 n0, diag = ap.probe_N0(HomotopyField(model, 1.0),
                                        opts=opts.integrate)
+                radius = diag["start_level"]
                 report.put("apriori.N0", n0)
-                report.put("apriori.start_level", diag["start_level"])
+                report.put("apriori.start_level", radius)
             else:
                 # the kit's probes run at the integrator's own tolerances,
                 # not the configured ones; the report names those it used
@@ -394,6 +402,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
                     report.put(f"apriori.{key}", getattr(res.kit, key))
                 report.put("apriori.rtol", kit_opts.rtol)
                 report.put("apriori.atol", kit_opts.atol)
+                radius = res.kit.R_elastic
         except _STAGE_ERRORS as e:
             report.fail(EXIT_APRIORI, str(e))
         report.stop("pass")
@@ -402,7 +411,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
             return res
         report.start("solve")
         try:
-            res.cert = sv.homotopy_solve(model, opts=opts, kit=res.kit)
+            res.cert = sv.homotopy_solve(model, opts=opts, radius=radius)
         except _STAGE_ERRORS as e:
             report.fail(EXIT_SOLVER, str(e))
         _write_certificate(res.cert, model, opts, out_dir, report)

@@ -170,7 +170,7 @@ def solve_radial_profile(model: NonlinearityModel, L: float,
     except (NoBracketError, NewtonError, SingularJacobianError, BlowUpError,
             DomainExitError):
         pass
-    cert = homotopy_solve(eff, opts=opts, compute_degree=False)
+    cert = homotopy_solve(eff, opts=opts)
     if not cert.converged:
         raise NewtonError(f"radial profile solve failed at L={L:.6g}")
     return (cert.z_star.x, cert.z_star.y), cert.residual, None

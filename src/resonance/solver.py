@@ -2,17 +2,18 @@
 
 A T-periodic solution is a fixed point of the time-T return map of the
 planar system.  Fixed points are found by damped quasi-Newton shooting,
-certified by the winding number of z - P(z) along a large closed curve
-(nonzero winding = the disc must contain a fixed point), and transported
-from the solvable comparison field (lam = 0) to the target field (lam = 1)
-along an adaptive interpolation schedule; a path that stalls below the
-smallest step is lost.  One winding routine serves the certifying curve
-and the rectangles of the standalone degree_search.  The shooting
-Jacobian is carried from one continuation step to the next and kept
-current by Broyden's secant update, so a finite-difference Jacobian (two
-return maps) is taken only when the carried one is missing, singular or
-making poor progress (the predictor-corrector practice of Allgower &
-Georg, Numerical Continuation Methods, 1990).
+certified by the winding number of z - P(z) along a closed curve that the
+caller places beyond the a-priori bound (nonzero winding = the curve
+encloses a fixed point), and transported from the solvable comparison
+field (lam = 0) to the target field (lam = 1) along an adaptive
+interpolation schedule; a path that stalls below the smallest step is
+lost.  One winding routine serves the certifying curve and the rectangles
+of the standalone degree_search.  The shooting Jacobian is carried from
+one continuation step to the next and kept current by Broyden's secant
+update, so a finite-difference Jacobian (two return maps) is taken only
+when the carried one is missing, singular or making poor progress (the
+predictor-corrector practice of Allgower & Georg, Numerical Continuation
+Methods, 1990).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class NewtonError(RuntimeError):
 class SolveOpts:
     newton_tol: float = 1e-9
     lambda_points: int = 33
-    max_sup_norm: float = 1e6      # growth cap: beyond it the branch is lost
     # shooting needs the return map resolved below the Newton tolerance
     integrate: IntegrateOpts = IntegrateOpts(rtol=1e-11, atol=1e-11)
 
@@ -57,6 +57,7 @@ class SolveOpts:
 _NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6          # relative Jacobian step, scaled by ||z||
 _LAMBDA_FLOOR = 1e-6     # smallest allowed continuation step
+_MAX_SUP_NORM = 1e6      # growth cap: beyond it the branch is lost
 _DEGREE_SAMPLES = 48     # starting samples of a boundary winding
 _DEGREE_BUDGET = 2048    # most samples a winding may refine to
 _BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve
@@ -296,9 +297,10 @@ def boundary_degree(fld: HomotopyField, radius: float,
                     opts: SolveOpts = SolveOpts()) -> int:
     """Winding number of z - P(z) along a closed curve of initial states.
 
-    radius picks a centered circle (full line) or a largeness level
-    (singular mode); the winding is _winding's, so a fixed point on the
-    curve is an error.
+    The model's domain picks the curve: on the full line the centered
+    circle of the given radius, in singular mode the level set
+    1/x^2 + x^2 + y^2 = radius.  The winding is _winding's, so a fixed
+    point on the curve is an error.
     """
     curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
              else circle_curve(radius))
@@ -387,25 +389,27 @@ def _solve_at_lambda(model, lam, tol, opts):
 
 
 def homotopy_solve(model: NonlinearityModel,
-                   opts: SolveOpts = SolveOpts(), kit=None,
-                   compute_degree: bool = True) -> PeriodicCertificate:
+                   opts: SolveOpts = SolveOpts(),
+                   radius: Optional[float] = None) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
     Continuation runs Newton correctors over opts.lambda_points evenly
     spaced lambdas in [0, 1], halving a step whose corrector fails; a
-    failure at a step of _LAMBDA_FLOOR or less loses the path there.  The
-    certifying radius is the kit's R_elastic when a kit is given.  Each
-    corrector starts from
-    the final Jacobian of the last accepted point (the fold re-polish
-    included), so most corrector steps cost one return map; a failed
-    corrector's Jacobian is dropped with it.  Checking the hypotheses
-    (conditions.validate_A or validate_A0_Ainf) is the caller's part.  On
-    success the fixed point at the last grid lambda is certified (residual,
-    rotation count, boundary winding at the certifying radius).  With the
-    winding comes the local index sign det D(P - I) at the fixed point,
-    from its own fresh finite-difference Jacobian (a certificate quantity
-    never rests on a carried one); diagnostics notes "other fixed
-    points inside R" when it differs from the winding.  A waypoint below
+    failure at a step of _LAMBDA_FLOOR or less loses the path there, and
+    so does an orbit whose sup norm passes _MAX_SUP_NORM.  Each corrector
+    starts from the final Jacobian of the last accepted point (the fold
+    re-polish included), so most corrector steps cost one return map; a
+    failed corrector's Jacobian is dropped with it.  Checking the
+    hypotheses (conditions.validate_A or validate_A0_Ainf) and choosing
+    the certifying curve beyond the a-priori bound are the caller's part.
+    On success the fixed point at the last grid lambda is certified by its
+    residual and rotation count.  With a `radius`, the size of the
+    certifying curve (boundary_degree's circle radius or N-level), it also
+    gets the boundary winding on that curve and the local index sign
+    det D(P - I) at the fixed point, from its own fresh finite-difference
+    Jacobian (a certificate quantity never rests on a carried one);
+    diagnostics notes "other fixed points inside R" when the two differ.
+    Without one, no winding and no index are computed.  A waypoint below
     the last grid lambda only seeds the next predictor, so its corrector
     stops at sqrt(newton_tol); only the certified point is polished to
     newton_tol.  A waypoint whose orbit amplitude more than quadruples over
@@ -478,7 +482,7 @@ def homotopy_solve(model: NonlinearityModel,
             z_prev2 = None if jumped else (lam_prev, z[0], z[1])
             z, res, orbit, jac, lam_prev = zn, resn, orbitn, jacn, lam_target
             path.append(path_point(lam_prev, z, res, orbit))
-            if path[-1].sup_norm > opts.max_sup_norm:
+            if path[-1].sup_norm > _MAX_SUP_NORM:
                 return lost(lam_prev, "amplitude grew past the cap")
             lam_target = next_grid(lam_prev)
         except (NewtonError, SingularJacobianError, BlowUpError,
@@ -494,12 +498,9 @@ def homotopy_solve(model: NonlinearityModel,
         rot = None
 
     degree = index = index_note = None
-    rad = None
-    if compute_degree:
-        rad = (kit.R_elastic if kit is not None else
-               max(8.0 * (1.0 + math.hypot(*z)), 64.0))
+    if radius is not None:
         fld_end = HomotopyField(model, lam_end)
-        degree = boundary_degree(fld_end, rad, opts=opts)
+        degree = boundary_degree(fld_end, radius, opts=opts)
         # local index sign det D(P - I) at z*; the boundary degree is the
         # sum of the indices of all fixed points inside the curve
         end = orbit.state_at_end()
@@ -517,7 +518,7 @@ def homotopy_solve(model: NonlinearityModel,
     return PeriodicCertificate(status="converged",
                                z_star=PhaseState(0.0, z[0], z[1]),
                                residual=res, rotation=rot, degree=degree,
-                               radius_used=rad, path=path,
+                               radius_used=radius, path=path,
                                diagnostics=diagnostics, orbit=orbit)
 
 

@@ -239,7 +239,7 @@ def test_criterion_7_end_to_end_existence(band_model, band_kit):
         assert lo.passed and hi.passed
 
         assert cd.validate_A(band_model)["passed"]
-        cert = sv.homotopy_solve(band_model, kit=kit)
+        cert = sv.homotopy_solve(band_model, radius=kit.R_elastic)
         assert cert.converged
         assert cert.path[-1].lam == 1.0
         assert cert.residual < 1e-8
@@ -259,7 +259,7 @@ def test_criterion_8_singular_mode(singular_model):
         lo, hi = cd.ll_verdict(singular_model, tau_points=64)
         assert lo.passed and hi.passed
 
-        cert = sv.homotopy_solve(singular_model, compute_degree=False)
+        cert = sv.homotopy_solve(singular_model)
         assert cert.converged
         assert cert.residual < 1e-8
         assert cert.diagnostics["min_x"] > 0.0

@@ -106,6 +106,16 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["unknown keys", "x_points"]),
     ({"model": _BAND, "grids": {"lambda_points": 1}},
      ["grids.lambda_points", "at least 2"]),
+    ({"model": 3}, ["model", "object"]),
+    ({"model": None}, ["model", "object"]),
+    ({"model": "abc"}, ["model", "object"]),
+    ({"model": dict(_BAND, params=0)}, ["model.params", "object"]),
+    ({"model": dict(_BAND, params=[])}, ["model.params", "object"]),
+    ({"model": dict(_BAND, params="")}, ["model.params", "object"]),
+    ({"model": {"f": "x^3", "T": 2 * math.pi, "N": 2,
+                "params": {"forcing": 0.5}}},
+     ["model.params", "model.family"]),
+    ({"model": dict(_BAND, family=["cubic_band"])}, ["model.family"]),
 ], ids=["family-param", "family", "family-param-name", "grid-type",
         "grid-range", "tolerance", "unknown-identifier", "parse-error",
         "family-param-type", "linear-resonant-even-N", "radial-nu-type",
@@ -113,7 +123,9 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "section-type", "tolerance-negative", "tolerance-zero",
         "tolerance-nan", "tolerance-inf", "period-nan", "period-inf",
         "period-bool", "band-index-bool", "grid-t-points", "grid-x-points",
-        "grid-one-lambda"])
+        "grid-one-lambda", "model-number", "model-null", "model-string",
+        "params-number", "params-list", "params-string",
+        "params-without-family", "family-list"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
     path = tmp_path / "bad.json"
@@ -344,6 +356,12 @@ def test_apriori_and_find_report_the_same_N0(tmp_path):
         report = (out / "report.txt").read_text().splitlines()
         n0 += [ln for ln in report if ln.startswith("apriori.N0 = ")]
     assert len(n0) == 2 and n0[0] == n0[1]
+    # find certifies on the N-level whose probe orbits passed, and the
+    # oval there winds once around the lone fixed point
+    lines = dict(ln.split(" = ", 1) for ln in report)
+    assert lines["certificate.radius"] == lines["apriori.start_level"]
+    assert lines["certificate.degree"] == lines["certificate.index"] == "1"
+    assert "certificate.index_note" not in lines
     # apriori runs the sign conditions before the a-priori stage
     assert (tmp_path / "apriori" / "ll_lower.csv").exists()
     assert not (tmp_path / "apriori" / "path.csv").exists()

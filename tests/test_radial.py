@@ -126,8 +126,7 @@ def test_angular_progress_monotone_in_momentum_at_fixed_profile():
 
 @functools.lru_cache(maxsize=None)
 def _homotopy_profile(L):
-    cert = homotopy_solve(rd.effective_field(rm.make_singular_band(), L),
-                          compute_degree=False)
+    cert = homotopy_solve(rd.effective_field(rm.make_singular_band(), L))
     assert cert.converged
     return cert.z_star.x, cert.z_star.y
 

@@ -214,7 +214,7 @@ def test_degree_search_locates_fixed_point():
 
 def test_homotopy_full_line_certificate():
     model = rm.make_cubic_band()
-    cert = sv.homotopy_solve(model, compute_degree=False)
+    cert = sv.homotopy_solve(model)
     assert cert.converged
     assert cert.residual < 1e-8
     assert cert.rotation is not None
@@ -236,7 +236,7 @@ def test_homotopy_full_line_certificate():
 def test_homotopy_singular_certificate_positive():
     model = rm.make_singular_band()
     assert cd.validate_A0_Ainf(model)["passed"]
-    cert = sv.homotopy_solve(model)
+    cert = sv.homotopy_solve(model, radius=64.0)
     assert cert.converged
     # the winding on the N-level oval counts the lone fixed point once
     assert cert.degree == cert.diagnostics["index"] == 1
@@ -252,16 +252,16 @@ def test_violating_model_may_still_have_small_solutions():
     model = rm.make_resonant_edge()
     lo, hi = cd.ll_verdict(model, tau_points=32)
     assert hi.verdict == "fail"
-    cert = sv.homotopy_solve(model, compute_degree=False)
+    cert = sv.homotopy_solve(model)
     assert cert.converged and cert.residual < 1e-8
 
 
-def test_lost_continuation_reports_growing_family():
+def test_lost_continuation_reports_growing_family(monkeypatch):
     # pumping the eigenmode directly leaves no periodic solution at the
     # target field, so the branch must blow up before lambda reaches 1
     model = rm.make_linear_resonant()
-    opts = sv.SolveOpts(max_sup_norm=2e3)
-    cert = sv.homotopy_solve(model, opts=opts, compute_degree=False)
+    monkeypatch.setattr(sv, "_MAX_SUP_NORM", 2e3)
+    cert = sv.homotopy_solve(model)
     assert cert.status == "lost"
     sups = [p.sup_norm for p in cert.path]
     assert sups[-1] > 1e3
@@ -281,7 +281,7 @@ def band_certificate():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "poincare", counted)
-        cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+        cert = sv.homotopy_solve(rm.make_cubic_band())
     return cert, len(calls)
 
 
@@ -310,7 +310,7 @@ def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
         return original(fld, *args, **kwargs)
 
     monkeypatch.setattr(sv, "newton_fixed_point", fail_once_at_half)
-    cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+    cert = sv.homotopy_solve(rm.make_cubic_band())
     assert failed == [0.5]
     assert cert.converged and cert.residual < sv.SolveOpts().newton_tol
     assert cert.diagnostics["halvings"] == 1
@@ -409,8 +409,7 @@ def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
             raise
 
     monkeypatch.setattr(sv, "newton_fixed_point", counted)
-    cert = sv.homotopy_solve(rm.make_cubic_band(forcing=forcing),
-                             compute_degree=False)
+    cert = sv.homotopy_solve(rm.make_cubic_band(forcing=forcing))
     assert cert.converged
     assert cert.residual < 1e-8
     assert max(p.sup_norm for p in cert.path) < 2.0
@@ -434,7 +433,7 @@ def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
     monkeypatch.setattr(sv, "newton_fixed_point", fail_from_half)
     monkeypatch.setattr(sv, "degree_search",
                         lambda *args, **kwargs: searches.append(1) or [])
-    cert = sv.homotopy_solve(rm.make_cubic_band(), compute_degree=False)
+    cert = sv.homotopy_solve(rm.make_cubic_band())
     assert cert.status == "lost"
     assert cert.diagnostics["lost_at"] == 0.5
     assert len(failures) == 16
@@ -454,7 +453,7 @@ def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
 def test_local_index_equals_the_degree_of_a_lone_fixed_point(source, sign):
     # a linear equation has one fixed point, so its index
     # sign det(I - M) is the boundary winding
-    cert = sv.homotopy_solve(rm.from_expression(source, T2PI))
+    cert = sv.homotopy_solve(rm.from_expression(source, T2PI), radius=64.0)
     assert cert.converged
     assert cert.degree == cert.diagnostics["index"] == sign
     assert cert.diagnostics["index_note"] is None
@@ -471,12 +470,12 @@ def test_index_mismatch_is_noted_and_costs_two_return_maps(monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sv, "poincare", counted)
-    sv.homotopy_solve(model, compute_degree=False)
+    sv.homotopy_solve(model)
     plain = len(calls)
     calls.clear()
     # a winding of +1 around an index -1 point: more fixed points inside
     monkeypatch.setattr(sv, "boundary_degree", lambda *args, **kwargs: 1)
-    cert = sv.homotopy_solve(model)
+    cert = sv.homotopy_solve(model, radius=64.0)
     assert len(calls) == plain + 2
     assert cert.converged and cert.degree == 1
     assert cert.diagnostics["index"] == -1
