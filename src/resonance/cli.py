@@ -151,8 +151,13 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("model.params needs model.family; an expression "
                           "model takes no parameters")
     theorem = cfg.get("theorem", "main")
-    if theorem not in THEOREMS:
-        raise ConfigError(f"theorem must be one of {tuple(THEOREMS)}")
+    if not isinstance(theorem, str) or theorem not in THEOREMS:
+        raise ConfigError(f"theorem must be one of {tuple(THEOREMS)}, "
+                          f"got {theorem!r}")
+    out_dir = cfg.get("out_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"out_dir must be a non-empty string, "
+                          f"got {out_dir!r}")
     for section, keys in (("tolerances", _TOL_KEYS), ("grids", _GRID_KEYS),
                           ("radial", set(_RADIAL_DEFAULTS)),
                           ("sweep", _SWEEP_KEYS)):

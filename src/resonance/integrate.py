@@ -1,12 +1,18 @@
 """Planar integration of x' = y, -y' = g_lambda(t, x) with event detection.
 
-The stepper is an embedded Dormand-Prince 5(4) pair with the standard
-quartic dense output.  Events (crossings of x = d, x = 0, y = 0 and, in
+The stepper is the Dormand-Prince 8(5,3) pair DOP853 (12 field evaluations
+per step, the last one reused as the next step's first) with its
+7th-order dense output.  Events (crossings of x = d, x = 0, y = 0 and, in
 singular mode, x = 1) are located by bisection on the dense output.  The
 polar angle about the rotation center ((0,0) on the full line, (1,0) in
 singular mode) is lifted continuously along the samples, subdividing steps
 through the dense output whenever the swept angle would jump.  A step builds
-its dense output only when an event flips sign or the angle is subdivided.
+its dense output (three more field evaluations) only when an event flips
+sign, a kink is crossed or the angle is subdivided.  A kink is a point
+where g's x-derivative jumps (HomotopyField.kinks); no error estimate sees
+it, so a step that crosses one is taken again, ending on the crossing.
+integrate_system, a general-dimension Dormand-Prince 5(4) integrator, is
+kept as the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FULL_LINE, SINGULAR, NonlinearityModel
+from .model import FULL_LINE, SINGULAR, NonlinearityModel, split_point
 from .spectrum import eigenvalue
 
 __all__ = [
     "IntegrateOpts", "PhaseState", "Event", "Trajectory", "HomotopyField",
     "BlowUpError", "DomainExitError", "CenterHitError", "LapPatternError",
-    "g_lambda", "integrate", "integrate_system", "hermite", "rotation_count",
+    "g_lambda", "integrate", "integrate_system", "rotation_count",
     "crossing_times", "measure_halfturn", "LapInstants",
 ]
 
@@ -133,6 +139,19 @@ class HomotopyField:
             raise ValueError("lambda must lie in [0, 1]")
 
     @cached_property
+    def kinks(self) -> tuple:
+        """The x where g's x-derivative may jump, ascending: the split
+        point of a piecewise model and, for lam < 1, the knots of h's
+        blend.  A single expression declares none."""
+        pts = set()
+        if len(self.model.trees) == 2:
+            pts.add(split_point(self.model.domain))
+        if self.lam < 1.0:
+            pts.update((-1.0, 0.0) if self.model.domain == FULL_LINE
+                       else (0.5, 1.0))
+        return tuple(sorted(pts))
+
+    @cached_property
     def mu_mid(self) -> float:
         if self.mu is not None:
             return self.mu
@@ -202,57 +221,175 @@ def g_lambda(fld: HomotopyField, t: float, x: float) -> float:
     return fld.g(t, x)
 
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                                -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-_D1 = -12715105075.0 / 11282082432.0
-_D3 = 87487479700.0 / 32700410799.0
-_D4 = -10690763975.0 / 1880347072.0
-_D5 = 701980252875.0 / 199316789632.0
-_D6 = -1453857185.0 / 822651844.0
-_D7 = 69997945.0 / 29380423.0
+# The Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, section II.10): _A<i>_<j> is the weight of stage j's slope in
+# stage i, _C<i> the time fraction of stage i (c12 = c13 = 1; stage 13 is
+# the step's end, first-same-as-last).  Stages 14-16 and _D<p>_<j> build
+# the 7th-order dense output.
+(_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11) = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571)
+_C14, _C15, _C16 = (0.1, 0.2, 0.7777777777777778)
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = (0.0197250569845379, 0.0591751709536137)
+_A4_1, _A4_3 = (0.02958758547680685, 0.08876275643042054)
+(_A5_1, _A5_3, _A5_4) = (
+    0.2413651341592667, -0.8845494793282861, 0.924834003261792)
+(_A6_1, _A6_4, _A6_5) = (
+    0.037037037037037035, 0.17082860872947386, 0.12546768756682242)
+(_A7_1, _A7_4, _A7_5, _A7_6) = (
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125)
+(_A8_1, _A8_4, _A8_5, _A8_6, _A8_7) = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023)
+(_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8) = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996)
+(_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9) = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627)
+(_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10) = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196)
+(_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11) = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+# weights of the 8th-order solution
+(_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12) = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259)
+# 5th-order error weights
+(_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12) = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+# the 3rd-order solution's weights differ from B only at stages 1, 9 and 12
+(_BH1, _BH9, _BH12) = (
+    0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+# the three extra stages of the dense output
+(_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13) = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
+    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+    0.007567897660545699, -0.008298)
+(_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14) = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
+    -0.05492374857139099, -0.00010834732869724932, 0.0003825710908356584,
+    -0.00034046500868740456, 0.1413124436746325)
+(_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15) = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599,
+    4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
+    2.9475147891527724, -9.15095847217987)
+# dense-output coefficients of the powers 4 to 7
+(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
+ _D4_15, _D4_16) = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+    2.38466765651207, 2.117034582445028, -0.871391583777973,
+    2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+    18.148505520854727, -9.194632392478356, -4.436036387594894)
+(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
+ _D5_15, _D5_16) = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028,
+    -374.5467547226902, -22.113666853125306, 7.733432668472264,
+    -30.674084731089398, -9.332130526430229, 15.697238121770845,
+    -31.139403219565178, -9.35292435884448, 35.81684148639408)
+(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
+ _D6_15, _D6_16) = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758,
+    527.8081592054236, -11.57390253995963, 6.8812326946963,
+    -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+    -60.19669523126412, 84.32040550667716, 11.99229113618279)
+(_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14,
+ _D7_15, _D7_16) = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455,
+    357.6391179106141, 93.40532418362432, -37.45832313645163,
+    104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+    -39.17726167561544, -149.72683625798564)
 
-_EVENT_KINDS = ("cross_x_eq_d", "cross_x_eq_0", "cross_y_eq_0", "cross_x_eq_1")
+_STAGE_ERRORS = (_StageDomain, ValueError, ZeroDivisionError, OverflowError)
+_LAND_AFTER = 0.01   # a kink crossed in a step's first 1% is not landed on
+
+
+def _dense_coeffs(h, p0, p1, k):
+    """(p0, F0, ..., F6) of one component's interpolant; k holds its
+    slopes at stages 1 and 6-16."""
+    k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 = k
+    dp = p1 - p0
+    return (p0, dp, h * k1 - dp, 2.0 * dp - h * (k13 + k1),
+            h * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8
+                 + _D4_9 * k9 + _D4_10 * k10 + _D4_11 * k11 + _D4_12 * k12
+                 + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15 + _D4_16 * k16),
+            h * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8
+                 + _D5_9 * k9 + _D5_10 * k10 + _D5_11 * k11 + _D5_12 * k12
+                 + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15 + _D5_16 * k16),
+            h * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8
+                 + _D6_9 * k9 + _D6_10 * k10 + _D6_11 * k11 + _D6_12 * k12
+                 + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15 + _D6_16 * k16),
+            h * (_D7_1 * k1 + _D7_6 * k6 + _D7_7 * k7 + _D7_8 * k8
+                 + _D7_9 * k9 + _D7_10 * k10 + _D7_11 * k11 + _D7_12 * k12
+                 + _D7_13 * k13 + _D7_14 * k14 + _D7_15 * k15 + _D7_16 * k16))
+
+
+def _interp(c, s):
+    """The interpolant with coefficients c (from _dense_coeffs) at the
+    fraction s of its step."""
+    s1 = 1.0 - s
+    return c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * (
+        c[4] + s * (c[5] + s1 * (c[6] + s * c[7]))))))
 
 
 class _Dense:
-    """Quartic interpolant over one accepted step."""
+    """7th-order interpolant over one accepted step.  Its three extra
+    stages are its only field evaluations; kx and ky hold the slopes of
+    stages 1 and 6-13 (the others have no weight in it), and extra keeps
+    the states (x_i, kx_i) of stages 14-16 for the rider's interpolant."""
 
-    __slots__ = ("t0", "h", "cx", "cy")
+    __slots__ = ("t0", "h", "cx", "cy", "extra")
 
-    def __init__(self, t0, h, x0, y0, x1, y1, kx, ky):
-        self.t0, self.h = t0, h
-        dx, dy = x1 - x0, y1 - y0
-        bx = h * kx[0] - dx
-        by = h * ky[0] - dy
-        cx4 = dx - h * kx[6] - bx
-        cy4 = dy - h * ky[6] - by
-        cx5 = h * (_D1 * kx[0] + _D3 * kx[2] + _D4 * kx[3] + _D5 * kx[4]
-                   + _D6 * kx[5] + _D7 * kx[6])
-        cy5 = h * (_D1 * ky[0] + _D3 * ky[2] + _D4 * ky[3] + _D5 * ky[4]
-                   + _D6 * ky[5] + _D7 * ky[6])
-        self.cx = (x0, dx, bx, cx4, cx5)
-        self.cy = (y0, dy, by, cy4, cy5)
+    def __init__(self, g, singular, t, h, x, y, x1, y1, kx, ky):
+        kx1, kx6, kx7, kx8, kx9, kx10, kx11, kx12, kx13 = kx
+        ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12, ky13 = ky
+        x14 = x + h * (_A14_1 * kx1 + _A14_7 * kx7 + _A14_8 * kx8
+                       + _A14_9 * kx9 + _A14_10 * kx10 + _A14_11 * kx11
+                       + _A14_12 * kx12 + _A14_13 * kx13)
+        kx14 = y + h * (_A14_1 * ky1 + _A14_7 * ky7 + _A14_8 * ky8
+                        + _A14_9 * ky9 + _A14_10 * ky10 + _A14_11 * ky11
+                        + _A14_12 * ky12 + _A14_13 * ky13)
+        if singular and x14 <= 0.0:
+            raise _StageDomain()
+        ky14 = -g(t + _C14 * h, x14)
+        x15 = x + h * (_A15_1 * kx1 + _A15_6 * kx6 + _A15_7 * kx7
+                       + _A15_8 * kx8 + _A15_11 * kx11 + _A15_12 * kx12
+                       + _A15_13 * kx13 + _A15_14 * kx14)
+        kx15 = y + h * (_A15_1 * ky1 + _A15_6 * ky6 + _A15_7 * ky7
+                        + _A15_8 * ky8 + _A15_11 * ky11 + _A15_12 * ky12
+                        + _A15_13 * ky13 + _A15_14 * ky14)
+        if singular and x15 <= 0.0:
+            raise _StageDomain()
+        ky15 = -g(t + _C15 * h, x15)
+        x16 = x + h * (_A16_1 * kx1 + _A16_6 * kx6 + _A16_7 * kx7
+                       + _A16_8 * kx8 + _A16_9 * kx9 + _A16_13 * kx13
+                       + _A16_14 * kx14 + _A16_15 * kx15)
+        kx16 = y + h * (_A16_1 * ky1 + _A16_6 * ky6 + _A16_7 * ky7
+                        + _A16_8 * ky8 + _A16_9 * ky9 + _A16_13 * ky13
+                        + _A16_14 * ky14 + _A16_15 * ky15)
+        if singular and x16 <= 0.0:
+            raise _StageDomain()
+        ky16 = -g(t + _C16 * h, x16)
+        self.t0, self.h = t, h
+        self.extra = (x14, kx14, x15, kx15, x16, kx16)
+        self.cx = _dense_coeffs(h, x, x1, (kx1, kx6, kx7, kx8, kx9, kx10, kx11,
+                                           kx12, kx13, kx14, kx15, kx16))
+        self.cy = _dense_coeffs(h, y, y1, (ky1, ky6, ky7, ky8, ky9, ky10, ky11,
+                                           ky12, ky13, ky14, ky15, ky16))
 
     def eval(self, t):
         s = (t - self.t0) / self.h
-        s1 = 1.0 - s
-        c = self.cx
-        x = c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * c[4])))
-        c = self.cy
-        y = c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * c[4])))
-        return x, y
+        return _interp(self.cx, s), _interp(self.cy, s)
 
 
 def _bisect_event(dense, phi, t_lo, t_hi, tol):
@@ -261,6 +398,8 @@ def _bisect_event(dense, phi, t_lo, t_hi, tol):
         if t_hi - t_lo <= tol:
             break
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
         f_mid = phi(*dense.eval(t_mid))
         if f_lo * f_mid <= 0.0:
             t_hi = t_mid
@@ -278,13 +417,16 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     """Integrate the planar system from z0 to t_end with dense events.
 
     d, when given, adds crossing events for the left threshold x = d.
+    An accepted step that crosses one of fld.kinks after its first 1% is
+    taken again, shortened to end on the crossing.
     rider, when given, is a scalar quadrature channel r' = rider(t, x, y, r)
     carried as a passenger: it starts at r = 0, is stepped once per accepted
     step with the same tableau on the stage states, ends in meta["rider"] and
-    is sampled in meta["rider_samples"] (a cubic Hermite through the step's
-    ends at an angle subdivision).  Outside the error norm, the events and
-    the dense output, it leaves the trajectory bit-identical to the run
-    without it; in singular mode it sees only stage states with x > 0.
+    is sampled in meta["rider_samples"] (at an angle subdivision by its own
+    7th-order interpolant, three more rider calls).  Outside the error norm,
+    the events and the dense output, it leaves the trajectory bit-identical
+    to the run without it; in singular mode it sees only stage states with
+    x > 0.
     Raises BlowUpError on step underflow with a growing state and
     DomainExitError when a singular-mode solution reaches the wall.
     """
@@ -298,6 +440,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     # x-slope is the stage's y, the y-slope -g(t, x).  In singular mode a
     # stage at x <= 0 is rejected before g sees it.
     g = fld.g
+    kinks = fld.kinks
     cx = 1.0 if singular else 0.0
     span = t_end - z0.t
     if span <= 0:
@@ -306,6 +449,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     rtol, atol, theta_step = opts.rtol, opts.atol, _THETA_STEP
     step_floor, blowup_bound = _STEP_FLOOR, _BLOWUP_BOUND
+    sqrt2 = math.sqrt(2.0)
 
     # event functions on (x, y); the step loop tests their sign flips inline
     events_def = [("cross_x_eq_0", lambda x, y: x),
@@ -328,6 +472,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     kr1 = rider(t, x, y, r) if rider is not None else None
     h = min(_FIRST_STEP, max_step, span)
     n_steps = 0
+    landing = False     # the step under way ends on a kink crossing
 
     while t < t_stop:
         n_steps += 1
@@ -344,70 +489,148 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             raise BlowUpError(t, x, y)
 
         try:
-            x2 = x + h * _A21 * kx1
-            kx2 = y + h * _A21 * ky1
+            x2 = x + h * (_A2_1 * kx1)
+            kx2 = y + h * (_A2_1 * ky1)
             if singular and x2 <= 0.0:
                 raise _StageDomain()
             ky2 = -g(t + _C2 * h, x2)
-            x3 = x + h * (_A31 * kx1 + _A32 * kx2)
-            kx3 = y + h * (_A31 * ky1 + _A32 * ky2)
+            x3 = x + h * (_A3_1 * kx1 + _A3_2 * kx2)
+            kx3 = y + h * (_A3_1 * ky1 + _A3_2 * ky2)
             if singular and x3 <= 0.0:
                 raise _StageDomain()
             ky3 = -g(t + _C3 * h, x3)
-            x4 = x + h * (_A41 * kx1 + _A42 * kx2 + _A43 * kx3)
-            kx4 = y + h * (_A41 * ky1 + _A42 * ky2 + _A43 * ky3)
+            x4 = x + h * (_A4_1 * kx1 + _A4_3 * kx3)
+            kx4 = y + h * (_A4_1 * ky1 + _A4_3 * ky3)
             if singular and x4 <= 0.0:
                 raise _StageDomain()
             ky4 = -g(t + _C4 * h, x4)
-            x5 = x + h * (_A51 * kx1 + _A52 * kx2 + _A53 * kx3 + _A54 * kx4)
-            kx5 = y + h * (_A51 * ky1 + _A52 * ky2 + _A53 * ky3 + _A54 * ky4)
+            x5 = x + h * (_A5_1 * kx1 + _A5_3 * kx3 + _A5_4 * kx4)
+            kx5 = y + h * (_A5_1 * ky1 + _A5_3 * ky3 + _A5_4 * ky4)
             if singular and x5 <= 0.0:
                 raise _StageDomain()
             ky5 = -g(t + _C5 * h, x5)
-            x6 = x + h * (_A61 * kx1 + _A62 * kx2 + _A63 * kx3
-                          + _A64 * kx4 + _A65 * kx5)
-            kx6 = y + h * (_A61 * ky1 + _A62 * ky2 + _A63 * ky3
-                           + _A64 * ky4 + _A65 * ky5)
+            x6 = x + h * (_A6_1 * kx1 + _A6_4 * kx4 + _A6_5 * kx5)
+            kx6 = y + h * (_A6_1 * ky1 + _A6_4 * ky4 + _A6_5 * ky5)
             if singular and x6 <= 0.0:
                 raise _StageDomain()
-            ky6 = -g(t + h, x6)
-            x1 = x + h * (_A71 * kx1 + _A73 * kx3 + _A74 * kx4 + _A75 * kx5
-                          + _A76 * kx6)
-            y1 = y + h * (_A71 * ky1 + _A73 * ky3 + _A74 * ky4 + _A75 * ky5
-                          + _A76 * ky6)
+            ky6 = -g(t + _C6 * h, x6)
+            x7 = x + h * (_A7_1 * kx1 + _A7_4 * kx4 + _A7_5 * kx5
+                          + _A7_6 * kx6)
+            kx7 = y + h * (_A7_1 * ky1 + _A7_4 * ky4 + _A7_5 * ky5
+                           + _A7_6 * ky6)
+            if singular and x7 <= 0.0:
+                raise _StageDomain()
+            ky7 = -g(t + _C7 * h, x7)
+            x8 = x + h * (_A8_1 * kx1 + _A8_4 * kx4 + _A8_5 * kx5
+                          + _A8_6 * kx6 + _A8_7 * kx7)
+            kx8 = y + h * (_A8_1 * ky1 + _A8_4 * ky4 + _A8_5 * ky5
+                           + _A8_6 * ky6 + _A8_7 * ky7)
+            if singular and x8 <= 0.0:
+                raise _StageDomain()
+            ky8 = -g(t + _C8 * h, x8)
+            x9 = x + h * (_A9_1 * kx1 + _A9_4 * kx4 + _A9_5 * kx5
+                          + _A9_6 * kx6 + _A9_7 * kx7 + _A9_8 * kx8)
+            kx9 = y + h * (_A9_1 * ky1 + _A9_4 * ky4 + _A9_5 * ky5
+                           + _A9_6 * ky6 + _A9_7 * ky7 + _A9_8 * ky8)
+            if singular and x9 <= 0.0:
+                raise _StageDomain()
+            ky9 = -g(t + _C9 * h, x9)
+            x10 = x + h * (_A10_1 * kx1 + _A10_4 * kx4 + _A10_5 * kx5
+                           + _A10_6 * kx6 + _A10_7 * kx7 + _A10_8 * kx8
+                           + _A10_9 * kx9)
+            kx10 = y + h * (_A10_1 * ky1 + _A10_4 * ky4 + _A10_5 * ky5
+                            + _A10_6 * ky6 + _A10_7 * ky7 + _A10_8 * ky8
+                            + _A10_9 * ky9)
+            if singular and x10 <= 0.0:
+                raise _StageDomain()
+            ky10 = -g(t + _C10 * h, x10)
+            x11 = x + h * (_A11_1 * kx1 + _A11_4 * kx4 + _A11_5 * kx5
+                           + _A11_6 * kx6 + _A11_7 * kx7 + _A11_8 * kx8
+                           + _A11_9 * kx9 + _A11_10 * kx10)
+            kx11 = y + h * (_A11_1 * ky1 + _A11_4 * ky4 + _A11_5 * ky5
+                            + _A11_6 * ky6 + _A11_7 * ky7 + _A11_8 * ky8
+                            + _A11_9 * ky9 + _A11_10 * ky10)
+            if singular and x11 <= 0.0:
+                raise _StageDomain()
+            ky11 = -g(t + _C11 * h, x11)
+            x12 = x + h * (_A12_1 * kx1 + _A12_4 * kx4 + _A12_5 * kx5
+                           + _A12_6 * kx6 + _A12_7 * kx7 + _A12_8 * kx8
+                           + _A12_9 * kx9 + _A12_10 * kx10 + _A12_11 * kx11)
+            kx12 = y + h * (_A12_1 * ky1 + _A12_4 * ky4 + _A12_5 * ky5
+                            + _A12_6 * ky6 + _A12_7 * ky7 + _A12_8 * ky8
+                            + _A12_9 * ky9 + _A12_10 * ky10 + _A12_11 * ky11)
+            if singular and x12 <= 0.0:
+                raise _StageDomain()
+            ky12 = -g(t + h, x12)
+            sx = (_B1 * kx1 + _B6 * kx6 + _B7 * kx7 + _B8 * kx8 + _B9 * kx9
+                  + _B10 * kx10 + _B11 * kx11 + _B12 * kx12)
+            sy = (_B1 * ky1 + _B6 * ky6 + _B7 * ky7 + _B8 * ky8 + _B9 * ky9
+                  + _B10 * ky10 + _B11 * ky11 + _B12 * ky12)
+            x1 = x + h * sx
+            y1 = y + h * sy
             if singular and x1 <= 0.0:
                 raise _StageDomain()
-            kx7, ky7 = y1, -g(t + h, x1)
-        except (_StageDomain, ValueError, ZeroDivisionError, OverflowError):
+            # error norm of the 5th- and 3rd-order estimates (ex, ey and
+            # sx - bh.k); hypot stays finite for a wildly too large trial
+            # step, and a NaN error rejects the step
+            ex = (_E1 * kx1 + _E6 * kx6 + _E7 * kx7 + _E8 * kx8 + _E9 * kx9
+                  + _E10 * kx10 + _E11 * kx11 + _E12 * kx12)
+            ey = (_E1 * ky1 + _E6 * ky6 + _E7 * ky7 + _E8 * ky8 + _E9 * ky9
+                  + _E10 * ky10 + _E11 * ky11 + _E12 * ky12)
+            sc_x = atol + rtol * max(abs(x), abs(x1))
+            sc_y = atol + rtol * max(abs(y), abs(y1))
+            n5 = math.hypot(ex / sc_x, ey / sc_y)
+            n3 = math.hypot(
+                (sx - _BH1 * kx1 - _BH9 * kx9 - _BH12 * kx12) / sc_x,
+                (sy - _BH1 * ky1 - _BH9 * ky9 - _BH12 * ky12) / sc_y)
+            den = math.hypot(n5, 0.1 * n3)
+            err = h * n5 * (n5 / den) / sqrt2 if den != 0.0 else 0.0
+            if not err <= 1.0:
+                landing = False
+                h *= max(0.2, 0.9 * err ** -0.125)
+                continue
+            kx13, ky13 = y1, -g(t + h, x1)
+        except _STAGE_ERRORS:
+            landing = False
             h *= 0.5
             continue
 
-        err_x = h * (_E1 * kx1 + _E3 * kx3 + _E4 * kx4 + _E5 * kx5
-                     + _E6 * kx6 + _E7 * kx7)
-        err_y = h * (_E1 * ky1 + _E3 * ky3 + _E4 * ky4 + _E5 * ky5
-                     + _E6 * ky6 + _E7 * ky7)
-        sc_x = atol + rtol * max(abs(x), abs(x1))
-        sc_y = atol + rtol * max(abs(y), abs(y1))
-        # hypot stays finite even when a trial step is wildly too large
-        err = math.hypot(err_x / sc_x, err_y / sc_y) / math.sqrt(2.0)
-
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            continue
-
-        # the dense output is built only for an event or an angle subdivision
+        # the dense output is built only for an event, a kink crossing or
+        # an angle subdivision
         flips = (x * x1 < 0.0 or y * y1 < 0.0
                  or (d_event and (x - d) * (x1 - d) < 0.0)
                  or (singular and (x - 1.0) * (x1 - 1.0) < 0.0))
+        crossed = (kinks and not landing
+                   and [k for k in kinks if (x - k) * (x1 - k) < 0.0])
         th_new_raw = math.atan2(y1, x1 - cx)
         delta = th_new_raw - theta_prev
         if not -math.pi < delta <= math.pi:
             delta = _wrap_pi(delta)
         subdivide = abs(delta) > theta_step
-        if flips or subdivide:
-            dense = _Dense(t, h, x, y, x1, y1,
-                           (kx1, kx2, kx3, kx4, kx5, kx6, kx7),
-                           (ky1, ky2, ky3, ky4, ky5, ky6, ky7))
+        if flips or crossed or subdivide:
+            try:
+                dense = _Dense(g, singular, t, h, x, y, x1, y1,
+                               (kx1, kx6, kx7, kx8, kx9, kx10, kx11, kx12,
+                                kx13),
+                               (ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12,
+                                ky13))
+            except _STAGE_ERRORS:
+                landing = False
+                h *= 0.5
+                continue
+
+        if crossed:
+            # g's x-derivative jumps at a kink, which no error estimate
+            # sees: take the step again, ending on the first crossing past
+            # its first 1%, located like an event
+            lands = [t_k for t_k in (
+                _bisect_event(dense, lambda x, y, _k=k: x - _k, t, t + h,
+                              opts.event_tol)[0] for k in crossed)
+                     if t_k > t + _LAND_AFTER * h]
+            if lands:
+                h = min(lands) - t
+                landing = True
+                continue
 
         if flips:
             # events: bisection on the dense output where the sign flips
@@ -439,26 +662,70 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         if rider is not None:
             # the stage states (t + c_i h, x_i, kx_i) of the accepted step;
             # kr1, the slope at its start, is carried first-same-as-last
-            kr2 = rider(t + _C2 * h, x2, kx2, r + h * _A21 * kr1)
+            kr2 = rider(t + _C2 * h, x2, kx2,
+                        r + h * (_A2_1 * kr1))
             kr3 = rider(t + _C3 * h, x3, kx3,
-                        r + h * (_A31 * kr1 + _A32 * kr2))
+                        r + h * (_A3_1 * kr1 + _A3_2 * kr2))
             kr4 = rider(t + _C4 * h, x4, kx4,
-                        r + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3))
+                        r + h * (_A4_1 * kr1 + _A4_3 * kr3))
             kr5 = rider(t + _C5 * h, x5, kx5,
-                        r + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3
-                                 + _A54 * kr4))
-            kr6 = rider(t + h, x6, kx6,
-                        r + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3
-                                 + _A64 * kr4 + _A65 * kr5))
-            r0, r = r, r + h * (_A71 * kr1 + _A73 * kr3 + _A74 * kr4
-                                + _A75 * kr5 + _A76 * kr6)
-            kr0, kr1 = kr1, rider(t + h, x1, y1, r)
-            rs.extend(hermite((ti - t) / h, h, r0, r, kr0, kr1)
-                      for ti in ts[len(rs):])
+                        r + h * (_A5_1 * kr1 + _A5_3 * kr3 + _A5_4 * kr4))
+            kr6 = rider(t + _C6 * h, x6, kx6,
+                        r + h * (_A6_1 * kr1 + _A6_4 * kr4 + _A6_5 * kr5))
+            kr7 = rider(t + _C7 * h, x7, kx7,
+                        r + h * (_A7_1 * kr1 + _A7_4 * kr4 + _A7_5 * kr5
+                                 + _A7_6 * kr6))
+            kr8 = rider(t + _C8 * h, x8, kx8,
+                        r + h * (_A8_1 * kr1 + _A8_4 * kr4 + _A8_5 * kr5
+                                 + _A8_6 * kr6 + _A8_7 * kr7))
+            kr9 = rider(t + _C9 * h, x9, kx9,
+                        r + h * (_A9_1 * kr1 + _A9_4 * kr4 + _A9_5 * kr5
+                                 + _A9_6 * kr6 + _A9_7 * kr7 + _A9_8 * kr8))
+            kr10 = rider(t + _C10 * h, x10, kx10,
+                         r + h * (_A10_1 * kr1 + _A10_4 * kr4 + _A10_5 * kr5
+                                  + _A10_6 * kr6 + _A10_7 * kr7 + _A10_8 * kr8
+                                  + _A10_9 * kr9))
+            kr11 = rider(t + _C11 * h, x11, kx11,
+                         r + h * (_A11_1 * kr1 + _A11_4 * kr4 + _A11_5 * kr5
+                                  + _A11_6 * kr6 + _A11_7 * kr7 + _A11_8 * kr8
+                                  + _A11_9 * kr9 + _A11_10 * kr10))
+            kr12 = rider(t + h, x12, kx12,
+                         r + h * (_A12_1 * kr1 + _A12_4 * kr4 + _A12_5 * kr5
+                                  + _A12_6 * kr6 + _A12_7 * kr7 + _A12_8 * kr8
+                                  + _A12_9 * kr9 + _A12_10 * kr10
+                                  + _A12_11 * kr11))
+            r0, r = r, r + h * (_B1 * kr1 + _B6 * kr6 + _B7 * kr7 + _B8 * kr8
+                                + _B9 * kr9 + _B10 * kr10 + _B11 * kr11
+                                + _B12 * kr12)
+            kr13 = rider(t + h, x1, y1, r)
+            if subdivide:
+                # the rider's own 7th-order interpolant at the subdivision
+                # samples, on the dense output's extra stage states
+                x14, kx14, x15, kx15, x16, kx16 = dense.extra
+                kr14 = rider(t + _C14 * h, x14, kx14,
+                             r0 + h * (_A14_1 * kr1 + _A14_7 * kr7
+                                       + _A14_8 * kr8 + _A14_9 * kr9
+                                       + _A14_10 * kr10 + _A14_11 * kr11
+                                       + _A14_12 * kr12 + _A14_13 * kr13))
+                kr15 = rider(t + _C15 * h, x15, kx15,
+                             r0 + h * (_A15_1 * kr1 + _A15_6 * kr6
+                                       + _A15_7 * kr7 + _A15_8 * kr8
+                                       + _A15_11 * kr11 + _A15_12 * kr12
+                                       + _A15_13 * kr13 + _A15_14 * kr14))
+                kr16 = rider(t + _C16 * h, x16, kx16,
+                             r0 + h * (_A16_1 * kr1 + _A16_6 * kr6
+                                       + _A16_7 * kr7 + _A16_8 * kr8
+                                       + _A16_9 * kr9 + _A16_13 * kr13
+                                       + _A16_14 * kr14 + _A16_15 * kr15))
+                cr = _dense_coeffs(h, r0, r, (kr1, kr6, kr7, kr8, kr9, kr10,
+                                              kr11, kr12, kr13, kr14, kr15,
+                                              kr16))
+                rs.extend(_interp(cr, (ti - t) / h) for ti in ts[len(rs):])
             rs.append(r)
+            kr1 = kr13
 
         t, x, y = t + h, x1, y1
-        kx1, ky1 = kx7, ky7
+        kx1, ky1 = kx13, ky13
         ts.append(t); xs.append(x); ys.append(y)
         thetas.append(theta_prev)
         rhos.append(math.hypot(x - cx, y))
@@ -466,7 +733,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         if abs(x) > blowup_bound or abs(y) > blowup_bound:
             raise BlowUpError(t, x, y, "state bound exceeded")
 
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        landing = False
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
 
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
@@ -482,18 +750,30 @@ def _wrap_pi(a: float) -> float:
     return a
 
 
-def hermite(s, h, p0, p1, m0, m1):
-    """Cubic Hermite at fraction s of a step h: values p0, p1, slopes m0, m1."""
-    return ((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * p0 + s * h * m0)
-            + s * s * ((3.0 - 2.0 * s) * p1 + (s - 1.0) * h * m1))
+# Dormand-Prince 5(4), the pair of integrate_system: the rows of A, the
+# time fractions c, the 5th-order weights b and the error weights b - b*
+_DP5_A = ((),
+          (0.2,),
+          (3.0 / 40.0, 9.0 / 40.0),
+          (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+          (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+           -212.0 / 729.0),
+          (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+           -5103.0 / 18656.0))
+_DP5_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+_DP5_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+          -2187.0 / 6784.0, 11.0 / 84.0)
+_DP5_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
 def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
                      opts: IntegrateOpts = IntegrateOpts(),
                      guard: Optional[Callable] = None,
                      t_stops=None):
-    """General-dimension variant of the same pair (numpy states, no events),
-    kept as the tests' reference: no program path calls it.
+    """General-dimension Dormand-Prince 5(4) integrator (numpy states, no
+    events), kept as the tests' independent reference for integrate: no
+    program path calls it.
 
     rhs(t, y) -> array; guard(t, y) may raise to abort a stage; steps land
     exactly on any times in t_stops.  Returns (ts, ys) sample arrays.
@@ -506,15 +786,7 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
     if t_stops is not None:
         stops = np.asarray(sorted(set(float(s) for s in t_stops
                                       if t0 < s <= t_end)))
-    a = [None,
-         (_A21,),
-         (_A31, _A32),
-         (_A41, _A42, _A43),
-         (_A51, _A52, _A53, _A54),
-         (_A61, _A62, _A63, _A64, _A65)]
-    c = (0.0, _C2, _C3, _C4, _C5, 1.0)
-    b = (_A71, 0.0, _A73, _A74, _A75, _A76)
-    e = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
+    a, c, b, e = _DP5_A, _DP5_C, _DP5_B, _DP5_E
 
     ts = [t]
     ys = [y.copy()]
@@ -545,7 +817,7 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
                 guard(t + h, y1)
             k7 = np.asarray(rhs(t + h, y1))
             ks.append(k7)
-        except (_StageDomain, ValueError, ZeroDivisionError, OverflowError):
+        except _STAGE_ERRORS:
             h *= 0.5
             continue
         err_vec = h * sum(ee * kk for ee, kk in zip(e, ks))

@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .integrate import (BlowUpError, DomainExitError, HomotopyField,
-                        IntegrateOpts, PhaseState, Trajectory, hermite,
-                        integrate)
+                        IntegrateOpts, PhaseState, Trajectory, integrate)
 from .model import SINGULAR, NonlinearityModel, periodic_grid
 from .solver import (NewtonError, SingularJacobianError, SolveOpts,
                      homotopy_solve, newton_fixed_point)
@@ -124,9 +123,10 @@ def _profile_orbit(model, z0, L, horizon, opts) -> Trajectory:
 
 @dataclass
 class RotatingSolution:
-    """A rotating solution.  orbit is the profile's one integration over a
-    period with the angle as its rider, so orbit.meta["rider"] is exactly
-    delta_theta_period; cartesian_samples post-processes it."""
+    """A rotating solution of model.  orbit is the profile's one
+    integration over a period with the angle as its rider, so
+    orbit.meta["rider"] is exactly delta_theta_period; cartesian_samples
+    post-processes it."""
     k: int
     nu: int
     L: float
@@ -134,6 +134,7 @@ class RotatingSolution:
     residual: float
     delta_theta_period: float    # angle advance over one rho-period
     orbit: Trajectory = field(repr=False, compare=False)
+    model: NonlinearityModel = field(repr=False, compare=False)
     rho_min = property(lambda self: float(np.min(self.orbit.x)))
     rho_max = property(lambda self: float(np.max(self.orbit.x)))
 
@@ -313,7 +314,7 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
                 k=k, nu=nu, L=L_star, z0=z0, residual=res,
                 delta_theta_period=dth,
                 orbit=_profile_orbit(model, z0, L_star, model.period,
-                                     opts.integrate)))
+                                     opts.integrate), model=model))
             if k_nu is None:
                 k_nu = k
         except _SOLVE_ERRORS:       # this k has no solution; try the next
@@ -325,23 +326,44 @@ def cartesian_samples(sol: RotatingSolution, n: int = 720):
     """(t, x1, x2) samples of the plane orbit over the full kT window.
 
     No integration: on n // k uniform times per period (sol.orbit spans
-    one), rho and theta are cubic Hermite values through the neighbouring
-    samples of sol.orbit (rho' = v, theta' = L / rho^2), and period m adds
-    m advances.
+    one), rho and theta are quintic Hermite values through the neighbouring
+    samples of sol.orbit, whose first and second derivatives the radial
+    equation gives (rho' = v, rho'' = L^2 / rho^3 - f(t, rho),
+    theta' = L / rho^2, theta'' = -2 L v / rho^3), and period m adds m
+    advances.
     """
     orb = sol.orbit
+    L = sol.L
     period = float(orb.t[-1])
     stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)[:-1]
     i = np.searchsorted(orb.t, stops, side="right") - 1
     h = orb.t[i + 1] - orb.t[i]
     s = (stops - orb.t[i]) / h
-    rho_p = hermite(s, h, orb.x[i], orb.x[i + 1], orb.y[i], orb.y[i + 1])
-    theta, dtheta = orb.meta["rider_samples"], sol.L / orb.x ** 2
-    th_p = hermite(s, h, theta[i], theta[i + 1], dtheta[i], dtheta[i + 1])
+    rho, v = orb.x, orb.y
+    f_eff = effective_field(sol.model, L).f
+    acc = -np.array([f_eff(tt, r) for tt, r in zip(orb.t.tolist(),
+                                                   rho.tolist())])
+    rho_p = _hermite5(s, h, rho[i], rho[i + 1], v[i], v[i + 1], acc[i],
+                      acc[i + 1])
+    theta, dtheta = orb.meta["rider_samples"], L / rho ** 2
+    ddtheta = -2.0 * L * v / rho ** 3
+    th_p = _hermite5(s, h, theta[i], theta[i + 1], dtheta[i], dtheta[i + 1],
+                     ddtheta[i], ddtheta[i + 1])
     out = []
     for m in range(sol.k):
-        for tt, rho, th in zip(stops, rho_p, th_p):
+        for tt, r, th in zip(stops, rho_p, th_p):
             ang = th + m * sol.delta_theta_period
-            out.append((float(m * period + tt), float(rho * math.cos(ang)),
-                        float(rho * math.sin(ang))))
+            out.append((float(m * period + tt), float(r * math.cos(ang)),
+                        float(r * math.sin(ang))))
     return out
+
+
+def _hermite5(s, h, p0, p1, m0, m1, a0, a1):
+    """Quintic Hermite at fraction s of a step h through the values p, the
+    slopes m and the second derivatives a at its two ends."""
+    u = 1.0 - s
+    return (u ** 3 * ((1.0 + 3.0 * s + 6.0 * s * s) * p0
+                      + s * (1.0 + 3.0 * s) * h * m0 + 0.5 * s * s * h * h * a0)
+            + s ** 3 * ((10.0 - 15.0 * s + 6.0 * s * s) * p1
+                        + u * (3.0 * s - 4.0) * h * m1
+                        + 0.5 * u * u * h * h * a1))

@@ -116,6 +116,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
                 "params": {"forcing": 0.5}}},
      ["model.params", "model.family"]),
     ({"model": dict(_BAND, family=["cubic_band"])}, ["model.family"]),
+    ({"model": _BAND, "theorem": []}, ["theorem"]),
+    ({"model": _BAND, "out_dir": 5}, ["out_dir"]),
 ], ids=["family-param", "family", "family-param-name", "grid-type",
         "grid-range", "tolerance", "unknown-identifier", "parse-error",
         "family-param-type", "linear-resonant-even-N", "radial-nu-type",
@@ -125,7 +127,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "period-bool", "band-index-bool", "grid-t-points", "grid-x-points",
         "grid-one-lambda", "model-number", "model-null", "model-string",
         "params-number", "params-list", "params-string",
-        "params-without-family", "family-list"])
+        "params-without-family", "family-list", "theorem-list",
+        "out-dir-number"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
     path = tmp_path / "bad.json"

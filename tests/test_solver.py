@@ -68,9 +68,12 @@ def test_newton_converges_from_origin_on_degenerate_forced_field():
 
 
 def test_newton_flags_singular_linearization():
+    # the harmonic return map is the identity: every start is a fixed point
+    # up to integration noise (about 1e-15), so only a tolerance no residual
+    # meets makes Newton build the singular Jacobian
     fld = HomotopyField(_model(lambda t, x: x), 1.0)
     with pytest.raises(sv.SingularJacobianError):
-        sv.newton_fixed_point(fld, (0.5, 0.2), tol=1e-13)
+        sv.newton_fixed_point(fld, (0.5, 0.2), tol=0.0)
 
 
 def _forced_linear(mu, forcing=1.0):
@@ -289,10 +292,10 @@ def test_homotopy_return_map_count_is_pinned(band_certificate):
     # a deterministic work count: a corrector that polishes waypoints again
     # (735 maps), or one that takes a finite-difference Jacobian on every
     # iteration instead of carrying one along the path (183), fails here
-    # without any wall-clock noise
+    # without any wall-clock noise (93 under the DOPRI5 integrator)
     cert, maps = band_certificate
     assert cert.converged
-    assert maps == 93
+    assert maps == 88
 
 
 def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
@@ -379,7 +382,7 @@ def test_newton_orbit_is_the_returned_points_trajectory():
     # the three exits: the start is converged, a trial converges, and (with
     # a tolerance no residual meets) the stall rule on a fresh Jacobian
     for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
-                                ((0.0, 0.0), 0.0, 8)):
+                                ((0.0, 0.0), 0.0, 5)):
         z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol,
                                                      full_output=True)
         assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)
