@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -188,12 +188,15 @@ def _polar_rates(fld: HomotopyField, traj: Trajectory):
 
 
 def _measure_kappa(fld: HomotopyField, d: float, radius: float, n_probes: int,
-                   opts: IntegrateOpts):
-    """omega0 = min(-theta'), ell0 = max|rho'|/rho over samples with x > d."""
+                   opts: IntegrateOpts,
+                   fails: Callable[[float], bool] = lambda kappa: False):
+    """omega0 = min(-theta'), ell0 = max|rho'|/rho over samples with x > d,
+    and whether the probes turn clockwise.  The probes stop at the first
+    one that does not, or after which fails(1.1*ell0/omega0) holds: more
+    probes can only raise that kappa."""
     period = fld.model.period
     omega0 = math.inf
     ell0 = 0.0
-    clockwise = True
     for k in range(n_probes):
         ang = 2.0 * math.pi * (k + 0.5) / n_probes
         z0 = PhaseState(0.0, radius * math.cos(ang), radius * math.sin(ang))
@@ -204,9 +207,11 @@ def _measure_kappa(fld: HomotopyField, d: float, radius: float, n_probes: int,
             omega0 = min(omega0, float(np.min(mtd[mask])))
             ell0 = max(ell0, float(np.max(np.abs(rd[mask]) / traj.rho[mask])))
         out = traj.rho >= 0.5 * radius
-        if np.any(mtd[out] <= 0.0):
-            clockwise = False
-    return omega0, ell0, clockwise
+        if np.any(mtd[out] <= 0.0) or omega0 <= 0.0:
+            return omega0, ell0, False
+        if fails(1.1 * ell0 / omega0):
+            break
+    return omega0, ell0, True
 
 
 def _inout_holds(env: EnvelopePair, r: float, r_top: float) -> bool:
@@ -242,7 +247,9 @@ def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
              opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
     """Smallest grid radius with clockwise probe rotation plus the energy
     confinement inequalities; diagnostics record which constraint binds.
-    Each radius is probed by R0_PROBES orbits, a candidate by 4x as many."""
+    Each radius is probed by R0_PROBES orbits, a candidate by 4x as many;
+    a candidate's probes stop once its running kappa fails the energy level
+    inequality, so an accepted kappa does not depend on the probe order."""
     if env is None:
         env = build_envelopes(fld.model)
     d = env.base
@@ -268,7 +275,9 @@ def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
             diagnostics["failures"][float(r)] = "in-out confinement"
             continue
         # final measurement at the candidate radius
-        om, el, cw = _measure_kappa(fld, d, 2.0 * float(r), 4 * R0_PROBES, opts)
+        om, el, cw = _measure_kappa(
+            fld, d, 2.0 * float(r), 4 * R0_PROBES, opts,
+            fails=lambda kappa, r=float(r): not _en1_holds(env, r, kappa))
         if not cw or om <= 0.0:
             diagnostics["failures"][float(r)] = "not clockwise at candidate"
             kappa_pre = None

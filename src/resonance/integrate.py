@@ -2,15 +2,25 @@
 
 The stepper is the Dormand-Prince 8(5,3) pair DOP853 (12 field evaluations
 per step, the last one reused as the next step's first) with its
-7th-order dense output.  Events (crossings of x = d, x = 0, y = 0 and, in
-singular mode, x = 1) are located by bisection on the dense output.  The
-polar angle about the rotation center ((0,0) on the full line, (1,0) in
-singular mode) is lifted continuously along the samples, subdividing steps
-through the dense output whenever the swept angle would jump.  A step builds
-its dense output (three more field evaluations) only when an event flips
-sign, a kink is crossed or the angle is subdivided.  A kink is a point
-where g's x-derivative jumps (HomotopyField.kinks); no error estimate sees
-it, so a step that crosses one is taken again, ending on the crossing.
+7th-order dense output; as in Hairer's dop853, the step after a rejected
+one does not grow.  Events (crossings of x = d, x = 0, y = 0 and, in
+singular mode, x = 1) are located by Illinois regula falsi on the dense
+output.  The polar angle about the rotation center ((0,0) on the full line,
+(1,0) in singular mode) is lifted continuously along the samples,
+subdividing steps through the dense output whenever the swept angle would
+jump.  A step builds its dense output (three more field evaluations) only
+when an event flips sign, a kink is near or the angle is subdivided.
+
+A kink is a point where g's x-derivative jumps (HomotopyField.kinks).  A
+step across one loses accuracy, and the error estimate sees that only
+through a run of rejected steps creeping up on it.  So each accepted step
+predicts, from the second-order Taylor model at its end, when the next
+crossing comes, and the next step stops 1% short of it.  A step that ends
+within 5% of its length short of a kink, or crosses one, is taken again,
+ending just past the crossing located on its dense output, so that the
+step after starts on the kink's far side (stop at the switching point,
+then restart: Gear & Osterby, ACM TOMS 10, 1984).
+
 integrate_system, a general-dimension Dormand-Prince 5(4) integrator, is
 kept as the tests' independent reference.
 """
@@ -67,7 +77,7 @@ class _StageDomain(Exception):
 class IntegrateOpts:
     rtol: float = 1e-10
     atol: float = 1e-10
-    event_tol: float = 1e-10       # bisection width for event times
+    event_tol: float = 1e-10       # bracket width for event times
     max_step: Optional[float] = None  # default: span / 64
 
 
@@ -312,6 +322,10 @@ _A4_1, _A4_3 = (0.02958758547680685, 0.08876275643042054)
 
 _STAGE_ERRORS = (_StageDomain, ValueError, ZeroDivisionError, OverflowError)
 _LAND_AFTER = 0.01   # a kink crossed in a step's first 1% is not landed on
+_APPROACH = 0.01     # a step toward a kink stops 1% short of its predicted
+                     # crossing ...
+_NEAR = 0.05         # ... and one that ends within 5% of a step's length
+                     # of it is taken again, ending on it
 
 
 def _dense_coeffs(h, p0, p1, k):
@@ -392,22 +406,55 @@ class _Dense:
         return _interp(self.cx, s), _interp(self.cy, s)
 
 
-def _bisect_event(dense, phi, t_lo, t_hi, tol):
-    f_lo = phi(*dense.eval(t_lo))
+def _bracket_root(dense, phi, t_a, f_a, t_b, f_b, tol):
+    """A bracket (t_a, t_b), at most tol wide, of a root of phi along the
+    interpolant, from its values f_a and f_b of opposite signs at t_a and
+    t_b.  Illinois regula falsi: a secant step that keeps the bracket,
+    halving the value kept at an end that survives twice in a row, and that
+    stays tol/2 inside it, so that a secant converging on one end steps
+    across the root instead of creeping."""
+    kept = 0     # +1: t_b survived the last step, -1: t_a did
     for _ in range(200):
-        if t_hi - t_lo <= tol:
+        if t_b - t_a <= tol or f_a == 0.0 or f_b == 0.0:
             break
-        t_mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < t_mid < t_hi:
-            break
-        f_mid = phi(*dense.eval(t_mid))
-        if f_lo * f_mid <= 0.0:
-            t_hi = t_mid
+        t_c = min(max(t_b - f_b * (t_b - t_a) / (f_b - f_a), t_a + 0.5 * tol),
+                  t_b - 0.5 * tol)
+        if not t_a < t_c < t_b:
+            t_c = 0.5 * (t_a + t_b)
+            if not t_a < t_c < t_b:
+                break
+        f_c = phi(*dense.eval(t_c))
+        if (f_c < 0.0) == (f_a < 0.0):
+            t_a, f_a = t_c, f_c
+            if kept == 1:
+                f_b *= 0.5
+            kept = 1
         else:
-            t_lo, f_lo = t_mid, f_mid
-    t_ev = 0.5 * (t_lo + t_hi)
-    x_ev, y_ev = dense.eval(t_ev)
-    return t_ev, x_ev, y_ev
+            t_b, f_b = t_c, f_c
+            if kept == -1:
+                f_a *= 0.5
+            kept = -1
+    if f_a == 0.0:
+        t_b = t_a
+    elif f_b == 0.0:
+        t_a = t_b
+    return t_a, t_b
+
+
+def _time_to_kink(c, y, g):
+    """Smallest s > 0 with c + y*s - g*s^2/2 = 0, the second-order Taylor
+    model of x(t + s) - k from x - k = c, x' = y, x'' = -g; inf if none."""
+    a = -0.5 * g
+    if a == 0.0:
+        return -c / y if c * y < 0.0 else math.inf
+    disc = y * y - 4.0 * a * c
+    if disc < 0.0:
+        return math.inf
+    q = -0.5 * (y + math.copysign(math.sqrt(disc), y))
+    if q == 0.0:
+        return math.inf
+    r1, r2 = sorted((q / a, c / q))
+    return r1 if r1 > 0.0 else r2 if r2 > 0.0 else math.inf
 
 
 def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
@@ -417,8 +464,9 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     """Integrate the planar system from z0 to t_end with dense events.
 
     d, when given, adds crossing events for the left threshold x = d.
-    An accepted step that crosses one of fld.kinks after its first 1% is
-    taken again, shortened to end on the crossing.
+    Steps land on the crossings of fld.kinks (see the module docstring);
+    meta["steps"] counts the steps kept and meta["rejected"] the ones
+    thrown away, by the error test or to land on a kink.
     rider, when given, is a scalar quadrature channel r' = rider(t, x, y, r)
     carried as a passenger: it starts at r = 0, is stepped once per accepted
     step with the same tableau on the stage states, ends in meta["rider"] and
@@ -471,8 +519,10 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     r, rs = 0.0, [0.0]
     kr1 = rider(t, x, y, r) if rider is not None else None
     h = min(_FIRST_STEP, max_step, span)
-    n_steps = 0
+    n_steps = n_rejected = 0
     landing = False     # the step under way ends on a kink crossing
+    grow = True         # no rejection since the last accepted step
+    event_tol = opts.event_tol
 
     while t < t_stop:
         n_steps += 1
@@ -586,28 +636,54 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             den = math.hypot(n5, 0.1 * n3)
             err = h * n5 * (n5 / den) / sqrt2 if den != 0.0 else 0.0
             if not err <= 1.0:
-                landing = False
+                n_rejected += 1
+                landing = grow = False
                 h *= max(0.2, 0.9 * err ** -0.125)
                 continue
             kx13, ky13 = y1, -g(t + h, x1)
         except _STAGE_ERRORS:
-            landing = False
+            n_rejected += 1
+            landing = grow = False
             h *= 0.5
             continue
 
-        # the dense output is built only for an event, a kink crossing or
-        # an angle subdivision
+        # Kinks.  A step that crosses one after its first 1%, or ends just
+        # short of one, is taken again, ending on the crossing's far side
+        # (lengthened only when no step was rejected since the last one
+        # kept, so that a landing step rejected is not tried again);
+        # otherwise s_kink is the Taylor prediction of the time from the
+        # step's end to the next crossing, at which the next step stops
+        lands = []
+        s_kink = math.inf
+        if kinks:
+            # a kink farther than the Taylor model reaches within the
+            # longest next step cannot stop that step
+            s_max = min(5.0 * h, max_step) / (1.0 - _APPROACH)
+            reach = s_max * (abs(y1) + 0.5 * s_max * abs(ky13))
+        for k in kinks:
+            if (x - k) * (x1 - k) < 0.0:
+                if not landing:
+                    lands.append((k, t, x - k, t + h, x1 - k))
+                continue
+            if abs(x1 - k) > reach:
+                continue
+            s_k = _time_to_kink(x1 - k, y1, -ky13)
+            if not landing and grow and event_tol < s_k <= _NEAR * h:
+                lands.append((k, t + h, x1 - k, t + h + 2.0 * s_k, None))
+            elif s_k < s_kink:
+                s_kink = s_k
+
+        # the dense output is built only for an event, a kink to land on
+        # or an angle subdivision
         flips = (x * x1 < 0.0 or y * y1 < 0.0
                  or (d_event and (x - d) * (x1 - d) < 0.0)
                  or (singular and (x - 1.0) * (x1 - 1.0) < 0.0))
-        crossed = (kinks and not landing
-                   and [k for k in kinks if (x - k) * (x1 - k) < 0.0])
         th_new_raw = math.atan2(y1, x1 - cx)
         delta = th_new_raw - theta_prev
         if not -math.pi < delta <= math.pi:
             delta = _wrap_pi(delta)
         subdivide = abs(delta) > theta_step
-        if flips or crossed or subdivide:
+        if flips or lands or subdivide:
             try:
                 dense = _Dense(g, singular, t, h, x, y, x1, y1,
                                (kx1, kx6, kx7, kx8, kx9, kx10, kx11, kx12,
@@ -615,32 +691,45 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                                (ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12,
                                 ky13))
             except _STAGE_ERRORS:
-                landing = False
+                n_rejected += 1
+                landing = grow = False
                 h *= 0.5
                 continue
 
-        if crossed:
-            # g's x-derivative jumps at a kink, which no error estimate
-            # sees: take the step again, ending on the first crossing past
-            # its first 1%, located like an event
-            lands = [t_k for t_k in (
-                _bisect_event(dense, lambda x, y, _k=k: x - _k, t, t + h,
-                              opts.event_tol)[0] for k in crossed)
-                     if t_k > t + _LAND_AFTER * h]
-            if lands:
-                h = min(lands) - t
+        if lands:
+            # the error estimate sees g's x-derivative jump only through a
+            # flood of rejections: land on the crossing, located on the
+            # dense output (past the step's end by extrapolation), half an
+            # event_tol beyond its bracket, so that the next step starts on
+            # the far side even where the step's end rounds.  A step that
+            # already ends that close past a crossing is kept
+            ends = []
+            for k, t_a, f_a, t_b, f_b in lands:
+                ahead = f_b is None     # on the interpolant, extrapolated
+                if ahead:
+                    f_b = dense.eval(t_b)[0] - k
+                if f_a * f_b < 0.0:
+                    t_k = _bracket_root(dense, lambda x, y, _k=k: x - _k,
+                                        t_a, f_a, t_b, f_b, event_tol)[1]
+                    t_k += 0.5 * event_tol
+                    if t + _LAND_AFTER * h < t_k and (ahead or t_k < t + h):
+                        ends.append(t_k)
+            if ends:
+                n_rejected += 1
+                h = min(ends) - t
                 landing = True
                 continue
 
         if flips:
-            # events: bisection on the dense output where the sign flips
+            # events: located on the dense output where the sign flips
             step_events = []
             for kind, phi in events_def:
                 f_a, f_b = phi(x, y), phi(x1, y1)
                 if f_a * f_b < 0.0:
-                    t_ev, x_ev, y_ev = _bisect_event(dense, phi, t, t + h,
-                                                     opts.event_tol)
-                    step_events.append(Event(kind, t_ev, x_ev, y_ev))
+                    t_a, t_b = _bracket_root(dense, phi, t, f_a, t + h, f_b,
+                                             event_tol)
+                    t_ev = 0.5 * (t_a + t_b)
+                    step_events.append(Event(kind, t_ev, *dense.eval(t_ev)))
             step_events.sort(key=lambda e: e.t)
             events.extend(step_events)
 
@@ -733,13 +822,20 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         if abs(x) > blowup_bound or abs(y) > blowup_bound:
             raise BlowUpError(t, x, y, "state bound exceeded")
 
+        fac = min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
+        h *= fac if grow else min(fac, 1.0)
+        if s_kink > _LAND_AFTER * h:
+            h = min(h, (1.0 - _APPROACH) * s_kink)
         landing = False
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 5.0))
+        grow = True
 
+    meta = {"steps": n_steps - n_rejected,
+            "rejected": n_rejected}
+    if rider is not None:
+        meta.update(rider=r, rider_samples=np.array(rs))
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
-                      (cx, 0.0), meta={} if rider is None else
-                      {"rider": r, "rider_samples": np.array(rs)})
+                      (cx, 0.0), meta=meta)
 
 
 def _wrap_pi(a: float) -> float:

@@ -5,7 +5,8 @@ import pytest
 
 import resonance.model as rm
 from resonance import apriori as ap
-from resonance.integrate import HomotopyField, PhaseState, integrate
+from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
+                                 integrate)
 
 T2PI = 2 * math.pi
 
@@ -168,6 +169,32 @@ def test_probe_radius_on_cubic_band(band_kit):
                                           "re-measured constants failed")
     fails = kit.diagnostics["failures"]
     assert any(v == "energy level inequality" for v in fails.values())
+
+
+def test_a_failing_candidate_stops_probing(monkeypatch):
+    # 8 probes at the first radius, then 32 at each candidate: the rejected
+    # candidate 10.64 stops after the probe whose running kappa already
+    # fails the energy level inequality (13 of 32; kappa only grows with
+    # more probes), and the accepted R0 = 12.93 measures all 32
+    model = rm.make_cubic_band()
+    fld = HomotopyField(model, 1.0)
+    env = ap.build_envelopes(model)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(ap, "integrate", counting)
+    r0, diag = ap.probe_R0(fld, env)
+    assert r0 == 12.934540131547143
+    assert len(calls) == 8 + 13 + 32
+    assert diag["binding"] == "re-measured constants failed"
+    # the accepted kappa does not depend on the order of the probes
+    calls.clear()
+    om, el, cw = ap._measure_kappa(fld, env.base, 2.0 * r0, 4 * ap.R0_PROBES,
+                                   IntegrateOpts())
+    assert (om, el, cw, len(calls)) == (diag["omega0"], diag["ell0"], True, 32)
 
 
 def test_probe_radius_rejects_linear_field():
