@@ -467,14 +467,14 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     Steps land on the crossings of fld.kinks (see the module docstring);
     meta["steps"] counts the steps kept and meta["rejected"] the ones
     thrown away, by the error test or to land on a kink.
-    rider, when given, is a scalar quadrature channel r' = rider(t, x, y, r)
-    carried as a passenger: it starts at r = 0, is stepped once per accepted
-    step with the same tableau on the stage states, ends in meta["rider"] and
-    is sampled in meta["rider_samples"] (at an angle subdivision by its own
-    7th-order interpolant, three more rider calls).  Outside the error norm,
-    the events and the dense output, it leaves the trajectory bit-identical
-    to the run without it; in singular mode it sees only stage states with
-    x > 0.
+    rider, when given, is a quadrature r' = rider(t, x, y) carried as a
+    passenger: r starts at 0, advances by the tableau's weights over the
+    stage states of each accepted step (8 rider calls per step), ends in
+    meta["rider"] and is sampled in meta["rider_samples"] (at an angle
+    subdivision by its own 7th-order interpolant, three more rider calls).
+    Outside the error norm, the events and the dense output, it leaves the
+    trajectory bit-identical to the run without it; in singular mode it
+    sees only stage states with x > 0.
     Raises BlowUpError on step underflow with a growing state and
     DomainExitError when a singular-mode solution reaches the wall.
     """
@@ -491,8 +491,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     kinks = fld.kinks
     cx = 1.0 if singular else 0.0
     span = t_end - z0.t
-    if span <= 0:
-        raise ValueError("t_end must exceed z0.t")
+    if not (span > 0.0 and math.isfinite(span)):
+        raise ValueError("t_end must be finite and exceed z0.t")
     max_step = opts.max_step if opts.max_step is not None else span / 64.0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     rtol, atol, theta_step = opts.rtol, opts.atol, _THETA_STEP
@@ -517,7 +517,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
 
     kx1, ky1 = y, -g(t, x)
     r, rs = 0.0, [0.0]
-    kr1 = rider(t, x, y, r) if rider is not None else None
+    kr1 = rider(t, x, y) if rider is not None else None
     h = min(_FIRST_STEP, max_step, span)
     n_steps = n_rejected = 0
     landing = False     # the step under way ends on a kink crossing
@@ -674,10 +674,13 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                 s_kink = s_k
 
         # the dense output is built only for an event, a kink to land on
-        # or an angle subdivision
-        flips = (x * x1 < 0.0 or y * y1 < 0.0
-                 or (d_event and (x - d) * (x1 - d) < 0.0)
-                 or (singular and (x - 1.0) * (x1 - 1.0) < 0.0))
+        # or an angle subdivision.  A step ending exactly on a threshold
+        # crosses it; one starting there does not (the last step counted it)
+        flips = (x * x1 < 0.0 or y * y1 < 0.0 or x1 == 0.0 != x
+                 or y1 == 0.0 != y
+                 or (d_event and ((x - d) * (x1 - d) < 0.0 or x1 == d != x))
+                 or (singular and ((x - 1.0) * (x1 - 1.0) < 0.0
+                                   or x1 == 1.0 != x)))
         th_new_raw = math.atan2(y1, x1 - cx)
         delta = th_new_raw - theta_prev
         if not -math.pi < delta <= math.pi:
@@ -725,7 +728,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             step_events = []
             for kind, phi in events_def:
                 f_a, f_b = phi(x, y), phi(x1, y1)
-                if f_a * f_b < 0.0:
+                if f_a * f_b < 0.0 or f_b == 0.0 != f_a:
                     t_a, t_b = _bracket_root(dense, phi, t, f_a, t + h, f_b,
                                              event_tol)
                     t_ev = 0.5 * (t_a + t_b)
@@ -749,63 +752,26 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         theta_prev = theta_prev + delta
 
         if rider is not None:
-            # the stage states (t + c_i h, x_i, kx_i) of the accepted step;
-            # kr1, the slope at its start, is carried first-same-as-last
-            kr2 = rider(t + _C2 * h, x2, kx2,
-                        r + h * (_A2_1 * kr1))
-            kr3 = rider(t + _C3 * h, x3, kx3,
-                        r + h * (_A3_1 * kr1 + _A3_2 * kr2))
-            kr4 = rider(t + _C4 * h, x4, kx4,
-                        r + h * (_A4_1 * kr1 + _A4_3 * kr3))
-            kr5 = rider(t + _C5 * h, x5, kx5,
-                        r + h * (_A5_1 * kr1 + _A5_3 * kr3 + _A5_4 * kr4))
-            kr6 = rider(t + _C6 * h, x6, kx6,
-                        r + h * (_A6_1 * kr1 + _A6_4 * kr4 + _A6_5 * kr5))
-            kr7 = rider(t + _C7 * h, x7, kx7,
-                        r + h * (_A7_1 * kr1 + _A7_4 * kr4 + _A7_5 * kr5
-                                 + _A7_6 * kr6))
-            kr8 = rider(t + _C8 * h, x8, kx8,
-                        r + h * (_A8_1 * kr1 + _A8_4 * kr4 + _A8_5 * kr5
-                                 + _A8_6 * kr6 + _A8_7 * kr7))
-            kr9 = rider(t + _C9 * h, x9, kx9,
-                        r + h * (_A9_1 * kr1 + _A9_4 * kr4 + _A9_5 * kr5
-                                 + _A9_6 * kr6 + _A9_7 * kr7 + _A9_8 * kr8))
-            kr10 = rider(t + _C10 * h, x10, kx10,
-                         r + h * (_A10_1 * kr1 + _A10_4 * kr4 + _A10_5 * kr5
-                                  + _A10_6 * kr6 + _A10_7 * kr7 + _A10_8 * kr8
-                                  + _A10_9 * kr9))
-            kr11 = rider(t + _C11 * h, x11, kx11,
-                         r + h * (_A11_1 * kr1 + _A11_4 * kr4 + _A11_5 * kr5
-                                  + _A11_6 * kr6 + _A11_7 * kr7 + _A11_8 * kr8
-                                  + _A11_9 * kr9 + _A11_10 * kr10))
-            kr12 = rider(t + h, x12, kx12,
-                         r + h * (_A12_1 * kr1 + _A12_4 * kr4 + _A12_5 * kr5
-                                  + _A12_6 * kr6 + _A12_7 * kr7 + _A12_8 * kr8
-                                  + _A12_9 * kr9 + _A12_10 * kr10
-                                  + _A12_11 * kr11))
+            # quadrature over the stage states (t + c_i h, x_i, kx_i) of
+            # nonzero weight, 1 and 6-12; kr1 is carried first-same-as-last
+            kr6 = rider(t + _C6 * h, x6, kx6)
+            kr7 = rider(t + _C7 * h, x7, kx7)
+            kr8 = rider(t + _C8 * h, x8, kx8)
+            kr9 = rider(t + _C9 * h, x9, kx9)
+            kr10 = rider(t + _C10 * h, x10, kx10)
+            kr11 = rider(t + _C11 * h, x11, kx11)
+            kr12 = rider(t + h, x12, kx12)
             r0, r = r, r + h * (_B1 * kr1 + _B6 * kr6 + _B7 * kr7 + _B8 * kr8
                                 + _B9 * kr9 + _B10 * kr10 + _B11 * kr11
                                 + _B12 * kr12)
-            kr13 = rider(t + h, x1, y1, r)
+            kr13 = rider(t + h, x1, y1)
             if subdivide:
                 # the rider's own 7th-order interpolant at the subdivision
                 # samples, on the dense output's extra stage states
                 x14, kx14, x15, kx15, x16, kx16 = dense.extra
-                kr14 = rider(t + _C14 * h, x14, kx14,
-                             r0 + h * (_A14_1 * kr1 + _A14_7 * kr7
-                                       + _A14_8 * kr8 + _A14_9 * kr9
-                                       + _A14_10 * kr10 + _A14_11 * kr11
-                                       + _A14_12 * kr12 + _A14_13 * kr13))
-                kr15 = rider(t + _C15 * h, x15, kx15,
-                             r0 + h * (_A15_1 * kr1 + _A15_6 * kr6
-                                       + _A15_7 * kr7 + _A15_8 * kr8
-                                       + _A15_11 * kr11 + _A15_12 * kr12
-                                       + _A15_13 * kr13 + _A15_14 * kr14))
-                kr16 = rider(t + _C16 * h, x16, kx16,
-                             r0 + h * (_A16_1 * kr1 + _A16_6 * kr6
-                                       + _A16_7 * kr7 + _A16_8 * kr8
-                                       + _A16_9 * kr9 + _A16_13 * kr13
-                                       + _A16_14 * kr14 + _A16_15 * kr15))
+                kr14 = rider(t + _C14 * h, x14, kx14)
+                kr15 = rider(t + _C15 * h, x15, kx15)
+                kr16 = rider(t + _C16 * h, x16, kx16)
                 cr = _dense_coeffs(h, r0, r, (kr1, kr6, kr7, kr8, kr9, kr10,
                                               kr11, kr12, kr13, kr14, kr15,
                                               kr16))

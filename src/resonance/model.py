@@ -71,12 +71,21 @@ def split_point(domain: str) -> float:
     return 0.0 if domain == FULL_LINE else 1.0
 
 
+def from_trees(trees: tuple, period: float, domain: str = FULL_LINE,
+               n_mode: int = 1) -> NonlinearityModel:
+    """The model compiled from one expression tree, or from a left/right
+    pair glued at split_point(domain), the left one strictly below it:
+    its scalar and vector forms are generated from the same trees."""
+    split = split_point(domain)
+    return NonlinearityModel(
+        f=ex.compile_scalar(*trees, split=split), period=period,
+        domain=domain, n_mode=n_mode,
+        f_tarr=ex.compile_vector_t(*trees, split=split), trees=tuple(trees))
+
+
 def from_expression(source: str, period: float, domain: str = FULL_LINE,
                     n_mode: int = 1) -> NonlinearityModel:
-    tree = ex.parse(source)
-    return NonlinearityModel(
-        f=ex.compile_scalar(tree), period=period, domain=domain, n_mode=n_mode,
-        f_tarr=ex.compile_vector_t(tree), trees=(tree,))
+    return from_trees((ex.parse(source),), period, domain, n_mode)
 
 
 def from_piecewise(left_src: str, right_src: str, period: float,
@@ -84,12 +93,8 @@ def from_piecewise(left_src: str, right_src: str, period: float,
                    n_mode: int = 1) -> NonlinearityModel:
     """Two expressions glued at split_point(domain), the left one strictly
     below it; continuity is the user's responsibility."""
-    split = split_point(domain)
-    left, right = ex.parse(left_src), ex.parse(right_src)
-    return NonlinearityModel(f=ex.compile_scalar(left, right, split),
-                             period=period, domain=domain, n_mode=n_mode,
-                             f_tarr=ex.compile_vector_t(left, right, split),
-                             trees=(left, right))
+    return from_trees((ex.parse(left_src), ex.parse(right_src)), period,
+                      domain, n_mode)
 
 
 def _fill(template: str, **values) -> str:

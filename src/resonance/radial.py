@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import Bin, Num, Var
 from .integrate import (BlowUpError, DomainExitError, HomotopyField,
                         IntegrateOpts, PhaseState, Trajectory, integrate)
-from .model import SINGULAR, NonlinearityModel, periodic_grid
+from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
 from .solver import (NewtonError, SingularJacobianError, SolveOpts,
                      homotopy_solve, newton_fixed_point)
 
@@ -38,22 +39,19 @@ class NoBracketError(ValueError):
 
 
 def effective_field(model: NonlinearityModel, L: float) -> NonlinearityModel:
-    """Radial reduction: rho'' + [f(t, rho) - L^2/rho^3] = 0.
-
-    The centrifugal term only strengthens the repulsive wall, so the
-    reduced nonlinearity is handled by the singular-mode machinery.
+    """Radial reduction: rho'' + [f(t, rho) - L^2/rho^3] = 0, compiled from
+    model's expression trees, each less the centrifugal term, so that a
+    piecewise model keeps its glue point rho = 1 as a kink the integrator
+    lands on (ValueError for a model built from callables: it has no
+    trees).  The term only strengthens the repulsive wall, so the reduced
+    nonlinearity is handled by the singular-mode machinery.
     """
-    f = model.f
-    L2 = L * L
-
-    def f_eff(t, x):
-        return f(t, x) - L2 / x ** 3
-
-    def f_eff_tarr(t, x):
-        return np.asarray(model.f_over_t(t, x), dtype=float) - L2 / x ** 3
-
-    return NonlinearityModel(f=f_eff, period=model.period, domain=SINGULAR,
-                             n_mode=model.n_mode, f_tarr=f_eff_tarr)
+    if not model.trees:
+        raise ValueError("the radial reduction needs the model's expression "
+                         "trees; a model built from callables has none")
+    centrifugal = Bin("/", Num(L * L), Bin("^", Var("x"), Num(3.0)))
+    trees = tuple(Bin("-", tree, centrifugal) for tree in model.trees)
+    return from_trees(trees, model.period, SINGULAR, model.n_mode)
 
 
 def _mean_f(model: NonlinearityModel):
@@ -66,40 +64,30 @@ def _mean_f(model: NonlinearityModel):
     return fbar
 
 
-def circular_orbit(model: NonlinearityModel, L: float,
-                   bracket: Optional[tuple[float, float]] = None,
-                   average_t: bool = False) -> float:
-    """Radius of the circular balance f(rho) = L^2/rho^3, by bisection to
-    a relative bracket width of CIRCULAR_TOL.
-
-    The model must be autonomous unless average_t is set, in which case
-    the t-average of f is balanced instead (useful for search estimates).
+def circular_orbit(model: NonlinearityModel, L: float) -> float:
+    """Radius of the circular balance fbar(rho) = L^2/rho^3 of the t-average
+    fbar of f, by bisection inside the first sign change of a geometric
+    scan over [1e-2, 1e3] to a relative bracket width of CIRCULAR_TOL: the
+    start of a profile solve.  NoBracketError when the scan finds none.
     """
-    fbar = _mean_f(model) if average_t else (lambda r: model.f(0.0, r))
+    fbar = _mean_f(model)
 
     def balance(r):
         return fbar(r) - L * L / r ** 3
 
-    if bracket is None:
-        grid = np.geomspace(1e-2, 1e3, 120)
-        vals = [balance(float(r)) for r in grid]
-        for (r1, v1), (r2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if v1 < 0.0 < v2:
-                bracket = (float(r1), float(r2))
-                break
-        if bracket is None:
-            raise NoBracketError("no sign change of f(r) - L^2/r^3 in scan range")
-    lo, hi = bracket
-    f_lo = balance(lo)
-    if f_lo == 0.0:
-        return lo
-    if f_lo * balance(hi) > 0.0:
-        raise NoBracketError(f"bracket {bracket} does not straddle a balance radius")
+    grid = np.geomspace(1e-2, 1e3, 120)
+    vals = [balance(float(r)) for r in grid]
+    for i in range(len(grid) - 1):
+        if vals[i] < 0.0 < vals[i + 1]:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            break
+    else:
+        raise NoBracketError("no sign change of f(r) - L^2/r^3 in scan range")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < CIRCULAR_TOL * max(1.0, mid):
             break
-        if f_lo * balance(mid) <= 0.0:
+        if balance(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -118,7 +106,7 @@ def _profile_orbit(model, z0, L, horizon, opts) -> Trajectory:
     rider, at the integrator's tolerance; the wall check keeps rho > 0."""
     return integrate(HomotopyField(effective_field(model, L), 1.0), z0,
                      z0.t + horizon, opts,
-                     rider=lambda t, rho, v, theta: L / rho ** 2)
+                     rider=lambda t, rho, v: L / rho ** 2)
 
 
 @dataclass
@@ -163,7 +151,7 @@ def solve_radial_profile(model: NonlinearityModel, L: float,
     eff = effective_field(model, L)
     try:
         if guess is None:
-            guess = (circular_orbit(model, L, average_t=True), 0.0)
+            guess = (circular_orbit(model, L), 0.0)
         z, res, _, _, jac = newton_fixed_point(
             HomotopyField(eff, 1.0), guess, opts.newton_tol, opts, jac=jac,
             full_output=True)

@@ -1,9 +1,11 @@
 """The benchmark's inputs still meet its checks through `cli.main`.
 
-perfbench/workloads.py reads the exit code and the standard output of each
-invocation (`hypotheses=fail`, `lower=pass upper=pass`).  A change to the
-commands' output or exit codes that the benchmark has not caught up with
-fails here first, on one failing and one passing `screen_expr` input.
+perfbench/workloads.py reads the exit code, the standard output
+(`hypotheses=fail`, `lower=pass upper=pass`) and the artifacts (report.txt,
+radial.csv) of each invocation.  A change to the commands' output or exit
+codes that the benchmark has not caught up with fails here first, on one
+failing and one passing `screen_expr` input and on the first `--defaults`
+input of each solving workload, `radial_singular` and `find_band`.
 """
 
 import json
@@ -28,11 +30,7 @@ def _screen_case(expected_exit):
     return next(c for c in cases if c.expected_exit == expected_exit)
 
 
-@pytest.mark.parametrize("expected_exit", [workloads.EXIT_HYPOTHESIS,
-                                           workloads.EXIT_OK],
-                         ids=["hypotheses-fail", "sign-pass"])
-def test_screen_expr_case_meets_its_check(tmp_path, capsys, expected_exit):
-    case = _screen_case(expected_exit)
+def _meets_its_check(case, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(case.config))
     out = str(tmp_path / "out")
@@ -41,3 +39,16 @@ def test_screen_expr_case_meets_its_check(tmp_path, capsys, expected_exit):
     captured = capsys.readouterr()
     assert code == case.expected_exit
     assert case.check(out, captured.out + captured.err) == []
+
+
+@pytest.mark.parametrize("expected_exit", [workloads.EXIT_HYPOTHESIS,
+                                           workloads.EXIT_OK],
+                         ids=["hypotheses-fail", "sign-pass"])
+def test_screen_expr_case_meets_its_check(tmp_path, capsys, expected_exit):
+    _meets_its_check(_screen_case(expected_exit), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("workload", ["radial_singular", "find_band"])
+def test_solving_workload_case_meets_its_check(tmp_path, capsys, workload):
+    case = workloads.WORKLOADS[workload](seed=1, defaults=True)[0]
+    _meets_its_check(case, tmp_path, capsys)

@@ -40,9 +40,31 @@ def test_effective_field_without_momentum_is_identity():
 
 
 def test_effective_field_centrifugal_balance():
-    model = _autonomous(lambda r: r)
+    model = rm.from_expression("x", T2PI, rm.SINGULAR, 2)
     eff = rd.effective_field(model, 1.0)
     assert eff.f(0.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_effective_field_is_compiled_from_the_model_trees():
+    # one reduced tree per tree of the model, glue point kept; the values
+    # are those of f(t, rho) - L^2/rho^3, bit for bit, on both sides
+    model = rm.from_piecewise("6.5*x - 2/x^3 - 1/x^5 + 0.5*cos(t)",
+                              "2*x + 1.5 + 0.5*cos(t)", T2PI, rm.SINGULAR, 2)
+    L = 0.7
+    eff = rd.effective_field(model, L)
+    assert len(eff.trees) == len(model.trees) == 2
+    assert eff.domain == rm.SINGULAR and eff.period == model.period
+    t_grid = np.linspace(0.0, T2PI, 7)
+    for r in (0.4, 0.999, 1.0, 1.3, 5.0):
+        for t in t_grid.tolist():
+            assert eff.f(t, r) == model.f(t, r) - L * L / r ** 3
+        np.testing.assert_array_equal(
+            eff.f_over_t(t_grid, r), model.f_over_t(t_grid, r) - L * L / r ** 3)
+
+
+def test_effective_field_needs_expression_trees():
+    with pytest.raises(ValueError, match="trees"):
+        rd.effective_field(_autonomous(lambda r: r), 1.0)
 
 
 def test_effective_field_keeps_strong_wall():
@@ -66,13 +88,13 @@ def test_circular_orbit_general_balance_identity():
 
 
 def test_circular_orbit_missing_bracket():
-    model = _autonomous(lambda r: r - 2.0)
+    model = _autonomous(lambda r: -1.0)
     with pytest.raises(rd.NoBracketError):
-        rd.circular_orbit(model, 1.0, bracket=(0.01, 1.99))
+        rd.circular_orbit(model, 1.0)
 
 
 def test_angular_progress_circular():
-    model = _autonomous(lambda r: r)
+    model = rm.from_expression("x", T2PI, rm.SINGULAR, 2)
     dth = rd.angular_progress(model, PhaseState(0.0, 1.0, 0.0), 1.0, T2PI)
     assert dth == pytest.approx(T2PI, abs=1e-10)
     # constant integrand: h * L / rho0^2
