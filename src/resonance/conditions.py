@@ -63,18 +63,6 @@ class AsymptoticEnvelope:
     stabilized: bool
 
 
-def _periodic_interp(t_grid, values):
-    """t -> values interpolated linearly on the periodic grid t_grid."""
-    period = t_grid[-1] + (t_grid[1] - t_grid[0])
-    tg = np.concatenate([t_grid, [period]])
-    vg = np.concatenate([values, [values[0]]])
-
-    def fn(t):
-        return np.interp(np.mod(t, period), tg, vg)
-
-    return fn
-
-
 def _tail_estimate(vals: np.ndarray, mode: str):
     """Running inf/sup over the deep tail of a geometric sample ladder.
 
@@ -268,7 +256,9 @@ def _phi_kinks(j: int, period: float, variant: str, tau: float):
 
 def ll_integral(residue: Callable, j: int, period: float, variant: str,
                 tau: float) -> float:
-    """Quadrature of residue(t) * phi_j(t + tau) over one period.
+    """Quadrature of residue(t) * phi_j(t + tau) over one period, for an
+    arbitrary residue callable: the reference that ll_verdict's kernel
+    correlation is checked against.
 
     residue may return +-inf (diverging tails); an infinite residue under
     positive weight makes the whole integral infinite of that sign, and
@@ -276,7 +266,8 @@ def ll_integral(residue: Callable, j: int, period: float, variant: str,
     kinks of the translated profile so each panel sees a smooth integrand:
     about LL_PANELS panels per period, of LL_ORDER Gauss nodes each, all in
     one (panels, order) node array, so residue and the profile are each
-    evaluated once; the panel sums are added from left to right.
+    evaluated once; the panel sums are added from left to right.  The
+    panels do not split at a tabulated residue's knots.
     """
     phi = (phi_truncated if variant == TRUNCATED_SINE else phi_abs)(j, period)
     kinks = _phi_kinks(j, period, variant, tau)
@@ -303,6 +294,98 @@ def ll_integral(residue: Callable, j: int, period: float, variant: str,
     total = 0.0
     for h, s in zip(half.tolist(), np.sum(ws_gl * rv * wv, axis=1).tolist()):
         total += h * s
+    return total
+
+
+def _ll_kernel(j: int, period: float, variant: str, n: int) -> np.ndarray:
+    """K(s) = integral over |u| < D of (1 - |u|/D) phi_j(s + u), with
+    D = period / RESIDUE_T_POINTS, at the n offsets s = k period / n (n a
+    multiple of RESIDUE_T_POINTS): the weight that one residue knot, the
+    hat of half-width D, gives the integral at each offset.
+
+    Where phi_j is one piece of +-sin(omega s), omega = j pi / period,
+    across the whole window, K(s) = D sinc^2(omega D / 2) phi_j(s)
+    exactly: the Fourier transform of the triangle.  A window with a kink
+    of phi_j inside is split at the kinks and at the apex u = 0 into
+    LL_ORDER-node Gauss-Legendre pieces.
+    Offsets and kinks are whole multiples of period / (j n), so which
+    windows hold a kink, and where, is exact.
+    """
+    half = period / RESIDUE_T_POINTS
+    # positions count units of period / (j n): offset k at j k, kink m at
+    # m n, one period and the window's half-width D in units
+    unit, span = period / (j * n), j * n
+    width = span // RESIDUE_T_POINTS
+    kern = np.arange(n, dtype=float)
+    kern *= j * math.pi / n
+    np.sin(kern, out=kern)
+    if variant == TRUNCATED_SINE:
+        kern[n // j + 1:] = 0.0             # s > T/j: past the hump
+        kink_ms = sorted({0, 1 % j})
+    else:
+        np.abs(kern, out=kern)
+        kink_ms = range(j)
+    theta = j * math.pi / (2 * RESIDUE_T_POINTS)      # omega D / 2
+    kern *= half * (math.sin(theta) / theta) ** 2
+
+    # the offsets k with a kink strictly inside (jk - width, jk + width)
+    inside = np.zeros(n, dtype=bool)
+    for m in kink_ms:
+        inside[np.arange((m * n - width) // j + 1,
+                         -((-m * n - width) // j)) % n] = True
+    near = np.arange(n)[inside]
+    if near.size == 0:
+        return kern
+    # cuts at the lattice points m n in each window, ascending (at most
+    # ceil(j / 64) of them); one that is no kink, or lies past the window,
+    # repeats its neighbour or the window's end: a piece of length 0
+    pos = (near * j)[:, None]
+    m = np.floor((pos - width) / n) + 1.0 + np.arange(-(-2 * width // n))
+    cuts = m * n - pos
+    if variant == TRUNCATED_SINE:
+        cuts[(m % j != 0) & (m % j != 1 % j)] = -width
+        np.maximum.accumulate(cuts, axis=1, out=cuts)
+    np.minimum(cuts, width, out=cuts)
+    # the pieces between -D, the cuts and D, each split at the apex u = 0
+    lo = np.concatenate([np.full((near.size, 1), -width), cuts], axis=1)
+    hi = np.concatenate([cuts, np.full((near.size, 1), width)], axis=1)
+    apex = np.clip(0, lo, hi)
+    lo = np.concatenate([lo, apex], axis=1)
+    hi = np.concatenate([apex, hi], axis=1)
+    mid, hw = (lo + hi) * (0.5 * unit), (hi - lo) * (0.5 * unit)
+    phi = (phi_truncated if variant == TRUNCATED_SINE else phi_abs)(j, period)
+    s = (near * (period / n))[:, None]
+    xs_gl, ws_gl = gauss_legendre(LL_ORDER)
+    acc = 0.0
+    for x, w in zip(xs_gl.tolist(), ws_gl.tolist()):
+        u = mid + hw * x
+        acc = acc + w * (1.0 - np.abs(u) / half) * phi(s + u)
+    kern[near] = np.sum(hw * acc, axis=1)
+    return kern
+
+
+def _ll_correlate(values: np.ndarray, kern: np.ndarray,
+                  tau_points: int) -> np.ndarray:
+    """I(tau_k) = sum_i values[i] K(t_i + tau_k) for the residue knots t_i
+    and tau_k = k period / tau_points, one gather of the kernel table per
+    knot.  An infinite knot counts only where its K > 0, the profile
+    positive on its hat: one sign gives +-inf, both signs nan."""
+    n = kern.size
+    idx = np.arange(tau_points) * (n // tau_points)
+    total = np.zeros(tau_points)
+    pos, neg = np.zeros(tau_points, bool), np.zeros(tau_points, bool)
+    for v in values.tolist():
+        w = kern.take(idx, mode="wrap")
+        if v == math.inf:
+            pos |= w > 0
+        elif v == -math.inf:
+            neg |= w > 0
+        else:
+            total += v * w
+        idx += n // values.size
+    total[pos] = math.inf
+    total[neg] = -math.inf
+    total[pos & neg] = math.nan
     return total
 
 
@@ -342,18 +425,24 @@ def ll_verdict(model: NonlinearityModel, variant: str = TRUNCATED_SINE,
 
     Lower: integrals of the liminf residue against the N-profile must stay
     positive; upper: integrals of the limsup residue against the
-    (N+1)-profile must stay negative.  Each tau is one ll_integral call,
-    which evaluates the residue envelope once.  A margin below
-    LL_MARGIN_FLOOR is inconclusive.
+    (N+1)-profile must stay negative.  A margin below LL_MARGIN_FLOOR is
+    inconclusive.
+
+    The residue table is linear between its RESIDUE_T_POINTS knots, so
+    every integral is a sum of knot values times one kernel, tabulated
+    per side at the lcm(RESIDUE_T_POINTS, tau_points) offsets on which
+    every knot + tau lands (_ll_kernel); all tau come from one
+    correlation (_ll_correlate), exact up to rounding.
     """
     n, period = model.n_mode, model.period
     tau_grid = periodic_grid(period, tau_points)
+    offsets = math.lcm(RESIDUE_T_POINTS, tau_points)
     reports = []
     for side, j in (("lower", n), ("upper", n + 1)):
         env = asymptotic_envelope(model, side)
-        fn = _periodic_interp(env.t_grid, env.values)
-        vals = np.array([ll_integral(fn, j, period, variant, float(tau))
-                         for tau in tau_grid])
+        vals = _ll_correlate(env.values,
+                             _ll_kernel(j, period, variant, offsets),
+                             tau_points)
         reports.append(LLReport(variant, side, j, tau_grid, vals,
                                 *_verdict_from(vals, side, env.stabilized)))
     return tuple(reports)

@@ -10,6 +10,7 @@ close up into kT-periodic orbits making exactly nu revolutions.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,20 +39,34 @@ class NoBracketError(ValueError):
     pass
 
 
+# (model, {L: reduced field}) while a find_rotating search runs, else None:
+# the profile solve, the advance and the solution's orbit at one L share
+# one compiled field, and nothing outlives the search
+_SEARCH_FIELDS: ContextVar[Optional[tuple]] = ContextVar("_SEARCH_FIELDS",
+                                                         default=None)
+
+
 def effective_field(model: NonlinearityModel, L: float) -> NonlinearityModel:
     """Radial reduction: rho'' + [f(t, rho) - L^2/rho^3] = 0, compiled from
     model's expression trees, each less the centrifugal term, so that a
     piecewise model keeps its glue point rho = 1 as a kink the integrator
     lands on (ValueError for a model built from callables: it has no
     trees).  The term only strengthens the repulsive wall, so the reduced
-    nonlinearity is handled by the singular-mode machinery.
+    nonlinearity is handled by the singular-mode machinery.  Inside
+    find_rotating the field of each L is compiled once and reused for the
+    rest of that search.
     """
+    scope = _SEARCH_FIELDS.get()
+    fields = scope[1] if scope is not None and scope[0] is model else {}
+    if L in fields:
+        return fields[L]
     if not model.trees:
         raise ValueError("the radial reduction needs the model's expression "
                          "trees; a model built from callables has none")
     centrifugal = Bin("/", Num(L * L), Bin("^", Var("x"), Num(3.0)))
     trees = tuple(Bin("-", tree, centrifugal) for tree in model.trees)
-    return from_trees(trees, model.period, SINGULAR, model.n_mode)
+    fields[L] = from_trees(trees, model.period, SINGULAR, model.n_mode)
+    return fields[L]
 
 
 def _mean_f(model: NonlinearityModel):
@@ -271,7 +286,16 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     from the profile and the shooting Jacobian at the nearest known L, so
     Newton along the L-search rarely pays for a finite-difference
     Jacobian.  Returns the solutions found and the smallest succeeding k.
+    Each L's reduced field is compiled once for the whole search.
     """
+    token = _SEARCH_FIELDS.set((model, {}))
+    try:
+        return _find_rotating(model, nu, k_max, opts, k_min)
+    finally:
+        _SEARCH_FIELDS.reset(token)
+
+
+def _find_rotating(model, nu, k_max, opts, k_min):
     results: list[RotatingSolution] = []
     k_nu: Optional[int] = None
     # L -> (Delta_theta, profile, residual, Jacobian); local to this call

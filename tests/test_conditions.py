@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,164 @@ def test_bounded_above_residue_with_lower_shift_passes():
 
 
 # --------------------------------------------------------------------------
+# ll_verdict against an adaptive reference: the residue table interpolated
+# linearly between its knots, times the translated profile, by
+# scipy.integrate.quad on every interval between consecutive knots and
+# profile kinks, where the integrand is a line times a sine
+
+
+def _quad_reference(values, j, variant, tau, period=T2PI):
+    quad = pytest.importorskip("scipy.integrate").quad
+    n = len(values)
+    knots = np.append(rm.periodic_grid(period, n), period)
+    table = np.append(values, values[0])
+    phi = (cd.phi_truncated if variant == cd.TRUNCATED_SINE
+           else cd.phi_abs)(j, period)
+    edges = sorted(set(knots.tolist())
+                   | set(cd._phi_kinks(j, period, variant, tau)))
+
+    def integrand(t):
+        return float(np.interp(t, knots, table)) * float(phi(t + tau))
+
+    return math.fsum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                     for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+def _assert_matches_reference(model, variant, tau_points, picks):
+    for rep in cd.ll_verdict(model, variant=variant, tau_points=tau_points):
+        env = cd.asymptotic_envelope(model, rep.side)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(rep.integrals))))
+        for k in picks:
+            ref = _quad_reference(env.values, rep.j, variant,
+                                  float(rep.tau_grid[k]), model.period)
+            assert abs(rep.integrals[k] - ref) <= tol, (rep.side, k)
+
+
+@pytest.mark.parametrize("tau_points", [64, 97])
+@pytest.mark.parametrize("variant", [cd.TRUNCATED_SINE, cd.ABS_SINE])
+def test_sign_integrals_match_adaptive_quadrature(variant, tau_points):
+    # the residue is piecewise linear on its knots, so the integrals are
+    # exact up to rounding; panels that ignore the knots miss by ~3.5e-6
+    _assert_matches_reference(rm.make_cubic_band(), variant, tau_points,
+                              (0, 1, tau_points // 3, tau_points - 1))
+
+
+@pytest.mark.parametrize("variant", [cd.TRUNCATED_SINE, cd.ABS_SINE])
+def test_kernel_table_matches_adaptive_quadrature(variant):
+    # one knot's weight at every offset, closed form and near-kink pieces
+    # alike; from j = 65 on a window can hold two kinks
+    quad = pytest.importorskip("scipy.integrate").quad
+    n, half = 128, T2PI / cd.RESIDUE_T_POINTS
+    for j in (1, 2, 3, 65, 100):
+        phi = (cd.phi_truncated if variant == cd.TRUNCATED_SINE
+               else cd.phi_abs)(j, T2PI)
+        kinks = cd._phi_kinks(j, T2PI, variant, 0.0)[:-1]
+        kern = cd._ll_kernel(j, T2PI, variant, n)
+        for k in range(n):
+            s = k * T2PI / n
+            near = [(c - s + math.pi) % T2PI - math.pi for c in kinks]
+            edges = sorted({-half, 0.0, half}
+                           | {u for u in near if abs(u) < half})
+            ref = math.fsum(
+                quad(lambda u: (1 - abs(u) / half) * float(phi(s + u)),
+                     a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-12)
+            assert kern[k] == pytest.approx(ref, rel=1e-12, abs=1e-15), \
+                (j, k)
+
+
+@pytest.mark.parametrize("tau_points", [1, 4, 97, 1000])
+def test_sign_integrals_on_any_tau_grid_match_the_reference(tau_points):
+    # the kernel is tabulated on lcm(128, tau_points) offsets: 128, 128,
+    # 12416 and 16000 here
+    picks = sorted({0, tau_points // 2, tau_points - 1})
+    for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
+        _assert_matches_reference(rm.make_cubic_band(), variant, tau_points,
+                                  picks)
+
+
+def _periodic_interp(t_grid, values, period=T2PI):
+    tg, vg = np.append(t_grid, period), np.append(values, values[0])
+    return lambda t: np.interp(np.mod(t, period), tg, vg)
+
+
+def _pattern(values):
+    return ["nan" if math.isnan(v) else "+inf" if v == math.inf
+            else "-inf" if v == -math.inf else "finite" for v in values]
+
+
+_INFINITE_KNOTS = {
+    # knot index -> value, laid into cubic_band's finite residue tables
+    "one_plus_inf": {10: math.inf},
+    "plus_and_minus_inf": {10: math.inf, 40: -math.inf},
+}
+
+
+@pytest.mark.parametrize("variant", [cd.TRUNCATED_SINE, cd.ABS_SINE])
+@pytest.mark.parametrize("case", sorted(_INFINITE_KNOTS))
+def test_infinite_knots_give_the_reference_pattern(monkeypatch, case,
+                                                   variant):
+    # per tau, an infinite knot counts where the translated profile is
+    # positive on its hat: the truncated profile's zero part leaves the
+    # integral finite, its hump gives the knot's sign, both signs nan
+    model = rm.make_cubic_band()
+    original = cd.asymptotic_envelope
+    tables = {}
+
+    def with_infinities(model, side, k_max=20):
+        env = original(model, side, k_max)
+        values = env.values.copy()
+        for i, v in _INFINITE_KNOTS[case].items():
+            values[i] = v
+        tables[side] = values
+        return cd.AsymptoticEnvelope(env.t_grid, values, env.stabilized)
+
+    monkeypatch.setattr(cd, "asymptotic_envelope", with_infinities)
+    seen = set()
+    for rep in cd.ll_verdict(model, variant=variant, tau_points=64):
+        residue = _periodic_interp(rm.periodic_grid(T2PI, 128),
+                                   tables[rep.side])
+        ref = [cd.ll_integral(residue, rep.j, T2PI, variant, float(tau))
+               for tau in rep.tau_grid]
+        assert _pattern(rep.integrals) == _pattern(ref)
+        finite = np.isfinite(ref)
+        assert np.allclose(rep.integrals[finite], np.array(ref)[finite],
+                           rtol=1e-5, atol=0.0)
+        seen.update(_pattern(ref))
+    if variant == cd.ABS_SINE:
+        # the abs profile is positive on every hat
+        assert seen == ({"+inf"} if case == "one_plus_inf" else {"nan"})
+    elif case == "one_plus_inf":
+        assert seen == {"finite", "+inf"}
+    else:
+        assert seen == {"finite", "+inf", "-inf", "nan"}
+
+
+@pytest.mark.parametrize("tau_points", [256, 97])
+def test_ll_verdict_needs_no_quadrature_and_little_memory(monkeypatch,
+                                                         tau_points):
+    # a deterministic work and memory guard: no ll_integral call, and the
+    # kernel tables (12416 offsets at 97) stay far below a tau x knot matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("ll_verdict called ll_integral")
+
+    monkeypatch.setattr(cd, "ll_integral", refuse)
+    for name in ("cubic_band", "screen_expr_seed1_0"):
+        model = _golden_model(name)
+        for variant in (cd.TRUNCATED_SINE, cd.ABS_SINE):
+            cd.ll_verdict(model, variant=variant, tau_points=tau_points)
+            tracemalloc.start()
+            try:
+                lo, hi = cd.ll_verdict(model, variant=variant,
+                                       tau_points=tau_points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert lo.passed and hi.passed
+            assert peak <= 1 << 20, (name, variant, peak)
+
+
+# --------------------------------------------------------------------------
 # growth/band validators
 
 
@@ -359,10 +518,12 @@ def test_check_H_evaluates_f_once_per_node(monkeypatch):
 # --------------------------------------------------------------------------
 # golden records: ll_verdict and check_H pinned bit for bit
 #
-# tests/data/conditions_golden.json holds float.hex literals recorded with
-# the panel-by-panel and cell-by-cell quadratures that the array forms
-# replaced: the tau = 64 integrals and margins of both variants and sides,
-# and the check_H ratio tables (wall direction for singular_band).
+# tests/data/conditions_golden.json holds float.hex literals.  The tau = 64
+# integrals and margins of both variants and sides were recorded with the
+# kernel correlation, which agrees with the adaptive reference above to
+# within 1e-12 max(1, max|I|); the check_H ratio tables (wall direction for
+# singular_band) with the cell-by-cell quadrature that the array form
+# replaced.
 
 _GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
                       / "conditions_golden.json").read_text())

@@ -359,6 +359,28 @@ def test_find_rotating_pinned_work(monkeypatch):
     assert runs[1] == runs[0]
 
 
+def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
+    # the profile solve, the advance and the solution's orbit at one L
+    # share one compiled field: 18 compiles for the 18 distinct L, where
+    # compiling per call took 38
+    compiles = _count_calls(monkeypatch, "from_trees")
+    momenta = []
+    original = rd.angular_progress
+
+    def advance(model, z0, L, horizon, opts=None):
+        momenta.append(L)
+        return original(model, z0, L, horizon, opts)
+
+    monkeypatch.setattr(rd, "angular_progress", advance)
+    sols, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    assert [s.k for s in sols] == [1, 2]
+    assert {s.L for s in sols} <= set(momenta)
+    assert len(compiles) == len(set(momenta)) == 18
+    # nothing is kept past the search
+    rd.effective_field(sols[0].model, sols[0].L)
+    assert len(compiles) == 19
+
+
 def test_find_rotating_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken advance")
