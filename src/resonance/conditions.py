@@ -63,35 +63,39 @@ class AsymptoticEnvelope:
     stabilized: bool
 
 
-def _tail_estimate(vals: np.ndarray, mode: str):
-    """Running inf/sup over the deep tail of a geometric sample ladder.
+def _tail_estimate(table: np.ndarray, mode: str):
+    """Running inf/sup over the deep tail of a geometric sample ladder, for
+    each column of table (one row per rung).
 
     The tail starts at a fixed ladder index so that enlarging the ladder
     can only sharpen the estimate (inf never increases, sup never
-    decreases).  Returns (estimate, settled): a diverging tail estimates
-    +-inf and counts as settled.
+    decreases).  Returns (estimates, settled) per column: a diverging tail
+    estimates +-inf and counts as settled.
     """
-    start = min(8, max(0, len(vals) - 4))
-    tail = vals[start:]
+    start = min(8, max(0, len(table) - 4))
+    tail = table[start:]
     agg = np.minimum.accumulate if mode == "inf" else np.maximum.accumulate
-    running = agg(tail)
-    est = float(running[-1])
-    stab = (len(running) >= 4
-            and abs(est - float(running[-4])) <= 1e-4 * (1.0 + abs(est)))
-    diverging = 0
-    if abs(est) > 1e8:
-        half = float(running[len(running) // 2])
-        if abs(est) > 1.5 * abs(half):
-            diverging = 1 if est > 0 else -1
-    # monotone runaway on the side the running extreme cannot see
-    if diverging == 0 and len(tail) >= 4:
-        if mode == "inf" and np.all(np.diff(tail) > 0) and tail[-1] > 1e6:
-            diverging = 1
-        if mode == "sup" and np.all(np.diff(tail) < 0) and tail[-1] < -1e6:
-            diverging = -1
-    if diverging:
-        return math.copysign(math.inf, diverging), True
-    return est, stab
+    running = agg(tail, axis=0)
+    est = running[-1]
+    long_tail = len(tail) >= 4
+    with np.errstate(invalid="ignore"):      # inf - inf is nan: unsettled
+        stab = long_tail & (np.abs(est - running[-min(4, len(running))])
+                            <= 1e-4 * (1.0 + np.abs(est)))
+        half = running[len(running) // 2]
+        diverging = np.where((np.abs(est) > 1e8)
+                             & (np.abs(est) > 1.5 * np.abs(half)),
+                             np.where(est > 0, 1, -1), 0)
+        # monotone runaway on the side the running extreme cannot see
+        if long_tail:
+            steps = np.diff(tail, axis=0)
+            if mode == "inf":
+                runaway = np.all(steps > 0, axis=0) & (tail[-1] > 1e6)
+            else:
+                runaway = np.all(steps < 0, axis=0) & (tail[-1] < -1e6)
+            diverging = np.where((diverging == 0) & runaway,
+                                 1 if mode == "inf" else -1, diverging)
+    return (np.where(diverging != 0, np.copysign(np.inf, diverging), est),
+            stab | (diverging != 0))
 
 
 def asymptotic_envelope(model: NonlinearityModel, side: str,
@@ -105,12 +109,8 @@ def asymptotic_envelope(model: NonlinearityModel, side: str,
     xs = 2.0 ** np.arange(k_max + 1)
     table = np.array([model.f_over_t(t_grid, float(x)) for x in xs],
                      dtype=float) - eigenvalue(n, model.period) * xs[:, None]
-    values = np.empty(RESIDUE_T_POINTS)
-    stabilized = True
-    for jt in range(RESIDUE_T_POINTS):
-        values[jt], settled = _tail_estimate(table[:, jt], mode)
-        stabilized = stabilized and settled
-    return AsymptoticEnvelope(t_grid, values, stabilized)
+    values, settled = _tail_estimate(table, mode)
+    return AsymptoticEnvelope(t_grid, values, bool(np.all(settled)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,17 @@ __all__ = [
 MEAN_F_T_POINTS = 64       # t samples of the t-average of f
 CIRCULAR_TOL = 1e-12       # relative bracket width of the circular balance
 DTHETA_TOL = 1e-6          # |Delta_theta(L) - 2 pi nu / k| that ends a search
+MAX_STEPS = 12             # steps in L from the circular orbit to a bracket
 
 
 class NoBracketError(ValueError):
     pass
 
 
-# (model, {L: reduced field}) while a find_rotating search runs, else None:
-# the profile solve, the advance and the solution's orbit at one L share
-# one compiled field, and nothing outlives the search
+# (model, {L: reduced field}, [key, orbit]) while a find_rotating search
+# runs, else None: the profile solve, the advance and the solution's orbit
+# at one L share one compiled field, the solution's orbit is the last
+# advance's integration, and nothing outlives the search
 _SEARCH_FIELDS: ContextVar[Optional[tuple]] = ContextVar("_SEARCH_FIELDS",
                                                          default=None)
 
@@ -79,34 +81,52 @@ def _mean_f(model: NonlinearityModel):
     return fbar
 
 
-def circular_orbit(model: NonlinearityModel, L: float) -> float:
-    """Radius of the circular balance fbar(rho) = L^2/rho^3 of the t-average
-    fbar of f, by bisection inside the first sign change of a geometric
-    scan over [1e-2, 1e3] to a relative bracket width of CIRCULAR_TOL: the
-    start of a profile solve.  NoBracketError when the scan finds none.
-    """
-    fbar = _mean_f(model)
-
-    def balance(r):
-        return fbar(r) - L * L / r ** 3
-
-    grid = np.geomspace(1e-2, 1e3, 120)
-    vals = [balance(float(r)) for r in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] < 0.0 < vals[i + 1]:
-            lo, hi = float(grid[i]), float(grid[i + 1])
+def _first_crossing(fun) -> float:
+    """Root of fun inside the first sign change from below to above zero
+    of a geometric scan over [1e-2, 1e3], which stops there, bisected to a
+    relative bracket width of CIRCULAR_TOL.  NoBracketError when the scan
+    finds none."""
+    grid = np.geomspace(1e-2, 1e3, 120).tolist()
+    below = fun(grid[0]) < 0.0
+    for lo, hi in zip(grid, grid[1:]):
+        val = fun(hi)
+        if below and val > 0.0:
             break
+        below = val < 0.0
     else:
-        raise NoBracketError("no sign change of f(r) - L^2/r^3 in scan range")
+        raise NoBracketError("no sign change in the scan range")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < CIRCULAR_TOL * max(1.0, mid):
             break
-        if balance(mid) >= 0.0:
+        if fun(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def circular_orbit(model: NonlinearityModel, L: float) -> float:
+    """Radius of the circular balance fbar(rho) = L^2/rho^3 of the t-average
+    fbar of f (_first_crossing): the start of a profile solve.
+    NoBracketError when the scan finds no balance.
+    """
+    fbar = _mean_f(model)
+    return _first_crossing(lambda r: fbar(r) - L * L / r ** 3)
+
+
+def _circular_momentum(model: NonlinearityModel, target: float) -> float:
+    """L of the circular orbit of fbar that advances by `target` over a
+    period: rho solves T sqrt(fbar(rho)/rho) = target (_first_crossing)
+    and L = rho^2 sqrt(fbar(rho)/rho).  NoBracketError when no circular
+    orbit advances by the target."""
+    fbar = _mean_f(model)
+
+    def rate(r):
+        return math.sqrt(max(fbar(r), 0.0) / r)
+
+    rho = _first_crossing(lambda r: model.period * rate(r) - target)
+    return rho * rho * rate(rho)
 
 
 def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,
@@ -118,10 +138,17 @@ def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,
 
 def _profile_orbit(model, z0, L, horizon, opts) -> Trajectory:
     """One planar integration of the radial profile with the angle as its
-    rider, at the integrator's tolerance; the wall check keeps rho > 0."""
-    return integrate(HomotopyField(effective_field(model, L), 1.0), z0,
-                     z0.t + horizon, opts,
-                     rider=lambda t, rho, v: L / rho ** 2)
+    rider, at the integrator's tolerance; the wall check keeps rho > 0.
+    Inside find_rotating the last one is kept and returned again for the
+    same (L, z0, horizon, opts)."""
+    scope = _SEARCH_FIELDS.get()
+    last = scope[2] if scope is not None and scope[0] is model else [None, None]
+    key = (L, z0, horizon, opts)
+    if last[0] != key:
+        last[:] = key, integrate(HomotopyField(effective_field(model, L), 1.0),
+                                 z0, z0.t + horizon, opts,
+                                 rider=lambda t, rho, v: L / rho ** 2)
+    return last[1]
 
 
 @dataclass
@@ -205,32 +232,6 @@ def _known_bracket(known, target):
     return None
 
 
-def _estimate_L_max(model, target_dtheta):
-    """Circular-balance estimate: find rho with T sqrt(fbar/rho) = target/T
-    scale, then L = sqrt(fbar(rho) rho^3); generous factor 4 on top."""
-    fbar = _mean_f(model)
-    period = model.period
-
-    def omega_gap(r):
-        v = fbar(r)
-        if v <= 0.0:
-            return -1.0
-        return period * math.sqrt(v / r) - target_dtheta
-
-    grid = np.geomspace(1e-2, 1e4, 160)
-    vals = [omega_gap(float(r)) for r in grid]
-    rho_star = None
-    for (r1, v1), (r2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if v1 < 0.0 <= v2 or v1 >= 0.0 > v2:
-            rho_star = 0.5 * (r1 + r2)
-            break
-    if rho_star is None:
-        finite = [r for r, v in zip(grid, vals) if v > -1.0]
-        rho_star = float(finite[-1]) if finite else 1.0
-    L_est = math.sqrt(max(fbar(rho_star), 1e-12) * rho_star ** 3)
-    return 4.0 * L_est
-
-
 def _illinois(model, target, bracket, known, opts):
     """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
     (Dowell & Jarratt 1971): the secant root of the two ends, with the
@@ -278,21 +279,55 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     For each k the angular advance over one rho-period must equal
     2 pi nu / k.  Delta_theta(L) does not depend on k, so every value
     computed is kept for all k.  The bracket for k is the adjacent pair
-    of known L values, smallest L first, that straddles the target; a
-    12-point geometric scan in L runs only when there is none.  Inside
-    the bracket L is refined by Illinois steps (regula falsi that halves
-    the stale end's value when the same end is kept twice) until the
-    advance is within DTHETA_TOL of the target.  Profile solves start
-    from the profile and the shooting Jacobian at the nearest known L, so
-    Newton along the L-search rarely pays for a finite-difference
-    Jacobian.  Returns the solutions found and the smallest succeeding k.
-    Each L's reduced field is compiled once for the whole search.
+    of known L values, smallest L first, that straddles the target.  When
+    there is none, the search starts at the L of the circular orbit of
+    the t-averaged field that advances by the target, which is the
+    solution when its advance is within DTHETA_TOL, and steps L toward
+    the target by growing factors until a pair straddles it.  Inside the
+    bracket L is refined by Illinois steps (regula falsi that halves the
+    stale end's value when the same end is kept twice) until the advance
+    is within DTHETA_TOL of the target.  Profile solves start from the
+    profile and the shooting Jacobian at the nearest known L, so Newton
+    along the L-search rarely pays for a finite-difference Jacobian.
+    Returns the solutions found and the smallest succeeding k.  Each L's
+    reduced field is compiled once for the whole search, and a solution's
+    orbit is the integration of its last advance.
     """
-    token = _SEARCH_FIELDS.set((model, {}))
+    token = _SEARCH_FIELDS.set((model, {}, [None, None]))
     try:
         return _find_rotating(model, nu, k_max, opts, k_min)
     finally:
         _SEARCH_FIELDS.reset(token)
+
+
+def _step_to_bracket(model, target, known, opts):
+    """Evaluate advances from the circular orbit's L toward the target
+    until two known L values straddle it.  L is multiplied by q when the
+    last advance is below the target and divided by q when above (the
+    advance grows with L), q starting at 1.02 and squared after each of at
+    most MAX_STEPS steps; a step whose profile solve fails is skipped.
+    Returns (L, Delta_theta, z, residual) when an advance lands within
+    DTHETA_TOL of the target, else None."""
+    L = _circular_momentum(model, target)
+    # before the first advance, step from the side of the earlier k's ones
+    below = next((v[0] < target for v in known.values()), None)
+    q = 1.02
+    for _ in range(MAX_STEPS + 1):
+        try:
+            dth, z, res = _delta_theta_of_L(model, L, known, opts)
+        except (NewtonError, SingularJacobianError):
+            pass
+        else:
+            if abs(dth - target) < DTHETA_TOL:
+                return L, dth, z, res
+            if _known_bracket(known, target) is not None:
+                return None
+            below = dth < target
+        if below is None:           # no advance known: no direction
+            return None
+        L = L * q if below else L / q
+        q *= q
+    return None
 
 
 def _find_rotating(model, nu, k_max, opts, k_min):
@@ -303,21 +338,13 @@ def _find_rotating(model, nu, k_max, opts, k_min):
     for k in range(k_min, k_max + 1):
         target = 2.0 * math.pi * nu / k
         try:
+            best = None
             bracket = _known_bracket(known, target)
             if bracket is None:
-                L_hi = _estimate_L_max(model, target)
-                for L in np.geomspace(L_hi / 256.0, L_hi, 12):
-                    try:
-                        dth, _, _ = _delta_theta_of_L(model, float(L), known,
-                                                      opts)
-                    except (NewtonError, SingularJacobianError):
-                        continue
-                    if dth >= target:
-                        break
+                best = _step_to_bracket(model, target, known, opts)
                 bracket = _known_bracket(known, target)
-            if bracket is None:
-                continue
-            best = _illinois(model, target, bracket, known, opts)
+            if best is None and bracket is not None:
+                best = _illinois(model, target, bracket, known, opts)
             if best is None:
                 continue
             L_star, dth, z, res = best

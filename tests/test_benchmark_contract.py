@@ -4,10 +4,12 @@ perfbench/workloads.py reads the exit code, the standard output
 (`hypotheses=fail`, `lower=pass upper=pass`) and the artifacts (report.txt,
 radial.csv) of each invocation.  A change to the commands' output or exit
 codes that the benchmark has not caught up with fails here first, on one
-failing and one passing `screen_expr` input and on the first `--defaults`
-input of each solving workload, `radial_singular` and `find_band`.
+failing and one passing `screen_expr` input, on the first `--defaults`
+input of each solving workload, `radial_singular` and `find_band`, and on
+every `radial_singular` input drawn for seeds 1-3.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from resonance import cli
+from resonance.solver import SolveOpts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 _write_bytecode = sys.dont_write_bytecode
@@ -52,3 +55,17 @@ def test_screen_expr_case_meets_its_check(tmp_path, capsys, expected_exit):
 def test_solving_workload_case_meets_its_check(tmp_path, capsys, workload):
     case = workloads.WORKLOADS[workload](seed=1, defaults=True)[0]
     _meets_its_check(case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("draw", range(workloads.SOLVE_BATCH))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_radial_draw_meets_its_check(tmp_path, capsys, seed, draw):
+    # the benchmark's timed runs draw wobbles in the workload's range, not
+    # its midpoint: each drawn case meets its own check, and every profile
+    # is polished below Newton's tolerance
+    case = workloads.radial_singular(seed=seed)[draw]
+    _meets_its_check(case, tmp_path, capsys)
+    with open(tmp_path / "out" / "radial.csv") as fh:
+        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
+    assert len(residuals) == case.k_values
+    assert max(residuals) < SolveOpts().newton_tol

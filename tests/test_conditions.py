@@ -171,18 +171,115 @@ def test_envelope_finds_band_residues():
 
 def test_ll_verdict_estimates_each_tail_it_reads_once(monkeypatch):
     # the liminf against mu_N and the limsup against mu_N+1: one tail
-    # estimate per residue-table time for each of the two sides
-    modes = []
+    # estimate for each of the two sides, over every residue-table time
+    # at once (it was one call per time, 256 per verdict)
+    calls = []
     original = cd._tail_estimate
 
-    def counted(vals, mode):
-        modes.append(mode)
-        return original(vals, mode)
+    def counted(table, mode):
+        calls.append((mode, table.shape))
+        return original(table, mode)
 
     monkeypatch.setattr(cd, "_tail_estimate", counted)
     cd.ll_verdict(rm.make_cubic_band(), tau_points=4)
-    assert len(modes) == 2 * cd.RESIDUE_T_POINTS == 256
-    assert modes.count("inf") == modes.count("sup") == cd.RESIDUE_T_POINTS
+    assert calls == [("inf", (21, cd.RESIDUE_T_POINTS)),
+                     ("sup", (21, cd.RESIDUE_T_POINTS))]
+
+
+def _tail_estimate_of_one_column(vals, mode):
+    # the per-column form that the table-wide _tail_estimate replaced
+    start = min(8, max(0, len(vals) - 4))
+    tail = vals[start:]
+    agg = np.minimum.accumulate if mode == "inf" else np.maximum.accumulate
+    running = agg(tail)
+    est = float(running[-1])
+    stab = (len(running) >= 4
+            and abs(est - float(running[-4])) <= 1e-4 * (1.0 + abs(est)))
+    diverging = 0
+    if abs(est) > 1e8:
+        half = float(running[len(running) // 2])
+        if abs(est) > 1.5 * abs(half):
+            diverging = 1 if est > 0 else -1
+    if diverging == 0 and len(tail) >= 4:
+        with np.errstate(invalid="ignore"):
+            steps = np.diff(tail)
+        if mode == "inf" and np.all(steps > 0) and tail[-1] > 1e6:
+            diverging = 1
+        if mode == "sup" and np.all(steps < 0) and tail[-1] < -1e6:
+            diverging = -1
+    if diverging:
+        return math.copysign(math.inf, diverging), True
+    return est, stab
+
+
+def _residue_tables(monkeypatch):
+    # the (table, mode) pairs asymptotic_envelope hands to _tail_estimate
+    # on the three models, both sides
+    seen = []
+    original = cd._tail_estimate
+
+    def spy(table, mode):
+        seen.append((table.copy(), mode))
+        return original(table, mode)
+
+    monkeypatch.setattr(cd, "_tail_estimate", spy)
+    for model in (rm.make_cubic_band(), rm.make_singular_band(),
+                  rm.make_resonant_edge()):
+        for side in ("lower", "upper"):
+            cd.asymptotic_envelope(model, side)
+    monkeypatch.setattr(cd, "_tail_estimate", original)
+    return seen
+
+
+def _with_infinities(table):
+    # columns that are +-inf, nan, a monotone runaway either way, a
+    # diverging running extreme, constant, or constant but for a late
+    # drop, laid over a model's table
+    table = table.copy()
+    rungs = np.arange(len(table), dtype=float)
+    table[:, 0] = np.inf
+    table[:, 1] = -np.inf
+    table[:, 2] = np.nan
+    table[5:, 3] = np.inf
+    table[12, 4] = -np.inf
+    table[15, 5] = np.nan
+    table[:, 6] = 10.0 ** rungs                     # runaway up
+    table[:, 7] = -(10.0 ** rungs)                  # runaway down
+    table[:, 8] = 3.0 * 4.0 ** rungs * (-1) ** rungs  # diverging both ways
+    table[:, 9] = 1e9 * (1.0 + rungs)
+    table[:, 10] = -7.5
+    table[:, 11] = 5.0
+    table[-3, 11] = 4.0                             # a late drop: unsettled
+    return table
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_tail_estimate_over_the_table_matches_one_column_at_a_time(
+        monkeypatch):
+    cases = []
+    for table, mode in _residue_tables(monkeypatch):
+        cases.append((table, mode))
+        cases.append((_with_infinities(table), mode))
+        cases.append((_with_infinities(table), "sup" if mode == "inf"
+                      else "inf"))
+        cases.append((_with_infinities(table)[:3], mode))   # short ladder
+    assert len(cases) == 24
+    for table, mode in cases:
+        est, settled = cd._tail_estimate(table, mode)
+        ref = [_tail_estimate_of_one_column(table[:, j], mode)
+               for j in range(table.shape[1])]
+        assert _hex(est) == _hex([r[0] for r in ref])
+        assert settled.tolist() == [bool(r[1]) for r in ref]
+    # the synthetic columns reach every branch: +-inf by divergence or
+    # runaway, nan, unsettled and settled finite values
+    est, settled = cd._tail_estimate(_with_infinities(cases[0][0]), "inf")
+    assert _hex(est[[6, 8, 9]]) == _hex([math.inf, -math.inf, math.inf])
+    assert math.isnan(est[2]) and not settled[2]
+    assert est[10] == -7.5 and settled[10]
+    assert est[11] == 4.0 and not settled[11]
 
 
 # --------------------------------------------------------------------------

@@ -340,7 +340,8 @@ def test_find_rotating_pinned_work(monkeypatch):
     # and each profile solve starts from the Jacobian of the nearest known
     # L: the exact numbers of advance evaluations and return maps pin that
     # work (a finite-difference Jacobian on every Newton iteration took
-    # 153 maps)
+    # 153 maps; a 12-point bracket scan in L took 18 advances and 95 maps
+    # before the search started at the circular orbit)
     advances = _count_calls(monkeypatch, "angular_progress")
     homotopies = _count_calls(monkeypatch, "homotopy_solve")
     maps = _count_calls(monkeypatch, "poincare", sv)
@@ -352,8 +353,8 @@ def test_find_rotating_pinned_work(monkeypatch):
         maps.clear()
     (sols, k_nu), n_advances, n_maps = runs[0]
     assert k_nu == 1 and [s.k for s in sols] == [1, 2]
-    assert n_advances == 18
-    assert n_maps == 95
+    assert n_advances == 10
+    assert n_maps == 49
     assert len(homotopies) == 0
     # no state survives a call: a second search repeats the first exactly
     assert runs[1] == runs[0]
@@ -361,8 +362,8 @@ def test_find_rotating_pinned_work(monkeypatch):
 
 def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
     # the profile solve, the advance and the solution's orbit at one L
-    # share one compiled field: 18 compiles for the 18 distinct L, where
-    # compiling per call took 38
+    # share one compiled field: 10 compiles for the 10 distinct L, where
+    # compiling per call took 38 (for the 18 L of a bracket scan)
     compiles = _count_calls(monkeypatch, "from_trees")
     momenta = []
     original = rd.angular_progress
@@ -375,10 +376,84 @@ def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
     sols, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
     assert [s.k for s in sols] == [1, 2]
     assert {s.L for s in sols} <= set(momenta)
-    assert len(compiles) == len(set(momenta)) == 18
+    assert len(compiles) == len(set(momenta)) == 10
     # nothing is kept past the search
     rd.effective_field(sols[0].model, sols[0].L)
-    assert len(compiles) == 19
+    assert len(compiles) == 11
+
+
+def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
+    # the search integrates each profile once, inside its advance, and the
+    # solution keeps that integration: bit for bit a fresh one
+    integrations = _count_calls(monkeypatch, "integrate")
+    advances = _count_calls(monkeypatch, "angular_progress")
+    sols, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    assert len(integrations) == len(advances) == 10
+    for s in sols:
+        fresh = rd._profile_orbit(s.model, s.z0, s.L, s.model.period,
+                                  sv.SolveOpts().integrate)
+        assert fresh is not s.orbit
+        for name in ("t", "x", "y"):
+            assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
+        assert np.array_equal(fresh.meta["rider_samples"],
+                              s.orbit.meta["rider_samples"])
+    assert len(integrations) == 10 + len(sols)
+
+
+def _autonomous_band_momentum(k):
+    # at wobble 0 the singular band is f = 1.625 x - x^-5 - x^-3 (N = 2,
+    # T = 2 pi): the circular orbit with f(rho)/rho = 1/k^2 advances by
+    # 2 pi / k over a period at L = rho^2 sqrt(f(rho)/rho) = rho^2 / k
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rho = brentq(lambda r: 1.625 - r ** -6 - r ** -4 - 1.0 / k ** 2,
+                 0.5, 5.0, xtol=1e-15, rtol=1e-15)
+    return rho * rho / k
+
+
+def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
+    # the circular orbit of an autonomous field is an exact T-periodic
+    # profile, so its advance meets the target at once: one advance per
+    # k and no Illinois step (a bracket scan took 8 or more)
+    advances = []
+    original = rd.angular_progress
+
+    def advance(model, z0, L, horizon, opts=None):
+        advances.append(L)
+        return original(model, z0, L, horizon, opts)
+
+    monkeypatch.setattr(rd, "angular_progress", advance)
+    sols, k_nu = rd.find_rotating(rm.make_singular_band(wobble=0.0), nu=1,
+                                  k_max=3)
+    assert k_nu == 1 and [s.k for s in sols] == [1, 2, 3]
+    assert len(advances) == 3
+    for s in sols:
+        assert s.L == pytest.approx(_autonomous_band_momentum(s.k), rel=1e-9)
+        assert s.residual < 1e-9
+
+
+def test_search_steps_past_a_failed_profile_solve(monkeypatch):
+    # the first step away from the circular orbit's L fails to solve; the
+    # search skips it, as the bracket scan skipped its failures, and
+    # still finds the k = 1 solution of the unpatched search
+    reference, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+    solves = []
+    original = rd.solve_radial_profile
+
+    def second_fails(model, L, guess=None, opts=sv.SolveOpts(), jac=None):
+        solves.append(L)
+        if len(solves) == 2:
+            raise sv.NewtonError(f"patched failure at L={L}")
+        return original(model, L, guess, opts, jac)
+
+    monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
+    advances = _count_calls(monkeypatch, "angular_progress")
+    sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+    assert k_nu == 1 and [s.k for s in sols] == [1]
+    assert solves[1] == pytest.approx(solves[0] / 1.02, rel=1e-12)
+    assert len(advances) == len(solves) - 1
+    assert abs(sols[0].delta_theta_period - 2 * math.pi) < rd.DTHETA_TOL
+    assert sols[0].L == pytest.approx(reference[0].L, rel=1e-6)
+    assert sols[0].residual < 1e-9
 
 
 def test_find_rotating_propagates_programming_errors(monkeypatch):
