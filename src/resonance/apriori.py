@@ -11,7 +11,7 @@ a periodic orbit must stay R0-large for a whole period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .model import (ENVELOPE_T_POINTS, SINGULAR, NonlinearityModel,
 __all__ = [
     "EnvelopePair", "AprioriKit", "TableRangeError",
     "build_envelopes", "map_T", "map_L", "map_M", "probe_R0", "build_kit",
-    "lap_report", "check_elastic", "N_measure", "probe_N0",
+    "lap_report", "probe_N0",
 ]
 
 
@@ -33,7 +33,6 @@ ENVELOPE_X_FAR = 1e6            # ... reaching out to |x| = 1e6
 R0_PROBES = 8                   # probe orbits per radius (4x at a candidate)
 N0_LEVELS = np.geomspace(32.0, 1e6, 17)   # start levels of the probe_N0 scan
 N0_PROBES = 8                   # probe orbits per level
-ELASTIC_AMPLITUDES = (1e2, 1e3, 1e4)      # check_elastic's amplitude ladder
 
 
 class TableRangeError(ValueError):
@@ -243,18 +242,17 @@ def _en1_holds(env: EnvelopePair, r: float, kappa: float) -> bool:
 
 
 def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
-             r_grid: Optional[np.ndarray] = None,
              opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
-    """Smallest grid radius with clockwise probe rotation plus the energy
-    confinement inequalities; diagnostics record which constraint binds.
-    Each radius is probed by R0_PROBES orbits, a candidate by 4x as many;
-    a candidate's probes stop once its running kappa fails the energy level
+    """Smallest of 41 geometrically spaced radii from max(4|d|, 4) to 1e4
+    with clockwise probe rotation plus the energy confinement
+    inequalities; diagnostics record which constraint binds.  Each radius
+    is probed by R0_PROBES orbits, a candidate by 4x as many; a
+    candidate's probes stop once its running kappa fails the energy level
     inequality, so an accepted kappa does not depend on the probe order."""
     if env is None:
         env = build_envelopes(fld.model)
     d = env.base
-    if r_grid is None:
-        r_grid = np.geomspace(max(4.0 * abs(d), 4.0), 1e4, 41)
+    r_grid = np.geomspace(max(4.0 * abs(d), 4.0), 1e4, 41)
     kappa_pre = None
     diagnostics = {"failures": {}}
     r_top = float(r_grid[-1]) * 2.0
@@ -307,8 +305,7 @@ def build_kit(fld: HomotopyField, env: Optional[EnvelopePair] = None,
     """Assemble the full kit: R0, measured constants, maps, escape radius.
 
     The shift a = kappa*arcsin(d/R0) is applied exactly as defined (d < 0
-    makes it negative); the kit also records the |a| variant so lap checks
-    can flag when the sign convention is load-bearing.
+    makes it negative).
     """
     if env is None:
         env = build_envelopes(fld.model)
@@ -325,12 +322,10 @@ def build_kit(fld: HomotopyField, env: Optional[EnvelopePair] = None,
     for _ in range(fld.model.n_mode + 2):
         v = map_L(kit, v)
     kit.R_elastic = v
-    kit.diagnostics["abs_a_variant"] = abs(a)
     return kit
 
 
-def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
-               opts: IntegrateOpts = IntegrateOpts()) -> dict:
+def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float) -> dict:
     """Integrate one large lap from (0, y0) and test every bound on it.
 
     Checks, per lap: the energy-transfer bound y(t7) < T(y(t5)), the lap
@@ -339,8 +334,7 @@ def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
     |rho'| <= kappa * rho * (-theta') for x > d.
     """
     period = fld.model.period
-    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * period, opts,
-                     d=kit.d)
+    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * period, d=kit.d)
     lap = crossing_times(traj, kit.d)
     state = {ev.t: ev for ev in traj.events}
     y2 = state[lap.t2].y
@@ -371,45 +365,7 @@ def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float,
     )
     report["all_ok"] = all(v for k, v in report.items()
                            if k.endswith("_ok") and v is not None)
-    if not (report["L_ok"] and report["M_ok"]):
-        # the shift a = kappa*arcsin(d/R0) is negative as defined; flag
-        # whether flipping its sign would have rescued the failed bounds
-        alt = replace(kit, a=abs(kit.a))
-        report["abs_shift_would_pass"] = bool(
-            y8 <= map_L(alt, y2) and x6 > map_M(alt, x3))
     return report
-
-
-def check_elastic(fld: HomotopyField, kit: AprioriKit,
-                  n_orbits: int = 8) -> dict:
-    """Empirical escape-radius validation plus the vanishing-minimum trend.
-
-    Orbits started beyond R_elastic must stay R0-large for a full period;
-    orbits started at the ELASTIC_AMPLITUDES must show |min x| / sup|x|
-    decreasing toward zero (the left excursion is of lower order).
-    """
-    period = fld.model.period
-    start = 1.05 * kit.R_elastic
-    stays_large = []
-    for k in range(n_orbits):
-        ang = 2.0 * math.pi * (k + 0.5) / n_orbits
-        z0 = PhaseState(0.0, start * math.cos(ang), start * math.sin(ang))
-        traj = integrate(fld, z0, period)
-        stays_large.append(bool(traj.min_rho() > kit.R0))
-    ratios = []
-    for amp in ELASTIC_AMPLITUDES:
-        traj = integrate(fld, PhaseState(0.0, 0.0, float(amp)), period)
-        ratios.append(float(-np.min(traj.x) / np.max(np.abs(traj.x))))
-    decreasing = bool(np.all(np.diff(ratios) < 0))
-    return dict(stays_large=stays_large, all_large=all(stays_large),
-                min_ratio=ratios, min_ratio_decreasing=decreasing)
-
-
-def N_measure(x: float, y: float) -> float:
-    """Singular-mode largeness functional 1/x^2 + x^2 + y^2 (x > 0)."""
-    if x <= 0.0:
-        raise ValueError("N_measure needs x > 0")
-    return 1.0 / (x * x) + x * x + y * y
 
 
 def n_level_point(level: float, phi: float) -> tuple[float, float]:

@@ -75,6 +75,9 @@ _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir"}
 _TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
 _GRID_KEYS = {"tau_points", "lambda_points"}
+# ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, 128
+# times tau_points for an odd one
+_TAU_POINTS_MAX = 4096
 _SWEEP_KEYS = {"param", "values"}
 
 # what a pipeline stage can legitimately raise: the package's errors
@@ -172,6 +175,10 @@ def validate_config(cfg: dict) -> dict:
     # one lambda point is the comparison field alone, never the model
     if cfg.get("grids", {}).get("lambda_points", 2) < 2:
         raise ConfigError("grids.lambda_points must be at least 2, got 1")
+    tau_points = cfg.get("grids", {}).get("tau_points", 1)
+    if tau_points > _TAU_POINTS_MAX:
+        raise ConfigError(f"grids.tau_points must be at most "
+                          f"{_TAU_POINTS_MAX}, got {tau_points}")
     for key, val in cfg.get("tolerances", {}).items():
         if not (_is_finite_number(val) and val > 0):
             raise ConfigError(f"tolerances.{key} must be a finite positive "

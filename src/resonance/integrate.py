@@ -1,4 +1,4 @@
-"""Planar integration of x' = y, -y' = g_lambda(t, x) with event detection.
+"""Planar integration of x' = y, -y' = g(t, x) with event detection.
 
 The stepper is the Dormand-Prince 8(5,3) pair DOP853 (12 field evaluations
 per step, the last one reused as the next step's first) with its
@@ -34,14 +34,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .expr import DomainError, evaluate
 from .model import FULL_LINE, SINGULAR, NonlinearityModel, split_point
 from .spectrum import eigenvalue
 
 __all__ = [
     "IntegrateOpts", "PhaseState", "Event", "Trajectory", "HomotopyField",
     "BlowUpError", "DomainExitError", "CenterHitError", "LapPatternError",
-    "g_lambda", "integrate", "integrate_system", "rotation_count",
-    "crossing_times", "measure_halfturn", "LapInstants",
+    "integrate", "integrate_system", "rotation_count", "crossing_times",
+    "LapInstants",
 ]
 
 
@@ -71,6 +72,12 @@ class LapPatternError(RuntimeError):
 
 class _StageDomain(Exception):
     pass
+
+
+# what a field evaluation at a trial stage may raise; a stage error
+# rejects the step
+_FIELD_ERRORS = (DomainError, ValueError, ZeroDivisionError, OverflowError)
+_STAGE_ERRORS = (_StageDomain,) + _FIELD_ERRORS
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,7 @@ class HomotopyField:
 
     On the full line h replaces f with the midband slope mu for x > 0 and
     interpolates on [-1, 0]; in singular mode it does the same above x = 1,
-    interpolating on [1/2, 1].  mu defaults to the midpoint of the declared
-    band and may be overridden (comparison fields pinned to one edge).
+    interpolating on [1/2, 1].  mu is the midpoint of the declared band.
 
     The field is compiled once per instance: on first use g and h build
     closures with lam, mu and f bound, so an evaluation does no attribute
@@ -142,7 +148,6 @@ class HomotopyField:
 
     model: NonlinearityModel
     lam: float = 1.0
-    mu: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -163,14 +168,16 @@ class HomotopyField:
 
     @cached_property
     def mu_mid(self) -> float:
-        if self.mu is not None:
-            return self.mu
         t_ = self.model.period
         n = self.model.n_mode
         return 0.5 * (eigenvalue(n, t_) + eigenvalue(n + 1, t_))
 
     def g(self, t: float, x: float) -> float:
-        return self._g(t, x)
+        try:
+            return self._g(t, x)
+        except _FIELD_ERRORS as e:
+            e.state = (t, x)    # for integrate's report at step underflow
+            raise
 
     @cached_property
     def _h(self) -> Callable[[float, float], float]:
@@ -222,13 +229,6 @@ class HomotopyField:
                                                + (2.0 - 2.0 * x) * fx)
                 return lam * fx + lam_h * (mu * x)
         return g
-
-
-def g_lambda(fld: HomotopyField, t: float, x: float) -> float:
-    """Value of the interpolated nonlinearity; exact endpoints at lam 0/1."""
-    if fld.model.domain == SINGULAR and x <= 0.0:
-        raise DomainExitError(t, x, 0.0)
-    return fld.g(t, x)
 
 
 # The Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
@@ -320,7 +320,6 @@ _A4_1, _A4_3 = (0.02958758547680685, 0.08876275643042054)
     104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
     -39.17726167561544, -149.72683625798564)
 
-_STAGE_ERRORS = (_StageDomain, ValueError, ZeroDivisionError, OverflowError)
 _LAND_AFTER = 0.01   # a kink crossed in a step's first 1% is not landed on
 _APPROACH = 0.01     # a step toward a kink stops 1% short of its predicted
                      # crossing ...
@@ -475,8 +474,13 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     Outside the error norm, the events and the dense output, it leaves the
     trajectory bit-identical to the run without it; in singular mode it
     sees only stage states with x > 0.
-    Raises BlowUpError on step underflow with a growing state and
-    DomainExitError when a singular-mode solution reaches the wall.
+    A stage at which the field raises is rejected like one that fails the
+    error test.  Raises BlowUpError on step underflow with a growing state
+    and DomainExitError when a singular-mode solution reaches the wall.
+    When the last rejection before an underflow was a field evaluation
+    that raised and the model has expression trees, the tree is evaluated
+    at that stage's (t, x) instead: the DomainError naming the
+    subexpression is raised, with (t, x, y, lambda).
     """
     singular = fld.model.domain == SINGULAR
     if singular and z0.x <= 0.0:
@@ -522,6 +526,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     n_steps = n_rejected = 0
     landing = False     # the step under way ends on a kink crossing
     grow = True         # no rejection since the last accepted step
+    failed = None       # (t, x) of a field error, the last rejection
     event_tol = opts.event_tol
 
     while t < t_stop:
@@ -536,6 +541,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         if h < step_floor:
             if singular and x < 1e-6:
                 raise DomainExitError(t, x, y)
+            if failed is not None and fld.model.trees:
+                _raise_domain_error(fld, *failed, y)
             raise BlowUpError(t, x, y)
 
         try:
@@ -636,12 +643,14 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             den = math.hypot(n5, 0.1 * n3)
             err = h * n5 * (n5 / den) / sqrt2 if den != 0.0 else 0.0
             if not err <= 1.0:
+                failed = None
                 n_rejected += 1
                 landing = grow = False
                 h *= max(0.2, 0.9 * err ** -0.125)
                 continue
             kx13, ky13 = y1, -g(t + h, x1)
-        except _STAGE_ERRORS:
+        except _STAGE_ERRORS as e:
+            failed = getattr(e, "state", None)
             n_rejected += 1
             landing = grow = False
             h *= 0.5
@@ -693,7 +702,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                                 kx13),
                                (ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12,
                                 ky13))
-            except _STAGE_ERRORS:
+            except _STAGE_ERRORS as e:
+                failed = getattr(e, "state", None)
                 n_rejected += 1
                 landing = grow = False
                 h *= 0.5
@@ -718,6 +728,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                     if t + _LAND_AFTER * h < t_k and (ahead or t_k < t + h):
                         ends.append(t_k)
             if ends:
+                failed = None
                 n_rejected += 1
                 h = min(ends) - t
                 landing = True
@@ -802,6 +813,20 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     return Trajectory(np.array(ts), np.array(xs), np.array(ys),
                       np.array(rhos), np.array(thetas), events,
                       (cx, 0.0), meta=meta)
+
+
+def _raise_domain_error(fld, t, x, y):
+    """Raise the DomainError that the model's expression tree (the piece
+    that applies at x) raises at (t, x), naming the subexpression, with the
+    state and lambda appended; return if the tree evaluates."""
+    trees = fld.model.trees
+    tree = trees[0] if x < split_point(fld.model.domain) else trees[-1]
+    try:
+        evaluate(tree, t, x)
+    except DomainError as e:
+        e.args = (f"{e} at t={t:.6g}, x={x:.6g}, y={y:.6g}, "
+                  f"lambda={fld.lam:.6g}",)
+        raise
 
 
 def _wrap_pi(a: float) -> float:
@@ -950,33 +975,3 @@ def crossing_times(traj: Trajectory, d: float) -> LapInstants:
             "crossing pattern mismatch (trajectory not large enough): "
             + "".join(lab for _, lab in seq))
     raise LapPatternError("no x=d upward crossing found")
-
-
-def measure_halfturn(fld: HomotopyField, y0: float, opts: IntegrateOpts = IntegrateOpts(),
-                     horizon: Optional[float] = None) -> tuple[float, float]:
-    """Durations (right half-turn, left half-turn) from the start (0, y0).
-
-    Starting on the positive y-axis, the right half-turn ends at the x=0
-    downward crossing and the left half-turn at the next upward one.
-    """
-    if y0 <= 0:
-        raise ValueError("y0 must be positive")
-    if horizon is None:
-        horizon = 2.0 * fld.model.period
-    traj = integrate(fld, PhaseState(0.0, 0.0, y0), horizon, opts)
-    seq = [ev for ev in sorted(traj.events, key=lambda e: e.t)
-           if ev.kind in ("cross_x_eq_0", "cross_y_eq_0")]
-    t4 = t8 = None
-    stage = 0   # 0: expect y=0 (x>0); 1: expect x=0 down; 2: expect x=0 up
-    for ev in seq:
-        if stage == 0 and ev.kind == "cross_y_eq_0" and ev.x > 0:
-            stage = 1
-        elif stage == 1 and ev.kind == "cross_x_eq_0" and ev.y < 0:
-            t4 = ev.t
-            stage = 2
-        elif stage == 2 and ev.kind == "cross_x_eq_0" and ev.y > 0:
-            t8 = ev.t
-            break
-    if t4 is None or t8 is None:
-        raise LapPatternError("half-turn pattern not completed within the horizon")
-    return t4, t8 - t4

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Bin, Num, Var
+from .expr import Bin, DomainError, Num, Var
 from .integrate import (BlowUpError, DomainExitError, HomotopyField,
                         IntegrateOpts, PhaseState, Trajectory, integrate)
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
@@ -195,11 +195,10 @@ def solve_radial_profile(model: NonlinearityModel, L: float,
         if guess is None:
             guess = (circular_orbit(model, L), 0.0)
         z, res, _, _, jac = newton_fixed_point(
-            HomotopyField(eff, 1.0), guess, opts.newton_tol, opts, jac=jac,
-            full_output=True)
+            HomotopyField(eff, 1.0), guess, opts.newton_tol, opts, jac=jac)
         return z, res, jac
     except (NoBracketError, NewtonError, SingularJacobianError, BlowUpError,
-            DomainExitError):
+            DomainExitError, DomainError):
         pass
     cert = homotopy_solve(eff, opts=opts)
     if not cert.converged:

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .apriori import n_level_point
+from .expr import DomainError
 from .integrate import (BlowUpError, CenterHitError, DomainExitError,
                         HomotopyField, IntegrateOpts, PhaseState, Trajectory,
                         _wrap_pi, integrate, rotation_count)
@@ -34,7 +35,7 @@ __all__ = [
     "SolveOpts", "PathPoint", "PeriodicCertificate", "SingularJacobianError",
     "NewtonError", "poincare", "newton_fixed_point",
     "boundary_degree", "degree_search", "homotopy_solve",
-    "normalized_profile", "circle_curve", "n_level_curve",
+    "circle_curve", "n_level_curve",
 ]
 
 
@@ -95,17 +96,16 @@ class PeriodicCertificate:
 
 
 def poincare(fld: HomotopyField, z: tuple[float, float],
-             opts: IntegrateOpts = IntegrateOpts(), *,
-             with_orbit: bool = False):
-    """Return-map image (x, y) of z = (x, y) after one period; with
-    `with_orbit`, (x, y, trajectory)."""
+             opts: IntegrateOpts = IntegrateOpts()):
+    """Return-map image of z = (x, y) after one period, with the orbit
+    that reached it: (x, y, trajectory)."""
     traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, opts)
     end = traj.state_at_end()
-    return (end.x, end.y, traj) if with_orbit else (end.x, end.y)
+    return end.x, end.y, traj
 
 
 def _return_residual(fld, z, opts):
-    px, py, orbit = poincare(fld, z, opts, with_orbit=True)
+    px, py, orbit = poincare(fld, z, opts)
     return px - z[0], py - z[1], orbit
 
 
@@ -145,8 +145,9 @@ def _broyden(jac, s, dg):
 
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                        tol: float = 1e-9, opts: SolveOpts = SolveOpts(), *,
-                       jac=None, full_output: bool = False):
-    """Quasi-Newton on P(z) - z; returns (z, residual, iterations).
+                       jac=None):
+    """Quasi-Newton on P(z) - z; returns (z, residual, iterations, orbit,
+    jacobian).
 
     The iteration starts from `jac`, a Jacobian ((j11, j12), (j21, j22))
     of P(z) - z carried over from a neighbouring solve, and updates it
@@ -158,10 +159,10 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     update until the residual decreases) failed.  Only a fresh
     finite-difference Jacobian can raise SingularJacobianError or end the
     solve by the stall rule (a residual at the integration noise floor
-    that no damped step lowers).  With `full_output`, the trajectory of
-    the returned z over one period comes fourth (it is the one the last
-    accepted residual integrated) and the final Jacobian fifth, ready to
-    start the next solve of a continuation.
+    that no damped step lowers).  The orbit is the trajectory of the
+    returned z over one period (the one the last accepted residual
+    integrated); the final Jacobian is ready to start the next solve of a
+    continuation.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
     io = opts.integrate
@@ -192,7 +193,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
                 gnx, gny, orbitn = _return_residual(fld, zn, io)
-            except (BlowUpError, DomainExitError):
+            except (BlowUpError, DomainExitError, DomainError):
                 step *= 0.5
                 continue
             rn = math.hypot(gnx, gny)
@@ -212,7 +213,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                 raise NewtonError(f"damping failed near {z}; "
                                   f"residual {res:.3g}")
         it += 1
-    return (z, res, it, orbit, jac) if full_output else (z, res, it)
+    return z, res, it, orbit, jac
 
 
 def circle_curve(radius: float) -> Callable[[float], tuple[float, float]]:
@@ -255,7 +256,7 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     def w_of(s: float):
         if s not in cache:
             zx, zy = curve(s)
-            px, py = poincare(fld, (zx, zy), io)
+            px, py, _ = poincare(fld, (zx, zy), io)
             wx, wy = zx - px, zy - py
             norm = math.hypot(wx, wy)
             ref = math.hypot(zx, zy) or 1.0
@@ -333,14 +334,14 @@ def degree_search(fld: HomotopyField, radius: float,
         visited += 1
         if min(x1 - x0, y1 - y0) < small:
             try:
-                z, res, _ = newton_fixed_point(
+                z, res, *_ = newton_fixed_point(
                     fld, (0.5 * (x0 + x1), 0.5 * (y0 + y1)),
                     opts.newton_tol, opts)
                 if not any(math.hypot(z[0] - f[0][0], z[1] - f[0][1])
                            < 1e-5 * max(1.0, radius) for f in found):
                     found.append((z, res))
             except (NewtonError, SingularJacobianError, BlowUpError,
-                    DomainExitError, CenterHitError):
+                    DomainExitError, DomainError, CenterHitError):
                 pass
             continue
         try:
@@ -379,11 +380,10 @@ def _solve_at_lambda(model, lam, tol, opts):
     last_err = None
     for g in _initial_guesses(fld):
         try:
-            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts,
-                                                       full_output=True)
+            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts)
             return g, z, res, orbit, jac
         except (NewtonError, SingularJacobianError, BlowUpError,
-                DomainExitError, CenterHitError) as e:
+                DomainExitError, DomainError, CenterHitError) as e:
             last_err = e
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
@@ -468,8 +468,7 @@ def homotopy_solve(model: NonlinearityModel,
         try:
             fldn = HomotopyField(model, lam_target)
             zn, resn, _, orbitn, jacn = newton_fixed_point(
-                fldn, guess, corrector_tol(lam_target), opts, jac=jac,
-                full_output=True)
+                fldn, guess, corrector_tol(lam_target), opts, jac=jac)
             # an amplitude that more than quadruples over one secant step is
             # a jump across a fold; the point must also meet newton_tol,
             # which a far branch whose noise floor lies above the waypoint
@@ -477,8 +476,7 @@ def homotopy_solve(model: NonlinearityModel,
             jumped = secant and orbitn.sup_norm() > 4.0 * path[-1].sup_norm
             if jumped and resn >= opts.newton_tol:
                 zn, resn, _, orbitn, jacn = newton_fixed_point(
-                    fldn, zn, opts.newton_tol, opts, jac=jacn,
-                    full_output=True)
+                    fldn, zn, opts.newton_tol, opts, jac=jacn)
             z_prev2 = None if jumped else (lam_prev, z[0], z[1])
             z, res, orbit, jac, lam_prev = zn, resn, orbitn, jacn, lam_target
             path.append(path_point(lam_prev, z, res, orbit))
@@ -486,7 +484,7 @@ def homotopy_solve(model: NonlinearityModel,
                 return lost(lam_prev, "amplitude grew past the cap")
             lam_target = next_grid(lam_prev)
         except (NewtonError, SingularJacobianError, BlowUpError,
-                DomainExitError) as err:
+                DomainExitError, DomainError) as err:
             if dlam <= _LAMBDA_FLOOR:
                 return lost(lam_target, str(err))
             lam_target = lam_prev + 0.5 * dlam
@@ -520,42 +518,3 @@ def homotopy_solve(model: NonlinearityModel,
                                residual=res, rotation=rot, degree=degree,
                                radius_used=radius, path=path,
                                diagnostics=diagnostics, orbit=orbit)
-
-
-def normalized_profile(trajs: list[Trajectory]) -> dict:
-    """Arc diagnostics of a family of periodic orbits with growing norms.
-
-    Rescales each orbit by its sup norm, slices it at its zeros into
-    positive arcs, and fits each arc with amplitude (peak of the rescaled
-    arc) and frequency pi / duration; the fitted frequencies of a family
-    blowing up against a band edge settle on the square root of that
-    eigenvalue.
-    """
-    if len(trajs) < 3:
-        raise ValueError("need at least 3 orbits of increasing sup norm")
-    sups = [tr.sup_norm() for tr in trajs]
-    if not all(s2 > s1 for s1, s2 in zip(sups[:-1], sups[1:])):
-        raise ValueError("orbits must come with increasing sup norms")
-    out = []
-    for tr, sup in zip(trajs, sups):
-        crossings = [ev for ev in sorted(tr.events, key=lambda e: e.t)
-                     if ev.kind == "cross_x_eq_0"]
-        zeros = [ev.t for ev in crossings]
-        arcs = []
-        for e1, e2 in zip(crossings[:-1], crossings[1:]):
-            if e1.y > 0 > e2.y:     # positive arc between up and down crossing
-                t_mask = (tr.t >= e1.t) & (tr.t <= e2.t)
-                if not np.any(t_mask):
-                    continue
-                peak = float(np.max(tr.x[t_mask])) / sup
-                duration = e2.t - e1.t
-                arcs.append(dict(start=e1.t, duration=duration,
-                                 amplitude=peak,
-                                 omega=math.pi / duration))
-        out.append(dict(sup_norm=sup, zeros=zeros, arcs=arcs,
-                        omega_fit=(float(np.median([a["omega"] for a in arcs]))
-                                   if arcs else math.nan),
-                        min_ratio=float(np.min(tr.x)) / sup))
-    return dict(per_orbit=out,
-                omega_trend=[o["omega_fit"] for o in out],
-                sup_norms=sups)

@@ -21,9 +21,9 @@ from resonance import radial as rd
 from resonance import solver as sv
 from resonance import spectrum as sp
 from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
-                                 integrate, integrate_system, measure_halfturn,
-                                 rotation_count)
+                                 integrate, integrate_system, rotation_count)
 from conftest import register_criterion
+from oracles import measure_halfturn
 
 T2PI = 2 * math.pi
 
@@ -97,15 +97,15 @@ def test_criterion_2_integrator_oracles():
         forced = rm.NonlinearityModel(f=lambda t, x: 4 * x - math.cos(t),
                                       period=T2PI)
         fld = HomotopyField(forced, 1.0)
-        px, py = sv.poincare(fld, (1.0 / 3.0, 0.0))
+        px, py, _ = sv.poincare(fld, (1.0 / 3.0, 0.0))
         assert math.hypot(px - 1.0 / 3.0, py) < 1e-7
 
         # mu = 4 is an eigenvalue at this period, so the return map is the
         # identity: Newton from the origin converges on the spot and its
         # result is a genuine fixed point within the stated residual
-        z, res, _ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
+        z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
         assert res < 1e-7
-        qx, qy = sv.poincare(fld, z)
+        qx, qy, _ = sv.poincare(fld, z)
         assert math.hypot(qx - z[0], qy - z[1]) < 1e-7
 
 
@@ -145,8 +145,8 @@ def test_criterion_3_rotation_lemmas(band_model):
                 lo = mid
             else:
                 hi = mid
-        z, res, _ = sv.newton_fixed_point(fldf, (0.0, 0.5 * (lo + hi)),
-                                          tol=1e-9)
+        z, res, *_ = sv.newton_fixed_point(fldf, (0.0, 0.5 * (lo + hi)),
+                                           tol=1e-9)
         assert res < 1e-9 * (1.0 + math.hypot(*z))   # noise floor scales with size
         traj = integrate(fldf, PhaseState(0.0, z[0], z[1]), T2PI)
         count = rotation_count(traj)

@@ -142,6 +142,22 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
         assert name in err
 
 
+def test_tau_points_are_capped_before_any_stage_runs(tmp_path, capsys):
+    # ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, so
+    # an odd tau_points costs 128 times its value
+    for tau in (4096, 4093):
+        cli.validate_config({"model": _BAND, "grids": {"tau_points": tau}})
+    path = tmp_path / "big_tau.json"
+    path.write_text(json.dumps({"model": _BAND,
+                                "grids": {"tau_points": 4097}}))
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", str(path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at most 4096" in err
+    assert not out.exists()
+
+
 # the theorem fixes the domain: an expression model without model.domain
 # takes it, a family brings its own, and any disagreement exits 2
 _WALL = "1.625*x - (1+sin(t)^2)*x^-5 - x^-3"
@@ -507,8 +523,10 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
      ["sweep.values[1]", "tolerances.rtol", "positive"]),
     ({"param": "model.N", "values": [2, 2.5]},
      ["sweep.values[1]", "model.N", "positive integer"]),
+    ({"param": "grids.tau_points", "values": [256, 4097]},
+     ["sweep.values[1]", "grids.tau_points", "at most 4096"]),
 ], ids=["values-scalar", "values-empty", "values-nan", "param-type",
-        "cell-tolerance", "cell-band-index"])
+        "cell-tolerance", "cell-band-index", "cell-tau-cap"])
 def test_sweep_checks_every_cell_before_running_one(tmp_path, capsys, sweep,
                                                     names):
     cfg_path = tmp_path / "sweep.json"

@@ -10,6 +10,7 @@ from resonance import conditions as cd
 from resonance import solver as sv
 from resonance.integrate import (HomotopyField, PhaseState,
                                  integrate)
+from oracles import normalized_profile
 
 T2PI = 2 * math.pi
 
@@ -25,14 +26,14 @@ def _model(f, n_mode=1, domain=rm.FULL_LINE):
 def test_return_map_forced_resonant_closed_form():
     # x = cos(t)/3 solves x'' + 4x = cos t; its initial state is fixed
     fld = HomotopyField(_model(lambda t, x: 4 * x - math.cos(t)), 1.0)
-    px, py = sv.poincare(fld, (1.0 / 3.0, 0.0))
+    px, py, _ = sv.poincare(fld, (1.0 / 3.0, 0.0))
     assert abs(px - 1.0 / 3.0) < 1e-7 and abs(py) < 1e-7
 
 
 def test_return_map_identity_at_resonance():
     fld = HomotopyField(_model(lambda t, x: x), 1.0)
     for z in ((1.0, 0.0), (0.3, -0.7), (2.0, 2.0)):
-        px, py = sv.poincare(fld, z)
+        px, py, _ = sv.poincare(fld, z)
         assert math.hypot(px - z[0], py - z[1]) < 1e-8
 
 
@@ -40,7 +41,7 @@ def test_return_map_linear_fundamental_matrix():
     # x'' + 2x = 0: closed-form rotation with frequency sqrt(2)
     fld = HomotopyField(_model(lambda t, x: 2 * x), 1.0)
     s2 = math.sqrt(2.0)
-    px, py = sv.poincare(fld, (1.0, 0.0))
+    px, py, _ = sv.poincare(fld, (1.0, 0.0))
     assert px == pytest.approx(math.cos(T2PI * s2), abs=1e-9)
     assert py == pytest.approx(-s2 * math.sin(T2PI * s2), abs=1e-9)
 
@@ -52,7 +53,7 @@ def test_return_map_linear_fundamental_matrix():
 def test_newton_recovers_nonresonant_forced_solution():
     # x = cos t solves x'' + 2x = cos t uniquely among periodic solutions
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    z, res, _ = sv.newton_fixed_point(fld, (0.0, 0.0))
+    z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0))
     assert math.hypot(z[0] - 1.0, z[1]) < 1e-8
     assert res < 1e-9
 
@@ -61,9 +62,9 @@ def test_newton_converges_from_origin_on_degenerate_forced_field():
     # mu = 4 sits on an eigenvalue for this period: the return map is the
     # identity and the start state is itself a fixed point
     fld = HomotopyField(_model(lambda t, x: 4 * x - math.cos(t)), 1.0)
-    z, res, _ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
+    z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
     assert res < 1e-7
-    px, py = sv.poincare(fld, z)
+    px, py, _ = sv.poincare(fld, z)
     assert math.hypot(px - z[0], py - z[1]) < 1e-7
 
 
@@ -97,11 +98,10 @@ def _count_fd_jacobians(monkeypatch):
 
 def test_newton_from_a_neighbouring_jacobian_reaches_the_closed_form(
         monkeypatch):
-    *_, jac = sv.newton_fixed_point(_forced_linear(2.1), (0.0, 0.0),
-                                    full_output=True)
+    *_, jac = sv.newton_fixed_point(_forced_linear(2.1), (0.0, 0.0))
     fds = _count_fd_jacobians(monkeypatch)
-    z, res, _ = sv.newton_fixed_point(_forced_linear(2.0), (0.5, 0.1),
-                                      jac=jac)
+    z, res, *_ = sv.newton_fixed_point(_forced_linear(2.0), (0.5, 0.1),
+                                       jac=jac)
     assert res < 1e-9
     assert math.hypot(z[0] - 1.0, z[1]) < 1e-8
     # the carried Jacobian is enough: no finite-difference one is taken
@@ -111,11 +111,11 @@ def test_newton_from_a_neighbouring_jacobian_reaches_the_closed_form(
 @pytest.mark.parametrize("bad", ["singular", "wrong-signed"])
 def test_newton_refreshes_a_bad_carried_jacobian(bad, monkeypatch):
     fld = _forced_linear(2.0)
-    *_, jac = sv.newton_fixed_point(fld, (0.0, 0.0), full_output=True)
+    *_, jac = sv.newton_fixed_point(fld, (0.0, 0.0))
     carried = (((0.0, 0.0), (0.0, 0.0)) if bad == "singular" else
                tuple(tuple(-v for v in row) for row in jac))
     fds = _count_fd_jacobians(monkeypatch)
-    z, res, _ = sv.newton_fixed_point(fld, (0.5, 0.1), jac=carried)
+    z, res, *_ = sv.newton_fixed_point(fld, (0.5, 0.1), jac=carried)
     assert res < 1e-9
     assert math.hypot(z[0] - 1.0, z[1]) < 1e-8
     assert len(fds) >= 1
@@ -124,16 +124,15 @@ def test_newton_refreshes_a_bad_carried_jacobian(bad, monkeypatch):
 def test_newton_with_a_carried_jacobian_still_flags_resonance():
     # x'' + x = cos t: P(z) = z + const, so no fixed point; the Jacobian
     # carried from mu = 1.21 is regular, the fresh one vanishes
-    *_, jac = sv.newton_fixed_point(_forced_linear(1.21), (0.0, 0.0),
-                                    full_output=True)
+    *_, jac = sv.newton_fixed_point(_forced_linear(1.21), (0.0, 0.0))
     with pytest.raises(sv.SingularJacobianError):
         sv.newton_fixed_point(_forced_linear(1.0), (0.5, 0.2), jac=jac)
 
 
 def test_newton_result_is_guess_independent():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    z1, _, _ = sv.newton_fixed_point(fld, (0.0, 0.0))
-    z2, _, _ = sv.newton_fixed_point(fld, (1.4, -0.8))
+    z1, *_ = sv.newton_fixed_point(fld, (0.0, 0.0))
+    z2, *_ = sv.newton_fixed_point(fld, (1.4, -0.8))
     assert math.hypot(z1[0] - z2[0], z1[1] - z2[1]) < 1e-7
 
 
@@ -383,9 +382,8 @@ def test_newton_orbit_is_the_returned_points_trajectory():
     # a tolerance no residual meets) the stall rule on a fresh Jacobian
     for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
                                 ((0.0, 0.0), 0.0, 5)):
-        z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol,
-                                                     full_output=True)
-        assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)
+        z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol)
+        assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)[:3]
         assert it == exit_it
         end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, io)
         assert np.array_equal(orbit.x, end.x) and np.array_equal(orbit.y, end.y)
@@ -503,7 +501,7 @@ def test_profile_of_scaled_resonant_family():
     trajs = [integrate(fld, PhaseState(0.0, -amp * math.sin(0.1),
                                        amp * math.cos(0.1)), T2PI)
              for amp in (10.0, 100.0, 1000.0)]
-    prof = sv.normalized_profile(trajs)
+    prof = normalized_profile(trajs)
     for orb in prof["per_orbit"]:
         assert orb["arcs"]
         for arc in orb["arcs"]:
@@ -553,7 +551,7 @@ def test_profile_of_blowup_family_fits_band_edge_frequency():
         res = math.hypot(traj.x[-1], traj.y[-1] - y0)
         assert res < 1e-5 * y0
         trajs.append(traj)
-    prof = sv.normalized_profile(trajs)
+    prof = normalized_profile(trajs)
     assert prof["sup_norms"][-1] > 4 * prof["sup_norms"][0]
     omega = prof["omega_trend"][-1]
     assert omega == pytest.approx(math.sqrt(mu_edge), rel=0.01)
@@ -570,7 +568,7 @@ def test_no_growing_family_when_sign_conditions_hold():
     found_norms = []
     for amp in (1e2, 1e4, 1e6):
         try:
-            z, res, _ = sv.newton_fixed_point(fld, (0.0, amp), tol=1e-8)
+            z, res, *_ = sv.newton_fixed_point(fld, (0.0, amp), tol=1e-8)
         except (sv.NewtonError, sv.SingularJacobianError):
             continue
         traj = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI,

@@ -45,7 +45,7 @@ def test_tracer_reconciles_return_maps_and_newton():
     try:
         for z in starts:
             solver.poincare(fld, z)
-        _, _, iters = solver.newton_fixed_point(fld, (-1.48, 0.0))
+        _, _, iters, *_ = solver.newton_fixed_point(fld, (-1.48, 0.0))
     finally:
         tracer.uninstall()
 
