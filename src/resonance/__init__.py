@@ -16,6 +16,7 @@ from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
 from .model import (FULL_LINE, SINGULAR, NonlinearityModel, from_expression,
                     from_family, from_piecewise)
 from .solver import PeriodicCertificate, SolveOpts, homotopy_solve
+from .spectrum import SpectrumPoint, curve_residual
 
 __version__ = "0.1.0"
 
@@ -24,4 +25,5 @@ __all__ = [
     "rotation_count", "FULL_LINE", "SINGULAR",
     "NonlinearityModel", "from_expression", "from_family", "from_piecewise",
     "PeriodicCertificate", "SolveOpts", "homotopy_solve",
+    "SpectrumPoint", "curve_residual",
 ]

@@ -1,18 +1,19 @@
 """Quantitative phase-plane machinery: envelopes, energy maps, radii.
 
 Everything here makes the qualitative largeness arguments measurable: the
-t-envelopes of f and their primitives, the measured polar constants
-(omega0, ell0, kappa), the lap-expansion maps T, L, M built from the
-primitives, the base radius R0 (clockwise rotation + energy-level
-confinement) and the escape radius R_elastic = L^(N+2)(y_hat) beyond which
-a periodic orbit must stay R0-large for a whole period.
+t-envelopes of f and their primitives, the polar constants (omega0, ell0,
+kappa) as bounds over a region of the phase plane, read off the envelopes
+at each x, the lap-expansion maps T, L, M built from the primitives, the
+base radius R0 (clockwise rotation + energy-level confinement) and the
+escape radius R_elastic = L^(N+2)(y_hat) beyond which a periodic orbit must
+stay R0-large for a whole period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
 
 ENVELOPE_X_POINTS = 4096        # geometric nodes of the envelope table ...
 ENVELOPE_X_FAR = 1e6            # ... reaching out to |x| = 1e6
-R0_PROBES = 8                   # probe orbits per radius (4x at a candidate)
+RATE_X_NEAR = 64                # even nodes on [d, 0) of the rate table
 N0_LEVELS = np.geomspace(32.0, 1e6, 17)   # start levels of the probe_N0 scan
 N0_PROBES = 8                   # probe orbits per level
 
@@ -186,31 +187,39 @@ def _polar_rates(fld: HomotopyField, traj: Trajectory):
     return minus_theta_dot, rho_dot
 
 
-def _measure_kappa(fld: HomotopyField, d: float, radius: float, n_probes: int,
-                   opts: IntegrateOpts,
-                   fails: Callable[[float], bool] = lambda kappa: False):
-    """omega0 = min(-theta'), ell0 = max|rho'|/rho over samples with x > d,
-    and whether the probes turn clockwise.  The probes stop at the first
-    one that does not, or after which fails(1.1*ell0/omega0) holds: more
-    probes can only raise that kappa."""
-    period = fld.model.period
-    omega0 = math.inf
-    ell0 = 0.0
-    for k in range(n_probes):
-        ang = 2.0 * math.pi * (k + 0.5) / n_probes
-        z0 = PhaseState(0.0, radius * math.cos(ang), radius * math.sin(ang))
-        traj = integrate(fld, z0, period, opts)
-        mtd, rd = _polar_rates(fld, traj)
-        mask = traj.x > d
-        if np.any(mask):
-            omega0 = min(omega0, float(np.min(mtd[mask])))
-            ell0 = max(ell0, float(np.max(np.abs(rd[mask]) / traj.rho[mask])))
-        out = traj.rho >= 0.5 * radius
-        if np.any(mtd[out] <= 0.0) or omega0 <= 0.0:
-            return omega0, ell0, False
-        if fails(1.1 * ell0 / omega0):
-            break
-    return omega0, ell0, True
+def _rate_table(model: NonlinearityModel, d: float):
+    """The worst t of both polar rates at each node x > d: the nodes,
+    sup_t x(x - f) and sup_t |x - f|, read off the envelopes f1 and f2 at
+    ENVELOPE_T_POINTS times.  The nodes are RATE_X_NEAR evenly spaced ones
+    on [d, 0) and ENVELOPE_X_POINTS geometric ones from 1e-3 to
+    ENVELOPE_X_FAR."""
+    xs = np.concatenate((np.linspace(d, 0.0, RATE_X_NEAR, endpoint=False),
+                         np.geomspace(1e-3, ENVELOPE_X_FAR, ENVELOPE_X_POINTS)))
+    f1, f2 = model.t_envelope(xs, periodic_grid(model.period,
+                                                ENVELOPE_T_POINTS))
+    pull = xs * xs - xs * np.where(xs > 0.0, f1, f2)
+    span = np.maximum(np.abs(xs - f1), np.abs(xs - f2))
+    return xs, pull, span
+
+
+def _polar_bounds(rates, r: float) -> dict:
+    """omega0 = inf(-theta') and ell0 = sup|rho'|/rho over the region
+    {x > d, rho >= r}, with the x at which each is attained.
+
+    With y free and rho^2 = x^2 + y^2 >= r^2, -theta' = 1 - x(x - f)/rho^2
+    is smallest at the smallest rho^2, max(x^2, r^2), or at rho -> infinity
+    (where it is 1); |rho'|/rho = |y||x - f|/rho^2 is largest at
+    |y| = max(|x|, sqrt(r^2 - x^2)).  Both are exact in y; over t and x
+    they are as fine as the nodes of _rate_table.
+    """
+    xs, pull, span = rates
+    x2 = xs * xs
+    omega = np.minimum(1.0, 1.0 - pull / np.maximum(x2, r * r))
+    y2 = np.maximum(x2, r * r - x2)
+    ell = np.sqrt(y2) * span / (x2 + y2)
+    i, j = int(np.argmin(omega)), int(np.argmax(ell))
+    return dict(omega0=float(omega[i]), omega0_x=float(xs[i]),
+                ell0=float(ell[j]), ell0_x=float(xs[j]))
 
 
 def _inout_holds(env: EnvelopePair, r: float, r_top: float) -> bool:
@@ -241,54 +250,43 @@ def _en1_holds(env: EnvelopePair, r: float, kappa: float) -> bool:
     return 2.0 * f2v > r * r * math.exp(2.0 * (kappa * math.pi + a))
 
 
-def probe_R0(fld: HomotopyField, env: Optional[EnvelopePair] = None,
-             opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
-    """Smallest of 41 geometrically spaced radii from max(4|d|, 4) to 1e4
-    with clockwise probe rotation plus the energy confinement
-    inequalities; diagnostics record which constraint binds.  Each radius
-    is probed by R0_PROBES orbits, a candidate by 4x as many; a
-    candidate's probes stop once its running kappa fails the energy level
-    inequality, so an accepted kappa does not depend on the probe order."""
+def probe_R0(fld: HomotopyField,
+             env: Optional[EnvelopePair] = None) -> tuple[float, dict]:
+    """Smallest of 41 geometrically spaced radii r from max(4|d|, 4) to 1e4
+    at which the field of fld.model turns clockwise on {rho >= r} and the
+    energy confinement inequalities hold; diagnostics record which
+    constraint binds and where the polar constants are attained.
+
+    The polar constants of a radius r, and kappa = 1.1*ell0/omega0, are the
+    bounds of _polar_bounds over {x > d, rho >= 2r} on the nodes of one
+    _rate_table: a sample of t and x, exact in y, so no orbit is
+    integrated.  Over rho >= r the short stretch (d, 0) would tie kappa to
+    how steep f is there, and a stronger left force would raise R0.  For
+    x <= d, -theta' > 0 already follows from f2 < 0, which build_envelopes
+    checks.
+    """
     if env is None:
         env = build_envelopes(fld.model)
     d = env.base
+    rates = _rate_table(fld.model, d)
     r_grid = np.geomspace(max(4.0 * abs(d), 4.0), 1e4, 41)
-    kappa_pre = None
     diagnostics = {"failures": {}}
     r_top = float(r_grid[-1]) * 2.0
-    for r in r_grid:
-        if abs(d) >= r:
-            diagnostics["failures"][float(r)] = "threshold inside radius"
+    for r in map(float, r_grid):
+        if _polar_bounds(rates, r)["omega0"] <= 0.0:
+            diagnostics["failures"][r] = "not clockwise"
             continue
-        if kappa_pre is None:
-            om, el, cw = _measure_kappa(fld, d, 2.0 * r, R0_PROBES, opts)
-            if not cw or om <= 0.0:
-                diagnostics["failures"][float(r)] = "not clockwise"
-                continue
-            kappa_pre = 1.1 * el / om
-        if not _en1_holds(env, float(r), kappa_pre):
-            diagnostics["failures"][float(r)] = "energy level inequality"
+        bounds = _polar_bounds(rates, 2.0 * r)
+        kappa = 1.1 * bounds["ell0"] / bounds["omega0"]
+        if not _en1_holds(env, r, kappa):
+            diagnostics["failures"][r] = "energy level inequality"
             continue
-        if not _inout_holds(env, float(r), r_top):
-            diagnostics["failures"][float(r)] = "in-out confinement"
+        if not _inout_holds(env, r, r_top):
+            diagnostics["failures"][r] = "in-out confinement"
             continue
-        # final measurement at the candidate radius
-        om, el, cw = _measure_kappa(
-            fld, d, 2.0 * float(r), 4 * R0_PROBES, opts,
-            fails=lambda kappa, r=float(r): not _en1_holds(env, r, kappa))
-        if not cw or om <= 0.0:
-            diagnostics["failures"][float(r)] = "not clockwise at candidate"
-            kappa_pre = None
-            continue
-        kappa = 1.1 * el / om
-        if not (_en1_holds(env, float(r), kappa)
-                and _inout_holds(env, float(r), r_top)):
-            diagnostics["failures"][float(r)] = "re-measured constants failed"
-            kappa_pre = max(kappa_pre, kappa)
-            continue
-        diagnostics.update(omega0=om, ell0=el, kappa=kappa,
+        diagnostics.update(bounds, kappa=kappa,
                            binding=_binding_constraint(diagnostics))
-        return float(r), diagnostics
+        return r, diagnostics
     raise ValueError(f"no radius in scan range satisfies the constraints: "
                      f"{_binding_constraint(diagnostics)}")
 
@@ -300,16 +298,16 @@ def _binding_constraint(diag: dict) -> str:
     return fails[max(fails)]
 
 
-def build_kit(fld: HomotopyField, env: Optional[EnvelopePair] = None,
-              opts: IntegrateOpts = IntegrateOpts()) -> AprioriKit:
-    """Assemble the full kit: R0, measured constants, maps, escape radius.
+def build_kit(fld: HomotopyField,
+              env: Optional[EnvelopePair] = None) -> AprioriKit:
+    """Assemble the full kit: R0, the polar constants, maps, escape radius.
 
     The shift a = kappa*arcsin(d/R0) is applied exactly as defined (d < 0
     makes it negative).
     """
     if env is None:
         env = build_envelopes(fld.model)
-    r0, diag = probe_R0(fld, env, opts=opts)
+    r0, diag = probe_R0(fld, env)
     kappa = diag["kappa"]
     d = env.base
     a = kappa * math.asin(d / r0)

@@ -31,7 +31,7 @@ from . import model as rm
 from . import radial as rd
 from . import solver as sv
 from . import spectrum as sp
-from .integrate import HomotopyField, IntegrateOpts, PhaseState, integrate
+from .integrate import HomotopyField, PhaseState, integrate
 from .util import fmt_float, write_csv
 
 EXIT_OK = 0
@@ -403,17 +403,13 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
                 report.put("apriori.N0", n0)
                 report.put("apriori.start_level", radius)
             else:
-                # the kit's probes run at the integrator's own tolerances,
-                # not the configured ones; the report names those it used
-                kit_opts = IntegrateOpts()
-                res.kit = ap.build_kit(HomotopyField(model, 1.0),
-                                       opts=kit_opts)
+                res.kit = ap.build_kit(HomotopyField(model, 1.0))
                 _write_kit(res.kit, out_dir)
                 for key in ("R0", "kappa", "omega0", "ell0", "a", "y_hat",
                             "R_elastic"):
                     report.put(f"apriori.{key}", getattr(res.kit, key))
-                report.put("apriori.rtol", kit_opts.rtol)
-                report.put("apriori.atol", kit_opts.atol)
+                for key in ("binding", "omega0_x", "ell0_x"):
+                    report.put(f"apriori.{key}", res.kit.diagnostics[key])
                 radius = res.kit.R_elastic
         except _STAGE_ERRORS as e:
             report.fail(EXIT_APRIORI, str(e))

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from resonance.apriori import _polar_rates
 from resonance.integrate import (HomotopyField, IntegrateOpts,
                                  LapPatternError, PhaseState, Trajectory,
                                  integrate)
@@ -44,6 +45,24 @@ def measure_halfturn(fld: HomotopyField, y0: float,
     if t4 is None or t8 is None:
         raise LapPatternError("half-turn pattern not completed within the horizon")
     return t4, t8 - t4
+
+
+def measure_kappa(fld: HomotopyField, d: float, r: float, n_probes: int):
+    """omega0 = min(-theta') and ell0 = max|rho'|/rho over the samples in
+    the region {x > d, rho >= r} of n_probes orbits started on the circle
+    of radius r: the polar constants as one orbit sample sees them."""
+    omega0 = math.inf
+    ell0 = 0.0
+    for k in range(n_probes):
+        ang = 2.0 * math.pi * (k + 0.5) / n_probes
+        z0 = PhaseState(0.0, r * math.cos(ang), r * math.sin(ang))
+        traj = integrate(fld, z0, fld.model.period)
+        mtd, rd = _polar_rates(fld, traj)
+        mask = (traj.x > d) & (traj.rho >= r)
+        if np.any(mask):
+            omega0 = min(omega0, float(np.min(mtd[mask])))
+            ell0 = max(ell0, float(np.max(np.abs(rd[mask]) / traj.rho[mask])))
+    return omega0, ell0
 
 
 def check_elastic(fld: HomotopyField, kit, n_orbits: int = 8) -> dict:

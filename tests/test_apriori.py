@@ -5,9 +5,8 @@ import pytest
 
 import resonance.model as rm
 from resonance import apriori as ap
-from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
-                                 integrate)
-from oracles import N_measure, check_elastic
+from resonance.integrate import HomotopyField, PhaseState, integrate
+from oracles import N_measure, check_elastic, measure_kappa
 
 T2PI = 2 * math.pi
 
@@ -159,43 +158,63 @@ def test_probe_radius_on_cubic_band(band_kit):
     _, _, kit = band_kit
     assert kit.R0 > 0 and math.isfinite(kit.R0)
     assert kit.kappa > 0 and kit.omega0 > 0
+    assert kit.kappa == 1.1 * kit.ell0 / kit.omega0
     assert kit.a < 0                       # arcsin of a negative threshold
     assert kit.R_elastic > kit.R0
     assert kit.y_hat == pytest.approx(
         math.exp(kit.a) * math.sqrt(2 * kit.env.F(1, -kit.R0) + kit.d ** 2),
         rel=1e-12)
-    # the energy-level inequality (directly or through the re-measured
-    # constants it depends on) is the constraint that binds below R0
-    assert kit.diagnostics["binding"] in ("energy level inequality",
-                                          "re-measured constants failed")
+    # the energy-level inequality is the constraint that binds below R0
+    assert kit.diagnostics["binding"] == "energy level inequality"
     fails = kit.diagnostics["failures"]
-    assert any(v == "energy level inequality" for v in fails.values())
+    assert set(fails.values()) == {"energy level inequality"}
+    # omega0 is attained on the short stretch (d, 0), ell0 far out where
+    # f/x touches the upper band edge
+    assert kit.d < kit.diagnostics["omega0_x"] < 0.0
+    assert kit.diagnostics["ell0_x"] > 1e3
 
 
-def test_a_failing_candidate_stops_probing(monkeypatch):
-    # 8 probes at the first radius, then 32 at each candidate: the rejected
-    # candidate 10.64 stops after the probe whose running kappa already
-    # fails the energy level inequality (13 of 32; kappa only grows with
-    # more probes), and the accepted R0 = 12.93 measures all 32
+def test_probe_radius_integrates_nothing(monkeypatch):
+    # the polar constants are bounds read off one envelope table, so R0
+    # comes without a single orbit
     model = rm.make_cubic_band()
     fld = HomotopyField(model, 1.0)
     env = ap.build_envelopes(model)
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return integrate(*args)
+        return integrate(*args, **kwargs)
 
     monkeypatch.setattr(ap, "integrate", counting)
     r0, diag = ap.probe_R0(fld, env)
     assert r0 == 12.934540131547143
-    assert len(calls) == 8 + 13 + 32
-    assert diag["binding"] == "re-measured constants failed"
-    # the accepted kappa does not depend on the order of the probes
-    calls.clear()
-    om, el, cw = ap._measure_kappa(fld, env.base, 2.0 * r0, 4 * ap.R0_PROBES,
-                                   IntegrateOpts())
-    assert (om, el, cw, len(calls)) == (diag["omega0"], diag["ell0"], True, 32)
+    assert len(calls) == 0
+    assert diag["binding"] == "energy level inequality"
+
+
+@pytest.mark.parametrize("mu", [0.6, 1.0, 1.7, 3.2])
+def test_polar_bounds_are_exact_for_a_linear_field(mu):
+    # f = mu x: -theta' = 1 - (1 - mu) x^2/rho^2 and |rho'|/rho =
+    # |1 - mu| |x y|/rho^2, so omega0 = min(1, mu) and ell0 = |1 - mu|/2
+    model = _flat_model(lambda x: mu * x)
+    rates = ap._rate_table(model, -1.0)
+    for r in (4.0, 13.0, 1e4):
+        bounds = ap._polar_bounds(rates, r)
+        assert bounds["omega0"] == pytest.approx(min(1.0, mu), abs=1e-15)
+        assert bounds["ell0"] == pytest.approx(abs(1.0 - mu) / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", ["cubic_band", "resonant_edge"])
+@pytest.mark.parametrize("forcing", [0.4998, 0.5, 0.5002])
+def test_orbit_samples_lie_inside_the_polar_bounds(family, forcing):
+    model = rm.FAMILIES[family](forcing=forcing)
+    fld = HomotopyField(model, 1.0)
+    env = ap.build_envelopes(model)
+    r0, diag = ap.probe_R0(fld, env)
+    # the constants of R0 bound the region beyond 2 R0
+    om, el = measure_kappa(fld, env.base, 2.0 * r0, 8)
+    assert diag["omega0"] <= om and el <= diag["ell0"]
 
 
 def test_probe_radius_rejects_linear_field():

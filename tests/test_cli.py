@@ -8,7 +8,6 @@ import pytest
 from resonance import cli
 from resonance import model as rm
 from resonance import solver as sv
-from resonance.integrate import IntegrateOpts
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -386,16 +385,22 @@ def test_apriori_and_find_report_the_same_N0(tmp_path):
     assert not (tmp_path / "apriori" / "path.csv").exists()
 
 
-def test_report_names_the_tolerances_the_kit_used(tmp_path):
-    # the full-line kit runs at the integrator's defaults, not at the
-    # configured tolerances, and the report says so next to the echo
+def test_apriori_report_names_what_fixed_R0(tmp_path):
+    # the kit integrates nothing, so it names no tolerances of its own; it
+    # names the constraint that fixed R0 and where the polar constants are
+    # attained
     with open(_write_config(tmp_path)) as fh:
         cfg = cli.apply_tol_overrides(json.load(fh), ["rtol=1e-12"])
     res = cli.run(cfg, str(tmp_path / "out"), last="apriori")
     lines = dict(res.report.lines)
     assert lines["config.tolerances.rtol"] == cli.fmt_float(1e-12)
-    assert lines["apriori.rtol"] == cli.fmt_float(IntegrateOpts().rtol)
-    assert lines["apriori.atol"] == cli.fmt_float(IntegrateOpts().atol)
+    assert "apriori.rtol" not in lines and "apriori.atol" not in lines
+    diag = res.kit.diagnostics
+    assert lines["apriori.binding"] == diag["binding"] == (
+        "energy level inequality")
+    for key in ("omega0_x", "ell0_x"):
+        assert lines[f"apriori.{key}"] == cli.fmt_float(diag[key])
+    assert res.kit.d < diag["omega0_x"] and diag["ell0_x"] > 0.0
 
 
 def test_apriori_stops_at_the_hypothesis_gate(tmp_path):

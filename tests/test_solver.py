@@ -178,7 +178,8 @@ def test_degree_rejects_boundary_fixed_point():
 
 
 def test_boundary_degree_at_the_certifying_radius_costs_62_maps(monkeypatch):
-    # R_elastic of the band model: 48 starting samples and 14 refinements
+    # a fixed radius on the scale of the band model's R_elastic: 48 starting
+    # samples and 14 refinements
     calls = []
     original = sv.poincare
 

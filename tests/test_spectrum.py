@@ -80,65 +80,6 @@ def test_asymptote_recovery_at_large_nu():
         assert abs(mu_root - mu_j) / mu_j < 1e-6
 
 
-def test_classify_nonresonant_band_interior():
-    T = 2 * math.pi
-    mu2, mu3 = sp.eigenvalue(2, T), sp.eigenvalue(3, T)
-    w = sp.AsymptoticRectangle(mu2 * 1.05, mu3 * 0.95, mu2 * 1.05, mu3 * 0.95)
-    label, contacts = sp.classify(w, T)
-    # the box between consecutive curves C_2 and C_3 along the diagonal
-    assert label == sp.NONRESONANT
-    assert contacts == []
-
-
-def test_classify_point_off_spectrum():
-    T = 2 * math.pi
-    w = sp.AsymptoticRectangle(1.3, 1.3, 1.7, 1.7)
-    label, contacts = sp.classify(w, T)
-    assert label == sp.NONRESONANT
-
-
-def test_classify_unbounded_strip_between_asymptotes():
-    T = 2 * math.pi
-    mu2, mu3 = sp.eigenvalue(2, T), sp.eigenvalue(3, T)
-    w = sp.AsymptoticRectangle(mu2, mu3, 5.0, math.inf)
-    label, contacts = sp.classify(w, T)
-    assert label == sp.UNBOUNDED_DOUBLE_RESONANCE
-    assert sorted(c.j for c in contacts) == [2, 3]
-    assert all(c.kind == "asymptote" for c in contacts)
-
-
-def test_classify_corner_contacts():
-    T = 2 * math.pi
-    mu2 = sp.eigenvalue(2, T)
-    mu4 = sp.eigenvalue(4, T)   # C_2 passes through (mu4, mu4)
-    w = sp.AsymptoticRectangle(mu4, mu4 + 0.5, mu4, mu4 + 0.5)
-    label, contacts = sp.classify(w, T)
-    assert label == sp.SIMPLE_RESONANCE
-    assert contacts[0].j == 2 and contacts[0].kind == "corner_lower"
-
-    mu6 = sp.eigenvalue(6, T)   # C_3 passes through (mu6, mu6)
-    w2 = sp.AsymptoticRectangle(mu4, mu6, mu4, mu6)
-    label2, contacts2 = sp.classify(w2, T)
-    assert label2 == sp.DOUBLE_RESONANCE
-    kinds = {c.j: c.kind for c in contacts2}
-    assert kinds[2] == "corner_lower" and kinds[3] == "corner_upper"
-
-
-def test_classify_interior_crossing_reported():
-    T = 2 * math.pi
-    mu4 = sp.eigenvalue(4, T)
-    w = sp.AsymptoticRectangle(mu4 - 0.5, mu4 + 0.5, mu4 - 0.5, mu4 + 0.5)
-    label, contacts = sp.classify(w, T)
-    assert any(c.j == 2 and c.kind == "crossing" for c in contacts)
-
-
-def test_classify_axis_touching():
-    T = 2 * math.pi
-    w = sp.AsymptoticRectangle(0.0, 0.1, 0.3, 0.4)
-    label, contacts = sp.classify(w, T)
-    assert any(c.j == 0 for c in contacts)
-
-
 def test_sample_curve_points_lie_on_curve():
     T = 2 * math.pi
     for j in (1, 3):
