@@ -32,6 +32,7 @@ TRUNCATED_SINE = "truncated_sine"
 ABS_SINE = "abs_sine"
 
 RESIDUE_T_POINTS = 128      # t samples of the liminf/limsup residue tables
+RESIDUE_K_MAX = 20          # ... on the ladder x = 2^k, k = 0..RESIDUE_K_MAX
 A_LEFT_DECADES = 6          # validate_A: f/x at x = -10^k, k = 1..6
 BAND_X_MAX = 1e6            # band-constant scans end here ...
 BAND_X_POINTS = 240         # ... after this many geometric samples
@@ -98,17 +99,28 @@ def _tail_estimate(table: np.ndarray, mode: str):
             stab | (diverging != 0))
 
 
-def asymptotic_envelope(model: NonlinearityModel, side: str,
-                        k_max: int = 20) -> AsymptoticEnvelope:
-    """Estimate the per-t liminf of f(t,x) - mu_N x (side "lower") or the
-    limsup of f(t,x) - mu_N+1 x (side "upper") along the ladder x = 2^k,
-    k = 0..k_max, at RESIDUE_T_POINTS times per period."""
-    n = model.n_mode if side == "lower" else model.n_mode + 1
-    mode = "inf" if side == "lower" else "sup"
+def _f_ladder(model: NonlinearityModel, k_max: int):
+    """f along the ladder x = 2^k, k = 0..k_max, at RESIDUE_T_POINTS times
+    per period: (t_grid, xs, table), one table row per rung, from one grid
+    call per chunk of the ladder."""
     t_grid = periodic_grid(model.period, RESIDUE_T_POINTS)
     xs = 2.0 ** np.arange(k_max + 1)
-    table = np.array([model.f_over_t(t_grid, float(x)) for x in xs],
-                     dtype=float) - eigenvalue(n, model.period) * xs[:, None]
+    return t_grid, xs, np.concatenate(model.grid_map(xs, t_grid,
+                                                     lambda fv: fv))
+
+
+def asymptotic_envelope(model: NonlinearityModel, side: str,
+                        k_max: int = RESIDUE_K_MAX,
+                        ladder=None) -> AsymptoticEnvelope:
+    """Estimate the per-t liminf of f(t,x) - mu_N x (side "lower") or the
+    limsup of f(t,x) - mu_N+1 x (side "upper") along the ladder x = 2^k,
+    k = 0..k_max, at RESIDUE_T_POINTS times per period.  `ladder` is the
+    f table _f_ladder(model, k_max) when the caller holds it already: both
+    sides of ll_verdict read the same one."""
+    n = model.n_mode if side == "lower" else model.n_mode + 1
+    mode = "inf" if side == "lower" else "sup"
+    t_grid, xs, f = ladder if ladder is not None else _f_ladder(model, k_max)
+    table = f - eigenvalue(n, model.period) * xs[:, None]
     values, settled = _tail_estimate(table, mode)
     return AsymptoticEnvelope(t_grid, values, bool(np.all(settled)))
 
@@ -432,14 +444,16 @@ def ll_verdict(model: NonlinearityModel, variant: str = TRUNCATED_SINE,
     every integral is a sum of knot values times one kernel, tabulated
     per side at the lcm(RESIDUE_T_POINTS, tau_points) offsets on which
     every knot + tau lands (_ll_kernel); all tau come from one
-    correlation (_ll_correlate), exact up to rounding.
+    correlation (_ll_correlate), exact up to rounding.  Both sides read
+    their residues off one f table on the ladder.
     """
     n, period = model.n_mode, model.period
     tau_grid = periodic_grid(period, tau_points)
     offsets = math.lcm(RESIDUE_T_POINTS, tau_points)
+    ladder = _f_ladder(model, RESIDUE_K_MAX)
     reports = []
     for side, j in (("lower", n), ("upper", n + 1)):
-        env = asymptotic_envelope(model, side)
+        env = asymptotic_envelope(model, side, ladder=ladder)
         vals = _ll_correlate(env.values,
                              _ll_kernel(j, period, variant, offsets),
                              tau_points)

@@ -11,6 +11,10 @@ unary minus sits between * and ^):
 
 Known functions: sin, cos, abs, exp, log, log2 (one argument), min, max
 (two).  Parsed trees are immutable; evaluation is reentrant.
+
+A tree compiles to two forms: compile_scalar, f(t, x) on two numbers, which
+the integrator calls, and compile_grid, f at every pair of an array of
+times and one x or a row of x, which every scan over t calls.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Bin", "Call",
     "ParseError", "UnknownIdentifierError", "DomainError",
-    "parse", "to_source", "evaluate", "compile_scalar", "compile_vector_t",
+    "parse", "to_source", "evaluate", "compile_scalar", "compile_grid",
 ]
 
 _FUNCS = {"sin": 1, "cos": 1, "abs": 1, "exp": 1, "log": 1, "log2": 1,
@@ -53,11 +57,16 @@ class UnknownIdentifierError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the domain; names the offending subtree."""
+    """Evaluation left the domain; names the offending subtree and, from
+    the grid form, the point (t, x) at which it left."""
 
-    def __init__(self, message: str, node: "Expr"):
-        self.node = node
-        super().__init__(f"{message} in subexpression {to_source(node)!r}")
+    def __init__(self, message: str, node: "Expr",
+                 point: tuple[float, float] | None = None):
+        self.reason, self.node, self.point = message, node, point
+        text = f"{message} in subexpression {to_source(node)!r}"
+        if point is not None:
+            text += f" at t={point[0]:.6g}, x={point[1]:.6g}"
+        super().__init__(text)
 
 
 @dataclass(frozen=True)
@@ -326,46 +335,23 @@ def _integer_literal(node: Expr) -> bool:
     return isinstance(node, Num) and node.value.is_integer()
 
 
-def _pow_array(base, exponent, node: Expr):
-    """Compiled vector ^ whose exponent is not an integer literal; numpy
-    would give nan for a negative base."""
-    if np.any((np.asarray(base) < 0.0)
-              & (np.asarray(exponent) != np.floor(exponent))):
-        raise DomainError("negative base with non-integer exponent", node)
-    return base ** exponent
-
-
-def _log_array(arg, node: Call):
-    """Compiled vector log or log2; numpy would give nan or -inf for a
-    non-positive argument."""
-    if np.any(np.asarray(arg) <= 0.0):
-        raise DomainError(f"{node.func} of a non-positive value", node)
-    return np.log(arg) if node.func == "log" else np.log2(arg)
-
-
-def _codegen(node: Expr, ns: str, checked: list) -> str:
-    """Source of `node` over namespace `ns` ("math" or "np"); each ^ (and,
-    over numpy, each log) that needs a domain check is appended to
-    `checked` and named by index."""
+def _codegen(node: Expr, checked: list) -> str:
+    """Source of `node` over math.*; each ^ whose exponent is not an
+    integer literal runs the checked _pow, its node appended to `checked`
+    and named by index."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.operand, ns, checked)})"
+        return f"(-{_codegen(node.operand, checked)})"
     if isinstance(node, Call):
-        args = ", ".join(_codegen(a, ns, checked) for a in node.args)
-        if node.func in ("min", "max"):
-            fn = {"min": "minimum", "max": "maximum"}[node.func] if ns == "np" else node.func
-            return f"{fn}({args})" if ns != "np" else f"np.{fn}({args})"
-        if node.func == "abs":
-            return f"np.abs({args})" if ns == "np" else f"abs({args})"
-        if ns == "np" and node.func in ("log", "log2"):
-            checked.append(node)
-            return f"_log({args}, _checked[{len(checked) - 1}])"
-        return f"{ns}.{node.func}({args})"
-    left = _codegen(node.left, ns, checked)
-    right = _codegen(node.right, ns, checked)
+        args = ", ".join(_codegen(a, checked) for a in node.args)
+        if node.func in ("min", "max", "abs"):
+            return f"{node.func}({args})"
+        return f"math.{node.func}({args})"
+    left = _codegen(node.left, checked)
+    right = _codegen(node.right, checked)
     if node.op == "^":
         if _integer_literal(node.right):
             return f"({left})**({right})"
@@ -374,12 +360,7 @@ def _codegen(node: Expr, ns: str, checked: list) -> str:
     return f"({left} {node.op} {right})"
 
 
-def _body(node: Expr, right: Expr | None, split: float, ns: str,
-          checked: list) -> str:
-    code = _codegen(node, ns, checked)
-    if right is None:
-        return code
-    return f"({code}) if x < {split!r} else ({_codegen(right, ns, checked)})"
+_SCALAR_NS = {"math": math, "abs": abs, "min": min, "max": max, "_pow": _pow}
 
 
 def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
@@ -395,18 +376,220 @@ def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
     needed.
     """
     checked: list = []
-    src = f"lambda t, x: {_body(node, right, split, 'math', checked)}"
-    return eval(src, {"math": math, "abs": abs, "min": min, "max": max,
-                      "_pow": _pow, "_checked": tuple(checked)})
+    code = _codegen(node, checked)
+    if right is not None:
+        code = f"({code}) if x < {split!r} else ({_codegen(right, checked)})"
+    return eval(f"lambda t, x: {code}",
+                dict(_SCALAR_NS, _checked=tuple(checked)))
 
 
-def compile_vector_t(node: Expr, right: Expr | None = None, split: float = 0.0):
-    """Compile to f(t_array, x_scalar) -> array, vectorized over t; `right`
-    and `split` glue a pair as in compile_scalar.  A ^ whose exponent is
-    not an integer literal raises DomainError on a negative base, and log
-    or log2 on a non-positive argument, as evaluate() does."""
-    checked: list = []
-    body = _body(node, right, split, "np", checked)
-    src = f"lambda t, x: np.broadcast_to(({body}), np.shape(t)).astype(float)"
-    return eval(src, {"np": np, "_pow": _pow_array, "_log": _log_array,
-                      "_checked": tuple(checked)})
+# ---------------------------------------------------------------------------
+# the (t, x) grid form
+#
+# The grid holds one column of values over t per x, stored x-major: over a
+# row of x, the body sees x with one axis per axis of t appended, so the
+# columns come out as result[k] and a reduction over t runs along memory.
+# A subtree without t runs compile_scalar's own code once per x, so it
+# rounds exactly as the scalar form (numpy's array power, exp and log
+# differ from math.* and Python's pow in the last bit on some arguments).
+# Only the subtrees with t run through numpy, broadcast against the x row.
+
+
+def _first_point(bad, t, x) -> tuple[float, float]:
+    """(t, x) of the first True cell of `bad` over the cells of t and x:
+    the first x, then the first t."""
+    bad, t, x = np.broadcast_arrays(bad, t, x)
+    k = np.unravel_index(np.argmax(bad), bad.shape)
+    return float(t[k]), float(x[k])
+
+
+def _check(bad, message: str, node: Expr, t, x):
+    """Raise DomainError at the first True cell of `bad`, a comparison's
+    result (a bool where the operands are numbers)."""
+    if bad is True or (bad is not False and bad.any()):
+        raise DomainError(message, node, _first_point(bad, t, x))
+
+
+def _tpow(base, exponent, node: Expr, t, x):
+    """Array ^ with t whose exponent is not an integer literal; numpy
+    would give nan or inf where evaluate() raises."""
+    _check((base < 0.0) & (exponent != np.floor(exponent)),
+           "negative base with non-integer exponent", node, t, x)
+    _check((base == 0.0) & (exponent < 0.0),
+           "zero raised to a negative power", node, t, x)
+    return base ** exponent
+
+
+def _tlog(arg, node: Call, t, x):
+    _check(arg <= 0.0, f"{node.func} of a non-positive value", node, t, x)
+    return np.log(arg) if node.func == "log" else np.log2(arg)
+
+
+def _tdiv(num, den, node: Expr, t, x):
+    _check(den == 0.0, "division by zero", node, t, x)
+    return num / den
+
+
+def _min(a, b):
+    """Python's min(a, b), cell by cell: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    return ()
+
+
+def _mark_t(node: Expr, with_t: set) -> bool:
+    """Whether node depends on t; adds the id of every such subtree."""
+    if isinstance(node, Var):
+        has = node.name == "t"
+    else:
+        has = any([_mark_t(c, with_t) for c in _children(node)])
+    if has:
+        with_t.add(id(node))
+    return has
+
+
+class _GridCode:
+    """The two bodies of one tree: over a t array at one x (the column
+    body), and over a t array and an x row (the row body).  A subtree
+    without t is compile_scalar's code: inline in the column body, and in
+    the row body the k-th is the name _vk, computed first once per x."""
+
+    def __init__(self, tree: Expr):
+        self.with_t: set = set()
+        _mark_t(tree, self.with_t)
+        self.checked: list = []
+        self.rows: list[str] = []
+
+    def code(self, node: Expr) -> tuple[str, str]:
+        if isinstance(node, (Num, Var)):
+            leaf = repr(node.value) if isinstance(node, Num) else node.name
+            return leaf, leaf
+        if id(node) not in self.with_t:
+            self.rows.append(_codegen(node, self.checked))
+            return self.rows[-1], f"_v{len(self.rows) - 1}"
+        parts = [self.code(c) for c in _children(node)]
+        if isinstance(node, Neg):
+            form = "(-{0})"
+        elif isinstance(node, Call) and node.func in ("log", "log2"):
+            form = f"_tlog({{0}}, _checked[{self._check(node)}], t, x)"
+        elif isinstance(node, Call):
+            fn = {"min": "_min", "max": "_max"}.get(node.func,
+                                                     f"np.{node.func}")
+            args = ", ".join(f"{{{i}}}" for i in range(len(parts)))
+            form = f"{fn}({args})"
+        elif node.op == "^" and _integer_literal(node.right):
+            form = "({0})**({1})"
+        elif node.op in "^/":
+            fn = "_tpow" if node.op == "^" else "_tdiv"
+            form = f"{fn}({{0}}, {{1}}, _checked[{self._check(node)}], t, x)"
+        else:
+            form = f"({{0}} {node.op} {{1}})"
+        return tuple(form.format(*(p[i] for p in parts)) for i in (0, 1))
+
+    def _check(self, node: Expr) -> int:
+        self.checked.append(node)
+        return len(self.checked) - 1
+
+
+_GRID_NS = dict(_SCALAR_NS, np=np, _tpow=_tpow, _tlog=_tlog, _tdiv=_tdiv,
+                _min=_min, _max=_max)
+
+
+def _grid_piece(tree: Expr) -> tuple:
+    """(tree, column, row): the compiled column and row bodies of a tree."""
+    gen = _GridCode(tree)
+    column, row = gen.code(tree)
+    ns = dict(_GRID_NS, _checked=tuple(gen.checked))
+    lines = "".join(f"    _v{i} = np.array([{src} for x in xs])"
+                    ".reshape(x.shape)\n" for i, src in enumerate(gen.rows))
+    exec(f"def column(t, x):\n    return {column}\n"
+         f"def row(t, x):\n    xs = x.ravel().tolist()\n{lines}"
+         f"    return {row}\n", ns)
+    return tree, ns["column"], ns["row"]
+
+
+def _located(tree: Expr, err: Exception, t, xs) -> Exception:
+    """The error to raise for err, which a grid body of `tree` raised at
+    one of xs: the DomainError that evaluate() raises at the first time
+    of t and the first x of xs where it raises one, with that point; err
+    itself when it carries its point already or evaluate() raises none."""
+    if isinstance(err, DomainError) and err.point is not None:
+        return err
+    t0 = float(t.flat[0]) if t.size else 0.0
+    for x in np.ravel(xs).tolist():
+        try:
+            evaluate(tree, t0, x)
+        except DomainError as e:
+            return DomainError(e.reason, e.node, (t0, x))
+    return err
+
+
+def compile_grid(node: Expr, right: Expr | None = None, split: float = 0.0):
+    """Compile to the grid form f(t, x) over every pair of a time and an x.
+
+    t is an array of times; x is either a number, which gives one value
+    per time in the shape of t (the one-column case), or a 1-D array, the
+    row, which gives one such column per x: an array of shape
+    x.shape + t.shape whose k-th entry is the column at x[k].  `right`
+    and `split` glue a pair as in compile_scalar, and each piece is
+    evaluated only on the x of its own side.
+
+    Every value is float.hex-equal to compile_scalar's wherever numpy's
+    array functions round as math.* does on the subtrees with t (see the
+    comment above).  A domain violation raises DomainError naming the
+    subexpression and the first offending point (t, x), taken x by x:
+    log and log2 of a non-positive value, a ^ of a negative base with a
+    non-integer exponent or of zero with a negative one, a division by
+    zero, and on the subtrees without t, whatever compile_scalar raises.
+    The result may be a read-only broadcast view.
+    """
+    trees = (node,) if right is None else (node, right)
+    pieces: list = []       # compiled on the first call: many models never
+                            # scan over t (the radial search's reduced fields)
+
+    def row(piece, t, x):
+        tree, _, body = piece
+        try:
+            out = body(t, x.reshape(x.shape + (1,) * t.ndim))
+        except (ValueError, ArithmeticError) as err:
+            raise _located(tree, err, t, x) from None
+        shape = x.shape + t.shape
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
+
+    def grid(t, x):
+        if not pieces:
+            pieces[:] = [_grid_piece(tree) for tree in trees]
+        first, last = pieces[0], pieces[-1]
+        t = np.asarray(t, dtype=float)
+        if not isinstance(x, np.ndarray):
+            x = float(x)
+            tree, column, _ = first if x < split else last
+            try:
+                out = column(t, x)
+            except (ValueError, ArithmeticError) as err:
+                raise _located(tree, err, t, x) from None
+            return out if np.shape(out) == t.shape else np.full(t.shape, out)
+        x = x.astype(float, copy=False)
+        left = x < split
+        if right is None or left.all():
+            return row(first, t, x)
+        if not left.any():
+            return row(last, t, x)
+        out = np.empty(x.shape + t.shape)
+        out[left] = row(first, t, x[left])
+        out[~left] = row(last, t, x[~left])
+        return out
+
+    return grid

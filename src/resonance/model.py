@@ -3,7 +3,7 @@
 A model comes from one expression, from a piecewise pair glued at a
 split point, or from a registered family: an expression template whose
 parameters are substituted before parsing, so a family is written once and
-its scalar and vector forms are generated from the same trees.
+its scalar and grid forms are generated from the same trees.
 """
 
 from __future__ import annotations
@@ -20,19 +20,24 @@ from .spectrum import eigenvalue
 FULL_LINE = "full_line"
 SINGULAR = "singular"
 ENVELOPE_T_POINTS = 96      # t samples per period of the envelope scans
+GRID_CELLS = 2 ** 15        # cells of one grid call: 256 KiB of float64
 
 
 @dataclass(frozen=True)
 class NonlinearityModel:
     """A T-periodic nonlinearity f(t, x) with its working metadata.
 
-    f is the scalar fast path used inside integrator loops; f_tarr
-    evaluates f over an array of times at fixed x (used by envelope and
-    window scans).  domain is "full_line" (x ranges over all reals) or
-    "singular" (x > 0 with a wall at 0).  n_mode is the declared integer N
-    placing the linear band [mu_N, mu_N+1] at +infinity.  trees holds the
-    expression trees f was compiled from: one, or a left/right pair glued
-    at split_point(domain).
+    f is the scalar fast path used inside integrator loops; f_tarr is the
+    grid form of f, used by every scan over t: f_tarr(t, x) takes an
+    array of times t and either one x, giving one value per time in the
+    shape of t, or a 1-D array of x, giving one such column per x in an
+    array of shape x.shape + t.shape (expr.compile_grid).  domain is
+    "full_line" (x ranges over all reals) or "singular" (x > 0 with a wall
+    at 0).  n_mode is the declared integer N placing the linear band
+    [mu_N, mu_N+1] at +infinity.  trees holds the expression trees f was
+    compiled from: one, or a left/right pair glued at split_point(domain).
+    A model built from callables alone, without f_tarr, serves the
+    integrator only.
     """
 
     f: Callable[[float, float], float]
@@ -43,21 +48,26 @@ class NonlinearityModel:
     trees: tuple = ()
 
     def f_over_t(self, t_grid: np.ndarray, x: float) -> np.ndarray:
-        if self.f_tarr is not None:
-            return self.f_tarr(t_grid, x)
-        return np.array([self.f(float(tt), x) for tt in np.atleast_1d(t_grid)])
+        """f at each time of t_grid at one x: the grid's one-column case."""
+        return self.f_tarr(t_grid, float(x))
+
+    def grid_map(self, xs, t_grid: np.ndarray, fn) -> list:
+        """fn of f on t_grid and each consecutive chunk of xs, one f_tarr
+        call per chunk: n x of at most GRID_CELLS cells together, and one
+        x at least.  Only fn's result outlives its chunk."""
+        xs = np.asarray(xs, dtype=float)
+        step = max(1, GRID_CELLS // np.size(t_grid))
+        return [fn(self.f_tarr(t_grid, xs[start:start + step]))
+                for start in range(0, xs.size, step)]
 
     def t_envelope(self, xs, t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The t-envelopes f1 = min_t f and f2 = max_t f at each x of xs,
-        one f_over_t call per x.  A 2-D t_grid holds one time window per
-        row, and f1[i], f2[i] then hold one value per window."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        flat = t_grid.ravel()
-        f1, f2 = np.empty((2, len(xs)) + t_grid.shape[:-1])
-        for i, x in enumerate(xs):
-            fv = np.asarray(self.f_over_t(flat, float(x)),
-                            dtype=float).reshape(t_grid.shape)
-            f1[i], f2[i] = fv.min(axis=-1), fv.max(axis=-1)
+        one grid call per chunk of xs (grid_map).  A 2-D t_grid holds one
+        time window per row, and f1[i], f2[i] then hold one value per
+        window."""
+        chunks = self.grid_map(xs, np.asarray(t_grid, dtype=float),
+                               lambda fv: (fv.min(axis=-1), fv.max(axis=-1)))
+        f1, f2 = (np.concatenate(part) for part in zip(*chunks))
         return f1, f2
 
 
@@ -75,12 +85,12 @@ def from_trees(trees: tuple, period: float, domain: str = FULL_LINE,
                n_mode: int = 1) -> NonlinearityModel:
     """The model compiled from one expression tree, or from a left/right
     pair glued at split_point(domain), the left one strictly below it:
-    its scalar and vector forms are generated from the same trees."""
+    its scalar and grid forms are generated from the same trees."""
     split = split_point(domain)
     return NonlinearityModel(
         f=ex.compile_scalar(*trees, split=split), period=period,
         domain=domain, n_mode=n_mode,
-        f_tarr=ex.compile_vector_t(*trees, split=split), trees=tuple(trees))
+        f_tarr=ex.compile_grid(*trees, split=split), trees=tuple(trees))
 
 
 def from_expression(source: str, period: float, domain: str = FULL_LINE,

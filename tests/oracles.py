@@ -16,6 +16,17 @@ from resonance.integrate import (HomotopyField, IntegrateOpts,
 ELASTIC_AMPLITUDES = (1e2, 1e3, 1e4)      # check_elastic's amplitude ladder
 
 
+def flat_grid(f_of_x):
+    """The grid form (NonlinearityModel.f_tarr) of a t-independent f given
+    one x at a time: one value per time at a number x, an array of shape
+    x.shape + t.shape at a 1-D array of x."""
+    def grid(t, x):
+        fx = np.array([float(f_of_x(v)) for v in np.ravel(x).tolist()])
+        fx = fx.reshape(np.shape(x) + (1,) * np.ndim(t))
+        return np.broadcast_to(fx, np.shape(x) + np.shape(t))
+    return grid
+
+
 def measure_halfturn(fld: HomotopyField, y0: float,
                      opts: IntegrateOpts = IntegrateOpts(),
                      horizon: float | None = None) -> tuple[float, float]:

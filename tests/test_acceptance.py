@@ -23,7 +23,7 @@ from resonance import spectrum as sp
 from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
                                  integrate, integrate_system, rotation_count)
 from conftest import register_criterion
-from oracles import measure_halfturn
+from oracles import flat_grid, measure_halfturn
 
 T2PI = 2 * math.pi
 
@@ -169,8 +169,7 @@ def test_criterion_4_energy_guiding_maps(band_kit):
         flat = rm.NonlinearityModel(
             f=lambda t, x: x ** 3 if x < 0 else 1.625 * x, period=T2PI,
             n_mode=2,
-            f_tarr=lambda t, x: np.full(np.shape(t),
-                                        x ** 3 if x < 0 else 1.625 * x))
+            f_tarr=flat_grid(lambda x: x ** 3 if x < 0 else 1.625 * x))
         env = ap.build_envelopes(flat)
         kit_flat = ap.AprioriKit(env=env, d=env.base, omega0=1.0, ell0=0.5,
                                  kappa=0.55, a=-0.01, R0=10.0, y_hat=0.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import resonance.model as rm
 from resonance import apriori as ap
 from resonance.integrate import HomotopyField, PhaseState, integrate
-from oracles import N_measure, check_elastic, measure_kappa
+from oracles import N_measure, check_elastic, flat_grid, measure_kappa
 
 T2PI = 2 * math.pi
 
@@ -14,7 +15,7 @@ T2PI = 2 * math.pi
 def _flat_model(f_of_x, domain=rm.FULL_LINE, n_mode=2):
     return rm.NonlinearityModel(
         f=lambda t, x: f_of_x(x), period=T2PI, domain=domain, n_mode=n_mode,
-        f_tarr=lambda t, x: np.full(np.shape(t), float(f_of_x(x))))
+        f_tarr=flat_grid(f_of_x))
 
 
 @pytest.fixture(scope="module")
@@ -73,23 +74,24 @@ def test_envelope_ordering_and_monotonicity(band_kit):
     assert np.all(env.f2 < 0)
 
 
-@pytest.mark.parametrize("model, calls", [
-    (rm.make_cubic_band(), 200 + 4096),
-    (rm.make_singular_band(), 67 + 4096),
+@pytest.mark.parametrize("model, nodes, calls", [
+    (rm.make_cubic_band(), 200 + 4096, 1 + 13),
+    (rm.make_singular_band(), 67 + 4096, 1 + 13),
 ], ids=["full-line", "singular"])
-def test_envelopes_scan_for_the_threshold_once(monkeypatch, model, calls):
-    # one threshold scan (200 points toward -1e6 on the full line, up to the
-    # first f2 >= 0 below x = 1 in singular mode), then one t-sweep per node
-    counted = []
-    original = rm.NonlinearityModel.f_over_t
+def test_envelopes_scan_for_the_threshold_once(model, nodes, calls):
+    # one threshold scan (200 points toward -1e6 on the full line, the 67
+    # below x = 1 in singular mode), then the 4,096 table nodes, each x
+    # once, in grid calls of at most GRID_CELLS cells: 341 x of 96 times
+    seen = []
 
-    def f_over_t(self, t_grid, x):
-        counted.append(x)
-        return original(self, t_grid, x)
+    def counted(t, x):
+        seen.append(np.size(x))
+        return model.f_tarr(t, x)
 
-    monkeypatch.setattr(rm.NonlinearityModel, "f_over_t", f_over_t)
-    ap.build_envelopes(model)
-    assert len(counted) == calls
+    ap.build_envelopes(dataclasses.replace(model, f_tarr=counted))
+    assert sum(seen) == nodes
+    assert len(seen) == calls
+    assert max(seen) * rm.ENVELOPE_T_POINTS <= rm.GRID_CELLS
 
 
 def test_no_threshold_for_everywhere_positive_model():

@@ -225,6 +225,21 @@ def test_model_undefined_on_its_domain_exits_2_naming_the_subtree(
         assert cause in err and subtree in err
 
 
+def test_domain_error_names_the_first_offending_point(tmp_path, capsys):
+    # the right piece's log is undefined on [0, 0.5]: the band scan from
+    # x = 0.01 meets it first, at the first time of the grid
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps({"model": {
+        "f_left": "x^3", "f_right": "1.6*x + log(x - 0.5)",
+        "T": 2 * math.pi, "N": 2}, "grids": {"tau_points": 32}}))
+    code = cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: model: log of a non-positive value in subexpression "
+        "'log(x - 0.5)' at t=0, x=0.01\n")
+
+
 def test_tol_override_parsing(tmp_path):
     cfg = cli.validate_config({"model": {"T": 1.0, "N": 1, "f": "x"}})
     out = cli.apply_tol_overrides(cfg, ["rtol=1e-9"])

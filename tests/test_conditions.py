@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import resonance.model as rm
 from resonance.spectrum import eigenvalue
 from resonance import apriori as ap
 from resonance import conditions as cd
+from oracles import flat_grid
 
 T2PI = 2 * math.pi
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))
@@ -186,6 +188,20 @@ def test_ll_verdict_estimates_each_tail_it_reads_once(monkeypatch):
                      ("sup", (21, cd.RESIDUE_T_POINTS))]
 
 
+def test_ll_verdict_tabulates_f_once_for_both_sides():
+    # both residues come off one f table on the ladder x = 2^k, k = 0..20:
+    # one grid call of 21 x at RESIDUE_T_POINTS times
+    model = rm.make_cubic_band()
+    calls = []
+
+    def counted(t, x):
+        calls.append((np.shape(t), np.size(x)))
+        return model.f_tarr(t, x)
+
+    cd.ll_verdict(dataclasses.replace(model, f_tarr=counted), tau_points=4)
+    assert calls == [((cd.RESIDUE_T_POINTS,), cd.RESIDUE_K_MAX + 1)]
+
+
 def _tail_estimate_of_one_column(vals, mode):
     # the per-column form that the table-wide _tail_estimate replaced
     start = min(8, max(0, len(vals) - 4))
@@ -324,7 +340,7 @@ def test_bounded_above_residue_with_lower_shift_passes():
 
     model = rm.NonlinearityModel(
         f=f, period=T2PI, n_mode=n,
-        f_tarr=lambda t, x: np.full(np.shape(t), f(0.0, x)))
+        f_tarr=flat_grid(lambda x: f(0.0, x)))
     lo, hi = cd.ll_verdict(model, tau_points=32)
     assert lo.passed
     expected = 2 * T2PI / (n * math.pi)
@@ -438,8 +454,8 @@ def test_infinite_knots_give_the_reference_pattern(monkeypatch, case,
     original = cd.asymptotic_envelope
     tables = {}
 
-    def with_infinities(model, side, k_max=20):
-        env = original(model, side, k_max)
+    def with_infinities(model, side, **kwargs):
+        env = original(model, side, **kwargs)
         values = env.values.copy()
         for i, v in _INFINITE_KNOTS[case].items():
             values[i] = v
@@ -502,7 +518,7 @@ def test_validate_A_midband_linear_right():
         return x ** 3 if x < 0 else mu_mid * x
 
     model = rm.NonlinearityModel(f=f, period=T2PI, n_mode=2,
-                                 f_tarr=lambda t, x: np.full(np.shape(t), f(0.0, x)))
+                                 f_tarr=flat_grid(lambda x: f(0.0, x)))
     rep = cd.validate_A(model)
     assert rep["passed"]
     assert rep["band_constant"] == pytest.approx(0.0, abs=1e-12)
@@ -520,7 +536,7 @@ def test_validate_A_reports_oscillation_amplitude_as_band_constant():
 
     model = rm.NonlinearityModel(
         f=f, period=T2PI, n_mode=n,
-        f_tarr=lambda t, x: np.full(np.shape(t), f(0.0, x)))
+        f_tarr=flat_grid(lambda x: f(0.0, x)))
     rep = cd.validate_A(model)
     assert rep["passed"]
     assert rep["band_constant"] == pytest.approx(2.0 * c0, rel=0.05)
@@ -529,7 +545,7 @@ def test_validate_A_reports_oscillation_amplitude_as_band_constant():
 def test_validate_A_rejects_linear_left():
     model = rm.NonlinearityModel(
         f=lambda t, x: x, period=T2PI, n_mode=1,
-        f_tarr=lambda t, x: np.full(np.shape(t), float(x)))
+        f_tarr=flat_grid(lambda x: x))
     rep = cd.validate_A(model)
     assert not rep["superlinear_left"]
     assert not rep["passed"]
@@ -546,10 +562,10 @@ def test_validate_A0_strong_force_pass_and_fail():
 
     m_strong = rm.NonlinearityModel(
         f=strong, period=T2PI, domain=rm.SINGULAR, n_mode=2,
-        f_tarr=lambda t, x: np.full(np.shape(t), strong(0.0, x)))
+        f_tarr=flat_grid(lambda x: strong(0.0, x)))
     m_weak = rm.NonlinearityModel(
         f=weak, period=T2PI, domain=rm.SINGULAR, n_mode=2,
-        f_tarr=lambda t, x: np.full(np.shape(t), weak(0.0, x)))
+        f_tarr=flat_grid(lambda x: weak(0.0, x)))
     assert cd.validate_A0_Ainf(m_strong)["passed"]
     rep = cd.validate_A0_Ainf(m_weak)
     assert not rep["strong_force"] and not rep["passed"]
@@ -596,20 +612,22 @@ def test_window_ratio_wall_direction_pair():
     assert not rep["passed"]
 
 
-def test_check_H_evaluates_f_once_per_node(monkeypatch):
+def test_check_H_evaluates_f_once_per_node():
     # a deterministic work count: 25 panels x 12 Gauss nodes between 0 and
-    # -1e4, each evaluated once on the windows of all 3 x 24 cells
+    # -1e4, each evaluated once on the windows of all 3 x 24 cells, in grid
+    # calls of at most GRID_CELLS cells: 13 nodes of 2,376 times each
+    model = rm.from_expression("(1+sin(t)^2)*x^5 + x^3", T2PI)
     calls = []
-    original = rm.NonlinearityModel.f_over_t
 
-    def counted(self, t_grid, x):
-        calls.append(np.size(t_grid))
-        return original(self, t_grid, x)
+    def counted(t, x):
+        calls.append((np.shape(t), np.size(x)))
+        return model.f_tarr(t, x)
 
-    monkeypatch.setattr(rm.NonlinearityModel, "f_over_t", counted)
-    cd.check_H(rm.from_expression("(1+sin(t)^2)*x^5 + x^3", T2PI))
-    assert len(calls) == 300
-    assert set(calls) == {3 * 24 * 33}
+    cd.check_H(dataclasses.replace(model, f_tarr=counted))
+    assert len(calls) == 24
+    assert {shape for shape, _ in calls} == {(3 * 24, 33)}
+    assert sum(n for _, n in calls) == 300
+    assert max(n for _, n in calls) == 13
 
 
 # --------------------------------------------------------------------------
@@ -684,3 +702,47 @@ def test_envelope_table_pinned_by_digest(name):
                     + _hex(env.F2) + [float(env.base).hex()])
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == _GOLDEN["models"][name]["build_envelopes_sha256"]
+
+
+# --------------------------------------------------------------------------
+# the grid form's work and memory budget
+
+
+def test_grid_calls_stay_within_the_cell_budget():
+    # every scan over t calls the grid form on at most GRID_CELLS cells
+    # (256 KiB of float64): the envelopes of validate_A and
+    # validate_A0_Ainf, the windows of check_H, and the residue ladder
+    assert rm.GRID_CELLS == 2 ** 15
+    for name in ("screen_expr_seed1_0", "singular_band"):
+        model = _golden_model(name)
+        cells = []
+
+        def counted(t, x):
+            cells.append(np.size(t) * np.size(x))
+            return model.f_tarr(t, x)
+
+        counting = dataclasses.replace(model, f_tarr=counted)
+        if model.domain == rm.SINGULAR:
+            cd.validate_A0_Ainf(counting)
+        else:
+            cd.validate_A(counting)
+        cd.check_H(counting)
+        cd.ll_verdict(counting, tau_points=64)
+        assert len(cells) > 10 and max(cells) <= rm.GRID_CELLS, name
+
+
+def test_check_H_and_validate_A_peak_memory():
+    # one grid call's arrays are up to 256 KiB and two live at once: 0.87
+    # MiB measured on the screen golden model (0.77 MiB with one call per
+    # x); twice the cells per call would peak near 1.36 MiB
+    model = _golden_model("screen_expr_seed1_0")
+    cd.check_H(model)
+    cd.validate_A(model)
+    tracemalloc.start()
+    try:
+        cd.check_H(model)
+        cd.validate_A(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 ** 20, peak

@@ -87,11 +87,14 @@ def test_domain_error_names_offending_subtree():
 def test_log2_rounds_like_math_log2():
     tree = ex.parse("log2(1 + x)")
     fast = ex.compile_scalar(tree)
-    vec = ex.compile_vector_t(tree)
-    for x in (0.5, 3.0, 7.0, 1e6, 123.456):
+    grid = ex.compile_grid(tree)
+    xs = (0.5, 3.0, 7.0, 1e6, 123.456)
+    for x in xs:
         assert ex.evaluate(tree, 0.0, x) == fast(0.0, x) == math.log2(1 + x)
-        assert float(vec(np.zeros(1), x)[0]) == pytest.approx(math.log2(1 + x),
-                                                              rel=1e-15)
+        assert float(grid(np.zeros(1), x)[0]) == math.log2(1 + x)
+    # over an x row too: a subtree without t runs through math.log2
+    assert list(grid(np.zeros(1), np.array(xs))[:, 0]) == [math.log2(1 + x)
+                                                            for x in xs]
     with pytest.raises(ex.DomainError) as err:
         ex.evaluate(tree, 0.0, -1.0)
     assert "log2(1.0 + x)" in str(err.value)
@@ -100,12 +103,16 @@ def test_log2_rounds_like_math_log2():
 def test_compiled_glued_pair_switches_pieces_at_the_split():
     left, right = ex.parse("x*x*x"), ex.parse("2*x + t")
     fast = ex.compile_scalar(left, right, 1.0)
-    vec = ex.compile_vector_t(left, right, 1.0)
+    grid = ex.compile_grid(left, right, 1.0)
     ts = np.array([0.0, 0.5])
-    for x in (-2.0, 0.0, 0.999, 1.0, 3.0):
+    xs = (-2.0, 0.0, 0.999, 1.0, 3.0)
+    table = grid(ts, np.array(xs))
+    assert table.shape == (5, 2)
+    for x, row in zip(xs, table):
         piece = left if x < 1.0 else right
         assert fast(0.5, x) == ex.evaluate(piece, 0.5, x)
-        assert list(vec(ts, x)) == [ex.evaluate(piece, t, x) for t in ts]
+        want = [ex.evaluate(piece, t, x) for t in ts]
+        assert list(grid(ts, x)) == list(row) == want
 
 
 def _random_ast(rng: random.Random, depth: int) -> ex.Expr:
@@ -127,7 +134,7 @@ def _random_ast(rng: random.Random, depth: int) -> ex.Expr:
 
 def test_print_parse_roundtrip_on_random_trees():
     # each tree also runs its compiled forms against evaluate at 10 points:
-    # the scalar form bit for bit, the vector form to 1e-12, and where
+    # the scalar form bit for bit, the grid's column to 1e-12, and where
     # evaluate raises DomainError the scalar form must raise as well
     rng = random.Random(20240817)
     pts = random.Random(7)
@@ -135,7 +142,7 @@ def test_print_parse_roundtrip_on_random_trees():
         tree = _random_ast(rng, rng.randint(1, 5))
         printed = ex.to_source(tree)
         assert ex.parse(printed) == tree, printed
-        fast, vec = ex.compile_scalar(tree), ex.compile_vector_t(tree)
+        fast, grid = ex.compile_scalar(tree), ex.compile_grid(tree)
         for _ in range(10):
             t, x = pts.uniform(-4.0, 4.0), pts.uniform(-4.0, 4.0)
             try:
@@ -146,7 +153,7 @@ def test_print_parse_roundtrip_on_random_trees():
                 continue
             assert float.hex(fast(t, x)) == float.hex(want), (printed, t, x)
             with np.errstate(all="ignore"):
-                got = float(vec(np.array([t]), x)[0])
+                got = float(grid(np.array([t]), x)[0])
             assert np.isclose(got, want, rtol=1e-12, atol=1e-12,
                               equal_nan=True), (printed, t, x)
 
@@ -192,36 +199,59 @@ def test_eval_matches_oracle_corpus():
 
 def test_vectorized_compile_matches_scalar():
     tree = ex.parse("(1+sin(t)^2)*x^5 + x^3")
-    fv = ex.compile_vector_t(tree)
+    fv = ex.compile_grid(tree)
     fs = ex.compile_scalar(tree)
     ts = np.linspace(0, 7, 11)
-    got = fv(ts, -2.5)
-    want = np.array([fs(float(t), -2.5) for t in ts])
+    xs = np.array([-2.5, 0.0, 1.5])
+    got = fv(ts, xs)
+    want = np.array([[fs(float(t), float(x)) for t in ts] for x in xs])
+    # sin(t)^2 squares in numpy, Python's pow rounds it on its own
     assert np.allclose(got, want, rtol=1e-14)
+    assert np.array_equal(got[0], fv(ts, -2.5))
+
+
+def test_grid_min_and_max_pick_as_python_does():
+    # Python's min(a, b) keeps a unless b < a: min(0.0, -0.0) is 0.0, and
+    # min(nan, 1.0) is nan while min(1.0, nan) is 1.0; np.minimum and
+    # np.maximum pick otherwise
+    ts = np.array([0.0, 1.0])
+    for src in ("min(t, -t)", "max(-t, t)", "min(x, t)", "max(t, x)"):
+        fast = ex.compile_scalar(ex.parse(src))
+        grid = ex.compile_grid(ex.parse(src))
+        for x in (0.0, -0.0, math.nan):
+            assert [v.hex() for v in grid(ts, x).tolist()] == \
+                [fast(t, x).hex() for t in ts.tolist()], (src, x)
 
 
 def test_compiled_power_rejects_negative_base_naming_the_subtree():
     tree = ex.parse("1.5*x + 0.1*x^1.5 + 0.5*cos(t)")
     fast = ex.compile_scalar(tree)
-    vec = ex.compile_vector_t(tree)
+    grid = ex.compile_grid(tree)
     ts = np.linspace(0.0, 1.0, 5)
-    for f, t in ((fast, 0.0), (vec, ts)):
+    for f, t in ((fast, 0.0), (grid, ts)):
         with pytest.raises(ex.DomainError) as err:
             f(t, -1.0)
         assert "x^1.5" in str(err.value)
+    # the grid names the first offending point, x by x
+    with pytest.raises(ex.DomainError, match=r"'x\^1.5' at t=0, x=-1$"):
+        grid(ts, np.array([2.0, -1.0, -3.0]))
     # a non-integer exponent computed from a subexpression is checked too
     with pytest.raises(ex.DomainError, match=r"\(x - 2.0\)\^\(1.0/2.0\)"):
         ex.compile_scalar(ex.parse("(x-2)^(1/2)"))(0.0, 1.0)
     # on a non-negative base the checked power agrees with evaluate
     for x in (0.0, 0.25, 4.0):
         assert fast(0.3, x) == ex.evaluate(tree, 0.3, x)
-        assert list(vec(ts, x)) == [ex.evaluate(tree, t, x) for t in ts]
+        assert list(grid(ts, x)) == [ex.evaluate(tree, t, x) for t in ts]
 
 
 def test_integer_literal_powers_compile_to_plain_pow():
     tree = ex.parse("(1+sin(t)^2)*x^5 + x^3 - 1/x^-2")
-    for compiled in (ex.compile_scalar(tree), ex.compile_vector_t(tree)):
-        assert "_pow" not in compiled.__code__.co_names
+    assert "_pow" not in ex.compile_scalar(tree).__code__.co_names
+    # the grid squares sin(t) in numpy and takes x's powers from Python's
+    # pow, unchecked: a negative x is fine
+    ts, x = np.linspace(0.0, 3.0, 7), -1.5
+    want = (1 + np.sin(ts) ** 2.0) * x ** 5.0 + x ** 3.0 - 1 / x ** -2.0
+    assert np.array_equal(ex.compile_grid(tree)(ts, x), want)
     # an integer-valued exponent from a subexpression takes any base
     fast = ex.compile_scalar(ex.parse("x^(1+1)"))
     assert "_pow" in fast.__code__.co_names

@@ -1,5 +1,6 @@
 """Property tests of the expression trees: printing round-trips through the
-parser, and the compiled scalar and vector forms agree with evaluate()."""
+parser, the compiled scalar and grid forms agree with evaluate(), and every
+column of the grid form is the scalar form's, bit for bit."""
 
 import math
 
@@ -104,7 +105,7 @@ _POINTS = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 @_SETTINGS
 @given(_TOTAL, st.lists(_POINTS, min_size=1, max_size=3), _POINTS)
 def test_compiled_forms_agree_with_evaluate_or_all_raise(tree, ts, x):
-    fast, vec = ex.compile_scalar(tree), ex.compile_vector_t(tree)
+    fast, vec = ex.compile_scalar(tree), ex.compile_grid(tree)
     want = []
     for t in ts:
         try:
@@ -123,3 +124,92 @@ def test_compiled_forms_agree_with_evaluate_or_all_raise(tree, ts, x):
     for t, g, w in zip(ts, got, want):
         assert math.isclose(g, w, rel_tol=0.0,
                             abs_tol=1e-12 * (1.0 + _scale(tree, t, x)))
+
+
+# Grid trees: a subtree without t may use the whole grammar, since the grid
+# form evaluates it through math.* and Python's pow, as compile_scalar
+# does.  Where t enters, numpy's arrays do the arithmetic, and numpy's
+# array power, exp and log differ from libm's in the last bit on some
+# arguments, so those parts keep to sin, cos and operations that round
+# alike; a subtree without t enters them through sin or cos, or as a
+# power of x, so they stay finite.
+_X = st.just(ex.Var("x"))
+_EXPONENTS = st.integers(-4, 8).map(lambda k: ex.Num(k / 2) if k >= 0
+                                    else ex.Neg(ex.Num(-k / 2)))
+_X_POWERS = st.builds(lambda b, e: ex.Bin("^", b, e),
+                      st.one_of(_X, st.builds(lambda k: ex.Bin(
+                          "-", ex.Var("x"), k), _SMALL)), _EXPONENTS)
+
+
+def _x_tree(children):
+    return st.one_of(
+        st.builds(ex.Neg, children),
+        st.builds(ex.Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda b, e: ex.Bin("^", b, e), children, _EXPONENTS),
+        _calls(("sin", "cos", "abs", "exp", "log", "log2"), children),
+        _calls(("min", "max"), children, children))
+
+
+_WITHOUT_T = st.recursive(st.one_of(_SMALL, _X, _X_POWERS), _x_tree,
+                          max_leaves=8)
+
+
+def _t_tree(children):
+    return st.one_of(
+        st.builds(ex.Neg, children),
+        st.builds(ex.Bin, st.sampled_from("+-*"), children, children),
+        _calls(("sin", "cos", "abs"), children),
+        _calls(("min", "max"), children, children))
+
+
+_T_TERMS = st.one_of(st.just(ex.Var("t")), _calls(("sin", "cos"), st.builds(
+    lambda k: ex.Bin("*", k, ex.Var("t")), _SMALL)))
+_WITH_T = st.builds(
+    lambda a, op, b: ex.Bin(op, a, b),
+    st.recursive(st.one_of(_SMALL, _X, _T_TERMS, _X_POWERS,
+                           _calls(("sin", "cos"), _WITHOUT_T)),
+                 _t_tree, max_leaves=8),
+    st.sampled_from("+-*"), _T_TERMS)
+_GRID_TREES = st.one_of(_WITHOUT_T, _WITH_T)
+
+
+def _scalar_column(fast, ts, x):
+    """The scalar form's values at (t, x) for each t, or None if it
+    raises at any of them."""
+    try:
+        return [fast(t, x) for t in ts]
+    except (ValueError, ArithmeticError):
+        return None
+
+
+@_SETTINGS
+@given(_GRID_TREES, _GRID_TREES, st.sampled_from((0.0, 1.0)),
+       st.lists(_POINTS, min_size=1, max_size=3),
+       st.lists(_POINTS, min_size=1, max_size=5))
+def test_grid_columns_equal_the_scalar_form(left, right, split, ts, xs):
+    # each piece of the glued pair has a log that is undefined across the
+    # split: the grid evaluates a piece on its own side's x only
+    left = ex.Bin("+", left, ex.Call("log", (ex.Bin(
+        "-", ex.Num(split), ex.Var("x")),)))
+    right = ex.Bin("+", right, ex.Call("log", (ex.Bin(
+        "-", ex.Var("x"), ex.Num(split - 0.5)),)))
+    ts = np.array(ts)
+    for trees in ((left,), (right,), (left, right)):
+        fast = ex.compile_scalar(*trees, split=split)
+        grid = ex.compile_grid(*trees, split=split)
+        want = [_scalar_column(fast, ts.tolist(), x) for x in xs]
+        for x, col in zip(xs, want):
+            if col is None:
+                with pytest.raises((ValueError, ArithmeticError)):
+                    grid(ts, x)
+            else:
+                assert [v.hex() for v in grid(ts, x).tolist()] == \
+                    [v.hex() for v in col]
+        if None in want:
+            with pytest.raises((ValueError, ArithmeticError)):
+                grid(ts, np.array(xs))
+            continue
+        table = grid(ts, np.array(xs))
+        assert table.shape == (len(xs), len(ts))
+        assert [[v.hex() for v in row] for row in table.tolist()] == \
+            [[v.hex() for v in col] for col in want]

@@ -1,5 +1,6 @@
 """Registered families: expression templates compiled from one tree each."""
 
+import dataclasses
 import math
 import random
 
@@ -131,25 +132,26 @@ def test_linear_resonant_pumps_mode_half_N_plus_one():
 @pytest.mark.parametrize("model", [rm.make_cubic_band(),
                                    rm.make_singular_band()],
                          ids=["full-line", "singular"])
-def test_t_envelope_is_min_and_max_over_t(monkeypatch, model):
+def test_t_envelope_is_min_and_max_over_t(model):
+    # one grid call for all three x, on the flat grid and on the windows
     xs = [0.3, 2.5, 40.0]
     grid = rm.periodic_grid(model.period, rm.ENVELOPE_T_POINTS)
     windows = np.linspace([0.1, 2.0], [0.9, 3.5], 7, axis=1)   # two rows
     want = [model.f_over_t(grid, x) for x in xs]
     want_win = [model.f_over_t(windows.ravel(), x).reshape(2, 7) for x in xs]
     calls = []
-    original = rm.NonlinearityModel.f_over_t
 
-    def counted(self, t_grid, x):
-        calls.append(x)
-        return original(self, t_grid, x)
+    def counted(t, x):
+        calls.append((np.shape(t), list(x)))
+        return model.f_tarr(t, x)
 
-    monkeypatch.setattr(rm.NonlinearityModel, "f_over_t", counted)
-    f1, f2 = model.t_envelope(xs, grid)
-    assert calls == xs
+    counting = dataclasses.replace(model, f_tarr=counted)
+    f1, f2 = counting.t_envelope(xs, grid)
+    assert calls == [(grid.shape, xs)]
     assert list(f1) == [min(v) for v in want]
     assert list(f2) == [max(v) for v in want]
-    f1, f2 = model.t_envelope(xs, windows)
+    f1, f2 = counting.t_envelope(xs, windows)
+    assert calls[1:] == [(windows.shape, xs)]
     assert f1.shape == f2.shape == (3, 2)
     assert np.array_equal(f1, [v.min(axis=1) for v in want_win])
     assert np.array_equal(f2, [v.max(axis=1) for v in want_win])

@@ -10,6 +10,7 @@ from resonance import solver as sv
 from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
                                  integrate, integrate_system)
 from resonance.solver import homotopy_solve
+from oracles import flat_grid
 
 
 T2PI = 2 * math.pi
@@ -18,7 +19,7 @@ T2PI = 2 * math.pi
 def _autonomous(f_of_r):
     return rm.NonlinearityModel(
         f=lambda t, r: f_of_r(r), period=T2PI, domain=rm.SINGULAR, n_mode=2,
-        f_tarr=lambda t, r: np.full(np.shape(t), float(f_of_r(r))))
+        f_tarr=flat_grid(f_of_r))
 
 
 @pytest.fixture(scope="module")
