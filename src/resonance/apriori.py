@@ -72,8 +72,9 @@ class EnvelopePair:
         if energy < tab[0] - 1e-12:
             raise TableRangeError(f"energy {energy:.6g} below table range")
         if energy > tab[-1]:
-            raise TableRangeError(f"energy {energy:.6g} beyond table range "
-                                  f"(max {tab[-1]:.6g}); enlarge the x grid")
+            raise TableRangeError(f"energy {energy:.6g} beyond table range: "
+                                  f"F2 reaches {tab[-1]:.6g} at the table's "
+                                  f"far end x = {xs[-1]:.6g}")
         k = int(np.searchsorted(tab, energy))
         if k == 0:
             return float(xs[0])

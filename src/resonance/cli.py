@@ -505,6 +505,12 @@ def _radial_stage(cfg, model, opts, out_dir, report):
 
 
 def _cmd_spectrum(args) -> int:
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise ConfigError(f"--T must be a finite positive number, "
+                          f"got {args.T!r}")
+    for flag, value in (("--jmax", args.jmax), ("--points", args.points)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be a positive integer, got {value}")
     rows = []
     for j in range(1, args.jmax + 1):
         for mu, nu in sp.sample_curve(j, args.T, n=args.points):

@@ -12,9 +12,10 @@ unary minus sits between * and ^):
 Known functions: sin, cos, abs, exp, log, log2 (one argument), min, max
 (two).  Parsed trees are immutable; evaluation is reentrant.
 
-A tree compiles to two forms: compile_scalar, f(t, x) on two numbers, which
-the integrator calls, and compile_grid, f at every pair of an array of
-times and one x or a row of x, which every scan over t calls.
+A tree compiles to two forms, each generated once: compile_scalar, f(t, x)
+on two numbers, which the integrator calls, and compile_grid, f at every
+pair of an array of times and an array of x (a number being a 0-d one),
+which every scan over t calls.
 """
 
 from __future__ import annotations
@@ -201,7 +202,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text), span=(off, off + len(text)))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(off, ("a finite number",), text)
+            return Num(value, span=(off, off + len(text)))
         if kind == "ident":
             if text in _VARS:
                 return Var(text, span=(off, off + len(text)))
@@ -461,10 +465,9 @@ def _mark_t(node: Expr, with_t: set) -> bool:
 
 
 class _GridCode:
-    """The two bodies of one tree: over a t array at one x (the column
-    body), and over a t array and an x row (the row body).  A subtree
-    without t is compile_scalar's code: inline in the column body, and in
-    the row body the k-th is the name _vk, computed first once per x."""
+    """The body of one tree over a t array and an x row.  A subtree
+    without t is compile_scalar's code, and the k-th is the name _vk,
+    computed first once per x."""
 
     def __init__(self, tree: Expr):
         self.with_t: set = set()
@@ -472,13 +475,14 @@ class _GridCode:
         self.checked: list = []
         self.rows: list[str] = []
 
-    def code(self, node: Expr) -> tuple[str, str]:
-        if isinstance(node, (Num, Var)):
-            leaf = repr(node.value) if isinstance(node, Num) else node.name
-            return leaf, leaf
+    def code(self, node: Expr) -> str:
+        if isinstance(node, Num):
+            return repr(node.value)
+        if isinstance(node, Var):
+            return node.name
         if id(node) not in self.with_t:
             self.rows.append(_codegen(node, self.checked))
-            return self.rows[-1], f"_v{len(self.rows) - 1}"
+            return f"_v{len(self.rows) - 1}"
         parts = [self.code(c) for c in _children(node)]
         if isinstance(node, Neg):
             form = "(-{0})"
@@ -496,7 +500,7 @@ class _GridCode:
             form = f"{fn}({{0}}, {{1}}, _checked[{self._check(node)}], t, x)"
         else:
             form = f"({{0}} {node.op} {{1}})"
-        return tuple(form.format(*(p[i] for p in parts)) for i in (0, 1))
+        return form.format(*parts)
 
     def _check(self, node: Expr) -> int:
         self.checked.append(node)
@@ -508,16 +512,15 @@ _GRID_NS = dict(_SCALAR_NS, np=np, _tpow=_tpow, _tlog=_tlog, _tdiv=_tdiv,
 
 
 def _grid_piece(tree: Expr) -> tuple:
-    """(tree, column, row): the compiled column and row bodies of a tree."""
+    """(tree, body): the compiled body of a tree."""
     gen = _GridCode(tree)
-    column, row = gen.code(tree)
+    body = gen.code(tree)
     ns = dict(_GRID_NS, _checked=tuple(gen.checked))
     lines = "".join(f"    _v{i} = np.array([{src} for x in xs])"
                     ".reshape(x.shape)\n" for i, src in enumerate(gen.rows))
-    exec(f"def column(t, x):\n    return {column}\n"
-         f"def row(t, x):\n    xs = x.ravel().tolist()\n{lines}"
-         f"    return {row}\n", ns)
-    return tree, ns["column"], ns["row"]
+    exec(f"def body(t, x):\n    xs = x.ravel().tolist()\n{lines}"
+         f"    return {body}\n", ns)
+    return tree, ns["body"]
 
 
 def _located(tree: Expr, err: Exception, t, xs) -> Exception:
@@ -539,12 +542,12 @@ def _located(tree: Expr, err: Exception, t, xs) -> Exception:
 def compile_grid(node: Expr, right: Expr | None = None, split: float = 0.0):
     """Compile to the grid form f(t, x) over every pair of a time and an x.
 
-    t is an array of times; x is either a number, which gives one value
-    per time in the shape of t (the one-column case), or a 1-D array, the
-    row, which gives one such column per x: an array of shape
-    x.shape + t.shape whose k-th entry is the column at x[k].  `right`
-    and `split` glue a pair as in compile_scalar, and each piece is
-    evaluated only on the x of its own side.
+    t is an array of times and x an array of x, a number being a 0-d one:
+    the result holds one column of values over t per x, an array of shape
+    x.shape + t.shape whose k-th entry is the column at x[k] (the shape of
+    t at a number x).  Each tree has one generated body, and every call
+    runs it.  `right` and `split` glue a pair as in compile_scalar, and
+    each piece is evaluated only on the x of its own side.
 
     Every value is float.hex-equal to compile_scalar's wherever numpy's
     array functions round as math.* does on the subtrees with t (see the
@@ -560,7 +563,7 @@ def compile_grid(node: Expr, right: Expr | None = None, split: float = 0.0):
                             # scan over t (the radial search's reduced fields)
 
     def row(piece, t, x):
-        tree, _, body = piece
+        tree, body = piece
         try:
             out = body(t, x.reshape(x.shape + (1,) * t.ndim))
         except (ValueError, ArithmeticError) as err:
@@ -571,25 +574,16 @@ def compile_grid(node: Expr, right: Expr | None = None, split: float = 0.0):
     def grid(t, x):
         if not pieces:
             pieces[:] = [_grid_piece(tree) for tree in trees]
-        first, last = pieces[0], pieces[-1]
         t = np.asarray(t, dtype=float)
-        if not isinstance(x, np.ndarray):
-            x = float(x)
-            tree, column, _ = first if x < split else last
-            try:
-                out = column(t, x)
-            except (ValueError, ArithmeticError) as err:
-                raise _located(tree, err, t, x) from None
-            return out if np.shape(out) == t.shape else np.full(t.shape, out)
-        x = x.astype(float, copy=False)
+        x = np.asarray(x, dtype=float)
         left = x < split
         if right is None or left.all():
-            return row(first, t, x)
+            return row(pieces[0], t, x)
         if not left.any():
-            return row(last, t, x)
+            return row(pieces[-1], t, x)
         out = np.empty(x.shape + t.shape)
-        out[left] = row(first, t, x[left])
-        out[~left] = row(last, t, x[~left])
+        out[left] = row(pieces[0], t, x[left])
+        out[~left] = row(pieces[-1], t, x[~left])
         return out
 
     return grid

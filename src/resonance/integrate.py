@@ -141,9 +141,12 @@ class HomotopyField:
     interpolates on [-1, 0]; in singular mode it does the same above x = 1,
     interpolating on [1/2, 1].  mu is the midpoint of the declared band.
 
-    The field is compiled once per instance: on first use g and h build
-    closures with lam, mu and f bound, so an evaluation does no attribute
-    lookups and never recomputes mu.
+    The field is compiled once per instance: on first use g builds one
+    closure with lam, mu and f bound, so an evaluation does no attribute
+    lookups and never recomputes mu.  f for lam = 1, else the blend
+    written out once, lam = 0 included: there f is still evaluated at
+    every x and weighted by 0, so g is h wherever f is finite and nan
+    where f overflows.
     """
 
     model: NonlinearityModel
@@ -180,34 +183,11 @@ class HomotopyField:
             raise
 
     @cached_property
-    def _h(self) -> Callable[[float, float], float]:
-        mu = self.mu_mid
-        f = self.model.f
-        if self.model.domain == FULL_LINE:
-            def h(t, x):
-                if x < -1.0:
-                    return f(t, x)
-                if x <= 0.0:
-                    return mu * x + x * (mu * x - f(t, x))
-                return mu * x
-        else:
-            def h(t, x):
-                if x < 0.5:
-                    return f(t, x)
-                if x <= 1.0:
-                    return (2.0 * x - 1.0) * mu * x + (2.0 - 2.0 * x) * f(t, x)
-                return mu * x
-        return h
-
-    @cached_property
     def _g(self) -> Callable[[float, float], float]:
         lam = self.lam
         f = self.model.f
         if lam == 1.0:
             return f
-        h = self._h
-        if lam == 0.0:
-            return h
         lam_h = 1.0 - lam
         mu = self.mu_mid
         # the blend of h, written out so that f is evaluated once per call

@@ -29,13 +29,14 @@ class NonlinearityModel:
 
     f is the scalar fast path used inside integrator loops; f_tarr is the
     grid form of f, used by every scan over t: f_tarr(t, x) takes an
-    array of times t and either one x, giving one value per time in the
-    shape of t, or a 1-D array of x, giving one such column per x in an
-    array of shape x.shape + t.shape (expr.compile_grid).  domain is
-    "full_line" (x ranges over all reals) or "singular" (x > 0 with a wall
-    at 0).  n_mode is the declared integer N placing the linear band
-    [mu_N, mu_N+1] at +infinity.  trees holds the expression trees f was
-    compiled from: one, or a left/right pair glued at split_point(domain).
+    array of times t and an array of x, a number being a 0-d one, and
+    gives one column of values over t per x in an array of shape
+    x.shape + t.shape (expr.compile_grid: one generated body per tree).
+    domain is "full_line" (x ranges over all reals) or "singular" (x > 0
+    with a wall at 0).  n_mode is the declared integer N placing the
+    linear band [mu_N, mu_N+1] at +infinity.  trees holds the expression
+    trees f was compiled from: one, or a left/right pair glued at
+    split_point(domain).
     A model built from callables alone, without f_tarr, serves the
     integrator only.
     """
@@ -48,7 +49,7 @@ class NonlinearityModel:
     trees: tuple = ()
 
     def f_over_t(self, t_grid: np.ndarray, x: float) -> np.ndarray:
-        """f at each time of t_grid at one x: the grid's one-column case."""
+        """f at each time of t_grid at one x: the grid at a 0-d x."""
         return self.f_tarr(t_grid, float(x))
 
     def grid_map(self, xs, t_grid: np.ndarray, fn) -> list:

@@ -81,25 +81,33 @@ def _mean_f(model: NonlinearityModel):
     return fbar
 
 
-def _first_crossing(fun) -> float:
-    """Root of fun inside the first sign change from below to above zero
-    of a geometric scan over [1e-2, 1e3], which stops there, bisected to a
-    relative bracket width of CIRCULAR_TOL.  NoBracketError when the scan
-    finds none."""
-    grid = np.geomspace(1e-2, 1e3, 120).tolist()
-    below = fun(grid[0]) < 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        val = fun(hi)
+def _first_crossing(model: NonlinearityModel, balance) -> float:
+    """Root of r -> balance(r, fbar(r)), fbar the t-average of f
+    (_mean_f), inside the first sign change from below to above zero of a
+    geometric scan over [1e-2, 1e3], which stops there, bisected to a
+    relative bracket width of CIRCULAR_TOL.  fbar at every rung of the
+    scan comes from one grid call, its means taken row by row; each
+    midpoint of the bisection costs one call of fbar.  NoBracketError
+    when the scan finds none."""
+    t_grid = periodic_grid(model.period, MEAN_F_T_POINTS)
+    grid = np.geomspace(1e-2, 1e3, 120)
+    rungs = zip(grid.tolist(), model.f_tarr(t_grid, grid).mean(axis=-1).tolist())
+    lo, fbar_lo = next(rungs)
+    below = balance(lo, fbar_lo) < 0.0
+    for hi, fbar_hi in rungs:
+        val = balance(hi, fbar_hi)
         if below and val > 0.0:
             break
         below = val < 0.0
+        lo = hi
     else:
         raise NoBracketError("no sign change in the scan range")
+    fbar = _mean_f(model)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < CIRCULAR_TOL * max(1.0, mid):
             break
-        if fun(mid) >= 0.0:
+        if balance(mid, fbar(mid)) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -111,8 +119,7 @@ def circular_orbit(model: NonlinearityModel, L: float) -> float:
     fbar of f (_first_crossing): the start of a profile solve.
     NoBracketError when the scan finds no balance.
     """
-    fbar = _mean_f(model)
-    return _first_crossing(lambda r: fbar(r) - L * L / r ** 3)
+    return _first_crossing(model, lambda r, fbar_r: fbar_r - L * L / r ** 3)
 
 
 def _circular_momentum(model: NonlinearityModel, target: float) -> float:
@@ -120,13 +127,12 @@ def _circular_momentum(model: NonlinearityModel, target: float) -> float:
     period: rho solves T sqrt(fbar(rho)/rho) = target (_first_crossing)
     and L = rho^2 sqrt(fbar(rho)/rho).  NoBracketError when no circular
     orbit advances by the target."""
-    fbar = _mean_f(model)
+    def rate(r, fbar_r):
+        return math.sqrt(max(fbar_r, 0.0) / r)
 
-    def rate(r):
-        return math.sqrt(max(fbar(r), 0.0) / r)
-
-    rho = _first_crossing(lambda r: model.period * rate(r) - target)
-    return rho * rho * rate(rho)
+    rho = _first_crossing(
+        model, lambda r, fbar_r: model.period * rate(r, fbar_r) - target)
+    return rho * rho * rate(rho, _mean_f(model)(rho))
 
 
 def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,

@@ -78,6 +78,12 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["model.f", "bogus"]),
     ({"model": {"f_left": "x^3", "f_right": "2*x +", "T": 2 * math.pi,
                 "N": 2}}, ["model.f_right"]),
+    ({"model": {"f": "x^3 + 1e999*cos(t)", "T": 2 * math.pi, "N": 2}},
+     ["model.f", "1e999"]),
+    ({"model": {"f_left": "x^3 + 1e999*cos(t)", "f_right": "2*x",
+                "T": 2 * math.pi, "N": 2}}, ["model.f_left", "1e999"]),
+    ({"model": {"f_left": "x^3", "f_right": "2*x - 1e999",
+                "T": 2 * math.pi, "N": 2}}, ["model.f_right", "1e999"]),
     ({"model": dict(_BAND, params={"forcing": "x"})},
      ["model.params.forcing"]),
     ({"model": dict(_BAND, family="linear_resonant")}, ["model.N", "odd"]),
@@ -119,6 +125,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "out_dir": 5}, ["out_dir"]),
 ], ids=["family-param", "family", "family-param-name", "grid-type",
         "grid-range", "tolerance", "unknown-identifier", "parse-error",
+        "literal-overflow-f", "literal-overflow-f_left",
+        "literal-overflow-f_right",
         "family-param-type", "linear-resonant-even-N", "radial-nu-type",
         "radial-k-range", "radial-k-order", "mu-unknown", "seed-unknown",
         "section-type", "tolerance-negative", "tolerance-zero",
@@ -306,6 +314,21 @@ def test_spectrum_command_writes_curves(tmp_path):
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "j,mu,nu"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "-1"), ("--T", "0"), ("--T", "inf"), ("--T", "nan"),
+    ("--jmax", "0"), ("--points", "-3")])
+def test_spectrum_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    args = {"--T": "6.283185307179586", "--jmax": "3", "--points": "50"}
+    args[flag] = value
+    out = tmp_path / "out"
+    code = cli.main(["spectrum", *(a for kv in args.items() for a in kv),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
 
 
 def test_verify_command_passes_band_model(tmp_path):

@@ -61,6 +61,11 @@ def test_syntax_error_carries_offset_and_expectations():
         ex.parse("x + * 2")
     assert err.value.offset == 4
     assert err.value.expected
+    # 1e999 rounds to inf, which no source spells: parse rejects it where
+    # it stands, so every tree that parses prints back to a source that does
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse("x^3 + 1e999*cos(t)")
+    assert err.value.offset == 6
 
 
 def test_unknown_identifier_error():

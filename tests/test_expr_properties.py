@@ -193,6 +193,7 @@ def test_grid_columns_equal_the_scalar_form(left, right, split, ts, xs):
         "-", ex.Num(split), ex.Var("x")),)))
     right = ex.Bin("+", right, ex.Call("log", (ex.Bin(
         "-", ex.Var("x"), ex.Num(split - 0.5)),)))
+    # a number x runs the same body as an x row, as a 0-d one
     ts = np.array(ts)
     for trees in ((left,), (right,), (left, right)):
         fast = ex.compile_scalar(*trees, split=split)

@@ -40,9 +40,17 @@ def test_g_lambda_endpoints_and_interpolation():
     fld1 = ig.HomotopyField(model, 1.0)
     assert fld1.g(0.3, 2.0) == f_val
 
+    # at lam = 0 the blend 0*f + 1*h is h's closed form on every branch,
+    # float for float, the knots included
     fld0 = ig.HomotopyField(model, 0.0)
     mu = fld0.mu_mid
-    assert fld0.g(0.7, 2.0) == pytest.approx(2.0 * mu, rel=1e-14)
+    for x in (-2.3, -1.0):
+        assert fld0.g(0.7, x) == model.f(0.7, x)
+    for x in (-0.7, -0.5, -0.3, 0.0):
+        fx = model.f(0.7, x)
+        assert fld0.g(0.7, x) == mu * x + x * (mu * x - fx)
+    for x in (0.3, 2.7):
+        assert fld0.g(0.7, x) == mu * x
 
     # hand substitution at x = -1/2: mu x + x(mu x - f) = -mu/4 + q/2
     q = model.f(0.7, -0.5)
@@ -69,8 +77,13 @@ def test_g_lambda_singular_pieces():
     model = rm.make_singular_band()
     fld0 = ig.HomotopyField(model, 0.0)
     mu = fld0.mu_mid
-    assert fld0.g(0.1, 2.0) == pytest.approx(2.0 * mu, rel=1e-14)
+    # lam = 0: h's closed form on every branch, float for float
     assert fld0.g(0.1, 0.3) == model.f(0.1, 0.3)
+    for x in (0.5, 0.6, 0.83, 1.0):
+        fx = model.f(0.1, x)
+        assert fld0.g(0.1, x) == (2.0 * x - 1.0) * mu * x + (2.0 - 2.0 * x) * fx
+    for x in (1.3, 2.7):
+        assert fld0.g(0.1, x) == mu * x
     for x0 in (0.5, 1.0):
         lo = fld0.g(0.1, x0 - 1e-9)
         hi = fld0.g(0.1, x0 + 1e-9)
