@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Bin", "Call",
-    "ParseError", "UnknownIdentifierError", "DomainError",
+    "ParseError", "UnknownIdentifierError", "DomainError", "WallError",
     "parse", "to_source", "evaluate", "compile_scalar", "compile_grid",
 ]
 
@@ -68,6 +68,11 @@ class DomainError(ArithmeticError):
         if point is not None:
             text += f" at t={point[0]:.6g}, x={point[1]:.6g}"
         super().__init__(text)
+
+
+class WallError(ArithmeticError):
+    """A field compiled with a wall (compile_scalar's `wall`) was
+    evaluated at x <= 0: a singular-mode model is defined on x > 0 only."""
 
 
 @dataclass(frozen=True)
@@ -364,27 +369,33 @@ def _codegen(node: Expr, checked: list) -> str:
     return f"({left} {node.op} {right})"
 
 
-_SCALAR_NS = {"math": math, "abs": abs, "min": min, "max": max, "_pow": _pow}
+_SCALAR_NS = {"math": math, "abs": abs, "min": min, "max": max, "_pow": _pow,
+              "WallError": WallError}
 
 
-def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0):
+def compile_scalar(node: Expr, right: Expr | None = None, split: float = 0.0,
+                   wall: bool = False):
     """Compile to a fast scalar callable f(t, x) -> float.
 
     With `right`, the glued pair `node if x < split else right` becomes
-    one callable.  Uses math.* so domain violations surface as
-    ValueError / ZeroDivisionError / OverflowError, except that a ^ whose
-    exponent is not an integer literal runs evaluate()'s checked power
-    (Python would return a complex number for a negative base) and raises
-    DomainError naming the subexpression.  The slower evaluate() names
-    the offending subtree of the other violations when a diagnostic is
-    needed.
+    one callable.  With `wall`, the callable tests x <= 0 before anything
+    else and raises WallError there, the one comparison that keeps a
+    singular-mode model on x > 0.  Uses math.* so domain violations
+    surface as ValueError / ZeroDivisionError / OverflowError, except that
+    a ^ whose exponent is not an integer literal runs evaluate()'s checked
+    power (Python would return a complex number for a negative base) and
+    raises DomainError naming the subexpression.  The slower evaluate()
+    names the offending subtree of the other violations when a diagnostic
+    is needed.
     """
     checked: list = []
     code = _codegen(node, checked)
     if right is not None:
         code = f"({code}) if x < {split!r} else ({_codegen(right, checked)})"
-    return eval(f"lambda t, x: {code}",
-                dict(_SCALAR_NS, _checked=tuple(checked)))
+    guard = "    if x <= 0.0:\n        raise WallError\n" if wall else ""
+    ns = dict(_SCALAR_NS, _checked=tuple(checked))
+    exec(f"def f(t, x):\n{guard}    return {code}\n", ns)
+    return ns.pop("f")      # not kept in its own globals: no reference cycle
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ output.  The polar angle about the rotation center ((0,0) on the full line,
 (1,0) in singular mode) is lifted continuously along the samples,
 subdividing steps through the dense output whenever the swept angle would
 jump.  A step builds its dense output (three more field evaluations) only
-when an event flips sign, a kink is near or the angle is subdivided.
+when an event flips sign, a kink is near or the angle is subdivided.  A
+stage at which the field raises is thrown away.  In singular mode that
+holds the wall: the model's f raises at x <= 0, and a predictive cap
+keeps each step short of it.
 
 A kink is a point where g's x-derivative jumps (HomotopyField.kinks).  A
 step across one loses accuracy, and the error estimate sees that only
@@ -34,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import DomainError, evaluate
+from .expr import DomainError, WallError, evaluate
 from .model import FULL_LINE, SINGULAR, NonlinearityModel, split_point
 from .spectrum import eigenvalue
 
@@ -70,14 +73,11 @@ class LapPatternError(RuntimeError):
     """Crossing pattern of a large lap not found in the event stream."""
 
 
-class _StageDomain(Exception):
-    pass
-
-
 # what a field evaluation at a trial stage may raise; a stage error
-# rejects the step
+# rejects the step.  WallError (a singular-mode stage at x <= 0) carries no
+# state: the wall is no subexpression to name at step underflow
 _FIELD_ERRORS = (DomainError, ValueError, ZeroDivisionError, OverflowError)
-_STAGE_ERRORS = (_StageDomain,) + _FIELD_ERRORS
+_STAGE_ERRORS = (WallError,) + _FIELD_ERRORS
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class _Dense:
 
     __slots__ = ("t0", "h", "cx", "cy", "extra")
 
-    def __init__(self, g, singular, t, h, x, y, x1, y1, kx, ky):
+    def __init__(self, g, t, h, x, y, x1, y1, kx, ky):
         kx1, kx6, kx7, kx8, kx9, kx10, kx11, kx12, kx13 = kx
         ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12, ky13 = ky
         x14 = x + h * (_A14_1 * kx1 + _A14_7 * kx7 + _A14_8 * kx8
@@ -352,8 +352,6 @@ class _Dense:
         kx14 = y + h * (_A14_1 * ky1 + _A14_7 * ky7 + _A14_8 * ky8
                         + _A14_9 * ky9 + _A14_10 * ky10 + _A14_11 * ky11
                         + _A14_12 * ky12 + _A14_13 * ky13)
-        if singular and x14 <= 0.0:
-            raise _StageDomain()
         ky14 = -g(t + _C14 * h, x14)
         x15 = x + h * (_A15_1 * kx1 + _A15_6 * kx6 + _A15_7 * kx7
                        + _A15_8 * kx8 + _A15_11 * kx11 + _A15_12 * kx12
@@ -361,8 +359,6 @@ class _Dense:
         kx15 = y + h * (_A15_1 * ky1 + _A15_6 * ky6 + _A15_7 * ky7
                         + _A15_8 * ky8 + _A15_11 * ky11 + _A15_12 * ky12
                         + _A15_13 * ky13 + _A15_14 * ky14)
-        if singular and x15 <= 0.0:
-            raise _StageDomain()
         ky15 = -g(t + _C15 * h, x15)
         x16 = x + h * (_A16_1 * kx1 + _A16_6 * kx6 + _A16_7 * kx7
                        + _A16_8 * kx8 + _A16_9 * kx9 + _A16_13 * kx13
@@ -370,8 +366,6 @@ class _Dense:
         kx16 = y + h * (_A16_1 * ky1 + _A16_6 * ky6 + _A16_7 * ky7
                         + _A16_8 * ky8 + _A16_9 * ky9 + _A16_13 * ky13
                         + _A16_14 * ky14 + _A16_15 * ky15)
-        if singular and x16 <= 0.0:
-            raise _StageDomain()
         ky16 = -g(t + _C16 * h, x16)
         self.t0, self.h = t, h
         self.extra = (x14, kx14, x15, kx15, x16, kx16)
@@ -455,8 +449,10 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     trajectory bit-identical to the run without it; in singular mode it
     sees only stage states with x > 0.
     A stage at which the field raises is rejected like one that fails the
-    error test.  Raises BlowUpError on step underflow with a growing state
-    and DomainExitError when a singular-mode solution reaches the wall.
+    error test; in singular mode that includes every stage at or past the
+    wall, where the model's compiled f raises expr.WallError.  Raises
+    BlowUpError on step underflow with a growing state and
+    DomainExitError when a singular-mode solution reaches the wall.
     When the last rejection before an underflow was a field evaluation
     that raised and the model has expression trees, the tree is evaluated
     at that stage's (t, x) instead: the DomainError naming the
@@ -469,8 +465,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         raise ValueError("initial state must be finite")
 
     # The stage slopes of x' = y, y' = -g(t, x) are written out below: the
-    # x-slope is the stage's y, the y-slope -g(t, x).  In singular mode a
-    # stage at x <= 0 is rejected before g sees it.
+    # x-slope is the stage's y, the y-slope -g(t, x).  In singular mode g
+    # raises at a stage at x <= 0, and the stage is rejected.
     g = fld.g
     kinks = fld.kinks
     cx = 1.0 if singular else 0.0
@@ -528,49 +524,33 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         try:
             x2 = x + h * (_A2_1 * kx1)
             kx2 = y + h * (_A2_1 * ky1)
-            if singular and x2 <= 0.0:
-                raise _StageDomain()
             ky2 = -g(t + _C2 * h, x2)
             x3 = x + h * (_A3_1 * kx1 + _A3_2 * kx2)
             kx3 = y + h * (_A3_1 * ky1 + _A3_2 * ky2)
-            if singular and x3 <= 0.0:
-                raise _StageDomain()
             ky3 = -g(t + _C3 * h, x3)
             x4 = x + h * (_A4_1 * kx1 + _A4_3 * kx3)
             kx4 = y + h * (_A4_1 * ky1 + _A4_3 * ky3)
-            if singular and x4 <= 0.0:
-                raise _StageDomain()
             ky4 = -g(t + _C4 * h, x4)
             x5 = x + h * (_A5_1 * kx1 + _A5_3 * kx3 + _A5_4 * kx4)
             kx5 = y + h * (_A5_1 * ky1 + _A5_3 * ky3 + _A5_4 * ky4)
-            if singular and x5 <= 0.0:
-                raise _StageDomain()
             ky5 = -g(t + _C5 * h, x5)
             x6 = x + h * (_A6_1 * kx1 + _A6_4 * kx4 + _A6_5 * kx5)
             kx6 = y + h * (_A6_1 * ky1 + _A6_4 * ky4 + _A6_5 * ky5)
-            if singular and x6 <= 0.0:
-                raise _StageDomain()
             ky6 = -g(t + _C6 * h, x6)
             x7 = x + h * (_A7_1 * kx1 + _A7_4 * kx4 + _A7_5 * kx5
                           + _A7_6 * kx6)
             kx7 = y + h * (_A7_1 * ky1 + _A7_4 * ky4 + _A7_5 * ky5
                            + _A7_6 * ky6)
-            if singular and x7 <= 0.0:
-                raise _StageDomain()
             ky7 = -g(t + _C7 * h, x7)
             x8 = x + h * (_A8_1 * kx1 + _A8_4 * kx4 + _A8_5 * kx5
                           + _A8_6 * kx6 + _A8_7 * kx7)
             kx8 = y + h * (_A8_1 * ky1 + _A8_4 * ky4 + _A8_5 * ky5
                            + _A8_6 * ky6 + _A8_7 * ky7)
-            if singular and x8 <= 0.0:
-                raise _StageDomain()
             ky8 = -g(t + _C8 * h, x8)
             x9 = x + h * (_A9_1 * kx1 + _A9_4 * kx4 + _A9_5 * kx5
                           + _A9_6 * kx6 + _A9_7 * kx7 + _A9_8 * kx8)
             kx9 = y + h * (_A9_1 * ky1 + _A9_4 * ky4 + _A9_5 * ky5
                            + _A9_6 * ky6 + _A9_7 * ky7 + _A9_8 * ky8)
-            if singular and x9 <= 0.0:
-                raise _StageDomain()
             ky9 = -g(t + _C9 * h, x9)
             x10 = x + h * (_A10_1 * kx1 + _A10_4 * kx4 + _A10_5 * kx5
                            + _A10_6 * kx6 + _A10_7 * kx7 + _A10_8 * kx8
@@ -578,8 +558,6 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             kx10 = y + h * (_A10_1 * ky1 + _A10_4 * ky4 + _A10_5 * ky5
                             + _A10_6 * ky6 + _A10_7 * ky7 + _A10_8 * ky8
                             + _A10_9 * ky9)
-            if singular and x10 <= 0.0:
-                raise _StageDomain()
             ky10 = -g(t + _C10 * h, x10)
             x11 = x + h * (_A11_1 * kx1 + _A11_4 * kx4 + _A11_5 * kx5
                            + _A11_6 * kx6 + _A11_7 * kx7 + _A11_8 * kx8
@@ -587,8 +565,6 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             kx11 = y + h * (_A11_1 * ky1 + _A11_4 * ky4 + _A11_5 * ky5
                             + _A11_6 * ky6 + _A11_7 * ky7 + _A11_8 * ky8
                             + _A11_9 * ky9 + _A11_10 * ky10)
-            if singular and x11 <= 0.0:
-                raise _StageDomain()
             ky11 = -g(t + _C11 * h, x11)
             x12 = x + h * (_A12_1 * kx1 + _A12_4 * kx4 + _A12_5 * kx5
                            + _A12_6 * kx6 + _A12_7 * kx7 + _A12_8 * kx8
@@ -596,8 +572,6 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             kx12 = y + h * (_A12_1 * ky1 + _A12_4 * ky4 + _A12_5 * ky5
                             + _A12_6 * ky6 + _A12_7 * ky7 + _A12_8 * ky8
                             + _A12_9 * ky9 + _A12_10 * ky10 + _A12_11 * ky11)
-            if singular and x12 <= 0.0:
-                raise _StageDomain()
             ky12 = -g(t + h, x12)
             sx = (_B1 * kx1 + _B6 * kx6 + _B7 * kx7 + _B8 * kx8 + _B9 * kx9
                   + _B10 * kx10 + _B11 * kx11 + _B12 * kx12)
@@ -605,8 +579,6 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                   + _B10 * ky10 + _B11 * ky11 + _B12 * ky12)
             x1 = x + h * sx
             y1 = y + h * sy
-            if singular and x1 <= 0.0:
-                raise _StageDomain()
             # error norm of the 5th- and 3rd-order estimates (ex, ey and
             # sx - bh.k); hypot stays finite for a wildly too large trial
             # step, and a NaN error rejects the step
@@ -677,7 +649,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         subdivide = abs(delta) > theta_step
         if flips or lands or subdivide:
             try:
-                dense = _Dense(g, singular, t, h, x, y, x1, y1,
+                dense = _Dense(g, t, h, x, y, x1, y1,
                                (kx1, kx6, kx7, kx8, kx9, kx10, kx11, kx12,
                                 kx13),
                                (ky1, ky6, ky7, ky8, ky9, ky10, ky11, ky12,

@@ -33,8 +33,12 @@ class NonlinearityModel:
     gives one column of values over t per x in an array of shape
     x.shape + t.shape (expr.compile_grid: one generated body per tree).
     domain is "full_line" (x ranges over all reals) or "singular" (x > 0
-    with a wall at 0).  n_mode is the declared integer N placing the
-    linear band [mu_N, mu_N+1] at +infinity.  trees holds the expression
+    with a wall at 0).  In singular mode f raises at x <= 0, which is
+    what keeps the integrator's stages off the wall: from_trees compiles
+    that test into f (expr.WallError), and a model built from callables
+    must raise there itself (say ValueError or ZeroDivisionError).
+    n_mode is the declared integer N placing the linear band
+    [mu_N, mu_N+1] at +infinity.  trees holds the expression
     trees f was compiled from: one, or a left/right pair glued at
     split_point(domain).
     A model built from callables alone, without f_tarr, serves the
@@ -86,11 +90,12 @@ def from_trees(trees: tuple, period: float, domain: str = FULL_LINE,
                n_mode: int = 1) -> NonlinearityModel:
     """The model compiled from one expression tree, or from a left/right
     pair glued at split_point(domain), the left one strictly below it:
-    its scalar and grid forms are generated from the same trees."""
+    its scalar and grid forms are generated from the same trees.  In
+    singular mode the scalar form raises expr.WallError at x <= 0."""
     split = split_point(domain)
     return NonlinearityModel(
-        f=ex.compile_scalar(*trees, split=split), period=period,
-        domain=domain, n_mode=n_mode,
+        f=ex.compile_scalar(*trees, split=split, wall=domain == SINGULAR),
+        period=period, domain=domain, n_mode=n_mode,
         f_tarr=ex.compile_grid(*trees, split=split), trees=tuple(trees))
 
 

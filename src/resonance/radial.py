@@ -16,12 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Bin, DomainError, Num, Var
-from .integrate import (BlowUpError, DomainExitError, HomotopyField,
-                        IntegrateOpts, PhaseState, Trajectory, integrate)
+from .expr import Bin, Num, Var
+from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
+                        integrate)
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
-from .solver import (NewtonError, SingularJacobianError, SolveOpts,
-                     homotopy_solve, newton_fixed_point)
+from .solver import NEWTON_FAILURES, SolveOpts, newton_fixed_point
 
 __all__ = [
     "RotatingSolution", "effective_field", "circular_orbit",
@@ -187,29 +186,21 @@ def solve_radial_profile(model: NonlinearityModel, L: float,
                          guess: Optional[tuple[float, float]] = None,
                          opts: SolveOpts = SolveOpts(), jac=None):
     """T-periodic solution of the reduced radial equation at fixed L:
-    (z, residual, Jacobian of P(z) - z at z, or None).
+    (z, residual, Jacobian of P(z) - z at z).
 
     Newton starts from the warm guess and Jacobian (a neighbouring L's
     profile and final Jacobian during sweeps) or, without a guess, from
-    the circular orbit of the t-averaged field, (rho_c, 0).  Only when
-    that start has no balance radius or Newton fails from it does the
-    full interpolation homotopy bootstrap the orbit; its Jacobian is not
-    kept, so the result carries None.
+    the circular orbit of the t-averaged field, (rho_c, 0).
+    NoBracketError when that start has no balance radius; a failed
+    Newton solve raises one of solver.NEWTON_FAILURES, and the L-search
+    skips that L.
     """
-    eff = effective_field(model, L)
-    try:
-        if guess is None:
-            guess = (circular_orbit(model, L), 0.0)
-        z, res, _, _, jac = newton_fixed_point(
-            HomotopyField(eff, 1.0), guess, opts.newton_tol, opts, jac=jac)
-        return z, res, jac
-    except (NoBracketError, NewtonError, SingularJacobianError, BlowUpError,
-            DomainExitError, DomainError):
-        pass
-    cert = homotopy_solve(eff, opts=opts)
-    if not cert.converged:
-        raise NewtonError(f"radial profile solve failed at L={L:.6g}")
-    return (cert.z_star.x, cert.z_star.y), cert.residual, None
+    if guess is None:
+        guess = (circular_orbit(model, L), 0.0)
+    z, res, _, _, jac = newton_fixed_point(
+        HomotopyField(effective_field(model, L), 1.0), guess,
+        opts.newton_tol, opts, jac=jac)
+    return z, res, jac
 
 
 def _delta_theta_of_L(model, L, known, opts):
@@ -251,7 +242,7 @@ def _illinois(model, target, bracket, known, opts):
         m = (a * fb - b * fa) / (fb - fa)
         try:
             d, z, r = _delta_theta_of_L(model, m, known, opts)
-        except (NewtonError, SingularJacobianError):
+        except NEWTON_FAILURES:
             a = m
             continue
         if abs(d - target) < DTHETA_TOL:
@@ -320,7 +311,7 @@ def _step_to_bracket(model, target, known, opts):
     for _ in range(MAX_STEPS + 1):
         try:
             dth, z, res = _delta_theta_of_L(model, L, known, opts)
-        except (NewtonError, SingularJacobianError):
+        except NEWTON_FAILURES:
             pass
         else:
             if abs(dth - target) < DTHETA_TOL:

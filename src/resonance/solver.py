@@ -47,6 +47,12 @@ class NewtonError(RuntimeError):
     pass
 
 
+# what a failed return map raises; the damping loop counts it as a failed
+# trial, and a failed Newton solve raises it or one of Newton's own errors
+_MAP_FAILURES = (BlowUpError, DomainExitError, DomainError)
+NEWTON_FAILURES = (NewtonError, SingularJacobianError) + _MAP_FAILURES
+
+
 @dataclass(frozen=True)
 class SolveOpts:
     newton_tol: float = 1e-9
@@ -193,7 +199,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
                 gnx, gny, orbitn = _return_residual(fld, zn, io)
-            except (BlowUpError, DomainExitError, DomainError):
+            except _MAP_FAILURES:
                 step *= 0.5
                 continue
             rn = math.hypot(gnx, gny)
@@ -340,8 +346,7 @@ def degree_search(fld: HomotopyField, radius: float,
                 if not any(math.hypot(z[0] - f[0][0], z[1] - f[0][1])
                            < 1e-5 * max(1.0, radius) for f in found):
                     found.append((z, res))
-            except (NewtonError, SingularJacobianError, BlowUpError,
-                    DomainExitError, DomainError, CenterHitError):
+            except NEWTON_FAILURES:
                 pass
             continue
         try:
@@ -382,8 +387,7 @@ def _solve_at_lambda(model, lam, tol, opts):
         try:
             z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts)
             return g, z, res, orbit, jac
-        except (NewtonError, SingularJacobianError, BlowUpError,
-                DomainExitError, DomainError, CenterHitError) as e:
+        except NEWTON_FAILURES as e:
             last_err = e
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
@@ -483,8 +487,7 @@ def homotopy_solve(model: NonlinearityModel,
             if path[-1].sup_norm > _MAX_SUP_NORM:
                 return lost(lam_prev, "amplitude grew past the cap")
             lam_target = next_grid(lam_prev)
-        except (NewtonError, SingularJacobianError, BlowUpError,
-                DomainExitError, DomainError) as err:
+        except NEWTON_FAILURES as err:
             if dlam <= _LAMBDA_FLOOR:
                 return lost(lam_target, str(err))
             lam_target = lam_prev + 0.5 * dlam

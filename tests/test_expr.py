@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -261,3 +263,18 @@ def test_integer_literal_powers_compile_to_plain_pow():
     fast = ex.compile_scalar(ex.parse("x^(1+1)"))
     assert "_pow" in fast.__code__.co_names
     assert fast(0.0, -3.0) == 9.0
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_compiled_scalar_form_is_freed_without_the_cycle_collector(wall):
+    # every model compiles one scalar form, and a radial search one per L:
+    # a function kept in its own globals would live until a collection
+    fast = ex.compile_scalar(ex.parse("2*x - x^-3"), wall=wall)
+    assert fast(0.0, 2.0) == 4.0 - 0.125
+    ref = weakref.ref(fast)
+    gc.disable()
+    try:
+        del fast
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -524,6 +525,31 @@ def test_singular_non_strong_force_exits_domain():
     fld = ig.HomotopyField(model, 1.0)
     with pytest.raises(ig.DomainExitError):
         ig.integrate(fld, ig.PhaseState(0.0, 1.0, -40.0), T2PI)
+
+
+def test_stages_past_the_wall_are_thrown_away():
+    # from x = 0.02 moving into the wall at speed 5, stages of the first
+    # steps land at x <= 0; the compiled field raises there, each such
+    # stage is thrown away, and the run is bit for bit the one that tested
+    # the wall at every stage in the integrator
+    model = rm.make_singular_band()
+    walls = []
+
+    def f(t, x):
+        try:
+            return model.f(t, x)
+        except resonance.expr.WallError:
+            walls.append(x)
+            raise
+
+    fld = ig.HomotopyField(dataclasses.replace(model, f=f), 1.0)
+    traj = ig.integrate(fld, ig.PhaseState(0.0, 0.02, -5.0), T2PI)
+    assert walls and max(walls) <= 0.0
+    end = traj.state_at_end()
+    assert (end.x.hex(), end.y.hex()) == ("0x1.56a2c7f773b56p+10",
+                                          "-0x1.120ade0f35d28p+8")
+    assert traj.meta == {"steps": 251, "rejected": 62}
+    assert float(np.min(traj.x)) == 0.02
 
 
 def test_blowup_reported_with_state():

@@ -109,14 +109,35 @@ def test_compiled_family_equals_tree_evaluation(family):
     split = rm.split_point(model.domain)
     rng = random.Random(11)
     lo = 0.05 if model.domain == rm.SINGULAR else -20.0
-    xs = [split, -0.0, 1e-3] + [rng.uniform(lo, 200.0) for _ in range(400)]
+    xs = [split, 0.0, -0.0, -0.5, 1e-3] + [rng.uniform(lo, 200.0)
+                                           for _ in range(400)]
     for x in xs:
         if x <= 0.0 and model.domain == rm.SINGULAR:
+            # the wall is the compiled scalar form's first test
+            with pytest.raises(ex.WallError):
+                model.f(0.9, x)
             continue
         tree = model.trees[0] if x < split else model.trees[-1]
         for t in (0.0, 0.9, rng.uniform(0.0, T2PI)):
             want = ex.evaluate(tree, t, x)
             assert model.f(t, x).hex() == want.hex(), (t, x)
+
+
+def test_singular_glued_pair_raises_at_the_wall():
+    # one wall test ahead of both pieces; the grid form has none, and at
+    # x > 0 the two forms agree bit for bit as before
+    model = rm.from_piecewise("2*x - x^-3", "1.625*x + cos(t)", T2PI,
+                              rm.SINGULAR, 2)
+    for t in (0.0, 1.3):
+        for x in (0.0, -0.0, -0.5):
+            with pytest.raises(ex.WallError):
+                model.f(t, x)
+    xs = np.array([1e-3, 0.5, 1.0, 2.0, 37.0])
+    grid = model.f_tarr(np.array(T_GRID), xs)
+    for row, x in zip(grid, xs.tolist()):
+        assert [v.hex() for v in row.tolist()] == [
+            model.f(t, x).hex() for t in T_GRID]
+    assert np.all(np.isfinite(model.f_tarr(np.array(T_GRID), -0.5)))
 
 
 def test_linear_resonant_pumps_mode_half_N_plus_one():

@@ -7,8 +7,8 @@ import pytest
 import resonance.model as rm
 from resonance import radial as rd
 from resonance import solver as sv
-from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
-                                 integrate, integrate_system)
+from resonance.integrate import (BlowUpError, HomotopyField, IntegrateOpts,
+                                 PhaseState, integrate, integrate_system)
 from resonance.solver import homotopy_solve
 from oracles import flat_grid
 
@@ -157,21 +157,25 @@ def _homotopy_profile(L):
 # L values spanning the k = 1 scan on singular_band
 @pytest.mark.parametrize("L", [0.03, 0.373, 1.7])
 def test_profile_seeded_from_circular_orbit_matches_homotopy(L, monkeypatch):
-    homotopies = _count_calls(monkeypatch, "homotopy_solve")
+    homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
     z, res, _ = rd.solve_radial_profile(rm.make_singular_band(), L)
     assert not homotopies and res < 1e-8
     assert z == pytest.approx(_homotopy_profile(L), abs=1e-9)
 
 
-def test_profile_falls_back_to_homotopy_without_balance_radius(monkeypatch):
+def test_profile_without_balance_radius_raises_and_runs_no_homotopy(
+        monkeypatch):
+    # the circular orbit is the profile solve's one start: without a
+    # balance radius the solve fails, and no homotopy bootstraps the orbit
     def no_balance(*args, **kwargs):
         raise rd.NoBracketError("no balance radius")
 
     monkeypatch.setattr(rd, "circular_orbit", no_balance)
-    homotopies = _count_calls(monkeypatch, "homotopy_solve")
-    z, _, _ = rd.solve_radial_profile(rm.make_singular_band(), 0.373)
-    assert len(homotopies) == 1
-    assert z == pytest.approx(_homotopy_profile(0.373), abs=1e-9)
+    homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
+    maps = _count_calls(monkeypatch, "poincare", sv)
+    with pytest.raises(rd.NoBracketError, match="no balance radius"):
+        rd.solve_radial_profile(rm.make_singular_band(), 0.373)
+    assert not homotopies and not maps
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +348,7 @@ def test_find_rotating_pinned_work(monkeypatch):
     # 153 maps; a 12-point bracket scan in L took 18 advances and 95 maps
     # before the search started at the circular orbit)
     advances = _count_calls(monkeypatch, "angular_progress")
-    homotopies = _count_calls(monkeypatch, "homotopy_solve")
+    homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
     maps = _count_calls(monkeypatch, "poincare", sv)
     runs = []
     for _ in range(2):
@@ -433,28 +437,33 @@ def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
 
 
 def test_search_steps_past_a_failed_profile_solve(monkeypatch):
-    # the first step away from the circular orbit's L fails to solve; the
-    # search skips it, as the bracket scan skipped its failures, and
-    # still finds the k = 1 solution of the unpatched search
+    # the first step away from the circular orbit's L fails to solve, by
+    # Newton's own error or by a return map's (which a Newton solve raises
+    # as it is); the search skips it, as the bracket scan skipped its
+    # failures, and still finds the k = 1 solution of the unpatched search
     reference, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
     solves = []
     original = rd.solve_radial_profile
-
-    def second_fails(model, L, guess=None, opts=sv.SolveOpts(), jac=None):
-        solves.append(L)
-        if len(solves) == 2:
-            raise sv.NewtonError(f"patched failure at L={L}")
-        return original(model, L, guess, opts, jac)
-
-    monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
     advances = _count_calls(monkeypatch, "angular_progress")
-    sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
-    assert k_nu == 1 and [s.k for s in sols] == [1]
-    assert solves[1] == pytest.approx(solves[0] / 1.02, rel=1e-12)
-    assert len(advances) == len(solves) - 1
-    assert abs(sols[0].delta_theta_period - 2 * math.pi) < rd.DTHETA_TOL
-    assert sols[0].L == pytest.approx(reference[0].L, rel=1e-6)
-    assert sols[0].residual < 1e-9
+    for failure in (sv.NewtonError("patched failure"),
+                    BlowUpError(0.0, 0.2, -1.0)):
+        def second_fails(model, L, guess=None, opts=sv.SolveOpts(),
+                         jac=None):
+            solves.append(L)
+            if len(solves) == 2:
+                raise failure
+            return original(model, L, guess, opts, jac)
+
+        monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
+        solves.clear()
+        advances.clear()
+        sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+        assert k_nu == 1 and [s.k for s in sols] == [1]
+        assert solves[1] == pytest.approx(solves[0] / 1.02, rel=1e-12)
+        assert len(advances) == len(solves) - 1
+        assert abs(sols[0].delta_theta_period - 2 * math.pi) < rd.DTHETA_TOL
+        assert sols[0].L == pytest.approx(reference[0].L, rel=1e-6)
+        assert sols[0].residual < 1e-9
 
 
 def test_find_rotating_propagates_programming_errors(monkeypatch):

@@ -136,6 +136,67 @@ def test_newton_result_is_guess_independent():
     assert math.hypot(z1[0] - z2[0], z1[1] - z2[1]) < 1e-7
 
 
+def _record_maps(monkeypatch):
+    """The points of every return map, each with the name of the error it
+    raised or None."""
+    calls = []
+    original = sv.poincare
+
+    def recorded(fld, z, opts=None):
+        try:
+            out = original(fld, z, opts)
+        except Exception as e:
+            calls.append((z, type(e).__name__))
+            raise
+        calls.append((z, None))
+        return out
+
+    monkeypatch.setattr(sv, "poincare", recorded)
+    return calls
+
+
+def test_newton_damping_counts_a_failed_trial_map(monkeypatch):
+    # a carried Jacobian scaled by 0.02 makes the full step from x = 1.05
+    # land past the wall of singular_band; that trial's integration raises
+    # DomainExitError at its start, and the damping halves the step past it
+    fld = HomotopyField(rm.make_singular_band(), 1.0)
+    z_star, *_, jac = sv.newton_fixed_point(fld, (1.0, 0.0))
+    carried = tuple(tuple(0.02 * v for v in row) for row in jac)
+    maps = _record_maps(monkeypatch)
+    z, res, *_ = sv.newton_fixed_point(fld, (1.05, 0.0), jac=carried)
+    assert maps[1][0][0] <= 0.0 and maps[1][1] == "DomainExitError"
+    assert maps[2][1] is None and maps[2][0][0] > 0.0
+    assert res < sv.SolveOpts().newton_tol
+    assert math.hypot(z[0] - z_star[0], z[1] - z_star[1]) < 1e-9
+
+
+def test_first_guess_that_converges_seeds_the_continuation(monkeypatch):
+    # at lambda = 1 on cubic_band Newton fails from (0, 0), (0.5, 0) and
+    # (0, 0.5); the fourth guess, (1, 0), reaches the far left fixed point
+    maps = _record_maps(monkeypatch)
+    opts = sv.SolveOpts()
+    guess, z, res, orbit, _ = sv._solve_at_lambda(
+        rm.make_cubic_band(), 1.0, opts.newton_tol, opts)
+    assert guess == (1.0, 0.0)
+    assert z[0] == pytest.approx(-1.47737, abs=1e-5) and abs(z[1]) < 1e-8
+    assert res < opts.newton_tol
+    assert orbit.x[0] == z[0]
+    assert len(maps) == 129
+
+
+def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
+    # linear_resonant with N = 1 at lambda = 1: its return map is a
+    # translation, so every fresh Jacobian of P - I is singular
+    maps = _record_maps(monkeypatch)
+    opts = sv.SolveOpts()
+    with pytest.raises(sv.NewtonError,
+                       match=r"no fixed point found at lambda=1\.0: "
+                             r"return-map linearization is singular"):
+        sv._solve_at_lambda(rm.make_linear_resonant(n_mode=1), 1.0,
+                            opts.newton_tol, opts)
+    assert len(maps) == 27
+
+
 # --------------------------------------------------------------------------
 # boundary winding
 
@@ -442,6 +503,30 @@ def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
     assert cert.diagnostics["halvings"] == 15
     assert searches == []
     assert cert.path[-1].lam < 0.5
+
+
+def test_comparison_field_of_cubic_band_has_three_fixed_points(monkeypatch):
+    # at lambda = 0 and forcing 0.5 Newton finds three fixed points on
+    # y = 0, with index signs +, - and +: the branch through (0, 0) folds
+    # back to the middle one, so it does not reach lambda = 1 by itself
+    maps = _record_maps(monkeypatch)
+    opts = sv.SolveOpts()
+    fld = HomotopyField(rm.make_cubic_band(forcing=0.5), 0.0)
+    found = []
+    for guess, x_star, det_star in (((0.0, 0.0), 0.0, 2.99),
+                                    ((-0.44, 0.0), -0.44122, -0.731),
+                                    ((-1.12, 0.0), -1.12430, 1.48)):
+        z, res, _, orbit, _ = sv.newton_fixed_point(fld, guess)
+        assert res < opts.newton_tol
+        assert z[0] == pytest.approx(x_star, abs=1e-5) and abs(z[1]) < 1e-9
+        end = orbit.state_at_end()
+        (j11, j12), (j21, j22) = sv._fd_jacobian(
+            fld, z, (end.x - z[0], end.y - z[1]), opts)
+        det = j11 * j22 - j12 * j21
+        assert det == pytest.approx(det_star, rel=5e-3)
+        found.append(int(np.sign(det)))
+    assert found == [1, -1, 1]
+    assert len(maps) == 20
 
 
 # --------------------------------------------------------------------------
