@@ -462,7 +462,9 @@ def _write_certificate(cert, model, opts, out_dir, report):
     if cert.radius_used is not None:
         report.put("certificate.radius", cert.radius_used)
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
-                "index", "index_note", "initial_guess", "halvings"):
+                "index", "index_note", "initial_guess", "halvings",
+                "winding_samples", "boundary_margin", "boundary_map_error",
+                "winding_rtol"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])
     write_csv(os.path.join(out_dir, "path.csv"),

@@ -8,19 +8,21 @@ encloses a fixed point), and transported from the solvable comparison
 field (lam = 0) to the target field (lam = 1) along an adaptive
 interpolation schedule; a path that stalls below the smallest step is
 lost.  One winding routine serves the certifying curve and the rectangles
-of the standalone degree_search.  The shooting Jacobian is carried from
-one continuation step to the next and kept current by Broyden's secant
-update, so a finite-difference Jacobian (two return maps) is taken only
-when the carried one is missing, singular or making poor progress (the
-predictor-corrector practice of Allgower & Georg, Numerical Continuation
-Methods, 1990).
+of the standalone degree_search; it reads only the angle of z - P(z), so
+it integrates at the looser of the shooting and on-curve tolerances and
+checks that map error against its margin.  The shooting Jacobian is
+carried from one continuation step to the next and kept current by
+Broyden's secant update, so a finite-difference Jacobian (two return
+maps) is taken only when the carried one is missing, singular or making
+poor progress (the predictor-corrector practice of Allgower & Georg,
+Numerical Continuation Methods, 1990).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .model import FULL_LINE, SINGULAR, NonlinearityModel
 
 __all__ = [
     "SolveOpts", "PathPoint", "PeriodicCertificate", "SingularJacobianError",
-    "NewtonError", "poincare", "newton_fixed_point",
+    "NewtonError", "Winding", "poincare", "newton_fixed_point",
     "boundary_degree", "degree_search", "homotopy_solve",
     "circle_curve", "n_level_curve",
 ]
@@ -68,6 +70,7 @@ _MAX_SUP_NORM = 1e6      # growth cap: beyond it the branch is lost
 _DEGREE_SAMPLES = 48     # starting samples of a boundary winding
 _DEGREE_BUDGET = 2048    # most samples a winding may refine to
 _BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve
+_MARGIN_FACTOR = 10.0    # a winding's map error stays this far below margin
 _SEARCH_CELLS = 96       # most cells degree_search visits
 
 
@@ -79,6 +82,17 @@ class PathPoint:
     residual: float
     sup_norm: float
     min_x: float
+
+
+class Winding(NamedTuple):
+    """A boundary winding and the evidence that its degree is the exact
+    map's: margin and map_error are relative to |z| at the sample with
+    the smallest |z - P(z)|/|z|."""
+    degree: int
+    samples: int          # starting samples plus refinements
+    margin: float         # min |z - P(z)|/|z| over the samples
+    map_error: float      # |P~(z) - P(z)|/|z| at that sample
+    rtol: float           # rtol = atol of the sampled maps P~
 
 
 @dataclass
@@ -248,33 +262,42 @@ def _rect_curve(x0: float, x1: float, y0: float, y1: float
 
 
 def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
-             opts: SolveOpts) -> int:
+             opts: SolveOpts) -> Winding:
     """Winding number of z - P(z) along the closed curve s -> curve(s),
-    s in [0, 1).
+    s in [0, 1), with the evidence for it.
 
-    Samples are refined until adjacent angular increments stay below pi/2;
-    a fixed point on the curve is a ValueError, and a winding that exceeds
-    the sample budget or does not close up a RuntimeError.
+    Only the angle of w = z - P(z) counts, and any map within |w| of P on
+    the curve has the same degree (homotopy invariance of the Brouwer
+    degree; Deimling, Nonlinear Functional Analysis, 1985, ch. 1).  So
+    the samples integrate at rtol = atol = max(opts.integrate.rtol,
+    _BOUNDARY_TOL), and the sample with the smallest |w|/|z| is mapped
+    once more at opts.integrate: a map error that is not below that
+    margin by _MARGIN_FACTOR is a RuntimeError.  Samples are refined until
+    adjacent angular increments stay below pi/2; a fixed point on the
+    curve is a ValueError, and a winding that exceeds the sample budget or
+    does not close up a RuntimeError.
     """
     io = opts.integrate
-    cache: dict[float, tuple[float, float, float]] = {}
+    tol = max(io.rtol, _BOUNDARY_TOL)
+    coarse = replace(io, rtol=tol, atol=tol)
+    # s -> (angle of w, |w|/|z|, P~(z))
+    cache: dict[float, tuple[float, float, float, float]] = {}
 
-    def w_of(s: float):
+    def angle(s: float) -> float:
         if s not in cache:
             zx, zy = curve(s)
-            px, py, _ = poincare(fld, (zx, zy), io)
+            px, py, _ = poincare(fld, (zx, zy), coarse)
             wx, wy = zx - px, zy - py
-            norm = math.hypot(wx, wy)
-            ref = math.hypot(zx, zy) or 1.0
-            if norm < _BOUNDARY_TOL * ref:
+            margin = math.hypot(wx, wy) / (math.hypot(zx, zy) or 1.0)
+            if margin < _BOUNDARY_TOL:
                 raise ValueError(f"fixed point on the boundary curve at s={s}")
-            cache[s] = (math.atan2(wy, wx), wx, wy)
-        return cache[s]
+            cache[s] = (math.atan2(wy, wx), margin, px, py)
+        return cache[s][0]
 
     ss = [k / _DEGREE_SAMPLES for k in range(_DEGREE_SAMPLES)] + [1.0]
     angles = {}
     for s in ss:
-        angles[s] = w_of(s % 1.0)[0]
+        angles[s] = angle(s % 1.0)
 
     work = True
     while work:
@@ -285,7 +308,7 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
         for s1, s2 in zip(ss[:-1], ss[1:]):
             if abs(_wrap_pi(angles[s2] - angles[s1])) > 0.5 * math.pi:
                 sm = 0.5 * (s1 + s2)
-                angles[sm] = w_of(sm % 1.0)[0]
+                angles[sm] = angle(sm % 1.0)
                 new_ss.extend([sm, s2])
                 work = True
             else:
@@ -297,17 +320,30 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     deg = round(total / (2.0 * math.pi))
     if abs(total - 2.0 * math.pi * deg) > 0.5:
         raise RuntimeError(f"winding did not close up: {total / (2*math.pi):.4f}")
-    return int(deg)
+
+    s_min = min(cache, key=lambda s: cache[s][1])
+    _, margin, cx, cy = cache[s_min]
+    zx, zy = curve(s_min)
+    px, py, _ = poincare(fld, (zx, zy), io)
+    map_error = math.hypot(cx - px, cy - py) / (math.hypot(zx, zy) or 1.0)
+    if not _MARGIN_FACTOR * map_error < margin:
+        raise RuntimeError(
+            f"winding not certified at s={s_min}: map error {map_error:.3g} "
+            f"(rtol {tol:.3g}) is not below the boundary margin "
+            f"{margin:.3g} by a factor {_MARGIN_FACTOR:g}")
+    return Winding(int(deg), len(cache), margin, map_error, tol)
 
 
 def boundary_degree(fld: HomotopyField, radius: float,
-                    opts: SolveOpts = SolveOpts()) -> int:
-    """Winding number of z - P(z) along a closed curve of initial states.
+                    opts: SolveOpts = SolveOpts()) -> Winding:
+    """Winding number of z - P(z) along a closed curve of initial states,
+    with its evidence.
 
     The model's domain picks the curve: on the full line the centered
     circle of the given radius, in singular mode the level set
     1/x^2 + x^2 + y^2 = radius.  The winding is _winding's, so a fixed
-    point on the curve is an error.
+    point on the curve, or a map error not well below the margin, is an
+    error.
     """
     curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
              else circle_curve(radius))
@@ -350,7 +386,7 @@ def degree_search(fld: HomotopyField, radius: float,
                 pass
             continue
         try:
-            w = _winding(fld, _rect_curve(x0, x1, y0, y1), opts)
+            w = _winding(fld, _rect_curve(x0, x1, y0, y1), opts).degree
         except (ValueError, RuntimeError):
             w = None    # unresolved: subdivide
         if w == 0:
@@ -412,10 +448,12 @@ def homotopy_solve(model: NonlinearityModel,
     gets the boundary winding on that curve and the local index sign
     det D(P - I) at the fixed point, from its own fresh finite-difference
     Jacobian (a certificate quantity never rests on a carried one);
-    diagnostics notes "other fixed points inside R" when the two differ.
-    Without one, no winding and no index are computed.  A waypoint below
-    the last grid lambda only seeds the next predictor, so its corrector
-    stops at sqrt(newton_tol); only the certified point is polished to
+    diagnostics notes "other fixed points inside R" when the two differ,
+    and carries the winding's evidence: winding_samples, boundary_margin,
+    boundary_map_error and winding_rtol (see Winding).  Without one, no
+    winding and no index are computed.  A waypoint below the last grid
+    lambda only seeds the next predictor, so its corrector stops at
+    sqrt(newton_tol); only the certified point is polished to
     newton_tol.  A waypoint whose orbit amplitude more than quadruples over
     a secant step has jumped across a fold: it must also meet newton_tol,
     and the predictor restarts from it.  Each path point's residual is the
@@ -499,9 +537,15 @@ def homotopy_solve(model: NonlinearityModel,
         rot = None
 
     degree = index = index_note = None
+    evidence = {}
     if radius is not None:
         fld_end = HomotopyField(model, lam_end)
-        degree = boundary_degree(fld_end, radius, opts=opts)
+        wind = boundary_degree(fld_end, radius, opts=opts)
+        degree = wind.degree
+        evidence = dict(winding_samples=wind.samples,
+                        boundary_margin=wind.margin,
+                        boundary_map_error=wind.map_error,
+                        winding_rtol=wind.rtol)
         # local index sign det D(P - I) at z*; the boundary degree is the
         # sum of the indices of all fixed points inside the curve
         end = orbit.state_at_end()
@@ -515,7 +559,8 @@ def homotopy_solve(model: NonlinearityModel,
                        min_rho=orbit.min_rho(), sup_norm=orbit.sup_norm(),
                        path_min_x=min(p.min_x for p in path),
                        index=index, index_note=index_note,
-                       initial_guess=initial_guess, halvings=halvings)
+                       initial_guess=initial_guess, halvings=halvings,
+                       **evidence)
     return PeriodicCertificate(status="converged",
                                z_star=PhaseState(0.0, z[0], z[1]),
                                residual=res, rotation=rot, degree=degree,

@@ -266,6 +266,40 @@ def test_tol_override_parsing(tmp_path):
                      "rtol=abc"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("rtol, winding_rtol", [(1e-6, 1e-6), (1e-13, 1e-7)])
+def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
+        tmp_path, monkeypatch, rtol, winding_rtol):
+    # the winding never integrates tighter than configured, nor tighter
+    # than the on-curve tolerance; its check map runs at the configured rtol
+    rtols, in_winding = [], []
+    boundary_degree, poincare = sv.boundary_degree, sv.poincare
+
+    def traced_degree(*args, **kwargs):
+        in_winding.append(True)
+        try:
+            return boundary_degree(*args, **kwargs)
+        finally:
+            in_winding.clear()
+
+    def traced_map(fld, z, opts):
+        if in_winding:
+            rtols.append(opts.rtol)
+        return poincare(fld, z, opts)
+
+    monkeypatch.setattr(sv, "boundary_degree", traced_degree)
+    monkeypatch.setattr(sv, "poincare", traced_map)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, grids={"tau_points": 32, "lambda_points": 9})
+    assert cli.main(["find", "--config", cfg, "--out", str(out),
+                     "--tol-override", f"rtol={rtol}"]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    samples = int(report["certificate.winding_samples"])
+    assert rtols == [winding_rtol] * samples + [rtol]
+    assert float(report["certificate.winding_rtol"]) == winding_rtol
+    assert report["certificate.degree"] == "1"
+
+
 def test_build_opts_fills_only_the_keys_the_config_gives():
     # SolveOpts holds the defaults; the config overrides field by field
     default = sv.SolveOpts()

@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import resonance.model as rm
 from resonance.spectrum import eigenvalue
+from resonance import apriori as ap
 from resonance import cli
 from resonance import conditions as cd
 from resonance import solver as sv
@@ -204,18 +208,18 @@ def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
 def test_degree_one_for_nonresonant_linear_field():
     fld = HomotopyField(_model(lambda t, x: 2 * x), 1.0)
     for radius in (0.5, 5.0, 50.0):
-        assert sv.boundary_degree(fld, radius) == 1
+        assert sv.boundary_degree(fld, radius).degree == 1
 
 
 def test_degree_one_around_unique_forced_fixed_point():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    assert sv.boundary_degree(fld, 8.0) == 1
+    assert sv.boundary_degree(fld, 8.0).degree == 1
 
 
 def test_degree_invariant_between_certified_radii():
     model = rm.make_cubic_band()
     fld = HomotopyField(model, 1.0)
-    degs = {sv.boundary_degree(fld, r) for r in (2e4, 1e5, 4e5)}
+    degs = {sv.boundary_degree(fld, r).degree for r in (2e4, 1e5, 4e5)}
     assert len(degs) == 1
     assert degs.pop() != 0
 
@@ -238,9 +242,9 @@ def test_degree_rejects_boundary_fixed_point():
         sv.boundary_degree(fld, 1.0)    # the fixed point (1, 0) sits on it
 
 
-def test_boundary_degree_at_the_certifying_radius_costs_62_maps(monkeypatch):
+def test_boundary_degree_at_the_certifying_radius_costs_63_maps(monkeypatch):
     # a fixed radius on the scale of the band model's R_elastic: 48 starting
-    # samples and 14 refinements
+    # samples, 14 refinements and the map that checks the margin
     calls = []
     original = sv.poincare
 
@@ -250,8 +254,99 @@ def test_boundary_degree_at_the_certifying_radius_costs_62_maps(monkeypatch):
 
     monkeypatch.setattr(sv, "poincare", counted)
     fld = HomotopyField(rm.make_cubic_band(), 1.0)
-    assert sv.boundary_degree(fld, 351851.0706289556) == 1
-    assert len(calls) == 62
+    assert sv.boundary_degree(fld, 351851.0706289556).degree == 1
+    assert len(calls) == 63
+
+
+def _defaults_circle():
+    # find --defaults: cubic_band at forcing 0.5, on the circle of its
+    # R_elastic (about 4.2e5)
+    fld = HomotopyField(rm.make_cubic_band(), 1.0)
+    return fld, ap.build_kit(fld).R_elastic
+
+
+def test_defaults_winding_costs_54_maps(monkeypatch):
+    # 48 starting samples and 5 refinements at the winding tolerance, then
+    # the smallest-margin sample once more at the shooting tolerance
+    fld, radius = _defaults_circle()
+    rtols = []
+    original = sv.poincare
+
+    def counted(fld, z, opts):
+        rtols.append(opts.rtol)
+        return original(fld, z, opts)
+
+    monkeypatch.setattr(sv, "poincare", counted)
+    wind = sv.boundary_degree(fld, radius)
+    assert wind.degree == 1 and wind.samples == 53
+    assert rtols == [1e-7] * 53 + [1e-11]
+    assert wind.rtol == 1e-7
+    assert 10.0 * wind.map_error < wind.margin
+
+
+@pytest.mark.parametrize("curve_name", ["defaults_circle", "singular_oval_32"])
+def test_winding_tolerance_moves_each_start_far_less_than_its_margin(
+        curve_name):
+    # the degree of z - P~(z) is that of z - P(z) while |P~ - P| < |z - P|
+    # on the curve; at the winding's 1e-7 the error is below 1e-3 of it
+    if curve_name == "defaults_circle":
+        fld, radius = _defaults_circle()
+        curve = sv.circle_curve(radius)
+    else:
+        fld = HomotopyField(rm.make_singular_band(), 1.0)
+        curve = sv.n_level_curve(32.0)
+    exact = sv.SolveOpts().integrate
+    coarse = dataclasses.replace(exact, rtol=1e-7, atol=1e-7)
+    for k in range(sv._DEGREE_SAMPLES):
+        zx, zy = curve(k / sv._DEGREE_SAMPLES)
+        px, py, _ = sv.poincare(fld, (zx, zy), exact)
+        qx, qy, _ = sv.poincare(fld, (zx, zy), coarse)
+        assert math.hypot(qx - px, qy - py) <= 1e-3 * math.hypot(zx - px,
+                                                                 zy - py)
+
+
+def _halve_coarse_maps(monkeypatch):
+    """Patch poincare so that each map at the winding tolerance lands half
+    way back to its start: the angle of z - P~(z), and so the degree, is
+    kept, but |P~ - P| is as large as |z - P~|."""
+    original = sv.poincare
+    coarse = max(sv.SolveOpts().integrate.rtol, sv._BOUNDARY_TOL)
+
+    def halved(fld, z, opts):
+        px, py, orbit = original(fld, z, opts)
+        if opts.rtol == coarse:
+            px, py = 0.5 * (px + z[0]), 0.5 * (py + z[1])
+        return px, py, orbit
+
+    monkeypatch.setattr(sv, "poincare", halved)
+
+
+def test_winding_raises_when_its_map_error_reaches_the_margin(monkeypatch):
+    fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
+    _halve_coarse_maps(monkeypatch)
+    with pytest.raises(RuntimeError, match="map error") as info:
+        sv.boundary_degree(fld, 8.0)
+    error, margin = map(float, re.search(
+        r"map error (\S+) .* margin (\S+)", str(info.value)).groups())
+    assert 10.0 * error >= margin > 0.0
+
+
+def test_find_exits_6_when_the_winding_map_error_reaches_the_margin(
+        monkeypatch, tmp_path, capsys):
+    _halve_coarse_maps(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"family": "cubic_band", "T": T2PI, "N": 2,
+                  "params": {"forcing": 0.5}},
+        "theorem": "main",
+        "grids": {"tau_points": 32, "lambda_points": 9},
+    }))
+    code = cli.main(["find", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_SOLVER == 6
+    err = capsys.readouterr().err
+    assert err.startswith("find: solve=fail: winding not certified")
+    assert re.search(r"map error \S+ .* margin \S+", err)
 
 
 @pytest.mark.parametrize("box, winding", [
@@ -260,7 +355,8 @@ def test_boundary_degree_at_the_certifying_radius_costs_62_maps(monkeypatch):
 ])
 def test_winding_around_a_rectangle_counts_the_fixed_point(box, winding):
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    assert sv._winding(fld, sv._rect_curve(*box), sv.SolveOpts()) == winding
+    assert sv._winding(fld, sv._rect_curve(*box),
+                       sv.SolveOpts()).degree == winding
 
 
 def test_degree_search_locates_fixed_point():
@@ -561,7 +657,8 @@ def test_index_mismatch_is_noted_and_costs_two_return_maps(monkeypatch,
     plain = len(calls)
     calls.clear()
     # a winding of +1 around an index -1 point: more fixed points inside
-    monkeypatch.setattr(sv, "boundary_degree", lambda *args, **kwargs: 1)
+    monkeypatch.setattr(sv, "boundary_degree", lambda *args, **kwargs:
+                        sv.Winding(1, 48, 1.0, 0.0, 1e-7))
     cert = sv.homotopy_solve(model, radius=64.0)
     assert len(calls) == plain + 2
     assert cert.converged and cert.degree == 1
