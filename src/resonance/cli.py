@@ -421,6 +421,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         try:
             res.cert = sv.homotopy_solve(model, opts=opts, radius=radius)
         except _STAGE_ERRORS as e:
+            report.put("solve.error", str(e))
             report.fail(EXIT_SOLVER, str(e))
         _write_certificate(res.cert, model, opts, out_dir, report)
         report.gate(res.cert.converged, EXIT_SOLVER, "continuation lost at "

@@ -5,17 +5,19 @@ planar system.  Fixed points are found by damped quasi-Newton shooting,
 certified by the winding number of z - P(z) along a closed curve that the
 caller places beyond the a-priori bound (nonzero winding = the curve
 encloses a fixed point), and transported from the solvable comparison
-field (lam = 0) to the target field (lam = 1) along an adaptive
-interpolation schedule; a path that stalls below the smallest step is
-lost.  One winding routine serves the certifying curve and the rectangles
-of the standalone degree_search; it reads only the angle of z - P(z), so
-it integrates at the looser of the shooting and on-curve tolerances and
-checks that map error against its margin.  The shooting Jacobian is
-carried from one continuation step to the next and kept current by
-Broyden's secant update, so a finite-difference Jacobian (two return
-maps) is taken only when the carried one is missing, singular or making
-poor progress (the predictor-corrector practice of Allgower & Georg,
-Numerical Continuation Methods, 1990).
+field (lam = 0) to the target field (lam = 1): the path starts on an
+index +1 fixed point, the sign of the comparison field's degree, and
+each corrector's iteration count sets the next lam step; a path that
+stalls below the smallest step is lost.  One winding routine serves the
+certifying curve and the rectangles of the standalone degree_search; it
+reads only the angle of z - P(z), so it integrates at the looser of the
+shooting and on-curve tolerances and checks that map error against its
+margin.  The shooting Jacobian is carried from one continuation step to
+the next and kept current by Broyden's secant update, so a
+finite-difference Jacobian (two return maps) is taken only when the
+carried one is missing, singular or making poor progress (the
+predictor-corrector practice of Allgower & Georg, Numerical Continuation
+Methods, 1990).
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class PeriodicCertificate:
     radius_used: Optional[float]
     path: list[PathPoint]
     diagnostics: dict = field(default_factory=dict)
-    # converged only: z_star's trajectory over one period at the last grid
-    # lambda, integrated once and reused for the certificate's artifacts
+    # converged only: z_star's trajectory over one period at lambda = 1,
+    # integrated once and reused for the certificate's artifacts
     orbit: Optional[Trajectory] = field(default=None, repr=False,
                                         compare=False)
 
@@ -402,11 +404,13 @@ def degree_search(fld: HomotopyField, radius: float,
 
 
 def _initial_guesses(fld: HomotopyField):
+    """Newton's starting points: on the full line from the outside in,
+    in singular mode outward from x = 1."""
     if fld.model.domain == FULL_LINE:
-        yield (0.0, 0.0)
-        for r in (0.5, 1.0, 2.0, 4.0):
-            yield (r, 0.0)
+        for r in (4.0, 2.0, 1.0, 0.5):
             yield (0.0, r)
+            yield (r, 0.0)
+        yield (0.0, 0.0)
     else:
         for x0 in (1.0, 0.7, 1.5, 0.4, 2.5, 4.0):
             yield (x0, 0.0)
@@ -414,17 +418,36 @@ def _initial_guesses(fld: HomotopyField):
         yield (1.0, -1.0)
 
 
+def _index(fld, z, orbit, opts):
+    """Local index sign det D(P - I) of the fixed point z, whose orbit is
+    known, from its own fresh finite-difference Jacobian (2 return maps)."""
+    end = orbit.state_at_end()
+    (j11, j12), (j21, j22) = _fd_jacobian(
+        fld, z, (end.x - z[0], end.y - z[1]), opts)
+    return int(np.sign(j11 * j22 - j12 * j21))
+
+
 def _solve_at_lambda(model, lam, tol, opts):
-    """First initial guess from which Newton converges:
-    (guess, z, residual, orbit, Jacobian)."""
+    """The first fixed point of index +1 (_index) that Newton reaches
+    from _initial_guesses: (guess, z, residual, orbit, Jacobian).
+
+    At lam = 0 this is the continuation's start.  +1 is the sign of the
+    comparison field's degree: on the full line its trivial solution has
+    index sign(2 - 2 cos(sqrt(mu_mid) T)) > 0.  On cubic_band the branch
+    through that trivial point folds back to an index -1 point, and the
+    outer +1 point's branch reaches lam = 1.
+    """
     fld = HomotopyField(model, lam)
     last_err = None
     for g in _initial_guesses(fld):
         try:
             z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts)
-            return g, z, res, orbit, jac
         except NEWTON_FAILURES as e:
             last_err = e
+            continue
+        if _index(fld, z, orbit, opts) == 1:
+            return g, z, res, orbit, jac
+        last_err = f"the one at {z} has index -1"
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
 
@@ -433,50 +456,42 @@ def homotopy_solve(model: NonlinearityModel,
                    radius: Optional[float] = None) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
-    Continuation runs Newton correctors over opts.lambda_points evenly
-    spaced lambdas in [0, 1], halving a step whose corrector fails; a
-    failure at a step of _LAMBDA_FLOOR or less loses the path there, and
-    so does an orbit whose sup norm passes _MAX_SUP_NORM.  Each corrector
-    starts from the final Jacobian of the last accepted point (the fold
-    re-polish included), so most corrector steps cost one return map; a
-    failed corrector's Jacobian is dropped with it.  Checking the
-    hypotheses (conditions.validate_A or validate_A0_Ainf) and choosing
-    the certifying curve beyond the a-priori bound are the caller's part.
-    On success the fixed point at the last grid lambda is certified by its
+    The path starts at lam = 0 on the fixed point _solve_at_lambda picks.
+    Its first step is 1/(opts.lambda_points - 1); after an accepted
+    corrector the step doubles if the corrector took at most 2 iterations,
+    stays after 3 or 4 and halves after more (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, ch. 5).  A failed corrector halves the step
+    and counts as a halving; a failure at a step of _LAMBDA_FLOOR or less
+    loses the path there, and so does an orbit whose sup norm passes
+    _MAX_SUP_NORM.  The last step lands on lam = 1 exactly.  Each corrector
+    starts from a secant predictor and the final Jacobian of the last
+    accepted point, so most corrector steps cost one return map.  A waypoint
+    below lam = 1 only seeds the next predictor, so its corrector stops at
+    sqrt(newton_tol); only the certified point is polished to newton_tol,
+    and each path point's residual is the one its corrector reached.
+    Checking the hypotheses (conditions.validate_A or validate_A0_Ainf) and
+    choosing the certifying curve beyond the a-priori bound are the caller's
+    part.  On success the fixed point at lam = 1 is certified by its
     residual and rotation count.  With a `radius`, the size of the
     certifying curve (boundary_degree's circle radius or N-level), it also
     gets the boundary winding on that curve and the local index sign
-    det D(P - I) at the fixed point, from its own fresh finite-difference
-    Jacobian (a certificate quantity never rests on a carried one);
-    diagnostics notes "other fixed points inside R" when the two differ,
-    and carries the winding's evidence: winding_samples, boundary_margin,
-    boundary_map_error and winding_rtol (see Winding).  Without one, no
-    winding and no index are computed.  A waypoint below the last grid
-    lambda only seeds the next predictor, so its corrector stops at
-    sqrt(newton_tol); only the certified point is polished to
-    newton_tol.  A waypoint whose orbit amplitude more than quadruples over
-    a secant step has jumped across a fold: it must also meet newton_tol,
-    and the predictor restarts from it.  Each path point's residual is the
-    one its corrector reached.  A lost continuation returns the surviving
-    path (status "lost") so blow-up families remain inspectable.
-    diagnostics names the initial guess that converged at the first lambda
-    and counts the lambda-step halvings.  lambda_points below 2 raise
+    det D(P - I) at the fixed point (_index: a certificate quantity never
+    rests on a carried Jacobian); diagnostics notes "other fixed points
+    inside R" when the two differ, and carries the winding's evidence:
+    winding_samples, boundary_margin, boundary_map_error and winding_rtol
+    (see Winding).  Without one, no winding and no index are computed.  A
+    lost continuation returns the surviving path (status "lost") so blow-up
+    families remain inspectable.  diagnostics names the initial guess of
+    the start and counts the halvings.  lambda_points below 2 raise
     ValueError.
     """
     if opts.lambda_points < 2:
         raise ValueError(f"opts.lambda_points must be at least 2, "
                          f"got {opts.lambda_points}")
 
-    lambda_grid = list(map(float, np.linspace(0.0, 1.0, opts.lambda_points)))
-    lam_end = lambda_grid[-1]
     waypoint_tol = math.sqrt(opts.newton_tol)
+    step = 1.0 / (opts.lambda_points - 1)
     halvings = 0
-
-    def corrector_tol(lam):
-        return opts.newton_tol if lam >= lam_end else waypoint_tol
-
-    def next_grid(lam):
-        return next((lv for lv in lambda_grid if lv > lam + 1e-15), lam_end)
 
     def path_point(lam, z, res, orbit):
         return PathPoint(lam, z[0], z[1], res, orbit.sup_norm(),
@@ -490,46 +505,32 @@ def homotopy_solve(model: NonlinearityModel,
                                         initial_guess=initial_guess,
                                         halvings=halvings))
 
-    path = []
     initial_guess, z, res, orbit, jac = _solve_at_lambda(
-        model, lambda_grid[0], corrector_tol(lambda_grid[0]), opts)
-    path.append(path_point(lambda_grid[0], z, res, orbit))
-
-    lam_prev = lambda_grid[0]
-    z_prev2 = None
-    lam_target = next_grid(lam_prev)
-    while lam_prev < lam_end - 1e-15:
-        dlam = lam_target - lam_prev
-        # secant predictor
-        secant = z_prev2 is not None and lam_prev != z_prev2[0]
-        if secant:
-            f = dlam / (lam_prev - z_prev2[0])
-            guess = (z[0] + f * (z[0] - z_prev2[1]), z[1] + f * (z[1] - z_prev2[2]))
-        else:
-            guess = z
+        model, 0.0, waypoint_tol, opts)
+    path = [path_point(0.0, z, res, orbit)]
+    # secant predictor from (lam_prev, z_prev); constant on the first step
+    lam, lam_prev, z_prev = 0.0, -1.0, z
+    while lam < 1.0:
+        lam_target = min(lam + step, 1.0)
+        f = (lam_target - lam) / (lam - lam_prev)
+        guess = (z[0] + f * (z[0] - z_prev[0]), z[1] + f * (z[1] - z_prev[1]))
         try:
-            fldn = HomotopyField(model, lam_target)
-            zn, resn, _, orbitn, jacn = newton_fixed_point(
-                fldn, guess, corrector_tol(lam_target), opts, jac=jac)
-            # an amplitude that more than quadruples over one secant step is
-            # a jump across a fold; the point must also meet newton_tol,
-            # which a far branch whose noise floor lies above the waypoint
-            # tolerance fails, and a secant across the jump points nowhere
-            jumped = secant and orbitn.sup_norm() > 4.0 * path[-1].sup_norm
-            if jumped and resn >= opts.newton_tol:
-                zn, resn, _, orbitn, jacn = newton_fixed_point(
-                    fldn, zn, opts.newton_tol, opts, jac=jacn)
-            z_prev2 = None if jumped else (lam_prev, z[0], z[1])
-            z, res, orbit, jac, lam_prev = zn, resn, orbitn, jacn, lam_target
-            path.append(path_point(lam_prev, z, res, orbit))
-            if path[-1].sup_norm > _MAX_SUP_NORM:
-                return lost(lam_prev, "amplitude grew past the cap")
-            lam_target = next_grid(lam_prev)
+            zn, resn, its, orbitn, jacn = newton_fixed_point(
+                HomotopyField(model, lam_target), guess,
+                opts.newton_tol if lam_target == 1.0 else waypoint_tol,
+                opts, jac=jac)
         except NEWTON_FAILURES as err:
-            if dlam <= _LAMBDA_FLOOR:
+            if lam_target - lam <= _LAMBDA_FLOOR:
                 return lost(lam_target, str(err))
-            lam_target = lam_prev + 0.5 * dlam
+            step = 0.5 * (lam_target - lam)
             halvings += 1
+            continue
+        lam_prev, z_prev = lam, z
+        z, res, orbit, jac, lam = zn, resn, orbitn, jacn, lam_target
+        path.append(path_point(lam, z, res, orbit))
+        if path[-1].sup_norm > _MAX_SUP_NORM:
+            return lost(lam, "amplitude grew past the cap")
+        step *= 2.0 if its <= 2 else 1.0 if its <= 4 else 0.5
 
     try:
         rot = rotation_count(orbit)
@@ -539,19 +540,16 @@ def homotopy_solve(model: NonlinearityModel,
     degree = index = index_note = None
     evidence = {}
     if radius is not None:
-        fld_end = HomotopyField(model, lam_end)
+        fld_end = HomotopyField(model, 1.0)
         wind = boundary_degree(fld_end, radius, opts=opts)
         degree = wind.degree
         evidence = dict(winding_samples=wind.samples,
                         boundary_margin=wind.margin,
                         boundary_map_error=wind.map_error,
                         winding_rtol=wind.rtol)
-        # local index sign det D(P - I) at z*; the boundary degree is the
-        # sum of the indices of all fixed points inside the curve
-        end = orbit.state_at_end()
-        (j11, j12), (j21, j22) = _fd_jacobian(
-            fld_end, z, (end.x - z[0], end.y - z[1]), opts)
-        index = int(np.sign(j11 * j22 - j12 * j21))
+        # the boundary degree is the sum of the indices of all fixed
+        # points inside the curve
+        index = _index(fld_end, z, orbit, opts)
         if index != degree:
             index_note = "other fixed points inside R"
 

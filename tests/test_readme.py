@@ -1,10 +1,14 @@
 """The README's config example and library snippet, run as written."""
 
+import dataclasses
 import json
+import math
 import pathlib
 import re
 
 from resonance import cli
+from resonance import model as rm
+from resonance import solver as sv
 
 _README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
 
@@ -27,3 +31,25 @@ def test_library_snippet_certifies_a_nonzero_degree(capsys):
     cert = namespace["cert"]
     assert cert.converged and cert.degree != 0
     assert f"{cert.degree}" in capsys.readouterr().out
+
+
+def test_certificate_keys_in_the_readme_are_the_ones_written(tmp_path):
+    # every key _write_certificate can write, read off a certificate whose
+    # optional fields are all set and whose diagnostics answer every key
+    class EveryKey(dict):
+        def __getitem__(self, key):
+            return 1
+
+        def get(self, key, default=None):
+            return 1
+
+    model = rm.from_expression("2*x - cos(t)", 2 * math.pi)
+    cert = dataclasses.replace(sv.homotopy_solve(model), rotation=1.0,
+                               degree=1, radius_used=8.0,
+                               diagnostics=EveryKey())
+    report = cli.Report()
+    cli._write_certificate(cert, model, sv.SolveOpts(), str(tmp_path), report)
+    written = {k.removeprefix("certificate.") for k, _ in report.lines}
+    listed = re.search(r"and the `certificate\.\*`\s+keys:(.*?)\. A lost path",
+                       _README, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == written

@@ -175,17 +175,37 @@ def test_newton_damping_counts_a_failed_trial_map(monkeypatch):
 
 
 def test_first_guess_that_converges_seeds_the_continuation(monkeypatch):
-    # at lambda = 1 on cubic_band Newton fails from (0, 0), (0.5, 0) and
-    # (0, 0.5); the fourth guess, (1, 0), reaches the far left fixed point
+    # at lambda = 0 on cubic_band the outermost guess, (0, 4), reaches the
+    # outer index +1 fixed point, whose branch reaches lambda = 1: 23
+    # Newton maps and 2 for the index
     maps = _record_maps(monkeypatch)
     opts = sv.SolveOpts()
     guess, z, res, orbit, _ = sv._solve_at_lambda(
-        rm.make_cubic_band(), 1.0, opts.newton_tol, opts)
-    assert guess == (1.0, 0.0)
-    assert z[0] == pytest.approx(-1.47737, abs=1e-5) and abs(z[1]) < 1e-8
+        rm.make_cubic_band(), 0.0, opts.newton_tol, opts)
+    assert guess == (0.0, 4.0)
+    assert z[0] == pytest.approx(-1.12430, abs=1e-5) and abs(z[1]) < 1e-9
     assert res < opts.newton_tol
     assert orbit.x[0] == z[0]
-    assert len(maps) == 129
+    assert len(maps) == 25
+
+
+def test_start_passes_over_a_fixed_point_of_index_minus_one(monkeypatch):
+    # at the waypoint tolerance (4, 0) reaches an index -1 point at
+    # (-4.95, -12.4) on cubic_band's comparison field, and (1, 0) the one at
+    # -0.441; the start is the first index +1 point, and without one the
+    # start fails
+    opts = sv.SolveOpts()
+    tol = math.sqrt(opts.newton_tol)
+    monkeypatch.setattr(sv, "_initial_guesses",
+                        lambda fld: iter([(4.0, 0.0), (0.0, 4.0)]))
+    guess, z, *_ = sv._solve_at_lambda(rm.make_cubic_band(), 0.0, tol, opts)
+    assert guess == (0.0, 4.0)
+    assert z[0] == pytest.approx(-1.12430, abs=1e-4)
+    monkeypatch.setattr(sv, "_initial_guesses", lambda fld: iter([(1.0, 0.0)]))
+    with pytest.raises(sv.NewtonError, match=r"no fixed point found at "
+                       r"lambda=0\.0: the one at \(-0\.441\d*, .* has "
+                       r"index -1"):
+        sv._solve_at_lambda(rm.make_cubic_band(), 0.0, tol, opts)
 
 
 def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
@@ -347,6 +367,11 @@ def test_find_exits_6_when_the_winding_map_error_reaches_the_margin(
     err = capsys.readouterr().err
     assert err.startswith("find: solve=fail: winding not certified")
     assert re.search(r"map error \S+ .* margin \S+", err)
+    # the reason is in the artifacts too, not on stderr alone
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert re.search(r"^solve\.error = winding not certified .* map error "
+                     r"\S+ .* margin \S+", report, re.M)
+    assert report.index("solve.error") < report.index("stage.solve.verdict")
 
 
 @pytest.mark.parametrize("box, winding", [
@@ -446,35 +471,36 @@ def band_certificate():
 
 
 def test_homotopy_return_map_count_is_pinned(band_certificate):
-    # a deterministic work count: a corrector that polishes waypoints again
-    # (735 maps), or one that takes a finite-difference Jacobian on every
-    # iteration instead of carrying one along the path (183), fails here
-    # without any wall-clock noise (93 under the DOPRI5 integrator)
+    # a deterministic work count: 24 maps for the start at lambda = 0 (22
+    # Newton, 2 for the index) and 25 for 7 correctors.  A corrector that
+    # polishes waypoints again, one that takes a finite-difference Jacobian
+    # on every iteration instead of carrying one, or a step that stops
+    # growing fails here without any wall-clock noise
     cert, maps = band_certificate
     assert cert.converged
-    assert maps == 88
+    assert maps == 49
 
 
 def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
                                                       monkeypatch):
-    # one corrector fails at lambda = 1/2: the step is halved once, and the
-    # continuation reaches the same certified point
+    # the corrector of the step from 7/32 to 15/32 fails once: the step is
+    # halved to 11/32, and the continuation reaches the same certified point
     base, _ = band_certificate
     original = sv.newton_fixed_point
     failed = []
 
-    def fail_once_at_half(fld, *args, **kwargs):
-        if fld.lam == 0.5 and not failed:
+    def fail_once_at_15_32(fld, *args, **kwargs):
+        if fld.lam == 15 / 32 and not failed:
             failed.append(fld.lam)
             raise sv.NewtonError("forced failure")
         return original(fld, *args, **kwargs)
 
-    monkeypatch.setattr(sv, "newton_fixed_point", fail_once_at_half)
+    monkeypatch.setattr(sv, "newton_fixed_point", fail_once_at_15_32)
     cert = sv.homotopy_solve(rm.make_cubic_band())
-    assert failed == [0.5]
+    assert failed == [15 / 32]
     assert cert.converged and cert.residual < sv.SolveOpts().newton_tol
     assert cert.diagnostics["halvings"] == 1
-    assert 0.484375 in [p.lam for p in cert.path]
+    assert 11 / 32 in [p.lam for p in cert.path]
     assert cert.z_star.x == pytest.approx(base.z_star.x, abs=1e-9)
 
 
@@ -488,9 +514,11 @@ def test_homotopy_polishes_only_the_certified_point(band_certificate):
 
 
 def test_homotopy_reports_halvings(band_certificate):
+    # the first step is 1/32; it doubles after correctors of at most 2
+    # iterations and stays after 3 or 4, and the last one lands on 1
     cert, _ = band_certificate
     assert cert.diagnostics["halvings"] == 0
-    assert len(cert.path) == sv.SolveOpts().lambda_points
+    assert [p.lam * 32 for p in cert.path] == [0, 1, 3, 7, 15, 23, 31, 32]
 
 
 @pytest.mark.parametrize("points", [1, 0])
@@ -525,7 +553,7 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
     cli._write_certificate(cert, rm.make_cubic_band(), sv.SolveOpts(),
                            str(tmp_path), report)
     lines = dict(report.lines)
-    assert lines["certificate.initial_guess"] == "(0.0, 0.0)"
+    assert lines["certificate.initial_guess"] == "(0.0, 4.0)"
     assert lines["certificate.halvings"] == "0"
     rows = (tmp_path / "solution.csv").read_text().splitlines()
     assert len(rows) == len(cert.orbit.t) + 1
@@ -576,10 +604,32 @@ def test_homotopy_stays_on_the_certified_branch(forcing, monkeypatch):
     assert cert.diagnostics["halvings"] == len(failures)
 
 
+@pytest.mark.parametrize("forcing, x_star", [
+    (0.49985374569764496, -1.4772954847088564),
+    (0.49989518585083675, -1.477316703550989),
+    (0.4998412664136923, -1.4772890947819832),
+    (0.49986033966956983, -1.4772988610881705),
+    (0.49989068234375245, -1.4773143976155503),
+    (0.4, -1.424740224161171),
+])
+def test_homotopy_starts_on_the_branch_that_reaches_lambda_one(forcing,
+                                                               x_star):
+    # started at (0, 0), these paths met the fold near lambda = 0.063 and
+    # halved their step 6 times (the first five) or lost the path after
+    # 46 halvings (forcing 0.4); the outer index +1 start meets no fold
+    cert = sv.homotopy_solve(rm.make_cubic_band(forcing=forcing))
+    assert cert.converged
+    assert cert.diagnostics["halvings"] == 0
+    assert max(p.sup_norm for p in cert.path) < 2.0
+    assert cert.z_star.x == pytest.approx(x_star,
+                                          abs=sv.SolveOpts().newton_tol)
+
+
 def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
-    # every corrector at lambda >= 1/2 fails: the step to 1/2 halves from
-    # 1/32 down to the floor, and the failure there ends the path with no
-    # search for a fixed point
+    # every corrector at lambda >= 1/2 fails: each failure halves the step,
+    # each accepted corrector doubles it again, so the path creeps up to
+    # 1/2 until a failed step to 1/2 is at the floor; that failure ends
+    # the path with no search for a fixed point
     original = sv.newton_fixed_point
     failures, searches = [], []
 
@@ -595,8 +645,8 @@ def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
     cert = sv.homotopy_solve(rm.make_cubic_band())
     assert cert.status == "lost"
     assert cert.diagnostics["lost_at"] == 0.5
-    assert len(failures) == 16
-    assert cert.diagnostics["halvings"] == 15
+    assert len(failures) == 34
+    assert cert.diagnostics["halvings"] == 33
     assert searches == []
     assert cert.path[-1].lam < 0.5
 
