@@ -74,7 +74,7 @@ _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir"}
 _TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
-_GRID_KEYS = {"tau_points", "lambda_points"}
+_GRID_KEYS = {"tau_points"}
 # ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, 128
 # times tau_points for an odd one
 _TAU_POINTS_MAX = 4096
@@ -172,9 +172,6 @@ def validate_config(cfg: dict) -> dict:
         if not _is_positive_int(val):
             raise ConfigError(f"grids.{key} must be a positive integer, "
                               f"got {val!r}")
-    # one lambda point is the comparison field alone, never the model
-    if cfg.get("grids", {}).get("lambda_points", 2) < 2:
-        raise ConfigError("grids.lambda_points must be at least 2, got 1")
     tau_points = cfg.get("grids", {}).get("tau_points", 1)
     if tau_points > _TAU_POINTS_MAX:
         raise ConfigError(f"grids.tau_points must be at most "
@@ -241,16 +238,13 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
 
 
 def build_opts(cfg: dict) -> sv.SolveOpts:
-    """SolveOpts() with the tolerances and lambda_points the config gives."""
+    """SolveOpts() with the tolerances the config gives."""
     tol = {k: float(v) for k, v in cfg.get("tolerances", {}).items()}
     opts = sv.SolveOpts()
-    solve = {}
-    if "newton_tol" in tol:
-        solve["newton_tol"] = tol.pop("newton_tol")
-    if "lambda_points" in cfg.get("grids", {}):
-        solve["lambda_points"] = cfg["grids"]["lambda_points"]
+    newton_tol = tol.pop("newton_tol", opts.newton_tol)
     return dataclasses.replace(
-        opts, integrate=dataclasses.replace(opts.integrate, **tol), **solve)
+        opts, newton_tol=newton_tol,
+        integrate=dataclasses.replace(opts.integrate, **tol))
 
 
 def apply_tol_overrides(cfg: dict, overrides: list[str]) -> dict:

@@ -5,18 +5,21 @@ angular momentum L = x1 x2' - x2 x1', to the scalar radial equation
 rho'' - L^2/rho^3 + f(t, rho) = 0 coupled with rho^2 theta' = L.  Solutions
 that are T-periodic in rho and advance theta by 2 pi nu over k periods
 close up into kT-periodic orbits making exactly nu revolutions.
+
+find_rotating keeps its own record of the L values it evaluates, and the
+profile solve and the advance take the reduced field they work on as an
+argument: no call depends on state outside it.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .expr import Bin, Num, Var
+from .expr import Bin, DomainError, Num, Var
 from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
                         integrate)
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
@@ -39,35 +42,21 @@ class NoBracketError(ValueError):
     pass
 
 
-# (model, {L: reduced field}, [key, orbit]) while a find_rotating search
-# runs, else None: the profile solve, the advance and the solution's orbit
-# at one L share one compiled field, the solution's orbit is the last
-# advance's integration, and nothing outlives the search
-_SEARCH_FIELDS: ContextVar[Optional[tuple]] = ContextVar("_SEARCH_FIELDS",
-                                                         default=None)
-
-
 def effective_field(model: NonlinearityModel, L: float) -> NonlinearityModel:
     """Radial reduction: rho'' + [f(t, rho) - L^2/rho^3] = 0, compiled from
     model's expression trees, each less the centrifugal term, so that a
     piecewise model keeps its glue point rho = 1 as a kink the integrator
     lands on (ValueError for a model built from callables: it has no
     trees).  The term only strengthens the repulsive wall, so the reduced
-    nonlinearity is handled by the singular-mode machinery.  Inside
-    find_rotating the field of each L is compiled once and reused for the
-    rest of that search.
+    nonlinearity is handled by the singular-mode machinery.  Each call
+    compiles a new field.
     """
-    scope = _SEARCH_FIELDS.get()
-    fields = scope[1] if scope is not None and scope[0] is model else {}
-    if L in fields:
-        return fields[L]
     if not model.trees:
         raise ValueError("the radial reduction needs the model's expression "
                          "trees; a model built from callables has none")
     centrifugal = Bin("/", Num(L * L), Bin("^", Var("x"), Num(3.0)))
     trees = tuple(Bin("-", tree, centrifugal) for tree in model.trees)
-    fields[L] = from_trees(trees, model.period, SINGULAR, model.n_mode)
-    return fields[L]
+    return from_trees(trees, model.period, SINGULAR, model.n_mode)
 
 
 def _mean_f(model: NonlinearityModel):
@@ -134,34 +123,22 @@ def _circular_momentum(model: NonlinearityModel, target: float) -> float:
     return rho * rho * rate(rho, _mean_f(model)(rho))
 
 
-def angular_progress(model: NonlinearityModel, z0: PhaseState, L: float,
-                     horizon: float, opts: IntegrateOpts = IntegrateOpts()
-                     ) -> float:
-    """Angle swept by the full orbit: integral of L / rho(t)^2."""
-    return _profile_orbit(model, z0, L, horizon, opts).meta["rider"]
-
-
-def _profile_orbit(model, z0, L, horizon, opts) -> Trajectory:
-    """One planar integration of the radial profile with the angle as its
-    rider, at the integrator's tolerance; the wall check keeps rho > 0.
-    Inside find_rotating the last one is kept and returned again for the
-    same (L, z0, horizon, opts)."""
-    scope = _SEARCH_FIELDS.get()
-    last = scope[2] if scope is not None and scope[0] is model else [None, None]
-    key = (L, z0, horizon, opts)
-    if last[0] != key:
-        last[:] = key, integrate(HomotopyField(effective_field(model, L), 1.0),
-                                 z0, z0.t + horizon, opts,
-                                 rider=lambda t, rho, v: L / rho ** 2)
-    return last[1]
+def angular_progress(reduced: NonlinearityModel, z0: PhaseState, L: float,
+                     opts: IntegrateOpts = IntegrateOpts()) -> Trajectory:
+    """One period of the reduced field (effective_field at L) from z0, in
+    one planar integration at the integrator's tolerance with the angle's
+    rate L / rho^2 as its rider: meta["rider"] is the angle swept over the
+    period, Delta_theta.  The wall check keeps rho > 0."""
+    return integrate(HomotopyField(reduced, 1.0), z0, z0.t + reduced.period,
+                     opts, rider=lambda t, rho, v: L / rho ** 2)
 
 
 @dataclass
 class RotatingSolution:
-    """A rotating solution of model.  orbit is the profile's one
-    integration over a period with the angle as its rider, so
-    orbit.meta["rider"] is exactly delta_theta_period; cartesian_samples
-    post-processes it."""
+    """A rotating solution as the L-search recorded it at L: reduced is
+    effective_field at L, and orbit is the advance's one integration of it
+    over a period with the angle as its rider (orbit.meta["rider"] is
+    exactly delta_theta_period); cartesian_samples post-processes both."""
     k: int
     nu: int
     L: float
@@ -169,7 +146,7 @@ class RotatingSolution:
     residual: float
     delta_theta_period: float    # angle advance over one rho-period
     orbit: Trajectory = field(repr=False, compare=False)
-    model: NonlinearityModel = field(repr=False, compare=False)
+    reduced: NonlinearityModel = field(repr=False, compare=False)
     rho_min = property(lambda self: float(np.min(self.orbit.x)))
     rho_max = property(lambda self: float(np.max(self.orbit.x)))
 
@@ -182,39 +159,35 @@ class RotatingSolution:
         return self.delta_theta_total / (2.0 * math.pi)
 
 
-def solve_radial_profile(model: NonlinearityModel, L: float,
-                         guess: Optional[tuple[float, float]] = None,
+def solve_radial_profile(reduced: NonlinearityModel,
+                         guess: tuple[float, float],
                          opts: SolveOpts = SolveOpts(), jac=None):
-    """T-periodic solution of the reduced radial equation at fixed L:
-    (z, residual, Jacobian of P(z) - z at z).
-
-    Newton starts from the warm guess and Jacobian (a neighbouring L's
-    profile and final Jacobian during sweeps) or, without a guess, from
-    the circular orbit of the t-averaged field, (rho_c, 0).
-    NoBracketError when that start has no balance radius; a failed
-    Newton solve raises one of solver.NEWTON_FAILURES, and the L-search
-    skips that L.
-    """
-    if guess is None:
-        guess = (circular_orbit(model, L), 0.0)
+    """T-periodic solution of the reduced radial equation (effective_field
+    at one L): (z, residual, Jacobian of P(z) - z at z).  Newton starts
+    from the caller's guess and Jacobian: the nearest known L's, or the
+    circular orbit (circular_orbit(model, L), 0) and none.  A failed solve
+    raises one of solver.NEWTON_FAILURES, and the L-search skips that L."""
     z, res, _, _, jac = newton_fixed_point(
-        HomotopyField(effective_field(model, L), 1.0), guess,
-        opts.newton_tol, opts, jac=jac)
+        HomotopyField(reduced, 1.0), guess, opts.newton_tol, opts, jac=jac)
     return z, res, jac
 
 
 def _delta_theta_of_L(model, L, known, opts):
-    """(Delta_theta, z, residual) at L, recorded in `known` with the
-    profile solve's final Jacobian; the solve starts from the profile and
-    the Jacobian at the nearest known L."""
-    guess = jac = None
+    """Delta_theta at L, from one reduced field compiled for the profile
+    solve and the advance; known[L] records (Delta_theta, profile,
+    residual, Jacobian, reduced field, orbit).  The solve starts from the
+    nearest known L's profile and Jacobian, or from the circular orbit
+    when none is known (NoBracketError when it has no balance radius)."""
     if known:
-        _, guess, _, jac = known[min(known, key=lambda Lc: abs(Lc - L))]
-    z, res, jac = solve_radial_profile(model, L, guess, opts, jac)
-    dth = angular_progress(model, PhaseState(0.0, z[0], z[1]), L,
-                           model.period, opts.integrate)
-    known[L] = (dth, z, res, jac)
-    return dth, z, res
+        _, guess, _, jac, _, _ = known[min(known, key=lambda Lc: abs(Lc - L))]
+    else:
+        guess, jac = (circular_orbit(model, L), 0.0), None
+    reduced = effective_field(model, L)
+    z, res, jac = solve_radial_profile(reduced, guess, opts, jac)
+    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L,
+                             opts.integrate)
+    known[L] = (orbit.meta["rider"], z, res, jac, reduced, orbit)
+    return known[L][0]
 
 
 def _known_bracket(known, target):
@@ -232,8 +205,8 @@ def _illinois(model, target, bracket, known, opts):
     """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
     (Dowell & Jarratt 1971): the secant root of the two ends, with the
     value at an end halved when that end is kept twice in a row.  Returns
-    (L, Delta_theta, z, residual) at the first L within DTHETA_TOL of the
-    target, or None."""
+    the first L whose advance is within DTHETA_TOL of the target, or
+    None."""
     (a, fa), (b, fb) = ((L, dth - target) for L, dth in bracket)
     kept = None              # the end kept at the last step: "a" or "b"
     for _ in range(60):
@@ -241,12 +214,12 @@ def _illinois(model, target, bracket, known, opts):
             return None
         m = (a * fb - b * fa) / (fb - fa)
         try:
-            d, z, r = _delta_theta_of_L(model, m, known, opts)
+            d = _delta_theta_of_L(model, m, known, opts)
         except NEWTON_FAILURES:
             a = m
             continue
         if abs(d - target) < DTHETA_TOL:
-            return m, d, z, r
+            return m
         if d < target:
             a, fa = m, d - target
             if kept == "b":
@@ -260,40 +233,55 @@ def _illinois(model, target, bracket, known, opts):
     return None
 
 
-# what a profile solve or an advance integration can legitimately raise:
-# the package's RuntimeError subclasses (NewtonError, SingularJacobianError,
-# BlowUpError, DomainExitError) and the step-budget RuntimeError, floating
-# point trouble, and a missing balance radius
-_SOLVE_ERRORS = (RuntimeError, ArithmeticError, NoBracketError)
+# what a k's search can legitimately raise: the package's RuntimeError
+# subclasses and the step-budget RuntimeError, a DomainError from the
+# circular-orbit scan's grid call, and a missing balance radius
+_SOLVE_ERRORS = (RuntimeError, DomainError, NoBracketError)
 
 
 def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
                   opts: SolveOpts = SolveOpts(), k_min: int = 1
                   ) -> tuple[list[RotatingSolution], Optional[int]]:
-    """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k.
+    """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k,
+    the angular advance over one rho-period.
 
-    For each k the angular advance over one rho-period must equal
-    2 pi nu / k.  Delta_theta(L) does not depend on k, so every value
-    computed is kept for all k.  The bracket for k is the adjacent pair
-    of known L values, smallest L first, that straddles the target.  When
-    there is none, the search starts at the L of the circular orbit of
-    the t-averaged field that advances by the target, which is the
-    solution when its advance is within DTHETA_TOL, and steps L toward
-    the target by growing factors until a pair straddles it.  Inside the
-    bracket L is refined by Illinois steps (regula falsi that halves the
-    stale end's value when the same end is kept twice) until the advance
-    is within DTHETA_TOL of the target.  Profile solves start from the
-    profile and the shooting Jacobian at the nearest known L, so Newton
-    along the L-search rarely pays for a finite-difference Jacobian.
-    Returns the solutions found and the smallest succeeding k.  Each L's
-    reduced field is compiled once for the whole search, and a solution's
-    orbit is the integration of its last advance.
+    Delta_theta(L) does not depend on k, so every value computed is kept
+    for all k in the search's record, local to this call.  The bracket for
+    k is the adjacent pair of known L values that straddles the target.
+    Without one, the search steps from the circular orbit's L toward the
+    target until a pair straddles it (_step_to_bracket); inside it, L is
+    refined by Illinois steps (_illinois).  Profile solves start from the
+    profile and the shooting Jacobian at the nearest known L.  Returns the
+    solutions found and the smallest succeeding k; a solution's reduced
+    field and orbit are those its L's advance recorded, so each L's field
+    is compiled and its profile integrated once.
     """
-    token = _SEARCH_FIELDS.set((model, {}, [None, None]))
-    try:
-        return _find_rotating(model, nu, k_max, opts, k_min)
-    finally:
-        _SEARCH_FIELDS.reset(token)
+    results: list[RotatingSolution] = []
+    k_nu: Optional[int] = None
+    # L -> (Delta_theta, profile, residual, Jacobian, reduced field, orbit)
+    known: dict[float, tuple] = {}
+    for k in range(k_min, k_max + 1):
+        target = 2.0 * math.pi * nu / k
+        try:
+            L_star = None
+            bracket = _known_bracket(known, target)
+            if bracket is None:
+                L_star = _step_to_bracket(model, target, known, opts)
+                bracket = _known_bracket(known, target)
+            if L_star is None and bracket is not None:
+                L_star = _illinois(model, target, bracket, known, opts)
+        except _SOLVE_ERRORS:       # this k has no solution; try the next
+            continue
+        if L_star is None:
+            continue
+        dth, z, res, _, reduced, orbit = known[L_star]
+        results.append(RotatingSolution(
+            k=k, nu=nu, L=L_star, z0=PhaseState(0.0, z[0], z[1]),
+            residual=res, delta_theta_period=dth, orbit=orbit,
+            reduced=reduced))
+        if k_nu is None:
+            k_nu = k
+    return results, k_nu
 
 
 def _step_to_bracket(model, target, known, opts):
@@ -302,20 +290,20 @@ def _step_to_bracket(model, target, known, opts):
     last advance is below the target and divided by q when above (the
     advance grows with L), q starting at 1.02 and squared after each of at
     most MAX_STEPS steps; a step whose profile solve fails is skipped.
-    Returns (L, Delta_theta, z, residual) when an advance lands within
-    DTHETA_TOL of the target, else None."""
+    Returns the L whose advance lands within DTHETA_TOL of the target, else
+    None."""
     L = _circular_momentum(model, target)
     # before the first advance, step from the side of the earlier k's ones
     below = next((v[0] < target for v in known.values()), None)
     q = 1.02
     for _ in range(MAX_STEPS + 1):
         try:
-            dth, z, res = _delta_theta_of_L(model, L, known, opts)
+            dth = _delta_theta_of_L(model, L, known, opts)
         except NEWTON_FAILURES:
             pass
         else:
             if abs(dth - target) < DTHETA_TOL:
-                return L, dth, z, res
+                return L
             if _known_bracket(known, target) is not None:
                 return None
             below = dth < target
@@ -324,37 +312,6 @@ def _step_to_bracket(model, target, known, opts):
         L = L * q if below else L / q
         q *= q
     return None
-
-
-def _find_rotating(model, nu, k_max, opts, k_min):
-    results: list[RotatingSolution] = []
-    k_nu: Optional[int] = None
-    # L -> (Delta_theta, profile, residual, Jacobian); local to this call
-    known: dict[float, tuple] = {}
-    for k in range(k_min, k_max + 1):
-        target = 2.0 * math.pi * nu / k
-        try:
-            best = None
-            bracket = _known_bracket(known, target)
-            if bracket is None:
-                best = _step_to_bracket(model, target, known, opts)
-                bracket = _known_bracket(known, target)
-            if best is None and bracket is not None:
-                best = _illinois(model, target, bracket, known, opts)
-            if best is None:
-                continue
-            L_star, dth, z, res = best
-            z0 = PhaseState(0.0, z[0], z[1])
-            results.append(RotatingSolution(
-                k=k, nu=nu, L=L_star, z0=z0, residual=res,
-                delta_theta_period=dth,
-                orbit=_profile_orbit(model, z0, L_star, model.period,
-                                     opts.integrate), model=model))
-            if k_nu is None:
-                k_nu = k
-        except _SOLVE_ERRORS:       # this k has no solution; try the next
-            continue
-    return results, k_nu
 
 
 def cartesian_samples(sol: RotatingSolution, n: int = 720):
@@ -375,9 +332,8 @@ def cartesian_samples(sol: RotatingSolution, n: int = 720):
     h = orb.t[i + 1] - orb.t[i]
     s = (stops - orb.t[i]) / h
     rho, v = orb.x, orb.y
-    f_eff = effective_field(sol.model, L).f
-    acc = -np.array([f_eff(tt, r) for tt, r in zip(orb.t.tolist(),
-                                                   rho.tolist())])
+    acc = -np.array([sol.reduced.f(tt, r)
+                     for tt, r in zip(orb.t.tolist(), rho.tolist())])
     rho_p = _hermite5(s, h, rho[i], rho[i + 1], v[i], v[i + 1], acc[i],
                       acc[i + 1])
     theta, dtheta = orb.meta["rider_samples"], L / rho ** 2

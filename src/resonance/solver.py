@@ -60,13 +60,13 @@ NEWTON_FAILURES = (NewtonError, SingularJacobianError) + _MAP_FAILURES
 @dataclass(frozen=True)
 class SolveOpts:
     newton_tol: float = 1e-9
-    lambda_points: int = 33
     # shooting needs the return map resolved below the Newton tolerance
     integrate: IntegrateOpts = IntegrateOpts(rtol=1e-11, atol=1e-11)
 
 
 _NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6          # relative Jacobian step, scaled by ||z||
+_FIRST_LAMBDA_STEP = 1.0 / 32    # the continuation's first step
 _LAMBDA_FLOOR = 1e-6     # smallest allowed continuation step
 _MAX_SUP_NORM = 1e6      # growth cap: beyond it the branch is lost
 _DEGREE_SAMPLES = 48     # starting samples of a boundary winding
@@ -457,9 +457,9 @@ def homotopy_solve(model: NonlinearityModel,
     """Transport a fixed point from the comparison field to the target one.
 
     The path starts at lam = 0 on the fixed point _solve_at_lambda picks.
-    Its first step is 1/(opts.lambda_points - 1); after an accepted
-    corrector the step doubles if the corrector took at most 2 iterations,
-    stays after 3 or 4 and halves after more (Deuflhard, Newton Methods for
+    Its first step is _FIRST_LAMBDA_STEP, 1/32; after an accepted corrector
+    the step doubles if the corrector took at most 2 iterations, stays
+    after 3 or 4 and halves after more (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, ch. 5).  A failed corrector halves the step
     and counts as a halving; a failure at a step of _LAMBDA_FLOOR or less
     loses the path there, and so does an orbit whose sup norm passes
@@ -482,15 +482,10 @@ def homotopy_solve(model: NonlinearityModel,
     (see Winding).  Without one, no winding and no index are computed.  A
     lost continuation returns the surviving path (status "lost") so blow-up
     families remain inspectable.  diagnostics names the initial guess of
-    the start and counts the halvings.  lambda_points below 2 raise
-    ValueError.
+    the start and counts the halvings.
     """
-    if opts.lambda_points < 2:
-        raise ValueError(f"opts.lambda_points must be at least 2, "
-                         f"got {opts.lambda_points}")
-
     waypoint_tol = math.sqrt(opts.newton_tol)
-    step = 1.0 / (opts.lambda_points - 1)
+    step = _FIRST_LAMBDA_STEP
     halvings = 0
 
     def path_point(lam, z, res, orbit):

@@ -72,7 +72,6 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": dict(_BAND, params={"name": "band"})},
      ["model.params", "name"]),
     ({"model": _BAND, "grids": {"tau_points": "abc"}}, ["grids.tau_points"]),
-    ({"model": _BAND, "grids": {"lambda_points": 0}}, ["grids.lambda_points"]),
     ({"model": _BAND, "tolerances": {"rtol": "tight"}}, ["tolerances.rtol"]),
     ({"model": {"f": "x^3 + bogus*x", "T": 2 * math.pi, "N": 2}},
      ["model.f", "bogus"]),
@@ -109,8 +108,9 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "grids": {"t_points": 96}}, ["unknown keys", "t_points"]),
     ({"model": _BAND, "grids": {"x_points": 4096}},
      ["unknown keys", "x_points"]),
+    # the continuation's first step is fixed; the retired key is unknown
     ({"model": _BAND, "grids": {"lambda_points": 1}},
-     ["grids.lambda_points", "at least 2"]),
+     ["unknown keys in grids", "lambda_points"]),
     ({"model": 3}, ["model", "object"]),
     ({"model": None}, ["model", "object"]),
     ({"model": "abc"}, ["model", "object"]),
@@ -124,7 +124,7 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "theorem": []}, ["theorem"]),
     ({"model": _BAND, "out_dir": 5}, ["out_dir"]),
 ], ids=["family-param", "family", "family-param-name", "grid-type",
-        "grid-range", "tolerance", "unknown-identifier", "parse-error",
+        "tolerance", "unknown-identifier", "parse-error",
         "literal-overflow-f", "literal-overflow-f_left",
         "literal-overflow-f_right",
         "family-param-type", "linear-resonant-even-N", "radial-nu-type",
@@ -289,7 +289,7 @@ def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
     monkeypatch.setattr(sv, "boundary_degree", traced_degree)
     monkeypatch.setattr(sv, "poincare", traced_map)
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path, grids={"tau_points": 32, "lambda_points": 9})
+    cfg = _write_config(tmp_path, grids={"tau_points": 32})
     assert cli.main(["find", "--config", cfg, "--out", str(out),
                      "--tol-override", f"rtol={rtol}"]) == 0
     report = dict(line.split(" = ", 1)
@@ -317,9 +317,6 @@ def test_build_opts_fills_only_the_keys_the_config_gives():
     opts = cli.build_opts(cli.validate_config(
         {"model": _BAND, "tolerances": {"newton_tol": 4e-9}}))
     assert opts == dataclasses.replace(default, newton_tol=4e-9)
-    opts = cli.build_opts(cli.validate_config(
-        {"model": _BAND, "grids": {"lambda_points": 9}}))
-    assert opts == dataclasses.replace(default, lambda_points=9)
 
 
 def test_expression_model_roundtrip():
@@ -541,7 +538,7 @@ def test_full_pipeline_on_quintic_expression_model(tmp_path):
                   "f_right": "1.625*x + x^2/(1+x^2)",
                   "T": 2 * math.pi, "N": 2},
         "theorem": "main2",
-        "grids": {"tau_points": 32, "lambda_points": 17},
+        "grids": {"tau_points": 32},
     }))
     out = tmp_path / "out"
     code = cli.main(["find", "--config", str(cfg_path), "--out", str(out)])
@@ -577,7 +574,7 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
         "model": {"family": "cubic_band", "T": 2 * math.pi, "N": 2,
                   "params": {"forcing": 0.5}},
         "theorem": "main",
-        "grids": {"tau_points": 32, "lambda_points": 17},
+        "grids": {"tau_points": 32},
         "sweep": {"param": "model.params.forcing", "values": [0.5, 6.0]},
     }))
     out = tmp_path / "atlas_out"

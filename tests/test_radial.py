@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import resonance.model as rm
 from resonance import radial as rd
 from resonance import solver as sv
+from resonance.expr import DomainError, Var
 from resonance.integrate import (BlowUpError, HomotopyField, IntegrateOpts,
                                  PhaseState, integrate, integrate_system)
 from resonance.solver import homotopy_solve
@@ -96,11 +98,13 @@ def test_circular_orbit_missing_bracket():
 
 def test_angular_progress_circular():
     model = rm.from_expression("x", T2PI, rm.SINGULAR, 2)
-    dth = rd.angular_progress(model, PhaseState(0.0, 1.0, 0.0), 1.0, T2PI)
-    assert dth == pytest.approx(T2PI, abs=1e-10)
-    # constant integrand: h * L / rho0^2
-    dth2 = rd.angular_progress(model, PhaseState(0.0, 1.0, 0.0), 1.0, 1.7)
-    assert dth2 == pytest.approx(1.7, abs=1e-10)
+    orbit = rd.angular_progress(rd.effective_field(model, 1.0),
+                                PhaseState(0.0, 1.0, 0.0), 1.0)
+    assert orbit.t[-1] == T2PI
+    assert orbit.meta["rider"] == pytest.approx(T2PI, abs=1e-10)
+    # constant integrand: the angle at every sample is t * L / rho0^2
+    np.testing.assert_allclose(orbit.meta["rider_samples"], orbit.t,
+                               rtol=0.0, atol=1e-10)
 
 
 def _advance_by_integrate_system(model, z0, L, horizon):
@@ -124,9 +128,11 @@ def _advance_by_integrate_system(model, z0, L, horizon):
 @pytest.mark.parametrize("L", [0.03, 0.373, 1.72])
 def test_angular_progress_matches_integrate_system(L):
     model = rm.make_singular_band()
-    z, _, _ = rd.solve_radial_profile(model, L)
+    reduced = rd.effective_field(model, L)
+    z, _, _ = rd.solve_radial_profile(reduced,
+                                      (rd.circular_orbit(model, L), 0.0))
     z0 = PhaseState(0.0, *z)
-    dth = rd.angular_progress(model, z0, L, model.period)
+    dth = rd.angular_progress(reduced, z0, L).meta["rider"]
     assert dth == pytest.approx(
         _advance_by_integrate_system(model, z0, L, model.period), abs=1e-9)
 
@@ -158,24 +164,31 @@ def _homotopy_profile(L):
 @pytest.mark.parametrize("L", [0.03, 0.373, 1.7])
 def test_profile_seeded_from_circular_orbit_matches_homotopy(L, monkeypatch):
     homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
-    z, res, _ = rd.solve_radial_profile(rm.make_singular_band(), L)
+    model = rm.make_singular_band()
+    z, res, _ = rd.solve_radial_profile(rd.effective_field(model, L),
+                                        (rd.circular_orbit(model, L), 0.0))
     assert not homotopies and res < 1e-8
     assert z == pytest.approx(_homotopy_profile(L), abs=1e-9)
 
 
 def test_profile_without_balance_radius_raises_and_runs_no_homotopy(
         monkeypatch):
-    # the circular orbit is the profile solve's one start: without a
-    # balance radius the solve fails, and no homotopy bootstraps the orbit
+    # the circular orbit is the search's one start before any L is known:
+    # without a balance radius the first L fails before its field is
+    # compiled, no homotopy bootstraps the orbit, and the k is skipped
     def no_balance(*args, **kwargs):
         raise rd.NoBracketError("no balance radius")
 
     monkeypatch.setattr(rd, "circular_orbit", no_balance)
     homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
     maps = _count_calls(monkeypatch, "poincare", sv)
+    compiles = _count_calls(monkeypatch, "from_trees")
     with pytest.raises(rd.NoBracketError, match="no balance radius"):
-        rd.solve_radial_profile(rm.make_singular_band(), 0.373)
-    assert not homotopies and not maps
+        rd._delta_theta_of_L(rm.make_singular_band(), 0.373, {},
+                             sv.SolveOpts())
+    assert rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1) == (
+        [], None)
+    assert not homotopies and not maps and not compiles
 
 
 # --------------------------------------------------------------------------
@@ -368,22 +381,30 @@ def test_find_rotating_pinned_work(monkeypatch):
 def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
     # the profile solve, the advance and the solution's orbit at one L
     # share one compiled field: 10 compiles for the 10 distinct L, where
-    # compiling per call took 38 (for the 18 L of a bracket scan)
+    # compiling per call took 38 (for the 18 L of a bracket scan).  Each
+    # solution holds the orbit its L's advance returned and the field that
+    # advance integrated, so cartesian_samples compiles none (it compiled
+    # one per solution)
     compiles = _count_calls(monkeypatch, "from_trees")
-    momenta = []
+    advanced = {}
     original = rd.angular_progress
 
-    def advance(model, z0, L, horizon, opts=None):
-        momenta.append(L)
-        return original(model, z0, L, horizon, opts)
+    def advance(reduced, z0, L, opts=None):
+        advanced[L] = (reduced, original(reduced, z0, L, opts))
+        return advanced[L][1]
 
     monkeypatch.setattr(rd, "angular_progress", advance)
-    sols, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    model = rm.make_singular_band()
+    sols, _ = rd.find_rotating(model, nu=1, k_max=2)
     assert [s.k for s in sols] == [1, 2]
-    assert {s.L for s in sols} <= set(momenta)
-    assert len(compiles) == len(set(momenta)) == 10
-    # nothing is kept past the search
-    rd.effective_field(sols[0].model, sols[0].L)
+    assert len(compiles) == len(advanced) == 10
+    for s in sols:
+        reduced, orbit = advanced[s.L]
+        assert s.orbit is orbit and s.reduced is reduced
+        rd.cartesian_samples(s)
+    assert len(compiles) == 10
+    # nothing is kept past the search: a call outside it compiles anew
+    rd.effective_field(model, sols[0].L)
     assert len(compiles) == 11
 
 
@@ -392,11 +413,12 @@ def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
     # solution keeps that integration: bit for bit a fresh one
     integrations = _count_calls(monkeypatch, "integrate")
     advances = _count_calls(monkeypatch, "angular_progress")
-    sols, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2)
+    model = rm.make_singular_band()
+    sols, _ = rd.find_rotating(model, nu=1, k_max=2)
     assert len(integrations) == len(advances) == 10
     for s in sols:
-        fresh = rd._profile_orbit(s.model, s.z0, s.L, s.model.period,
-                                  sv.SolveOpts().integrate)
+        fresh = rd.angular_progress(rd.effective_field(model, s.L), s.z0,
+                                    s.L, sv.SolveOpts().integrate)
         assert fresh is not s.orbit
         for name in ("t", "x", "y"):
             assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
@@ -422,9 +444,9 @@ def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
     advances = []
     original = rd.angular_progress
 
-    def advance(model, z0, L, horizon, opts=None):
+    def advance(reduced, z0, L, opts=None):
         advances.append(L)
-        return original(model, z0, L, horizon, opts)
+        return original(reduced, z0, L, opts)
 
     monkeypatch.setattr(rd, "angular_progress", advance)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(wobble=0.0), nu=1,
@@ -445,20 +467,31 @@ def test_search_steps_past_a_failed_profile_solve(monkeypatch):
     solves = []
     original = rd.solve_radial_profile
     advances = _count_calls(monkeypatch, "angular_progress")
+    # the solve no longer receives L: each solve's L is that of the field
+    # compiled just before it
+    momenta = []
+    compile_field = rd.effective_field
+
+    def counted_field(model, L):
+        momenta.append(L)
+        return compile_field(model, L)
+
+    monkeypatch.setattr(rd, "effective_field", counted_field)
     for failure in (sv.NewtonError("patched failure"),
                     BlowUpError(0.0, 0.2, -1.0)):
-        def second_fails(model, L, guess=None, opts=sv.SolveOpts(),
-                         jac=None):
-            solves.append(L)
+        def second_fails(reduced, guess, opts=sv.SolveOpts(), jac=None):
+            solves.append(momenta[-1])
             if len(solves) == 2:
                 raise failure
-            return original(model, L, guess, opts, jac)
+            return original(reduced, guess, opts, jac)
 
         monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
         solves.clear()
         advances.clear()
+        momenta.clear()
         sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
         assert k_nu == 1 and [s.k for s in sols] == [1]
+        assert solves == momenta
         assert solves[1] == pytest.approx(solves[0] / 1.02, rel=1e-12)
         assert len(advances) == len(solves) - 1
         assert abs(sols[0].delta_theta_period - 2 * math.pi) < rd.DTHETA_TOL
@@ -475,6 +508,28 @@ def test_find_rotating_propagates_programming_errors(monkeypatch):
         rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
 
 
+def test_find_rotating_propagates_arithmetic_errors_but_a_domain_error(
+        monkeypatch):
+    # the one arithmetic failure a k's search may raise is a DomainError
+    # from the circular-orbit scan's grid call, and that k is skipped; any
+    # other ArithmeticError is a fault and leaves the search (a catch of
+    # every ArithmeticError skipped the k)
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("broken advance")
+
+    monkeypatch.setattr(rd, "angular_progress", broken)
+    with pytest.raises(ZeroDivisionError, match="broken advance"):
+        rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
+
+    def scan_leaves_domain(*args, **kwargs):
+        raise DomainError("log of a non-positive value", Var("x"),
+                          (0.0, -1.0))
+
+    monkeypatch.setattr(rd, "_circular_momentum", scan_leaves_domain)
+    assert rd.find_rotating(rm.make_singular_band(), nu=1, k_max=2) == (
+        [], None)
+
+
 def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
     # on Delta_theta = 2 pi (L / L_root)^12 plain regula falsi keeps the
     # upper end fixed and runs out of its 60 steps; halving the value of an
@@ -482,12 +537,12 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
     L_root = 0.7
     advances = []
 
-    def fake_advance(model, z0, L, horizon, opts=None):
+    def fake_advance(reduced, z0, L, opts=None):
         advances.append(L)
-        return 2 * math.pi * (L / L_root) ** 12
+        return SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12})
 
     monkeypatch.setattr(rd, "solve_radial_profile",
-                        lambda model, L, guess=None, opts=None, jac=None:
+                        lambda reduced, guess, opts=None, jac=None:
                         ((1.2, 0.0), 0.0, None))
     monkeypatch.setattr(rd, "angular_progress", fake_advance)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)

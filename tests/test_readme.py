@@ -53,3 +53,22 @@ def test_certificate_keys_in_the_readme_are_the_ones_written(tmp_path):
     listed = re.search(r"and the `certificate\.\*`\s+keys:(.*?)\. A lost path",
                        _README, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == written
+
+
+def test_config_prose_names_exactly_the_keys_the_cli_accepts():
+    # each section's "accepts" sentence under "Config format" lists the
+    # keys validate_config allows there, and the radial sentence its keys
+    # with their defaults in order
+    section = _README[_README.index("### Config format"):]
+    section = section[:section.index("\n### ", 1)]
+    for name, keys in (("tolerances", cli._TOL_KEYS),
+                       ("grids", cli._GRID_KEYS)):
+        sentence = re.search(rf"`{name}` accepts(.*?)\.\s", section,
+                             re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", sentence)) == keys, name
+    radial = re.search(r"((?:`radial\.\w+`(?:,\s+|\s+and\s+))+`radial\.\w+`)"
+                       r"\s+\(defaults ([^)]*)\)", section)
+    names = re.findall(r"`radial\.(\w+)`", radial.group(1))
+    defaults = [int(d) for d in re.findall(r"\d+", radial.group(2))]
+    assert dict(zip(names, defaults)) == cli._RADIAL_DEFAULTS
+    assert len(names) == len(defaults) == len(cli._RADIAL_DEFAULTS)

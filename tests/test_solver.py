@@ -359,7 +359,7 @@ def test_find_exits_6_when_the_winding_map_error_reaches_the_margin(
         "model": {"family": "cubic_band", "T": T2PI, "N": 2,
                   "params": {"forcing": 0.5}},
         "theorem": "main",
-        "grids": {"tau_points": 32, "lambda_points": 9},
+        "grids": {"tau_points": 32},
     }))
     code = cli.main(["find", "--config", str(cfg), "--out",
                      str(tmp_path / "out")])
@@ -519,15 +519,6 @@ def test_homotopy_reports_halvings(band_certificate):
     cert, _ = band_certificate
     assert cert.diagnostics["halvings"] == 0
     assert [p.lam * 32 for p in cert.path] == [0, 1, 3, 7, 15, 23, 31, 32]
-
-
-@pytest.mark.parametrize("points", [1, 0])
-def test_homotopy_rejects_a_grid_without_the_model(points):
-    # one lambda point is lambda = 0 alone: the comparison field, never the
-    # model whose fixed point the certificate would claim
-    with pytest.raises(ValueError, match="lambda_points must be at least 2"):
-        sv.homotopy_solve(rm.make_cubic_band(),
-                          opts=sv.SolveOpts(lambda_points=points))
 
 
 def test_homotopy_orbit_is_the_certified_trajectory(band_certificate):
