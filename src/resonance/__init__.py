@@ -11,8 +11,7 @@ radii), `solver` finds and certifies periodic solutions, `radial` reduces
 rotating plane-valued systems, and `cli` wires it all to a config file.
 """
 
-from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
-                        rotation_count)
+from .integrate import HomotopyField, PhaseState, Trajectory, rotation_count
 from .model import (FULL_LINE, SINGULAR, NonlinearityModel, from_expression,
                     from_family, from_piecewise)
 from .solver import PeriodicCertificate, SolveOpts, homotopy_solve
@@ -21,7 +20,7 @@ from .spectrum import SpectrumPoint, curve_residual
 __version__ = "0.1.0"
 
 __all__ = [
-    "HomotopyField", "IntegrateOpts", "PhaseState", "Trajectory",
+    "HomotopyField", "PhaseState", "Trajectory",
     "rotation_count", "FULL_LINE", "SINGULAR",
     "NonlinearityModel", "from_expression", "from_family", "from_piecewise",
     "PeriodicCertificate", "SolveOpts", "homotopy_solve",

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
-                        crossing_times, integrate)
+from .integrate import (INTEGRATION_FAILURES, HomotopyField, PhaseState,
+                        Trajectory, crossing_times, integrate)
 from .model import (ENVELOPE_T_POINTS, SINGULAR, NonlinearityModel,
                     periodic_grid)
 
@@ -55,7 +55,6 @@ class EnvelopePair:
     F1: np.ndarray
     F2: np.ndarray
     base: float
-    domain: str
 
     def F(self, i: int, x) -> float:
         tab = self.F1 if i == 1 else self.F2
@@ -137,7 +136,7 @@ def build_envelopes(model: NonlinearityModel) -> EnvelopePair:
         return out
 
     return EnvelopePair(grid, f1, f2, primitive(f1), primitive(f2),
-                        float(grid[-1]), model.domain)
+                        float(grid[-1]))
 
 
 @dataclass
@@ -151,8 +150,6 @@ class AprioriKit:
     R0: float
     y_hat: float
     R_elastic: float
-    n_mode: int
-    period: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -251,10 +248,10 @@ def _en1_holds(env: EnvelopePair, r: float, kappa: float) -> bool:
     return 2.0 * f2v > r * r * math.exp(2.0 * (kappa * math.pi + a))
 
 
-def probe_R0(fld: HomotopyField,
+def probe_R0(model: NonlinearityModel,
              env: Optional[EnvelopePair] = None) -> tuple[float, dict]:
     """Smallest of 41 geometrically spaced radii r from max(4|d|, 4) to 1e4
-    at which the field of fld.model turns clockwise on {rho >= r} and the
+    at which the model's field turns clockwise on {rho >= r} and the
     energy confinement inequalities hold; diagnostics record which
     constraint binds and where the polar constants are attained.
 
@@ -267,9 +264,9 @@ def probe_R0(fld: HomotopyField,
     checks.
     """
     if env is None:
-        env = build_envelopes(fld.model)
+        env = build_envelopes(model)
     d = env.base
-    rates = _rate_table(fld.model, d)
+    rates = _rate_table(model, d)
     r_grid = np.geomspace(max(4.0 * abs(d), 4.0), 1e4, 41)
     diagnostics = {"failures": {}}
     r_top = float(r_grid[-1]) * 2.0
@@ -299,7 +296,7 @@ def _binding_constraint(diag: dict) -> str:
     return fails[max(fails)]
 
 
-def build_kit(fld: HomotopyField,
+def build_kit(model: NonlinearityModel,
               env: Optional[EnvelopePair] = None) -> AprioriKit:
     """Assemble the full kit: R0, the polar constants, maps, escape radius.
 
@@ -307,33 +304,35 @@ def build_kit(fld: HomotopyField,
     makes it negative).
     """
     if env is None:
-        env = build_envelopes(fld.model)
-    r0, diag = probe_R0(fld, env)
+        env = build_envelopes(model)
+    r0, diag = probe_R0(model, env)
     kappa = diag["kappa"]
     d = env.base
     a = kappa * math.asin(d / r0)
     kit = AprioriKit(env=env, d=d, omega0=diag["omega0"], ell0=diag["ell0"],
                      kappa=kappa, a=a, R0=r0, y_hat=0.0, R_elastic=0.0,
-                     n_mode=fld.model.n_mode, period=fld.model.period,
                      diagnostics=diag)
     kit.y_hat = math.exp(a) * math.sqrt(2.0 * env.F(1, -r0) + d * d)
     v = kit.y_hat
-    for _ in range(fld.model.n_mode + 2):
+    for _ in range(model.n_mode + 2):
         v = map_L(kit, v)
     kit.R_elastic = v
     return kit
 
 
-def lap_report(fld: HomotopyField, kit: AprioriKit, y0: float) -> dict:
-    """Integrate one large lap from (0, y0) and test every bound on it.
+def lap_report(model: NonlinearityModel, kit: AprioriKit, y0: float,
+               tol: float) -> dict:
+    """Integrate one large lap of the model's field from (0, y0) at tol and
+    test every bound on it.
 
     Checks, per lap: the energy-transfer bound y(t7) < T(y(t5)), the lap
     bound y(t8) <= L(y(t2)), the excursion bound x(t6) > M(x(t3)), the
     quarter-turn sandwich around the right apex, and the polar inequality
     |rho'| <= kappa * rho * (-theta') for x > d.
     """
-    period = fld.model.period
-    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * period, d=kit.d)
+    fld = HomotopyField(model, 1.0)
+    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * model.period, tol,
+                     d=kit.d)
     lap = crossing_times(traj, kit.d)
     state = {ev.t: ev for ev in traj.events}
     y2 = state[lap.t2].y
@@ -386,30 +385,31 @@ def _n_level_states(level: float, n_points: int):
             for k in range(n_points)]
 
 
-def probe_N0(fld: HomotopyField,
-             opts: IntegrateOpts = IntegrateOpts()) -> tuple[float, dict]:
+def probe_N0(model: NonlinearityModel, tol: float) -> tuple[float, dict]:
     """Empirical largeness threshold for the singular phase portrait.
 
     Scans the start levels N0_LEVELS of 1/x^2 + x^2 + y^2: a level passes
-    when all its N0_PROBES probe orbits rotate clockwise about (1, 0) with
-    between n and n+1 laps over one period.  Orbits trade the functional
+    when all its N0_PROBES probe orbits of the model's field, integrated at
+    tol, rotate clockwise about (1, 0) with between n and n+1 laps over one
+    period; an orbit that raises one of INTEGRATION_FAILURES fails its
+    level, and any other error propagates.  Orbits trade the functional
     down by a bounded factor while they rotate, so the returned threshold
     is the worst value the passing probes actually reach (with a small
     safety margin), together with the start level that realizes it.
     """
-    if fld.model.domain != SINGULAR:
+    if model.domain != SINGULAR:
         raise ValueError("probe_N0 applies to singular fields")
-    period = fld.model.period
-    n = fld.model.n_mode
+    fld = HomotopyField(model, 1.0)
+    period = model.period
+    n = model.n_mode
     diag = {"failures": {}, "level_floor": {}}
     for level in N0_LEVELS:
         ok = True
         reached = math.inf
         for (x0, y0) in _n_level_states(float(level), N0_PROBES):
             try:
-                traj = integrate(fld, PhaseState(0.0, x0, y0), period, opts)
-            except (ValueError, RuntimeError, ArithmeticError) as e:
-                # a wall hit, a blow-up or a domain error disqualifies
+                traj = integrate(fld, PhaseState(0.0, x0, y0), period, tol)
+            except INTEGRATION_FAILURES as e:
                 diag["failures"][float(level)] = f"integration: {e}"
                 ok = False
                 break

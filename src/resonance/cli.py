@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import inspect
 import json
 import math
@@ -73,7 +72,7 @@ _RADIAL_DEFAULTS = {"nu": 1, "k_max": 4, "k_min": 1}
 _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir"}
-_TOL_KEYS = {"rtol", "atol", "event_tol", "newton_tol", "max_step"}
+_TOL_KEYS = {"tol", "newton_tol"}
 _GRID_KEYS = {"tau_points"}
 # ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, 128
 # times tau_points for an odd one
@@ -238,30 +237,9 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
 
 
 def build_opts(cfg: dict) -> sv.SolveOpts:
-    """SolveOpts() with the tolerances the config gives."""
-    tol = {k: float(v) for k, v in cfg.get("tolerances", {}).items()}
-    opts = sv.SolveOpts()
-    newton_tol = tol.pop("newton_tol", opts.newton_tol)
-    return dataclasses.replace(
-        opts, newton_tol=newton_tol,
-        integrate=dataclasses.replace(opts.integrate, **tol))
-
-
-def apply_tol_overrides(cfg: dict, overrides: list[str]) -> dict:
-    cfg = copy.deepcopy(cfg)
-    for ov in overrides or []:
-        if "=" not in ov:
-            raise ConfigError(f"--tol-override expects K=V, got {ov!r}")
-        key, val = ov.split("=", 1)
-        key = key.strip()
-        if key not in _TOL_KEYS:
-            raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(_TOL_KEYS)}")
-        try:
-            cfg.setdefault("tolerances", {})[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"--tol-override {key}: expected a number, "
-                              f"got {val!r}") from None
-    return cfg
+    """SolveOpts() with the tolerances (tol, newton_tol) the config gives."""
+    return sv.SolveOpts(**{k: float(v)
+                           for k, v in cfg.get("tolerances", {}).items()})
 
 
 class Report:
@@ -391,13 +369,12 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         # whose probe orbits passed, or the circle at the escape radius
         try:
             if singular:
-                n0, diag = ap.probe_N0(HomotopyField(model, 1.0),
-                                       opts=opts.integrate)
+                n0, diag = ap.probe_N0(model, opts.tol)
                 radius = diag["start_level"]
                 report.put("apriori.N0", n0)
                 report.put("apriori.start_level", radius)
             else:
-                res.kit = ap.build_kit(HomotopyField(model, 1.0))
+                res.kit = ap.build_kit(model)
                 _write_kit(res.kit, out_dir)
                 for key in ("R0", "kappa", "omega0", "ell0", "a", "y_hat",
                             "R_elastic"):
@@ -471,7 +448,7 @@ def _write_certificate(cert, model, opts, out_dir, report):
         if traj is None:    # lost: the target field from the last path point
             traj = integrate(HomotopyField(model, 1.0),
                              PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                             model.period, opts.integrate)
+                             model.period, opts.tol)
         write_csv(os.path.join(out_dir, "solution.csv"),
                   ["t", "x", "y", "rho", "theta"],
                   list(zip(map(float, traj.t), map(float, traj.x),
@@ -530,7 +507,6 @@ def _load_config(args) -> tuple[dict, str]:
         raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    cfg = apply_tol_overrides(cfg, args.tol_override)
     if args.command == "radial":
         cfg["theorem"] = "radial"
     elif args.theorem:
@@ -551,12 +527,11 @@ def _cmd_apriori(args) -> int:
     cfg, out = _load_config(args)
     res = run(cfg, out, last="apriori")
     if res.kit is not None:
-        kit = res.kit
-        fld = HomotopyField(res.model, 1.0)
+        kit, tol = res.kit, build_opts(cfg).tol
         rows = []
         try:
             for amp in np.geomspace(max(4.0 * kit.R0, 100.0), 1e3, 8):
-                lap = ap.lap_report(fld, kit, float(amp))
+                lap = ap.lap_report(res.model, kit, float(amp), tol)
                 li = lap["lap"]
                 rows.append((float(amp), li.t1, li.t2, li.t3, li.t4, li.t5,
                              li.t6, li.t7, li.t8, lap["y2"], lap["x3"],
@@ -639,8 +614,6 @@ def main(argv=None) -> int:
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--theorem", choices=THEOREMS,
                         help="pipeline variant (overrides config)")
-    common.add_argument("--tol-override", action="append", metavar="K=V",
-                        help="override a tolerance, e.g. rtol=1e-12")
 
     parser = argparse.ArgumentParser(
         prog="resonance",

@@ -42,8 +42,9 @@ from .model import FULL_LINE, SINGULAR, NonlinearityModel, split_point
 from .spectrum import eigenvalue
 
 __all__ = [
-    "IntegrateOpts", "PhaseState", "Event", "Trajectory", "HomotopyField",
+    "PhaseState", "Event", "Trajectory", "HomotopyField",
     "BlowUpError", "DomainExitError", "CenterHitError", "LapPatternError",
+    "INTEGRATION_FAILURES",
     "integrate", "integrate_system", "rotation_count", "crossing_times",
     "LapInstants",
 ]
@@ -65,6 +66,11 @@ class DomainExitError(RuntimeError):
         super().__init__(f"domain exit (x -> 0+) at t={t:.6g}, x={x:.6g}")
 
 
+# what an integration of a sound field raises when its orbit cannot be
+# followed: a blow-up, the singular wall or a subexpression off its domain
+INTEGRATION_FAILURES = (BlowUpError, DomainExitError, DomainError)
+
+
 class CenterHitError(RuntimeError):
     """Trajectory passed too close to the rotation center for a lift."""
 
@@ -80,14 +86,6 @@ _FIELD_ERRORS = (DomainError, ValueError, ZeroDivisionError, OverflowError)
 _STAGE_ERRORS = (WallError,) + _FIELD_ERRORS
 
 
-@dataclass(frozen=True)
-class IntegrateOpts:
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    event_tol: float = 1e-10       # bracket width for event times
-    max_step: Optional[float] = None  # default: span / 64
-
-
 _FIRST_STEP = 1e-4
 _STEP_FLOOR = 1e-14
 _BLOWUP_BOUND = 1e100      # escaping orbits hit this fast; bounded dynamics
@@ -95,6 +93,7 @@ _BLOWUP_BOUND = 1e100      # escaping orbits hit this fast; bounded dynamics
 _CENTER_TOL = 1e-8         # closest approach to the center for an angle lift
 _THETA_STEP = math.pi / 4  # max swept angle between samples
 _MAX_STEPS = 5_000_000
+_EVENT_TOL = 1e-10         # bracket width for event and kink times
 
 
 @dataclass(frozen=True)
@@ -431,11 +430,14 @@ def _time_to_kink(c, y, g):
 
 
 def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
-              opts: IntegrateOpts = IntegrateOpts(),
+              tol: float = 1e-10,
               d: Optional[float] = None,
               rider: Optional[Callable] = None) -> Trajectory:
     """Integrate the planar system from z0 to t_end with dense events.
 
+    tol is both the relative and the absolute error tolerance of a step
+    (its error scale is tol * (1 + |state|)); no step is longer than 1/64
+    of the span.
     d, when given, adds crossing events for the left threshold x = d.
     Steps land on the crossings of fld.kinks (see the module docstring);
     meta["steps"] counts the steps kept and meta["rejected"] the ones
@@ -473,9 +475,9 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     span = t_end - z0.t
     if not (span > 0.0 and math.isfinite(span)):
         raise ValueError("t_end must be finite and exceed z0.t")
-    max_step = opts.max_step if opts.max_step is not None else span / 64.0
+    h_max = span / 64.0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
-    rtol, atol, theta_step = opts.rtol, opts.atol, _THETA_STEP
+    theta_step = _THETA_STEP
     step_floor, blowup_bound = _STEP_FLOOR, _BLOWUP_BOUND
     sqrt2 = math.sqrt(2.0)
 
@@ -498,18 +500,17 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
     kx1, ky1 = y, -g(t, x)
     r, rs = 0.0, [0.0]
     kr1 = rider(t, x, y) if rider is not None else None
-    h = min(_FIRST_STEP, max_step, span)
+    h = min(_FIRST_STEP, h_max, span)
     n_steps = n_rejected = 0
     landing = False     # the step under way ends on a kink crossing
     grow = True         # no rejection since the last accepted step
     failed = None       # (t, x) of a field error, the last rejection
-    event_tol = opts.event_tol
 
     while t < t_stop:
         n_steps += 1
         if n_steps > _MAX_STEPS:
             raise RuntimeError("step budget exceeded")
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t, h_max)
         if singular and y < 0.0:
             # predictive wall cap: one step cannot carry x across 0
             cap = 0.8 * x / (-y)
@@ -586,8 +587,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                   + _E10 * kx10 + _E11 * kx11 + _E12 * kx12)
             ey = (_E1 * ky1 + _E6 * ky6 + _E7 * ky7 + _E8 * ky8 + _E9 * ky9
                   + _E10 * ky10 + _E11 * ky11 + _E12 * ky12)
-            sc_x = atol + rtol * max(abs(x), abs(x1))
-            sc_y = atol + rtol * max(abs(y), abs(y1))
+            sc_x = tol + tol * max(abs(x), abs(x1))
+            sc_y = tol + tol * max(abs(y), abs(y1))
             n5 = math.hypot(ex / sc_x, ey / sc_y)
             n3 = math.hypot(
                 (sx - _BH1 * kx1 - _BH9 * kx9 - _BH12 * kx12) / sc_x,
@@ -619,7 +620,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
         if kinks:
             # a kink farther than the Taylor model reaches within the
             # longest next step cannot stop that step
-            s_max = min(5.0 * h, max_step) / (1.0 - _APPROACH)
+            s_max = min(5.0 * h, h_max) / (1.0 - _APPROACH)
             reach = s_max * (abs(y1) + 0.5 * s_max * abs(ky13))
         for k in kinks:
             if (x - k) * (x1 - k) < 0.0:
@@ -629,7 +630,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             if abs(x1 - k) > reach:
                 continue
             s_k = _time_to_kink(x1 - k, y1, -ky13)
-            if not landing and grow and event_tol < s_k <= _NEAR * h:
+            if not landing and grow and _EVENT_TOL < s_k <= _NEAR * h:
                 lands.append((k, t + h, x1 - k, t + h + 2.0 * s_k, None))
             elif s_k < s_kink:
                 s_kink = s_k
@@ -665,7 +666,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
             # the error estimate sees g's x-derivative jump only through a
             # flood of rejections: land on the crossing, located on the
             # dense output (past the step's end by extrapolation), half an
-            # event_tol beyond its bracket, so that the next step starts on
+            # _EVENT_TOL beyond its bracket, so that the next step starts on
             # the far side even where the step's end rounds.  A step that
             # already ends that close past a crossing is kept
             ends = []
@@ -675,8 +676,8 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                     f_b = dense.eval(t_b)[0] - k
                 if f_a * f_b < 0.0:
                     t_k = _bracket_root(dense, lambda x, y, _k=k: x - _k,
-                                        t_a, f_a, t_b, f_b, event_tol)[1]
-                    t_k += 0.5 * event_tol
+                                        t_a, f_a, t_b, f_b, _EVENT_TOL)[1]
+                    t_k += 0.5 * _EVENT_TOL
                     if t + _LAND_AFTER * h < t_k and (ahead or t_k < t + h):
                         ends.append(t_k)
             if ends:
@@ -693,7 +694,7 @@ def integrate(fld: HomotopyField, z0: PhaseState, t_end: float,
                 f_a, f_b = phi(x, y), phi(x1, y1)
                 if f_a * f_b < 0.0 or f_b == 0.0 != f_a:
                     t_a, t_b = _bracket_root(dense, phi, t, f_a, t + h, f_b,
-                                             event_tol)
+                                             _EVENT_TOL)
                     t_ev = 0.5 * (t_a + t_b)
                     step_events.append(Event(kind, t_ev, *dense.eval(t_ev)))
             step_events.sort(key=lambda e: e.t)
@@ -807,12 +808,12 @@ _DP5_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
 
 
 def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
-                     opts: IntegrateOpts = IntegrateOpts(),
+                     tol: float = 1e-10,
                      guard: Optional[Callable] = None,
                      t_stops=None):
     """General-dimension Dormand-Prince 5(4) integrator (numpy states, no
     events), kept as the tests' independent reference for integrate: no
-    program path calls it.
+    program path calls it.  tol and the longest step are integrate's.
 
     rhs(t, y) -> array; guard(t, y) may raise to abort a stage; steps land
     exactly on any times in t_stops.  Returns (ts, ys) sample arrays.
@@ -820,7 +821,7 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
     y = np.asarray(y0, dtype=float)
     t = t0
     span = t_end - t0
-    max_step = opts.max_step if opts.max_step is not None else span / 64.0
+    h_max = span / 64.0
     stops = None
     if t_stops is not None:
         stops = np.asarray(sorted(set(float(s) for s in t_stops
@@ -829,15 +830,15 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
 
     ts = [t]
     ys = [y.copy()]
-    rtol, atol, step_floor = opts.rtol, opts.atol, _STEP_FLOOR
+    step_floor = _STEP_FLOOR
     k1 = np.asarray(rhs(t, y))
-    h = min(_FIRST_STEP, max_step, span)
+    h = min(_FIRST_STEP, h_max, span)
     n = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         n += 1
         if n > _MAX_STEPS:
             raise RuntimeError("step budget exceeded")
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t, h_max)
         if stops is not None:
             k_next = int(np.searchsorted(stops, t + 1e-14 * max(1.0, abs(t))))
             if k_next < len(stops):
@@ -860,7 +861,7 @@ def integrate_system(rhs: Callable, y0, t0: float, t_end: float,
             h *= 0.5
             continue
         err_vec = h * sum(ee * kk for ee, kk in zip(e, ks))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y1))
         ratios = np.abs(err_vec / sc)
         peak = float(np.max(ratios))
         err = (peak * math.sqrt(float(np.mean((ratios / peak) ** 2)))

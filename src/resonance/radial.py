@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import Bin, DomainError, Num, Var
-from .integrate import (HomotopyField, IntegrateOpts, PhaseState, Trajectory,
-                        integrate)
+from .integrate import HomotopyField, PhaseState, Trajectory, integrate
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
 from .solver import NEWTON_FAILURES, SolveOpts, newton_fixed_point
 
@@ -124,13 +123,13 @@ def _circular_momentum(model: NonlinearityModel, target: float) -> float:
 
 
 def angular_progress(reduced: NonlinearityModel, z0: PhaseState, L: float,
-                     opts: IntegrateOpts = IntegrateOpts()) -> Trajectory:
+                     tol: float = 1e-10) -> Trajectory:
     """One period of the reduced field (effective_field at L) from z0, in
-    one planar integration at the integrator's tolerance with the angle's
-    rate L / rho^2 as its rider: meta["rider"] is the angle swept over the
-    period, Delta_theta.  The wall check keeps rho > 0."""
+    one planar integration at tol with the angle's rate L / rho^2 as its
+    rider: meta["rider"] is the angle swept over the period, Delta_theta.
+    The wall check keeps rho > 0."""
     return integrate(HomotopyField(reduced, 1.0), z0, z0.t + reduced.period,
-                     opts, rider=lambda t, rho, v: L / rho ** 2)
+                     tol, rider=lambda t, rho, v: L / rho ** 2)
 
 
 @dataclass
@@ -184,8 +183,7 @@ def _delta_theta_of_L(model, L, known, opts):
         guess, jac = (circular_orbit(model, L), 0.0), None
     reduced = effective_field(model, L)
     z, res, jac = solve_radial_profile(reduced, guess, opts, jac)
-    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L,
-                             opts.integrate)
+    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L, opts.tol)
     known[L] = (orbit.meta["rider"], z, res, jac, reduced, orbit)
     return known[L][0]
 

@@ -23,16 +23,15 @@ Methods, 1990).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .apriori import n_level_point
-from .expr import DomainError
-from .integrate import (BlowUpError, CenterHitError, DomainExitError,
-                        HomotopyField, IntegrateOpts, PhaseState, Trajectory,
-                        _wrap_pi, integrate, rotation_count)
+from .integrate import (INTEGRATION_FAILURES, CenterHitError, HomotopyField,
+                        PhaseState, Trajectory, _wrap_pi, integrate,
+                        rotation_count)
 from .model import FULL_LINE, SINGULAR, NonlinearityModel
 
 __all__ = [
@@ -51,17 +50,18 @@ class NewtonError(RuntimeError):
     pass
 
 
-# what a failed return map raises; the damping loop counts it as a failed
-# trial, and a failed Newton solve raises it or one of Newton's own errors
-_MAP_FAILURES = (BlowUpError, DomainExitError, DomainError)
-NEWTON_FAILURES = (NewtonError, SingularJacobianError) + _MAP_FAILURES
+# a failed return map raises one of INTEGRATION_FAILURES; the damping loop
+# counts it as a failed trial, and a failed Newton solve raises it or one of
+# Newton's own errors
+NEWTON_FAILURES = (NewtonError, SingularJacobianError) + INTEGRATION_FAILURES
 
 
 @dataclass(frozen=True)
 class SolveOpts:
     newton_tol: float = 1e-9
-    # shooting needs the return map resolved below the Newton tolerance
-    integrate: IntegrateOpts = IntegrateOpts(rtol=1e-11, atol=1e-11)
+    # integrate's tol: shooting needs the return map resolved below the
+    # Newton tolerance
+    tol: float = 1e-11
 
 
 _NEWTON_MAX_ITER = 25
@@ -94,7 +94,7 @@ class Winding(NamedTuple):
     samples: int          # starting samples plus refinements
     margin: float         # min |z - P(z)|/|z| over the samples
     map_error: float      # |P~(z) - P(z)|/|z| at that sample
-    rtol: float           # rtol = atol of the sampled maps P~
+    rtol: float           # the tol of the sampled maps P~
 
 
 @dataclass
@@ -117,17 +117,16 @@ class PeriodicCertificate:
         return self.status == "converged"
 
 
-def poincare(fld: HomotopyField, z: tuple[float, float],
-             opts: IntegrateOpts = IntegrateOpts()):
-    """Return-map image of z = (x, y) after one period, with the orbit
-    that reached it: (x, y, trajectory)."""
-    traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, opts)
+def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = 1e-10):
+    """Return-map image of z = (x, y) after one period, integrated at tol,
+    with the orbit that reached it: (x, y, trajectory)."""
+    traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, tol)
     end = traj.state_at_end()
     return end.x, end.y, traj
 
 
-def _return_residual(fld, z, opts):
-    px, py, orbit = poincare(fld, z, opts)
+def _return_residual(fld, z, tol):
+    px, py, orbit = poincare(fld, z, tol)
     return px - z[0], py - z[1], orbit
 
 
@@ -136,8 +135,8 @@ def _fd_jacobian(fld, z, g, opts):
     z, whose residual g is known, with step _FD_STEP * max(1, ||z||): two
     return maps."""
     h = _FD_STEP * max(1.0, math.hypot(*z))
-    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), opts.integrate)
-    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), opts.integrate)
+    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), opts.tol)
+    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), opts.tol)
     return (((g1x - g[0]) / h, (g2x - g[0]) / h),
             ((g1y - g[1]) / h, (g2y - g[1]) / h))
 
@@ -187,14 +186,13 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     continuation.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
-    io = opts.integrate
-    gx, gy, orbit = _return_residual(fld, z, io)
+    gx, gy, orbit = _return_residual(fld, z, opts.tol)
     res = math.hypot(gx, gy)
     refresh = jac is None
     it = 0
     while not res < tol:
         # integration noise bounds how far the residual can be polished
-        stall_tol = max(tol, 100.0 * io.rtol * (1.0 + math.hypot(*z)))
+        stall_tol = max(tol, 100.0 * opts.tol * (1.0 + math.hypot(*z)))
         if it == _NEWTON_MAX_ITER:
             if res < stall_tol:
                 break
@@ -214,8 +212,8 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
         for _ in range(8):
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
-                gnx, gny, orbitn = _return_residual(fld, zn, io)
-            except _MAP_FAILURES:
+                gnx, gny, orbitn = _return_residual(fld, zn, opts.tol)
+            except INTEGRATION_FAILURES:
                 step *= 0.5
                 continue
             rn = math.hypot(gnx, gny)
@@ -271,24 +269,22 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     Only the angle of w = z - P(z) counts, and any map within |w| of P on
     the curve has the same degree (homotopy invariance of the Brouwer
     degree; Deimling, Nonlinear Functional Analysis, 1985, ch. 1).  So
-    the samples integrate at rtol = atol = max(opts.integrate.rtol,
-    _BOUNDARY_TOL), and the sample with the smallest |w|/|z| is mapped
-    once more at opts.integrate: a map error that is not below that
+    the samples integrate at tol = max(opts.tol, _BOUNDARY_TOL), and the
+    sample with the smallest |w|/|z| is mapped once more at opts.tol: a
+    map error that is not below that
     margin by _MARGIN_FACTOR is a RuntimeError.  Samples are refined until
     adjacent angular increments stay below pi/2; a fixed point on the
     curve is a ValueError, and a winding that exceeds the sample budget or
     does not close up a RuntimeError.
     """
-    io = opts.integrate
-    tol = max(io.rtol, _BOUNDARY_TOL)
-    coarse = replace(io, rtol=tol, atol=tol)
+    tol = max(opts.tol, _BOUNDARY_TOL)
     # s -> (angle of w, |w|/|z|, P~(z))
     cache: dict[float, tuple[float, float, float, float]] = {}
 
     def angle(s: float) -> float:
         if s not in cache:
             zx, zy = curve(s)
-            px, py, _ = poincare(fld, (zx, zy), coarse)
+            px, py, _ = poincare(fld, (zx, zy), tol)
             wx, wy = zx - px, zy - py
             margin = math.hypot(wx, wy) / (math.hypot(zx, zy) or 1.0)
             if margin < _BOUNDARY_TOL:
@@ -326,12 +322,12 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     s_min = min(cache, key=lambda s: cache[s][1])
     _, margin, cx, cy = cache[s_min]
     zx, zy = curve(s_min)
-    px, py, _ = poincare(fld, (zx, zy), io)
+    px, py, _ = poincare(fld, (zx, zy), opts.tol)
     map_error = math.hypot(cx - px, cy - py) / (math.hypot(zx, zy) or 1.0)
     if not _MARGIN_FACTOR * map_error < margin:
         raise RuntimeError(
             f"winding not certified at s={s_min}: map error {map_error:.3g} "
-            f"(rtol {tol:.3g}) is not below the boundary margin "
+            f"(tol {tol:.3g}) is not below the boundary margin "
             f"{margin:.3g} by a factor {_MARGIN_FACTOR:g}")
     return Winding(int(deg), len(cache), margin, map_error, tol)
 

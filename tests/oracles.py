@@ -9,9 +9,8 @@ import math
 import numpy as np
 
 from resonance.apriori import _polar_rates
-from resonance.integrate import (HomotopyField, IntegrateOpts,
-                                 LapPatternError, PhaseState, Trajectory,
-                                 integrate)
+from resonance.integrate import (HomotopyField, LapPatternError, PhaseState,
+                                 Trajectory, integrate)
 
 ELASTIC_AMPLITUDES = (1e2, 1e3, 1e4)      # check_elastic's amplitude ladder
 
@@ -27,8 +26,7 @@ def flat_grid(f_of_x):
     return grid
 
 
-def measure_halfturn(fld: HomotopyField, y0: float,
-                     opts: IntegrateOpts = IntegrateOpts(),
+def measure_halfturn(fld: HomotopyField, y0: float, tol: float = 1e-10,
                      horizon: float | None = None) -> tuple[float, float]:
     """Durations (right half-turn, left half-turn) from the start (0, y0).
 
@@ -39,7 +37,7 @@ def measure_halfturn(fld: HomotopyField, y0: float,
         raise ValueError("y0 must be positive")
     if horizon is None:
         horizon = 2.0 * fld.model.period
-    traj = integrate(fld, PhaseState(0.0, 0.0, y0), horizon, opts)
+    traj = integrate(fld, PhaseState(0.0, 0.0, y0), horizon, tol)
     seq = [ev for ev in sorted(traj.events, key=lambda e: e.t)
            if ev.kind in ("cross_x_eq_0", "cross_y_eq_0")]
     t4 = t8 = None

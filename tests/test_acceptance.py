@@ -20,8 +20,8 @@ from resonance import conditions as cd
 from resonance import radial as rd
 from resonance import solver as sv
 from resonance import spectrum as sp
-from resonance.integrate import (HomotopyField, IntegrateOpts, PhaseState,
-                                 integrate, integrate_system, rotation_count)
+from resonance.integrate import (HomotopyField, PhaseState, integrate,
+                                 integrate_system, rotation_count)
 from conftest import register_criterion
 from oracles import flat_grid, measure_halfturn
 
@@ -51,8 +51,7 @@ def band_model():
 
 @pytest.fixture(scope="module")
 def band_kit(band_model):
-    fld = HomotopyField(band_model, 1.0)
-    return fld, ap.build_kit(fld)
+    return ap.build_kit(band_model)
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +156,11 @@ def test_criterion_3_rotation_lemmas(band_model):
 register_criterion(4, "transfer/lap/excursion map bounds on 20 sampled laps")
 
 
-def test_criterion_4_energy_guiding_maps(band_kit):
+def test_criterion_4_energy_guiding_maps(band_model, band_kit):
     with _Budget(30.0):
-        fld, kit = band_kit
+        kit = band_kit
         for y0 in np.geomspace(100.0, 5000.0, 20):
-            rep = ap.lap_report(fld, kit, float(y0))
+            rep = ap.lap_report(band_model, kit, float(y0), 1e-10)
             assert rep["T_ok"], f"transfer bound failed at {y0}"
             assert rep["L_ok"], f"lap bound failed at {y0}"
             assert rep["M_ok"], f"excursion bound failed at {y0}"
@@ -173,7 +172,7 @@ def test_criterion_4_energy_guiding_maps(band_kit):
         env = ap.build_envelopes(flat)
         kit_flat = ap.AprioriKit(env=env, d=env.base, omega0=1.0, ell0=0.5,
                                  kappa=0.55, a=-0.01, R0=10.0, y_hat=0.0,
-                                 R_elastic=0.0, n_mode=2, period=T2PI)
+                                 R_elastic=0.0)
         for v in np.geomspace(5.0, 1e4, 40):
             assert abs(ap.map_T(kit_flat, float(v)) - v) <= 1e-10 * max(1.0, v)
 
@@ -233,7 +232,7 @@ register_criterion(7, "end-to-end certified solution of the band model")
 
 def test_criterion_7_end_to_end_existence(band_model, band_kit):
     with _Budget(120.0):
-        _, kit = band_kit
+        kit = band_kit
         lo, hi = cd.ll_verdict(band_model, tau_points=64)
         assert lo.passed and hi.passed
 
@@ -265,7 +264,7 @@ def test_criterion_8_singular_mode(singular_model):
         assert cert.diagnostics["path_min_x"] > 0.05
 
         fld = HomotopyField(singular_model, 1.0)
-        n0, diag = ap.probe_N0(fld)
+        n0, diag = ap.probe_N0(singular_model, 1e-10)
         start = diag["start_level"]
         for level in (start, 4.0 * start, 16.0 * start):
             for (x0, y0) in ap._n_level_states(level, 6):
@@ -300,8 +299,7 @@ def test_criterion_9_radial_application(singular_model):
             return np.array([v1, v2, a * x1, a * x2])
 
         y0 = np.array([sol.z0.x, 0.0, sol.z0.y, sol.L / sol.z0.x])
-        opts = IntegrateOpts(rtol=1e-11, atol=1e-11)
-        ts, ys = integrate_system(rhs4, y0, 0.0, sol.k * T2PI, opts)
+        ts, ys = integrate_system(rhs4, y0, 0.0, sol.k * T2PI, 1e-11)
         L_t = ys[:, 0] * ys[:, 3] - ys[:, 1] * ys[:, 2]
         assert np.max(np.abs(L_t - sol.L)) < 1e-8
 
@@ -319,9 +317,7 @@ def test_criterion_9_radial_application(singular_model):
         checks = np.linspace(0.1 * T2PI, 0.9 * T2PI, 20)
         stencil = np.concatenate([checks + m * h for m in range(-2, 3)])
         ts, ys = integrate_system(rhs3, np.array([sol0.z0.x, sol0.z0.y, 0.0]),
-                                  0.0, T2PI,
-                                  IntegrateOpts(rtol=1e-12, atol=1e-12),
-                                  t_stops=stencil)
+                                  0.0, T2PI, 1e-12, t_stops=stencil)
         lookup = {round(float(t), 12): (float(r), float(th))
                   for t, r, th in zip(ts, ys[:, 0], ys[:, 2])}
         worst = 0.0

@@ -23,7 +23,7 @@ def band_kit():
     model = rm.make_cubic_band()
     fld = HomotopyField(model, 1.0)
     env = ap.build_envelopes(model)
-    kit = ap.build_kit(fld, env)
+    kit = ap.build_kit(model, env)
     return model, fld, kit
 
 
@@ -108,8 +108,7 @@ def test_transfer_map_is_identity_without_time_dependence():
     model = _flat_model(lambda x: x ** 3 if x < 0 else 1.625 * x)
     env = ap.build_envelopes(model)
     kit = ap.AprioriKit(env=env, d=env.base, omega0=1.0, ell0=0.5, kappa=0.55,
-                        a=-0.01, R0=10.0, y_hat=0.0, R_elastic=0.0,
-                        n_mode=2, period=T2PI)
+                        a=-0.01, R0=10.0, y_hat=0.0, R_elastic=0.0)
     for v in np.geomspace(5.0, 1e4, 60):
         assert abs(ap.map_T(kit, float(v)) - v) < 1e-10 * max(1.0, v)
 
@@ -128,14 +127,14 @@ def test_excursion_map_sublinear(band_kit):
 
 
 def test_lap_map_monotone_so_escape_radius_grows(band_kit):
-    _, _, kit = band_kit
+    model, _, kit = band_kit
     vs = np.geomspace(kit.y_hat * 0.5, kit.y_hat * 50, 40)
     lv = [ap.map_L(kit, float(v)) for v in vs]
     assert all(b > a for a, b in zip(lv, lv[1:]))
 
     def elastic_radius(y0):
         v = y0
-        for _ in range(kit.n_mode + 2):
+        for _ in range(model.n_mode + 2):
             v = ap.map_L(kit, v)
         return v
 
@@ -180,7 +179,6 @@ def test_probe_radius_integrates_nothing(monkeypatch):
     # the polar constants are bounds read off one envelope table, so R0
     # comes without a single orbit
     model = rm.make_cubic_band()
-    fld = HomotopyField(model, 1.0)
     env = ap.build_envelopes(model)
     calls = []
 
@@ -189,7 +187,7 @@ def test_probe_radius_integrates_nothing(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(ap, "integrate", counting)
-    r0, diag = ap.probe_R0(fld, env)
+    r0, diag = ap.probe_R0(model, env)
     assert r0 == 12.934540131547143
     assert len(calls) == 0
     assert diag["binding"] == "energy level inequality"
@@ -213,7 +211,7 @@ def test_orbit_samples_lie_inside_the_polar_bounds(family, forcing):
     model = rm.FAMILIES[family](forcing=forcing)
     fld = HomotopyField(model, 1.0)
     env = ap.build_envelopes(model)
-    r0, diag = ap.probe_R0(fld, env)
+    r0, diag = ap.probe_R0(model, env)
     # the constants of R0 bound the region beyond 2 R0
     om, el = measure_kappa(fld, env.base, 2.0 * r0, 8)
     assert diag["omega0"] <= om and el <= diag["ell0"]
@@ -221,17 +219,15 @@ def test_orbit_samples_lie_inside_the_polar_bounds(family, forcing):
 
 def test_probe_radius_rejects_linear_field():
     model = _flat_model(lambda x: 1.3 * x, n_mode=1)
-    fld = HomotopyField(model, 1.0)
     env = ap.build_envelopes(model)
     with pytest.raises(ValueError):
-        ap.probe_R0(fld, env)
+        ap.probe_R0(model, env)
 
 
 def test_scaling_the_force_up_does_not_raise_the_radius():
     def make(c):
         model = _flat_model(lambda x, c=c: c * (x ** 3) if x < 0 else 1.625 * x)
-        fld = HomotopyField(model, 1.0)
-        return ap.probe_R0(fld, ap.build_envelopes(model))[0]
+        return ap.probe_R0(model, ap.build_envelopes(model))[0]
 
     assert make(4.0) <= make(1.0) * 1.05
 
@@ -241,9 +237,9 @@ def test_scaling_the_force_up_does_not_raise_the_radius():
 
 
 def test_lap_bounds_hold_on_sampled_laps(band_kit):
-    _, fld, kit = band_kit
+    model, _, kit = band_kit
     for y0 in np.geomspace(200, 2000, 6):
-        rep = ap.lap_report(fld, kit, float(y0))
+        rep = ap.lap_report(model, kit, float(y0), 1e-10)
         assert rep["T_ok"] and rep["L_ok"] and rep["M_ok"]
         assert rep["sandwich_ok"] and rep["polar_ok"]
         assert rep["all_ok"]
@@ -274,7 +270,7 @@ def test_largeness_functional_values():
 def test_singular_probe_levels_and_lap_window():
     model = rm.make_singular_band()
     fld = HomotopyField(model, 1.0)
-    n0, diag = ap.probe_N0(fld)
+    n0, diag = ap.probe_N0(model, 1e-10)
     assert n0 > 2.0
     start = diag["start_level"]
     for (x0, y0) in ap._n_level_states(4.0 * start, 6):
@@ -285,14 +281,16 @@ def test_singular_probe_levels_and_lap_window():
         assert round(laps) in (2, 3)
 
 
-def test_probe_N0_propagates_programming_errors(monkeypatch):
-    # only integration failures disqualify a level; a bug propagates
+@pytest.mark.parametrize("error", [TypeError, ZeroDivisionError, ValueError])
+def test_probe_N0_propagates_programming_errors(monkeypatch, error):
+    # only integration failures (integrate.INTEGRATION_FAILURES) disqualify
+    # a level; a bug propagates, an arithmetic or value error included
     def broken(*args, **kwargs):
-        raise TypeError("broken integrate")
+        raise error("broken integrate")
 
     monkeypatch.setattr(ap, "integrate", broken)
-    with pytest.raises(TypeError, match="broken integrate"):
-        ap.probe_N0(HomotopyField(rm.make_singular_band(), 1.0))
+    with pytest.raises(error, match="broken integrate"):
+        ap.probe_N0(rm.make_singular_band(), 1e-11)
 
 
 def test_singular_lap_timing_split_at_unit_crossing():

@@ -72,7 +72,7 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": dict(_BAND, params={"name": "band"})},
      ["model.params", "name"]),
     ({"model": _BAND, "grids": {"tau_points": "abc"}}, ["grids.tau_points"]),
-    ({"model": _BAND, "tolerances": {"rtol": "tight"}}, ["tolerances.rtol"]),
+    ({"model": _BAND, "tolerances": {"tol": "tight"}}, ["tolerances.tol"]),
     ({"model": {"f": "x^3 + bogus*x", "T": 2 * math.pi, "N": 2}},
      ["model.f", "bogus"]),
     ({"model": {"f_left": "x^3", "f_right": "2*x +", "T": 2 * math.pi,
@@ -93,14 +93,14 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": _BAND, "mu": 0.5}, ["unknown keys", "mu"]),
     ({"model": _BAND, "seed": 1}, ["unknown keys", "seed"]),
     ({"model": _BAND, "radial": 2}, ["radial", "object"]),
-    ({"model": _BAND, "tolerances": {"rtol": -1}},
-     ["tolerances.rtol", "positive"]),
-    ({"model": _BAND, "tolerances": {"max_step": 0}},
-     ["tolerances.max_step", "positive"]),
+    ({"model": _BAND, "tolerances": {"tol": -1}},
+     ["tolerances.tol", "positive"]),
+    ({"model": _BAND, "tolerances": {"tol": 0}},
+     ["tolerances.tol", "positive"]),
     ({"model": _BAND, "tolerances": {"newton_tol": math.nan}},
      ["tolerances.newton_tol", "finite"]),
-    ({"model": _BAND, "tolerances": {"atol": math.inf}},
-     ["tolerances.atol", "finite"]),
+    ({"model": _BAND, "tolerances": {"tol": math.inf}},
+     ["tolerances.tol", "finite"]),
     ({"model": dict(_BAND, T=math.nan)}, ["model.T", "finite"]),
     ({"model": dict(_BAND, T=math.inf)}, ["model.T", "finite"]),
     ({"model": dict(_BAND, T=True)}, ["model.T"]),
@@ -111,6 +111,15 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     # the continuation's first step is fixed; the retired key is unknown
     ({"model": _BAND, "grids": {"lambda_points": 1}},
      ["unknown keys in grids", "lambda_points"]),
+    # one integration tolerance, tol: the retired integrator keys are unknown
+    ({"model": _BAND, "tolerances": {"rtol": 1e-9}},
+     ["unknown keys in tolerances", "rtol"]),
+    ({"model": _BAND, "tolerances": {"atol": 1e-9}},
+     ["unknown keys in tolerances", "atol"]),
+    ({"model": _BAND, "tolerances": {"event_tol": 1e-10}},
+     ["unknown keys in tolerances", "event_tol"]),
+    ({"model": _BAND, "tolerances": {"max_step": 0.05}},
+     ["unknown keys in tolerances", "max_step"]),
     ({"model": 3}, ["model", "object"]),
     ({"model": None}, ["model", "object"]),
     ({"model": "abc"}, ["model", "object"]),
@@ -132,7 +141,9 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "section-type", "tolerance-negative", "tolerance-zero",
         "tolerance-nan", "tolerance-inf", "period-nan", "period-inf",
         "period-bool", "band-index-bool", "grid-t-points", "grid-x-points",
-        "grid-one-lambda", "model-number", "model-null", "model-string",
+        "grid-one-lambda", "retired-rtol", "retired-atol",
+        "retired-event_tol", "retired-max_step", "model-number",
+        "model-null", "model-string",
         "params-number", "params-list", "params-string",
         "params-without-family", "family-list", "theorem-list",
         "out-dir-number"])
@@ -248,30 +259,25 @@ def test_domain_error_names_the_first_offending_point(tmp_path, capsys):
         "'log(x - 0.5)' at t=0, x=0.01\n")
 
 
-def test_tol_override_parsing(tmp_path):
-    cfg = cli.validate_config({"model": {"T": 1.0, "N": 1, "f": "x"}})
-    out = cli.apply_tol_overrides(cfg, ["rtol=1e-9"])
-    assert out["tolerances"]["rtol"] == 1e-9
-    with pytest.raises(cli.ConfigError):
-        cli.apply_tol_overrides(cfg, ["nonsense=1"])
-    # every tolerance is a finite positive number, from the command line too
-    for bad in ("rtol=abc", "rtol=nan", "atol=inf", "rtol=-1", "max_step=0"):
-        key = bad.split("=")[0]
-        with pytest.raises(cli.ConfigError, match=key):
-            cli.validate_config(cli.apply_tol_overrides(cfg, [bad]))
+def test_tol_override_parsing(tmp_path, capsys):
+    # tolerances come from the config alone: the parser rejects the retired
+    # --tol-override flag with exit 2 before any stage runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": _BAND}))
-    assert cli.main(["verify", "--config", str(path), "--out",
-                     str(tmp_path / "out"), "--tol-override",
-                     "rtol=abc"]) == cli.EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(path), "--out",
+                  str(tmp_path / "out"), "--tol-override", "rtol=1e-9"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--tol-override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("rtol, winding_rtol", [(1e-6, 1e-6), (1e-13, 1e-7)])
+@pytest.mark.parametrize("tol, winding_rtol", [(1e-6, 1e-6), (1e-13, 1e-7)])
 def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
-        tmp_path, monkeypatch, rtol, winding_rtol):
+        tmp_path, monkeypatch, tol, winding_rtol):
     # the winding never integrates tighter than configured, nor tighter
-    # than the on-curve tolerance; its check map runs at the configured rtol
-    rtols, in_winding = [], []
+    # than the on-curve tolerance; its check map runs at the configured tol
+    tols, in_winding = [], []
     boundary_degree, poincare = sv.boundary_degree, sv.poincare
 
     def traced_degree(*args, **kwargs):
@@ -281,21 +287,21 @@ def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
         finally:
             in_winding.clear()
 
-    def traced_map(fld, z, opts):
+    def traced_map(fld, z, tol):
         if in_winding:
-            rtols.append(opts.rtol)
-        return poincare(fld, z, opts)
+            tols.append(tol)
+        return poincare(fld, z, tol)
 
     monkeypatch.setattr(sv, "boundary_degree", traced_degree)
     monkeypatch.setattr(sv, "poincare", traced_map)
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path, grids={"tau_points": 32})
-    assert cli.main(["find", "--config", cfg, "--out", str(out),
-                     "--tol-override", f"rtol={rtol}"]) == 0
+    cfg = _write_config(tmp_path, grids={"tau_points": 32},
+                        tolerances={"tol": tol})
+    assert cli.main(["find", "--config", cfg, "--out", str(out)]) == 0
     report = dict(line.split(" = ", 1)
                   for line in (out / "report.txt").read_text().splitlines())
     samples = int(report["certificate.winding_samples"])
-    assert rtols == [winding_rtol] * samples + [rtol]
+    assert tols == [winding_rtol] * samples + [tol]
     assert float(report["certificate.winding_rtol"]) == winding_rtol
     assert report["certificate.degree"] == "1"
 
@@ -307,16 +313,13 @@ def test_build_opts_fills_only_the_keys_the_config_gives():
     assert cli.build_opts(cli.validate_config(
         {"model": _BAND, "tolerances": {}, "grids": {"tau_points": 16}})) \
         == default
-    given = {"rtol": 1e-9, "atol": 2e-9, "event_tol": 3e-9, "max_step": 0.5}
+    given = {"tol": 1e-9, "newton_tol": 4e-9}
     for key, val in given.items():
         opts = cli.build_opts(cli.validate_config(
             {"model": _BAND, "tolerances": {key: val}}))
-        assert opts == dataclasses.replace(default, integrate=dataclasses
-                                           .replace(default.integrate,
-                                                    **{key: val}))
-    opts = cli.build_opts(cli.validate_config(
-        {"model": _BAND, "tolerances": {"newton_tol": 4e-9}}))
-    assert opts == dataclasses.replace(default, newton_tol=4e-9)
+        assert opts == dataclasses.replace(default, **{key: val})
+    assert cli.build_opts(cli.validate_config(
+        {"model": _BAND, "tolerances": given})) == sv.SolveOpts(**given)
 
 
 def test_expression_model_roundtrip():
@@ -458,12 +461,12 @@ def test_apriori_report_names_what_fixed_R0(tmp_path):
     # the kit integrates nothing, so it names no tolerances of its own; it
     # names the constraint that fixed R0 and where the polar constants are
     # attained
-    with open(_write_config(tmp_path)) as fh:
-        cfg = cli.apply_tol_overrides(json.load(fh), ["rtol=1e-12"])
+    with open(_write_config(tmp_path, tolerances={"tol": 1e-12})) as fh:
+        cfg = json.load(fh)
     res = cli.run(cfg, str(tmp_path / "out"), last="apriori")
     lines = dict(res.report.lines)
-    assert lines["config.tolerances.rtol"] == cli.fmt_float(1e-12)
-    assert "apriori.rtol" not in lines and "apriori.atol" not in lines
+    assert lines["config.tolerances.tol"] == cli.fmt_float(1e-12)
+    assert not any(k.startswith("apriori.") and "tol" in k for k in lines)
     diag = res.kit.diagnostics
     assert lines["apriori.binding"] == diag["binding"] == (
         "energy level inequality")
@@ -481,6 +484,28 @@ def test_apriori_stops_at_the_hypothesis_gate(tmp_path):
     assert code == cli.EXIT_HYPOTHESIS
     assert not (out / "envelopes.csv").exists()
     assert "stage.apriori" not in (out / "report.txt").read_text()
+
+
+def test_apriori_lap_table_integrates_at_the_configured_tol(tmp_path,
+                                                          monkeypatch):
+    # the lap table is the a-priori stage's one integration: it runs at the
+    # tol that report.txt echoes, not at integrate's default
+    tols, lap_report = [], cli.ap.lap_report
+
+    def traced(model, kit, y0, tol):
+        tols.append(tol)
+        return lap_report(model, kit, y0, tol)
+
+    monkeypatch.setattr(cli.ap, "lap_report", traced)
+    out = tmp_path / "out"
+    assert cli.main(["apriori", "--config",
+                     _write_config(tmp_path, tolerances={"tol": 1e-9}),
+                     "--out", str(out)]) == 0
+    assert tols == [1e-9] * 8
+    rows = (out / "laps.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(r.endswith(",1") for r in rows)
+    assert f"config.tolerances.tol = {cli.fmt_float(1e-9)}" in \
+        (out / "report.txt").read_text()
 
 
 def test_apriori_lap_table_failure_exits_5(tmp_path, monkeypatch, capsys):
@@ -593,8 +618,8 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
     ({"param": "model.params.forcing", "values": [0.5, math.nan]},
      ["sweep.values"]),
     ({"param": 5, "values": [0.5]}, ["sweep.param"]),
-    ({"param": "tolerances.rtol", "values": [1e-11, -1]},
-     ["sweep.values[1]", "tolerances.rtol", "positive"]),
+    ({"param": "tolerances.tol", "values": [1e-11, -1]},
+     ["sweep.values[1]", "tolerances.tol", "positive"]),
     ({"param": "model.N", "values": [2, 2.5]},
      ["sweep.values[1]", "model.N", "positive integer"]),
     ({"param": "grids.tau_points", "values": [256, 4097]},

@@ -162,8 +162,7 @@ def test_steps_land_on_the_kink():
     model = rm.make_cubic_band(forcing=0.5000477123561152)
     fld = ig.HomotopyField(model, 1.0)
     z = ig.PhaseState(0.0, -1.4773947988092504, 2.863380218599238e-11)
-    trajs = [ig.integrate(fld, z, model.period,
-                          ig.IntegrateOpts(rtol=tol, atol=tol))
+    trajs = [ig.integrate(fld, z, model.period, tol)
              for tol in (1e-11, 1e-13)]
     (x11, y11), (x13, y13) = ((tr.x[-1], tr.y[-1]) for tr in trajs)
     assert math.hypot(x11 - x13, y11 - y13) < 1e-10
@@ -182,8 +181,7 @@ def _piecewise_radial(L):
 def test_radial_reduction_lands_on_the_glue_point():
     fld = _piecewise_radial(0.7)
     assert fld.kinks == (1.0,)
-    traj = ig.integrate(fld, ig.PhaseState(0.0, 1.3, 0.0), T2PI,
-                        ig.IntegrateOpts(rtol=1e-11, atol=1e-11))
+    traj = ig.integrate(fld, ig.PhaseState(0.0, 1.3, 0.0), T2PI, 1e-11)
     # stepping blindly across the glue point keeps 276 and throws 158 away
     assert traj.meta == {"steps": 169, "rejected": 65}
     # endpoints at 8 instants per period against a 1e-14 solution: blind
@@ -194,9 +192,7 @@ def test_radial_reduction_lands_on_the_glue_point():
         for x0 in (0.8, 1.3, 2.0):
             z = ig.PhaseState(0.0, x0, 0.0)
             for j in range(1, 9):
-                a, b = (ig.integrate(fld, z, T2PI * j / 8,
-                                     ig.IntegrateOpts(rtol=tol, atol=tol)
-                                     ).state_at_end()
+                a, b = (ig.integrate(fld, z, T2PI * j / 8, tol).state_at_end()
                         for tol in (1e-11, 1e-14))
                 worst = max(worst, abs(a.x - b.x) / max(1.0, abs(b.x)),
                             abs(a.y - b.y) / max(1.0, abs(b.y)))
@@ -232,9 +228,8 @@ def test_forced_linear_known_periodic_solution():
 def test_tolerance_halving_shifts_endpoint_maringally():
     fld = _field(lambda t, x: x)
     ends = []
-    for rtol in (1e-8, 5e-9):
-        o = ig.IntegrateOpts(rtol=rtol, atol=rtol)
-        traj = ig.integrate(fld, ig.PhaseState(0.0, 1.0, 0.0), T2PI, o)
+    for tol in (1e-8, 5e-9):
+        traj = ig.integrate(fld, ig.PhaseState(0.0, 1.0, 0.0), T2PI, tol)
         ends.append((traj.x[-1], traj.y[-1]))
     shift = math.hypot(ends[0][0] - ends[1][0], ends[0][1] - ends[1][1])
     assert shift < 10 * 1e-8
@@ -248,10 +243,10 @@ def test_trajectory_time_and_angle_continuity():
 
 
 def test_dense_output_accuracy_against_fine_solution():
-    # force coarse steps and compare midpoints with the analytic circle
+    # cap the steps and compare the samples with the analytic circle: no
+    # step is longer than the span / 64, here 0.05
     fld = _field(lambda t, x: x)
-    o = ig.IntegrateOpts(rtol=1e-9, atol=1e-9, max_step=0.05)
-    traj = ig.integrate(fld, ig.PhaseState(0.0, 1.0, 0.0), 3.0, o)
+    traj = ig.integrate(fld, ig.PhaseState(0.0, 1.0, 0.0), 3.2, 1e-9)
     xs = np.cos(traj.t)
     ys = -np.sin(traj.t)
     assert np.max(np.abs(traj.x - xs)) < 1e-8
@@ -419,8 +414,9 @@ def _central_diff(t, v):
 def test_polar_velocity_identities_against_finite_differences():
     model = rm.make_cubic_band()
     fld = ig.HomotopyField(model, 1.0)
-    o = ig.IntegrateOpts(max_step=5e-4)
-    traj = ig.integrate(fld, ig.PhaseState(0.0, 5.0, 7.0), 1.0, o)
+    # fine samples for the differences: no step is longer than the span / 64,
+    # here 5e-4
+    traj = ig.integrate(fld, ig.PhaseState(0.0, 5.0, 7.0), 0.032)
     t, x, y, th, rho = traj.t, traj.x, traj.y, traj.theta, traj.rho
     g = np.array([fld.g(float(tt), float(xx)) for tt, xx in zip(t, x)])
     minus_th_formula = (y ** 2 + x * g) / (x ** 2 + y ** 2)
@@ -729,14 +725,14 @@ def test_kinks_are_approached_not_crept_up_on(lam, steps, rejected):
 
 
 def _worst_period_error(lam, starts):
-    # largest relative period-endpoint error at rtol = atol = 1e-11 against
+    # largest relative period-endpoint error at tol = 1e-11 against
     # the same integrator at 1e-13
     model = rm.make_cubic_band()
     fld = ig.HomotopyField(model, lam)
     worst = 0.0
     for z in starts:
         coarse, fine = (ig.integrate(fld, ig.PhaseState(0.0, *z), model.period,
-                                     ig.IntegrateOpts(rtol=tol, atol=tol))
+                                     tol)
                         for tol in (1e-11, 1e-13))
         worst = max(worst, math.hypot(coarse.x[-1] - fine.x[-1],
                                       coarse.y[-1] - fine.y[-1])
@@ -783,7 +779,7 @@ class _Curve:
     (lambda t: math.exp(8.0 * t) - 2.0, math.log(2.0) / 8.0, 0.0, 2.0, 27),
 ])
 def test_crossings_are_bracketed_to_event_tol(phi, root, t_a, t_b, calls):
-    # Illinois regula falsi: a bracket at most event_tol wide around the
+    # Illinois regula falsi: a bracket at most _EVENT_TOL wide around the
     # root; bisection takes 35 evaluations on a bracket of width 2
     curve = _Curve(phi)
     lo, hi = ig._bracket_root(curve, lambda x, y: x, t_a, phi(t_a),

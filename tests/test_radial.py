@@ -9,8 +9,8 @@ import resonance.model as rm
 from resonance import radial as rd
 from resonance import solver as sv
 from resonance.expr import DomainError, Var
-from resonance.integrate import (BlowUpError, HomotopyField, IntegrateOpts,
-                                 PhaseState, integrate, integrate_system)
+from resonance.integrate import (BlowUpError, HomotopyField, PhaseState,
+                                 integrate, integrate_system)
 from resonance.solver import homotopy_solve
 from oracles import flat_grid
 
@@ -230,7 +230,6 @@ def test_angular_momentum_conserved_in_cartesian_integration(rotating_run):
     model, sols, _ = rotating_run
     sol = sols[1]
     fld = HomotopyField(rd.effective_field(model, sol.L), 1.0)
-    opts = IntegrateOpts(rtol=1e-11, atol=1e-11)
     f = model.f
 
     def rhs(t, y):
@@ -240,7 +239,7 @@ def test_angular_momentum_conserved_in_cartesian_integration(rotating_run):
         return np.array([v1, v2, a * x1, a * x2])
 
     y0 = np.array([sol.z0.x, 0.0, sol.z0.y, sol.L / sol.z0.x])
-    ts, ys = integrate_system(rhs, y0, 0.0, sol.k * T2PI, opts)
+    ts, ys = integrate_system(rhs, y0, 0.0, sol.k * T2PI, 1e-11)
     L_t = ys[:, 0] * ys[:, 3] - ys[:, 1] * ys[:, 2]
     assert np.max(np.abs(L_t - sol.L)) < 1e-8
 
@@ -263,8 +262,7 @@ def test_reduced_solution_satisfies_cartesian_equation(rotating_run):
     checks = np.linspace(0.12 * T2PI, 0.88 * T2PI, 25)
     stencil = np.concatenate([checks + m * h for m in range(-2, 3)])
     ts, ys = integrate_system(rhs, np.array([sol.z0.x, sol.z0.y, 0.0]),
-                              0.0, T2PI, IntegrateOpts(rtol=1e-12, atol=1e-12),
-                              t_stops=stencil)
+                              0.0, T2PI, 1e-12, t_stops=stencil)
     lookup = {round(float(t), 12): (float(r), float(th))
               for t, r, th in zip(ts, ys[:, 0], ys[:, 2])}
 
@@ -299,8 +297,7 @@ def _cartesian_samples_by_integrate_system(model, sol, n=720):
     period = model.period
     stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)
     ts, ys = integrate_system(rhs, np.array([sol.z0.x, sol.z0.y, 0.0]),
-                              0.0, period, sv.SolveOpts().integrate,
-                              t_stops=stops)
+                              0.0, period, sv.SolveOpts().tol, t_stops=stops)
     idx = np.searchsorted(ts, stops[:-1])
     out = []
     for m in range(sol.k):
@@ -389,8 +386,8 @@ def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
     advanced = {}
     original = rd.angular_progress
 
-    def advance(reduced, z0, L, opts=None):
-        advanced[L] = (reduced, original(reduced, z0, L, opts))
+    def advance(reduced, z0, L, tol):
+        advanced[L] = (reduced, original(reduced, z0, L, tol))
         return advanced[L][1]
 
     monkeypatch.setattr(rd, "angular_progress", advance)
@@ -418,7 +415,7 @@ def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
     assert len(integrations) == len(advances) == 10
     for s in sols:
         fresh = rd.angular_progress(rd.effective_field(model, s.L), s.z0,
-                                    s.L, sv.SolveOpts().integrate)
+                                    s.L, sv.SolveOpts().tol)
         assert fresh is not s.orbit
         for name in ("t", "x", "y"):
             assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
@@ -444,9 +441,9 @@ def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
     advances = []
     original = rd.angular_progress
 
-    def advance(reduced, z0, L, opts=None):
+    def advance(reduced, z0, L, tol):
         advances.append(L)
-        return original(reduced, z0, L, opts)
+        return original(reduced, z0, L, tol)
 
     monkeypatch.setattr(rd, "angular_progress", advance)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(wobble=0.0), nu=1,
@@ -537,7 +534,7 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
     L_root = 0.7
     advances = []
 
-    def fake_advance(reduced, z0, L, opts=None):
+    def fake_advance(reduced, z0, L, tol):
         advances.append(L)
         return SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12})
 

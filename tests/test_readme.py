@@ -6,6 +6,8 @@ import math
 import pathlib
 import re
 
+import pytest
+
 from resonance import cli
 from resonance import model as rm
 from resonance import solver as sv
@@ -53,6 +55,31 @@ def test_certificate_keys_in_the_readme_are_the_ones_written(tmp_path):
     listed = re.search(r"and the `certificate\.\*`\s+keys:(.*?)\. A lost path",
                        _README, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == written
+
+
+def _parser_flags(capsys) -> set:
+    """The --flags that cli.main's parser accepts, over all subcommands,
+    read off its help."""
+    def help_of(argv):
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["--help"])
+        return capsys.readouterr().out
+
+    commands = re.search(r"\{(\w+(?:,\w+)+)\}", help_of([])).group(1)
+    return {flag for command in commands.split(",")
+            for flag in re.findall(r"(--[\w-]+)", help_of([command]))}
+
+
+def test_command_line_flags_in_the_readme_are_the_parsers(capsys):
+    # a flag documented under "Command line" must still be accepted, so a
+    # retired one cannot stay in the prose
+    section = _README[_README.index("## Command line"):
+                      _README.index("### Config format")]
+    documented = set(re.findall(r"(?<![\w-])(--[a-zA-Z][\w-]*)", section))
+    accepted = _parser_flags(capsys)
+    assert {"--config", "--out", "--theorem", "--T"} <= documented
+    assert "--tol-override" not in accepted
+    assert documented <= accepted, documented - accepted
 
 
 def test_config_prose_names_exactly_the_keys_the_cli_accepts():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -281,25 +280,25 @@ def test_boundary_degree_at_the_certifying_radius_costs_63_maps(monkeypatch):
 def _defaults_circle():
     # find --defaults: cubic_band at forcing 0.5, on the circle of its
     # R_elastic (about 4.2e5)
-    fld = HomotopyField(rm.make_cubic_band(), 1.0)
-    return fld, ap.build_kit(fld).R_elastic
+    model = rm.make_cubic_band()
+    return HomotopyField(model, 1.0), ap.build_kit(model).R_elastic
 
 
 def test_defaults_winding_costs_54_maps(monkeypatch):
     # 48 starting samples and 5 refinements at the winding tolerance, then
     # the smallest-margin sample once more at the shooting tolerance
     fld, radius = _defaults_circle()
-    rtols = []
+    tols = []
     original = sv.poincare
 
-    def counted(fld, z, opts):
-        rtols.append(opts.rtol)
-        return original(fld, z, opts)
+    def counted(fld, z, tol):
+        tols.append(tol)
+        return original(fld, z, tol)
 
     monkeypatch.setattr(sv, "poincare", counted)
     wind = sv.boundary_degree(fld, radius)
     assert wind.degree == 1 and wind.samples == 53
-    assert rtols == [1e-7] * 53 + [1e-11]
+    assert tols == [1e-7] * 53 + [1e-11]
     assert wind.rtol == 1e-7
     assert 10.0 * wind.map_error < wind.margin
 
@@ -315,8 +314,7 @@ def test_winding_tolerance_moves_each_start_far_less_than_its_margin(
     else:
         fld = HomotopyField(rm.make_singular_band(), 1.0)
         curve = sv.n_level_curve(32.0)
-    exact = sv.SolveOpts().integrate
-    coarse = dataclasses.replace(exact, rtol=1e-7, atol=1e-7)
+    exact, coarse = sv.SolveOpts().tol, 1e-7
     for k in range(sv._DEGREE_SAMPLES):
         zx, zy = curve(k / sv._DEGREE_SAMPLES)
         px, py, _ = sv.poincare(fld, (zx, zy), exact)
@@ -330,11 +328,11 @@ def _halve_coarse_maps(monkeypatch):
     way back to its start: the angle of z - P~(z), and so the degree, is
     kept, but |P~ - P| is as large as |z - P~|."""
     original = sv.poincare
-    coarse = max(sv.SolveOpts().integrate.rtol, sv._BOUNDARY_TOL)
+    coarse = max(sv.SolveOpts().tol, sv._BOUNDARY_TOL)
 
-    def halved(fld, z, opts):
-        px, py, orbit = original(fld, z, opts)
-        if opts.rtol == coarse:
+    def halved(fld, z, tol):
+        px, py, orbit = original(fld, z, tol)
+        if tol == coarse:
             px, py = 0.5 * (px + z[0]), 0.5 * (py + z[1])
         return px, py, orbit
 
@@ -407,9 +405,8 @@ def test_homotopy_full_line_certificate():
 
     # certified point re-returns under the map over two periods
     fld = HomotopyField(model, 1.0)
-    io = sv.SolveOpts().integrate
     traj = integrate(fld, PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                     2 * T2PI, io)
+                     2 * T2PI, sv.SolveOpts().tol)
     err = math.hypot(traj.x[-1] - cert.z_star.x, traj.y[-1] - cert.z_star.y)
     assert err < max(2 * cert.residual, 5e-9)
 
@@ -528,7 +525,7 @@ def test_homotopy_orbit_is_the_certified_trajectory(band_certificate):
     model = rm.make_cubic_band()
     fresh = integrate(HomotopyField(model, 1.0),
                       PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                      model.period, sv.SolveOpts().integrate)
+                      model.period, sv.SolveOpts().tol)
     for name in ("t", "x", "y", "rho", "theta"):
         assert np.array_equal(getattr(cert.orbit, name), getattr(fresh, name))
     assert [(e.kind, e.t, e.x, e.y) for e in cert.orbit.events] == \
@@ -554,7 +551,6 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
 
 def test_newton_orbit_is_the_returned_points_trajectory():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    io = sv.SolveOpts().integrate
     # the three exits: the start is converged, a trial converges, and (with
     # a tolerance no residual meets) the stall rule on a fresh Jacobian
     for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
@@ -562,7 +558,8 @@ def test_newton_orbit_is_the_returned_points_trajectory():
         z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol)
         assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)[:3]
         assert it == exit_it
-        end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, io)
+        end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI,
+                        sv.SolveOpts().tol)
         assert np.array_equal(orbit.x, end.x) and np.array_equal(orbit.y, end.y)
         assert math.hypot(orbit.x[-1] - z[0], orbit.y[-1] - z[1]) == res
 
@@ -739,7 +736,7 @@ def _edge_period_orbit(model, lap_target, y_lo, y_hi, opts):
 
     def lap_time(y0):
         traj = integrate(fld, PhaseState(0.0, 0.0, y0), 3.0 * lap_target,
-                         opts.integrate)
+                         opts.tol)
         ups = [e.t for e in traj.events
                if e.kind == "cross_x_eq_0" and e.y > 0]
         return ups[0]
@@ -770,7 +767,7 @@ def test_profile_of_blowup_family_fits_band_edge_frequency():
         model = _model(f, n_mode=n)
         y0 = _edge_period_orbit(model, T2PI / (n + 1), 1e2, 1e7, opts)
         fld = HomotopyField(model, 1.0)
-        traj = integrate(fld, PhaseState(0.0, 0.0, y0), T2PI, opts.integrate)
+        traj = integrate(fld, PhaseState(0.0, 0.0, y0), T2PI, opts.tol)
         # genuine periodic solution: the return residual is tiny
         res = math.hypot(traj.x[-1], traj.y[-1] - y0)
         assert res < 1e-5 * y0
@@ -796,7 +793,7 @@ def test_no_growing_family_when_sign_conditions_hold():
         except (sv.NewtonError, sv.SingularJacobianError):
             continue
         traj = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI,
-                         sv.SolveOpts().integrate)
+                         sv.SolveOpts().tol)
         found_norms.append(traj.sup_norm())
     assert all(n < 100.0 for n in found_norms)
 
