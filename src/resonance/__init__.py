@@ -14,7 +14,7 @@ rotating plane-valued systems, and `cli` wires it all to a config file.
 from .integrate import HomotopyField, PhaseState, Trajectory, rotation_count
 from .model import (FULL_LINE, SINGULAR, NonlinearityModel, from_expression,
                     from_family, from_piecewise)
-from .solver import PeriodicCertificate, SolveOpts, homotopy_solve
+from .solver import PeriodicCertificate, homotopy_solve
 from .spectrum import SpectrumPoint, curve_residual
 
 __version__ = "0.1.0"
@@ -23,6 +23,6 @@ __all__ = [
     "HomotopyField", "PhaseState", "Trajectory",
     "rotation_count", "FULL_LINE", "SINGULAR",
     "NonlinearityModel", "from_expression", "from_family", "from_piecewise",
-    "PeriodicCertificate", "SolveOpts", "homotopy_solve",
+    "PeriodicCertificate", "homotopy_solve",
     "SpectrumPoint", "curve_residual",
 ]

@@ -72,7 +72,7 @@ _RADIAL_DEFAULTS = {"nu": 1, "k_max": 4, "k_min": 1}
 _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
 _TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
              "out_dir"}
-_TOL_KEYS = {"tol", "newton_tol"}
+_TOL_KEYS = {"tol"}
 _GRID_KEYS = {"tau_points"}
 # ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, 128
 # times tau_points for an odd one
@@ -222,24 +222,19 @@ def build_model(cfg: dict) -> rm.NonlinearityModel:
                               f"{domain!r}, but family {mc['family']!r} is "
                               f"{model.domain!r}")
         return model
+    trees = {}
     for key in ("f", "f_left", "f_right"):
         if key not in mc:
             continue
         if not isinstance(mc[key], str):
             raise ConfigError(f"model.{key} must be an expression string")
         try:
-            ex.parse(mc[key])
+            trees[key] = ex.parse(mc[key])
         except (ex.ParseError, ex.UnknownIdentifierError) as e:
             raise ConfigError(f"model.{key}: {e}") from e
-    if "f" in mc:
-        return rm.from_expression(mc["f"], period, domain, n_mode)
-    return rm.from_piecewise(mc["f_left"], mc["f_right"], period, domain, n_mode)
-
-
-def build_opts(cfg: dict) -> sv.SolveOpts:
-    """SolveOpts() with the tolerances (tol, newton_tol) the config gives."""
-    return sv.SolveOpts(**{k: float(v)
-                           for k, v in cfg.get("tolerances", {}).items()})
+    pieces = ("f",) if "f" in mc else ("f_left", "f_right")
+    return rm.from_trees(tuple(trees[k] for k in pieces), period, domain,
+                         n_mode)
 
 
 class Report:
@@ -302,26 +297,25 @@ def _echo_config(report: Report, cfg: dict):
 class RunResult:
     """What the stages of one run produced."""
     report: Report
-    model: rm.NonlinearityModel
     kit: ap.AprioriKit | None = None
     cert: sv.PeriodicCertificate | None = None
 
 
-def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
+def run(cfg: dict, model: rm.NonlinearityModel, out_dir: str,
+        last: str | None = None) -> RunResult:
     """Gated pipeline for the configured theorem variant.
 
+    `cfg` is validate_config's output and `model` is build_model's of it.
     Runs the STAGES up to `last` (all of them when None).  Each stage is a
     gate: the first that fails raises a StageFailure carrying its exit
     code.  However the run ends, report.txt is written, and the artifacts
     produced so far stay on disk.
     """
-    cfg = validate_config(cfg)
-    model = build_model(cfg)
     os.makedirs(out_dir, exist_ok=True)
     report = Report()
     _echo_config(report, cfg)
-    res = RunResult(report, model)
-    opts, theorem = build_opts(cfg), cfg["theorem"]
+    res = RunResult(report)
+    tol, theorem = float(cfg["tolerances"].get("tol", sv.TOL)), cfg["theorem"]
     singular = model.domain == rm.SINGULAR
     variant = THEOREMS[theorem][1]
 
@@ -359,7 +353,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         if theorem == "radial":
             if not beyond("radial"):
                 report.start("radial")
-                _radial_stage(cfg, model, opts, out_dir, report)
+                _radial_stage(cfg, model, tol, out_dir, report)
             return res
 
         if beyond("apriori"):
@@ -369,7 +363,7 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
         # whose probe orbits passed, or the circle at the escape radius
         try:
             if singular:
-                n0, diag = ap.probe_N0(model, opts.tol)
+                n0, diag = ap.probe_N0(model, tol)
                 radius = diag["start_level"]
                 report.put("apriori.N0", n0)
                 report.put("apriori.start_level", radius)
@@ -390,11 +384,11 @@ def run(cfg: dict, out_dir: str, last: str | None = None) -> RunResult:
             return res
         report.start("solve")
         try:
-            res.cert = sv.homotopy_solve(model, opts=opts, radius=radius)
+            res.cert = sv.homotopy_solve(model, tol, radius=radius)
         except _STAGE_ERRORS as e:
             report.put("solve.error", str(e))
             report.fail(EXIT_SOLVER, str(e))
-        _write_certificate(res.cert, model, opts, out_dir, report)
+        _write_certificate(res.cert, model, tol, out_dir, report)
         report.gate(res.cert.converged, EXIT_SOLVER, "continuation lost at "
                     f"{res.cert.diagnostics.get('lost_at')}")
         return res
@@ -421,7 +415,7 @@ def _write_kit(kit: ap.AprioriKit, out_dir: str):
               ["v", "T_of_v", "L_of_v", "M_of_v"], rows)
 
 
-def _write_certificate(cert, model, opts, out_dir, report):
+def _write_certificate(cert, model, tol, out_dir, report):
     report.put("certificate.status", cert.status)
     if cert.z_star is not None:
         report.put("certificate.x0", cert.z_star.x)
@@ -448,7 +442,7 @@ def _write_certificate(cert, model, opts, out_dir, report):
         if traj is None:    # lost: the target field from the last path point
             traj = integrate(HomotopyField(model, 1.0),
                              PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                             model.period, opts.tol)
+                             model.period, tol)
         write_csv(os.path.join(out_dir, "solution.csv"),
                   ["t", "x", "y", "rho", "theta"],
                   list(zip(map(float, traj.t), map(float, traj.x),
@@ -458,9 +452,9 @@ def _write_certificate(cert, model, opts, out_dir, report):
                   [(e.kind, e.t, e.x, e.y) for e in traj.events])
 
 
-def _radial_stage(cfg, model, opts, out_dir, report):
+def _radial_stage(cfg, model, tol, out_dir, report):
     rc = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
-    sols, k_nu = rd.find_rotating(model, rc["nu"], rc["k_max"], opts,
+    sols, k_nu = rd.find_rotating(model, rc["nu"], rc["k_max"], tol,
                                   k_min=rc["k_min"])
     report.put("radial.k_nu", k_nu if k_nu is not None else "none")
     rows = []
@@ -496,8 +490,9 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> tuple[dict, str]:
-    """The validated config and the output directory of a run command."""
+def _load_config(args) -> tuple[dict, rm.NonlinearityModel | None, str]:
+    """The validated config, its model and the output directory of a run
+    command; a sweep runs only its cells' models, so its own is None."""
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
     try:
@@ -512,26 +507,27 @@ def _load_config(args) -> tuple[dict, str]:
     elif args.theorem:
         cfg["theorem"] = args.theorem
     cfg = validate_config(cfg)
-    return cfg, args.out or cfg.get("out_dir", "out")
+    model = None if args.command == "sweep" else build_model(cfg)
+    return cfg, model, args.out or cfg.get("out_dir", "out")
 
 
 def _cmd_verify(args) -> int:
-    cfg, out = _load_config(args)
-    lines = dict(run(cfg, out, last="sign_conditions").report.lines)
+    cfg, model, out = _load_config(args)
+    lines = dict(run(cfg, model, out, last="sign_conditions").report.lines)
     print(f"verify: hypotheses=pass lower={lines['sign.lower.verdict']} "
           f"upper={lines['sign.upper.verdict']} -> {out}/report.txt")
     return EXIT_OK
 
 
 def _cmd_apriori(args) -> int:
-    cfg, out = _load_config(args)
-    res = run(cfg, out, last="apriori")
+    cfg, model, out = _load_config(args)
+    res = run(cfg, model, out, last="apriori")
     if res.kit is not None:
-        kit, tol = res.kit, build_opts(cfg).tol
+        kit, tol = res.kit, float(cfg["tolerances"].get("tol", sv.TOL))
         rows = []
         try:
             for amp in np.geomspace(max(4.0 * kit.R0, 100.0), 1e3, 8):
-                lap = ap.lap_report(res.model, kit, float(amp), tol)
+                lap = ap.lap_report(model, kit, float(amp), tol)
                 li = lap["lap"]
                 rows.append((float(amp), li.t1, li.t2, li.t3, li.t4, li.t5,
                              li.t6, li.t7, li.t8, lap["y2"], lap["x3"],
@@ -554,8 +550,8 @@ def _cmd_apriori(args) -> int:
 
 def _cmd_find(args) -> int:
     """find and radial: every stage of the pipeline."""
-    cfg, out = _load_config(args)
-    run(cfg, out)
+    cfg, model, out = _load_config(args)
+    run(cfg, model, out)
     print(f"{args.command} artifacts -> {out}")
     return EXIT_OK
 
@@ -571,7 +567,7 @@ def _set_by_path(cfg: dict, dotted: str, value):
 
 
 def _cmd_sweep(args) -> int:
-    cfg, out = _load_config(args)
+    cfg, _, out = _load_config(args)
     swc = cfg.get("sweep", {})
     param, values = swc.get("param"), swc.get("values")
     if not (isinstance(param, str) and param):
@@ -587,16 +583,16 @@ def _cmd_sweep(args) -> int:
         del sub["sweep"]
         _set_by_path(sub, param, val)
         try:
-            cells.append(validate_config(sub))
-            build_model(cells[-1])
+            sub = validate_config(sub)
+            cells.append((sub, build_model(sub)))
         except ConfigError as e:
             raise ConfigError(f"sweep.values[{i}] = {val!r}: {e}") from None
     os.makedirs(out, exist_ok=True)
 
     rows = []
-    for i, (val, sub) in enumerate(zip(values, cells)):
+    for i, (val, (sub, model)) in enumerate(zip(values, cells)):
         try:
-            cert = run(sub, os.path.join(out, f"cell_{i:03d}")).cert
+            cert = run(sub, model, os.path.join(out, f"cell_{i:03d}")).cert
         except StageFailure as e:
             rows.append((float(val), f"fail:{e.stage}", math.nan))
             continue
@@ -622,8 +618,9 @@ def main(argv=None) -> int:
                     "degree certification, radial systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
+    p_spec = sub.add_parser("spectrum",
                             help="sample the resonance curves as CSV")
+    p_spec.add_argument("--out", default="out", help="output directory")
     p_spec.add_argument("--T", type=float, required=True)
     p_spec.add_argument("--jmax", type=int, default=4)
     p_spec.add_argument("--points", type=int, default=200)
@@ -637,13 +634,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "spectrum":
-            if args.out is None:
-                args.out = "out"
-            return _cmd_spectrum(args)
-        return {"verify": _cmd_verify, "apriori": _cmd_apriori,
-                "find": _cmd_find, "radial": _cmd_find,
-                "sweep": _cmd_sweep}[args.command](args)
+        return {"spectrum": _cmd_spectrum, "verify": _cmd_verify,
+                "apriori": _cmd_apriori, "find": _cmd_find,
+                "radial": _cmd_find, "sweep": _cmd_sweep}[args.command](args)
     except StageFailure as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return e.code

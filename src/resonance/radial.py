@@ -22,7 +22,7 @@ import numpy as np
 from .expr import Bin, DomainError, Num, Var
 from .integrate import HomotopyField, PhaseState, Trajectory, integrate
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
-from .solver import NEWTON_FAILURES, SolveOpts, newton_fixed_point
+from .solver import NEWTON_FAILURES, TOL, newton_fixed_point
 
 __all__ = [
     "RotatingSolution", "effective_field", "circular_orbit",
@@ -123,7 +123,7 @@ def _circular_momentum(model: NonlinearityModel, target: float) -> float:
 
 
 def angular_progress(reduced: NonlinearityModel, z0: PhaseState, L: float,
-                     tol: float = 1e-10) -> Trajectory:
+                     tol: float = TOL) -> Trajectory:
     """One period of the reduced field (effective_field at L) from z0, in
     one planar integration at tol with the angle's rate L / rho^2 as its
     rider: meta["rider"] is the angle swept over the period, Delta_theta.
@@ -160,18 +160,19 @@ class RotatingSolution:
 
 def solve_radial_profile(reduced: NonlinearityModel,
                          guess: tuple[float, float],
-                         opts: SolveOpts = SolveOpts(), jac=None):
+                         tol: float = TOL, jac=None):
     """T-periodic solution of the reduced radial equation (effective_field
-    at one L): (z, residual, Jacobian of P(z) - z at z).  Newton starts
-    from the caller's guess and Jacobian: the nearest known L's, or the
-    circular orbit (circular_orbit(model, L), 0) and none.  A failed solve
-    raises one of solver.NEWTON_FAILURES, and the L-search skips that L."""
-    z, res, _, _, jac = newton_fixed_point(
-        HomotopyField(reduced, 1.0), guess, opts.newton_tol, opts, jac=jac)
+    at one L), shot at tol: (z, residual, Jacobian of P(z) - z at z).
+    Newton starts from the caller's guess and Jacobian: the nearest known
+    L's, or the circular orbit (circular_orbit(model, L), 0) and none.  A
+    failed solve raises one of solver.NEWTON_FAILURES, and the L-search
+    skips that L."""
+    z, res, _, _, jac = newton_fixed_point(HomotopyField(reduced, 1.0), guess,
+                                           tol, jac=jac)
     return z, res, jac
 
 
-def _delta_theta_of_L(model, L, known, opts):
+def _delta_theta_of_L(model, L, known, tol):
     """Delta_theta at L, from one reduced field compiled for the profile
     solve and the advance; known[L] records (Delta_theta, profile,
     residual, Jacobian, reduced field, orbit).  The solve starts from the
@@ -182,8 +183,8 @@ def _delta_theta_of_L(model, L, known, opts):
     else:
         guess, jac = (circular_orbit(model, L), 0.0), None
     reduced = effective_field(model, L)
-    z, res, jac = solve_radial_profile(reduced, guess, opts, jac)
-    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L, opts.tol)
+    z, res, jac = solve_radial_profile(reduced, guess, tol, jac)
+    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L, tol)
     known[L] = (orbit.meta["rider"], z, res, jac, reduced, orbit)
     return known[L][0]
 
@@ -199,7 +200,7 @@ def _known_bracket(known, target):
     return None
 
 
-def _illinois(model, target, bracket, known, opts):
+def _illinois(model, target, bracket, known, tol):
     """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
     (Dowell & Jarratt 1971): the secant root of the two ends, with the
     value at an end halved when that end is kept twice in a row.  Returns
@@ -212,7 +213,7 @@ def _illinois(model, target, bracket, known, opts):
             return None
         m = (a * fb - b * fa) / (fb - fa)
         try:
-            d = _delta_theta_of_L(model, m, known, opts)
+            d = _delta_theta_of_L(model, m, known, tol)
         except NEWTON_FAILURES:
             a = m
             continue
@@ -238,7 +239,7 @@ _SOLVE_ERRORS = (RuntimeError, DomainError, NoBracketError)
 
 
 def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
-                  opts: SolveOpts = SolveOpts(), k_min: int = 1
+                  tol: float = TOL, k_min: int = 1
                   ) -> tuple[list[RotatingSolution], Optional[int]]:
     """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k,
     the angular advance over one rho-period.
@@ -264,10 +265,10 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
             L_star = None
             bracket = _known_bracket(known, target)
             if bracket is None:
-                L_star = _step_to_bracket(model, target, known, opts)
+                L_star = _step_to_bracket(model, target, known, tol)
                 bracket = _known_bracket(known, target)
             if L_star is None and bracket is not None:
-                L_star = _illinois(model, target, bracket, known, opts)
+                L_star = _illinois(model, target, bracket, known, tol)
         except _SOLVE_ERRORS:       # this k has no solution; try the next
             continue
         if L_star is None:
@@ -282,7 +283,7 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     return results, k_nu
 
 
-def _step_to_bracket(model, target, known, opts):
+def _step_to_bracket(model, target, known, tol):
     """Evaluate advances from the circular orbit's L toward the target
     until two known L values straddle it.  L is multiplied by q when the
     last advance is below the target and divided by q when above (the
@@ -296,7 +297,7 @@ def _step_to_bracket(model, target, known, opts):
     q = 1.02
     for _ in range(MAX_STEPS + 1):
         try:
-            dth = _delta_theta_of_L(model, L, known, opts)
+            dth = _delta_theta_of_L(model, L, known, tol)
         except NEWTON_FAILURES:
             pass
         else:

@@ -35,7 +35,7 @@ from .integrate import (INTEGRATION_FAILURES, CenterHitError, HomotopyField,
 from .model import FULL_LINE, SINGULAR, NonlinearityModel
 
 __all__ = [
-    "SolveOpts", "PathPoint", "PeriodicCertificate", "SingularJacobianError",
+    "TOL", "PathPoint", "PeriodicCertificate", "SingularJacobianError",
     "NewtonError", "Winding", "poincare", "newton_fixed_point",
     "boundary_degree", "degree_search", "homotopy_solve",
     "circle_curve", "n_level_curve",
@@ -56,14 +56,10 @@ class NewtonError(RuntimeError):
 NEWTON_FAILURES = (NewtonError, SingularJacobianError) + INTEGRATION_FAILURES
 
 
-@dataclass(frozen=True)
-class SolveOpts:
-    newton_tol: float = 1e-9
-    # integrate's tol: shooting needs the return map resolved below the
-    # Newton tolerance
-    tol: float = 1e-11
-
-
+# integrate's tol: shooting needs the return map resolved below Newton's
+# target, the residual that certifies a fixed point
+TOL = 1e-11
+_NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6          # relative Jacobian step, scaled by ||z||
 _FIRST_LAMBDA_STEP = 1.0 / 32    # the continuation's first step
@@ -117,7 +113,7 @@ class PeriodicCertificate:
         return self.status == "converged"
 
 
-def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = 1e-10):
+def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = TOL):
     """Return-map image of z = (x, y) after one period, integrated at tol,
     with the orbit that reached it: (x, y, trajectory)."""
     traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, tol)
@@ -130,13 +126,13 @@ def _return_residual(fld, z, tol):
     return px - z[0], py - z[1], orbit
 
 
-def _fd_jacobian(fld, z, g, opts):
+def _fd_jacobian(fld, z, g, tol):
     """Forward-difference Jacobian ((j11, j12), (j21, j22)) of P(z) - z at
     z, whose residual g is known, with step _FD_STEP * max(1, ||z||): two
     return maps."""
     h = _FD_STEP * max(1.0, math.hypot(*z))
-    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), opts.tol)
-    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), opts.tol)
+    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), tol)
+    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), tol)
     return (((g1x - g[0]) / h, (g2x - g[0]) / h),
             ((g1y - g[1]) / h, (g2y - g[1]) / h))
 
@@ -165,9 +161,10 @@ def _broyden(jac, s, dg):
 
 
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
-                       tol: float = 1e-9, opts: SolveOpts = SolveOpts(), *,
+                       tol: float = TOL, *, target: float = _NEWTON_TOL,
                        jac=None):
-    """Quasi-Newton on P(z) - z; returns (z, residual, iterations, orbit,
+    """Quasi-Newton on P(z) - z, with return maps integrated at tol, until
+    the residual is below target; returns (z, residual, iterations, orbit,
     jacobian).
 
     The iteration starts from `jac`, a Jacobian ((j11, j12), (j21, j22))
@@ -186,13 +183,13 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     continuation.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
-    gx, gy, orbit = _return_residual(fld, z, opts.tol)
+    gx, gy, orbit = _return_residual(fld, z, tol)
     res = math.hypot(gx, gy)
     refresh = jac is None
     it = 0
-    while not res < tol:
+    while not res < target:
         # integration noise bounds how far the residual can be polished
-        stall_tol = max(tol, 100.0 * opts.tol * (1.0 + math.hypot(*z)))
+        stall_tol = max(target, 100.0 * tol * (1.0 + math.hypot(*z)))
         if it == _NEWTON_MAX_ITER:
             if res < stall_tol:
                 break
@@ -200,7 +197,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                               f"iterations; residual {res:.3g}")
         fresh = refresh or _looks_singular(jac)
         if fresh:
-            jac = _fd_jacobian(fld, z, (gx, gy), opts)
+            jac = _fd_jacobian(fld, z, (gx, gy), tol)
         (j11, j12), (j21, j22) = jac
         det = j11 * j22 - j12 * j21
         if fresh and _looks_singular(jac):
@@ -212,12 +209,12 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
         for _ in range(8):
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
-                gnx, gny, orbitn = _return_residual(fld, zn, opts.tol)
+                gnx, gny, orbitn = _return_residual(fld, zn, tol)
             except INTEGRATION_FAILURES:
                 step *= 0.5
                 continue
             rn = math.hypot(gnx, gny)
-            if rn < res or rn < tol:
+            if rn < res or rn < target:
                 jac = _broyden(jac, (zn[0] - z[0], zn[1] - z[1]),
                                (gnx - gx, gny - gy))
                 refresh = not rn < 0.5 * res
@@ -262,29 +259,28 @@ def _rect_curve(x0: float, x1: float, y0: float, y1: float
 
 
 def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
-             opts: SolveOpts) -> Winding:
+             tol: float) -> Winding:
     """Winding number of z - P(z) along the closed curve s -> curve(s),
     s in [0, 1), with the evidence for it.
 
     Only the angle of w = z - P(z) counts, and any map within |w| of P on
     the curve has the same degree (homotopy invariance of the Brouwer
     degree; Deimling, Nonlinear Functional Analysis, 1985, ch. 1).  So
-    the samples integrate at tol = max(opts.tol, _BOUNDARY_TOL), and the
-    sample with the smallest |w|/|z| is mapped once more at opts.tol: a
-    map error that is not below that
-    margin by _MARGIN_FACTOR is a RuntimeError.  Samples are refined until
-    adjacent angular increments stay below pi/2; a fixed point on the
-    curve is a ValueError, and a winding that exceeds the sample budget or
-    does not close up a RuntimeError.
+    the samples integrate at max(tol, _BOUNDARY_TOL), and the sample with
+    the smallest |w|/|z| is mapped once more at tol: a map error that is
+    not below that margin by _MARGIN_FACTOR is a RuntimeError.  Samples
+    are refined until adjacent angular increments stay below pi/2; a fixed
+    point on the curve is a ValueError, and a winding that exceeds the
+    sample budget or does not close up a RuntimeError.
     """
-    tol = max(opts.tol, _BOUNDARY_TOL)
-    # s -> (angle of w, |w|/|z|, P~(z))
+    sample_tol = max(tol, _BOUNDARY_TOL)
+    # s -> (angle of w, |w|/|z|, P~(z)), for s in [0, 1)
     cache: dict[float, tuple[float, float, float, float]] = {}
 
     def angle(s: float) -> float:
         if s not in cache:
             zx, zy = curve(s)
-            px, py, _ = poincare(fld, (zx, zy), tol)
+            px, py, _ = poincare(fld, (zx, zy), sample_tol)
             wx, wy = zx - px, zy - py
             margin = math.hypot(wx, wy) / (math.hypot(zx, zy) or 1.0)
             if margin < _BOUNDARY_TOL:
@@ -293,9 +289,8 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
         return cache[s][0]
 
     ss = [k / _DEGREE_SAMPLES for k in range(_DEGREE_SAMPLES)] + [1.0]
-    angles = {}
     for s in ss:
-        angles[s] = angle(s % 1.0)
+        angle(s % 1.0)
 
     work = True
     while work:
@@ -304,16 +299,16 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
             raise RuntimeError("refinement budget exceeded in winding computation")
         new_ss = [ss[0]]
         for s1, s2 in zip(ss[:-1], ss[1:]):
-            if abs(_wrap_pi(angles[s2] - angles[s1])) > 0.5 * math.pi:
+            if abs(_wrap_pi(angle(s2 % 1.0) - angle(s1))) > 0.5 * math.pi:
                 sm = 0.5 * (s1 + s2)
-                angles[sm] = angle(sm % 1.0)
+                angle(sm)
                 new_ss.extend([sm, s2])
                 work = True
             else:
                 new_ss.append(s2)
         ss = new_ss
 
-    total = sum(_wrap_pi(angles[s2] - angles[s1])
+    total = sum(_wrap_pi(angle(s2 % 1.0) - angle(s1))
                 for s1, s2 in zip(ss[:-1], ss[1:]))
     deg = round(total / (2.0 * math.pi))
     if abs(total - 2.0 * math.pi * deg) > 0.5:
@@ -322,18 +317,18 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     s_min = min(cache, key=lambda s: cache[s][1])
     _, margin, cx, cy = cache[s_min]
     zx, zy = curve(s_min)
-    px, py, _ = poincare(fld, (zx, zy), opts.tol)
+    px, py, _ = poincare(fld, (zx, zy), tol)
     map_error = math.hypot(cx - px, cy - py) / (math.hypot(zx, zy) or 1.0)
     if not _MARGIN_FACTOR * map_error < margin:
         raise RuntimeError(
             f"winding not certified at s={s_min}: map error {map_error:.3g} "
-            f"(tol {tol:.3g}) is not below the boundary margin "
+            f"(tol {sample_tol:.3g}) is not below the boundary margin "
             f"{margin:.3g} by a factor {_MARGIN_FACTOR:g}")
-    return Winding(int(deg), len(cache), margin, map_error, tol)
+    return Winding(int(deg), len(cache), margin, map_error, sample_tol)
 
 
 def boundary_degree(fld: HomotopyField, radius: float,
-                    opts: SolveOpts = SolveOpts()) -> Winding:
+                    tol: float = TOL) -> Winding:
     """Winding number of z - P(z) along a closed curve of initial states,
     with its evidence.
 
@@ -345,11 +340,11 @@ def boundary_degree(fld: HomotopyField, radius: float,
     """
     curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
              else circle_curve(radius))
-    return _winding(fld, curve, opts)
+    return _winding(fld, curve, tol)
 
 
 def degree_search(fld: HomotopyField, radius: float,
-                  opts: SolveOpts = SolveOpts(), stop_after: int = 2
+                  tol: float = TOL, stop_after: int = 2
                   ) -> list[tuple[tuple[float, float], float]]:
     """Locate return-map fixed points by recursive winding bisection.
 
@@ -375,8 +370,7 @@ def degree_search(fld: HomotopyField, radius: float,
         if min(x1 - x0, y1 - y0) < small:
             try:
                 z, res, *_ = newton_fixed_point(
-                    fld, (0.5 * (x0 + x1), 0.5 * (y0 + y1)),
-                    opts.newton_tol, opts)
+                    fld, (0.5 * (x0 + x1), 0.5 * (y0 + y1)), tol)
                 if not any(math.hypot(z[0] - f[0][0], z[1] - f[0][1])
                            < 1e-5 * max(1.0, radius) for f in found):
                     found.append((z, res))
@@ -384,7 +378,7 @@ def degree_search(fld: HomotopyField, radius: float,
                 pass
             continue
         try:
-            w = _winding(fld, _rect_curve(x0, x1, y0, y1), opts).degree
+            w = _winding(fld, _rect_curve(x0, x1, y0, y1), tol).degree
         except (ValueError, RuntimeError):
             w = None    # unresolved: subdivide
         if w == 0:
@@ -414,18 +408,19 @@ def _initial_guesses(fld: HomotopyField):
         yield (1.0, -1.0)
 
 
-def _index(fld, z, orbit, opts):
+def _index(fld, z, orbit, tol):
     """Local index sign det D(P - I) of the fixed point z, whose orbit is
     known, from its own fresh finite-difference Jacobian (2 return maps)."""
     end = orbit.state_at_end()
     (j11, j12), (j21, j22) = _fd_jacobian(
-        fld, z, (end.x - z[0], end.y - z[1]), opts)
+        fld, z, (end.x - z[0], end.y - z[1]), tol)
     return int(np.sign(j11 * j22 - j12 * j21))
 
 
-def _solve_at_lambda(model, lam, tol, opts):
-    """The first fixed point of index +1 (_index) that Newton reaches
-    from _initial_guesses: (guess, z, residual, orbit, Jacobian).
+def _solve_at_lambda(model, lam, target, tol):
+    """The first fixed point of index +1 (_index) that Newton, at tol and
+    to target, reaches from _initial_guesses: (guess, z, residual, orbit,
+    Jacobian).
 
     At lam = 0 this is the continuation's start.  +1 is the sign of the
     comparison field's degree: on the full line its trivial solution has
@@ -437,18 +432,18 @@ def _solve_at_lambda(model, lam, tol, opts):
     last_err = None
     for g in _initial_guesses(fld):
         try:
-            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol, opts)
+            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol,
+                                                       target=target)
         except NEWTON_FAILURES as e:
             last_err = e
             continue
-        if _index(fld, z, orbit, opts) == 1:
+        if _index(fld, z, orbit, tol) == 1:
             return g, z, res, orbit, jac
         last_err = f"the one at {z} has index -1"
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
 
-def homotopy_solve(model: NonlinearityModel,
-                   opts: SolveOpts = SolveOpts(),
+def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
                    radius: Optional[float] = None) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
@@ -463,8 +458,9 @@ def homotopy_solve(model: NonlinearityModel,
     starts from a secant predictor and the final Jacobian of the last
     accepted point, so most corrector steps cost one return map.  A waypoint
     below lam = 1 only seeds the next predictor, so its corrector stops at
-    sqrt(newton_tol); only the certified point is polished to newton_tol,
-    and each path point's residual is the one its corrector reached.
+    sqrt(_NEWTON_TOL); only the certified point is polished to _NEWTON_TOL,
+    and each path point's residual is the one its corrector reached.  Every
+    return map integrates at tol.
     Checking the hypotheses (conditions.validate_A or validate_A0_Ainf) and
     choosing the certifying curve beyond the a-priori bound are the caller's
     part.  On success the fixed point at lam = 1 is certified by its
@@ -480,7 +476,7 @@ def homotopy_solve(model: NonlinearityModel,
     families remain inspectable.  diagnostics names the initial guess of
     the start and counts the halvings.
     """
-    waypoint_tol = math.sqrt(opts.newton_tol)
+    waypoint_tol = math.sqrt(_NEWTON_TOL)
     step = _FIRST_LAMBDA_STEP
     halvings = 0
 
@@ -497,7 +493,7 @@ def homotopy_solve(model: NonlinearityModel,
                                         halvings=halvings))
 
     initial_guess, z, res, orbit, jac = _solve_at_lambda(
-        model, 0.0, waypoint_tol, opts)
+        model, 0.0, waypoint_tol, tol)
     path = [path_point(0.0, z, res, orbit)]
     # secant predictor from (lam_prev, z_prev); constant on the first step
     lam, lam_prev, z_prev = 0.0, -1.0, z
@@ -507,9 +503,9 @@ def homotopy_solve(model: NonlinearityModel,
         guess = (z[0] + f * (z[0] - z_prev[0]), z[1] + f * (z[1] - z_prev[1]))
         try:
             zn, resn, its, orbitn, jacn = newton_fixed_point(
-                HomotopyField(model, lam_target), guess,
-                opts.newton_tol if lam_target == 1.0 else waypoint_tol,
-                opts, jac=jac)
+                HomotopyField(model, lam_target), guess, tol,
+                target=_NEWTON_TOL if lam_target == 1.0 else waypoint_tol,
+                jac=jac)
         except NEWTON_FAILURES as err:
             if lam_target - lam <= _LAMBDA_FLOOR:
                 return lost(lam_target, str(err))
@@ -532,7 +528,7 @@ def homotopy_solve(model: NonlinearityModel,
     evidence = {}
     if radius is not None:
         fld_end = HomotopyField(model, 1.0)
-        wind = boundary_degree(fld_end, radius, opts=opts)
+        wind = boundary_degree(fld_end, radius, tol)
         degree = wind.degree
         evidence = dict(winding_samples=wind.samples,
                         boundary_margin=wind.margin,
@@ -540,7 +536,7 @@ def homotopy_solve(model: NonlinearityModel,
                         winding_rtol=wind.rtol)
         # the boundary degree is the sum of the indices of all fixed
         # points inside the curve
-        index = _index(fld_end, z, orbit, opts)
+        index = _index(fld_end, z, orbit, tol)
         if index != degree:
             index_note = "other fixed points inside R"
 

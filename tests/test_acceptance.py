@@ -102,7 +102,7 @@ def test_criterion_2_integrator_oracles():
         # mu = 4 is an eigenvalue at this period, so the return map is the
         # identity: Newton from the origin converges on the spot and its
         # result is a genuine fixed point within the stated residual
-        z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
+        z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), target=1e-7)
         assert res < 1e-7
         qx, qy, _ = sv.poincare(fld, z)
         assert math.hypot(qx - z[0], qy - z[1]) < 1e-7
@@ -145,7 +145,7 @@ def test_criterion_3_rotation_lemmas(band_model):
             else:
                 hi = mid
         z, res, *_ = sv.newton_fixed_point(fldf, (0.0, 0.5 * (lo + hi)),
-                                           tol=1e-9)
+                                           target=1e-9)
         assert res < 1e-9 * (1.0 + math.hypot(*z))   # noise floor scales with size
         traj = integrate(fldf, PhaseState(0.0, z[0], z[1]), T2PI)
         count = rotation_count(traj)

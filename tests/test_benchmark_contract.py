@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from resonance import cli
-from resonance.solver import SolveOpts
+from resonance.solver import _NEWTON_TOL
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 _write_bytecode = sys.dont_write_bytecode
@@ -68,4 +68,4 @@ def test_radial_draw_meets_its_check(tmp_path, capsys, seed, draw):
     with open(tmp_path / "out" / "radial.csv") as fh:
         residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
     assert len(residuals) == case.k_values
-    assert max(residuals) < SolveOpts().newton_tol
+    assert max(residuals) < _NEWTON_TOL

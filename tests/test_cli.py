@@ -1,8 +1,6 @@
 import json
 import math
 
-import dataclasses
-
 import pytest
 
 from resonance import cli
@@ -97,8 +95,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["tolerances.tol", "positive"]),
     ({"model": _BAND, "tolerances": {"tol": 0}},
      ["tolerances.tol", "positive"]),
-    ({"model": _BAND, "tolerances": {"newton_tol": math.nan}},
-     ["tolerances.newton_tol", "finite"]),
+    ({"model": _BAND, "tolerances": {"tol": math.nan}},
+     ["tolerances.tol", "finite"]),
     ({"model": _BAND, "tolerances": {"tol": math.inf}},
      ["tolerances.tol", "finite"]),
     ({"model": dict(_BAND, T=math.nan)}, ["model.T", "finite"]),
@@ -120,6 +118,9 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
      ["unknown keys in tolerances", "event_tol"]),
     ({"model": _BAND, "tolerances": {"max_step": 0.05}},
      ["unknown keys in tolerances", "max_step"]),
+    # Newton's target is a constant: the retired shooting key is unknown
+    ({"model": _BAND, "tolerances": {"newton_tol": 1e-9}},
+     ["unknown keys in tolerances", "newton_tol"]),
     ({"model": 3}, ["model", "object"]),
     ({"model": None}, ["model", "object"]),
     ({"model": "abc"}, ["model", "object"]),
@@ -142,7 +143,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "tolerance-nan", "tolerance-inf", "period-nan", "period-inf",
         "period-bool", "band-index-bool", "grid-t-points", "grid-x-points",
         "grid-one-lambda", "retired-rtol", "retired-atol",
-        "retired-event_tol", "retired-max_step", "model-number",
+        "retired-event_tol", "retired-max_step", "retired-newton_tol",
+        "model-number",
         "model-null", "model-string",
         "params-number", "params-list", "params-string",
         "params-without-family", "family-list", "theorem-list",
@@ -306,22 +308,6 @@ def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
     assert report["certificate.degree"] == "1"
 
 
-def test_build_opts_fills_only_the_keys_the_config_gives():
-    # SolveOpts holds the defaults; the config overrides field by field
-    default = sv.SolveOpts()
-    assert cli.build_opts(cli.validate_config({"model": _BAND})) == default
-    assert cli.build_opts(cli.validate_config(
-        {"model": _BAND, "tolerances": {}, "grids": {"tau_points": 16}})) \
-        == default
-    given = {"tol": 1e-9, "newton_tol": 4e-9}
-    for key, val in given.items():
-        opts = cli.build_opts(cli.validate_config(
-            {"model": _BAND, "tolerances": {key: val}}))
-        assert opts == dataclasses.replace(default, **{key: val})
-    assert cli.build_opts(cli.validate_config(
-        {"model": _BAND, "tolerances": given})) == sv.SolveOpts(**given)
-
-
 def test_expression_model_roundtrip():
     cfg = cli.validate_config({
         "model": {"f": "(1+sin(t)^2)*x^5 + x^3", "T": 2 * math.pi, "N": 2}})
@@ -362,6 +348,19 @@ def test_spectrum_rejects_bad_arguments(tmp_path, capsys, flag, value):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "missing.json"),
+                                         ("--theorem", "radial")])
+def test_spectrum_takes_no_run_flags(tmp_path, capsys, flag, value):
+    # spectrum reads no config and runs no pipeline: a run command's flag
+    # is an argparse error, not silently ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--T", "6.28", flag, value, "--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -462,8 +461,9 @@ def test_apriori_report_names_what_fixed_R0(tmp_path):
     # names the constraint that fixed R0 and where the polar constants are
     # attained
     with open(_write_config(tmp_path, tolerances={"tol": 1e-12})) as fh:
-        cfg = json.load(fh)
-    res = cli.run(cfg, str(tmp_path / "out"), last="apriori")
+        cfg = cli.validate_config(json.load(fh))
+    res = cli.run(cfg, cli.build_model(cfg), str(tmp_path / "out"),
+                  last="apriori")
     lines = dict(res.report.lines)
     assert lines["config.tolerances.tol"] == cli.fmt_float(1e-12)
     assert not any(k.startswith("apriori.") and "tol" in k for k in lines)

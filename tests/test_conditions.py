@@ -327,6 +327,21 @@ def test_edge_pinned_model_fails_upper_condition():
     assert hi.verdict == "fail"
 
 
+@pytest.mark.parametrize("lift, verdict", [
+    (math.pi / 8 - 0.01, "fail"), (math.pi / 8 + 0.01, "pass"),
+    (1.0, "pass")])
+def test_cubic_band_lower_margin_crosses_zero_at_its_closed_form(lift,
+                                                                 verdict):
+    # cubic_band's lower margin is 2 lift - pi forcing / 2 in closed form,
+    # so at forcing 0.5 the verdict flips across lift = pi forcing / 4
+    forcing = 0.5
+    lo, _ = cd.ll_verdict(rm.make_cubic_band(forcing=forcing, lift=lift),
+                          tau_points=256)
+    assert lo.verdict == verdict
+    assert lo.margin == pytest.approx(2 * lift - math.pi * forcing / 2,
+                                      abs=5e-4)
+
+
 def test_bounded_above_residue_with_lower_shift_passes():
     # f = mu_N x + 1 for x > 0: lower integral is 2T/(N pi); the residue
     # against mu_N+1 drifts to -inf so the upper condition holds too

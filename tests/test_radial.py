@@ -184,8 +184,7 @@ def test_profile_without_balance_radius_raises_and_runs_no_homotopy(
     maps = _count_calls(monkeypatch, "poincare", sv)
     compiles = _count_calls(monkeypatch, "from_trees")
     with pytest.raises(rd.NoBracketError, match="no balance radius"):
-        rd._delta_theta_of_L(rm.make_singular_band(), 0.373, {},
-                             sv.SolveOpts())
+        rd._delta_theta_of_L(rm.make_singular_band(), 0.373, {}, sv.TOL)
     assert rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1) == (
         [], None)
     assert not homotopies and not maps and not compiles
@@ -297,7 +296,7 @@ def _cartesian_samples_by_integrate_system(model, sol, n=720):
     period = model.period
     stops = np.linspace(0.0, period, max(2, n // max(sol.k, 1)) + 1)
     ts, ys = integrate_system(rhs, np.array([sol.z0.x, sol.z0.y, 0.0]),
-                              0.0, period, sv.SolveOpts().tol, t_stops=stops)
+                              0.0, period, sv.TOL, t_stops=stops)
     idx = np.searchsorted(ts, stops[:-1])
     out = []
     for m in range(sol.k):
@@ -415,7 +414,7 @@ def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
     assert len(integrations) == len(advances) == 10
     for s in sols:
         fresh = rd.angular_progress(rd.effective_field(model, s.L), s.z0,
-                                    s.L, sv.SolveOpts().tol)
+                                    s.L, sv.TOL)
         assert fresh is not s.orbit
         for name in ("t", "x", "y"):
             assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
@@ -476,11 +475,11 @@ def test_search_steps_past_a_failed_profile_solve(monkeypatch):
     monkeypatch.setattr(rd, "effective_field", counted_field)
     for failure in (sv.NewtonError("patched failure"),
                     BlowUpError(0.0, 0.2, -1.0)):
-        def second_fails(reduced, guess, opts=sv.SolveOpts(), jac=None):
+        def second_fails(reduced, guess, tol=sv.TOL, jac=None):
             solves.append(momenta[-1])
             if len(solves) == 2:
                 raise failure
-            return original(reduced, guess, opts, jac)
+            return original(reduced, guess, tol, jac)
 
         monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
         solves.clear()
@@ -539,7 +538,7 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
         return SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12})
 
     monkeypatch.setattr(rd, "solve_radial_profile",
-                        lambda reduced, guess, opts=None, jac=None:
+                        lambda reduced, guess, tol=None, jac=None:
                         ((1.2, 0.0), 0.0, None))
     monkeypatch.setattr(rd, "angular_progress", fake_advance)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)

@@ -50,7 +50,7 @@ def test_certificate_keys_in_the_readme_are_the_ones_written(tmp_path):
                                degree=1, radius_used=8.0,
                                diagnostics=EveryKey())
     report = cli.Report()
-    cli._write_certificate(cert, model, sv.SolveOpts(), str(tmp_path), report)
+    cli._write_certificate(cert, model, sv.TOL, str(tmp_path), report)
     written = {k.removeprefix("certificate.") for k, _ in report.lines}
     listed = re.search(r"and the `certificate\.\*`\s+keys:(.*?)\. A lost path",
                        _README, re.S).group(1)

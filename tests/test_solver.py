@@ -65,7 +65,7 @@ def test_newton_converges_from_origin_on_degenerate_forced_field():
     # mu = 4 sits on an eigenvalue for this period: the return map is the
     # identity and the start state is itself a fixed point
     fld = HomotopyField(_model(lambda t, x: 4 * x - math.cos(t)), 1.0)
-    z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), tol=1e-7)
+    z, res, *_ = sv.newton_fixed_point(fld, (0.0, 0.0), target=1e-7)
     assert res < 1e-7
     px, py, _ = sv.poincare(fld, z)
     assert math.hypot(px - z[0], py - z[1]) < 1e-7
@@ -77,7 +77,7 @@ def test_newton_flags_singular_linearization():
     # meets makes Newton build the singular Jacobian
     fld = HomotopyField(_model(lambda t, x: x), 1.0)
     with pytest.raises(sv.SingularJacobianError):
-        sv.newton_fixed_point(fld, (0.5, 0.2), tol=0.0)
+        sv.newton_fixed_point(fld, (0.5, 0.2), target=0.0)
 
 
 def _forced_linear(mu, forcing=1.0):
@@ -145,9 +145,9 @@ def _record_maps(monkeypatch):
     calls = []
     original = sv.poincare
 
-    def recorded(fld, z, opts=None):
+    def recorded(fld, z, tol=sv.TOL):
         try:
-            out = original(fld, z, opts)
+            out = original(fld, z, tol)
         except Exception as e:
             calls.append((z, type(e).__name__))
             raise
@@ -169,7 +169,7 @@ def test_newton_damping_counts_a_failed_trial_map(monkeypatch):
     z, res, *_ = sv.newton_fixed_point(fld, (1.05, 0.0), jac=carried)
     assert maps[1][0][0] <= 0.0 and maps[1][1] == "DomainExitError"
     assert maps[2][1] is None and maps[2][0][0] > 0.0
-    assert res < sv.SolveOpts().newton_tol
+    assert res < sv._NEWTON_TOL
     assert math.hypot(z[0] - z_star[0], z[1] - z_star[1]) < 1e-9
 
 
@@ -178,12 +178,11 @@ def test_first_guess_that_converges_seeds_the_continuation(monkeypatch):
     # outer index +1 fixed point, whose branch reaches lambda = 1: 23
     # Newton maps and 2 for the index
     maps = _record_maps(monkeypatch)
-    opts = sv.SolveOpts()
     guess, z, res, orbit, _ = sv._solve_at_lambda(
-        rm.make_cubic_band(), 0.0, opts.newton_tol, opts)
+        rm.make_cubic_band(), 0.0, sv._NEWTON_TOL, sv.TOL)
     assert guess == (0.0, 4.0)
     assert z[0] == pytest.approx(-1.12430, abs=1e-5) and abs(z[1]) < 1e-9
-    assert res < opts.newton_tol
+    assert res < sv._NEWTON_TOL
     assert orbit.x[0] == z[0]
     assert len(maps) == 25
 
@@ -193,30 +192,29 @@ def test_start_passes_over_a_fixed_point_of_index_minus_one(monkeypatch):
     # (-4.95, -12.4) on cubic_band's comparison field, and (1, 0) the one at
     # -0.441; the start is the first index +1 point, and without one the
     # start fails
-    opts = sv.SolveOpts()
-    tol = math.sqrt(opts.newton_tol)
+    target = math.sqrt(sv._NEWTON_TOL)
     monkeypatch.setattr(sv, "_initial_guesses",
                         lambda fld: iter([(4.0, 0.0), (0.0, 4.0)]))
-    guess, z, *_ = sv._solve_at_lambda(rm.make_cubic_band(), 0.0, tol, opts)
+    guess, z, *_ = sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target,
+                                       sv.TOL)
     assert guess == (0.0, 4.0)
     assert z[0] == pytest.approx(-1.12430, abs=1e-4)
     monkeypatch.setattr(sv, "_initial_guesses", lambda fld: iter([(1.0, 0.0)]))
     with pytest.raises(sv.NewtonError, match=r"no fixed point found at "
                        r"lambda=0\.0: the one at \(-0\.441\d*, .* has "
                        r"index -1"):
-        sv._solve_at_lambda(rm.make_cubic_band(), 0.0, tol, opts)
+        sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target, sv.TOL)
 
 
 def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
     # linear_resonant with N = 1 at lambda = 1: its return map is a
     # translation, so every fresh Jacobian of P - I is singular
     maps = _record_maps(monkeypatch)
-    opts = sv.SolveOpts()
     with pytest.raises(sv.NewtonError,
                        match=r"no fixed point found at lambda=1\.0: "
                              r"return-map linearization is singular"):
         sv._solve_at_lambda(rm.make_linear_resonant(n_mode=1), 1.0,
-                            opts.newton_tol, opts)
+                            sv._NEWTON_TOL, sv.TOL)
     assert len(maps) == 27
 
 
@@ -314,7 +312,7 @@ def test_winding_tolerance_moves_each_start_far_less_than_its_margin(
     else:
         fld = HomotopyField(rm.make_singular_band(), 1.0)
         curve = sv.n_level_curve(32.0)
-    exact, coarse = sv.SolveOpts().tol, 1e-7
+    exact, coarse = sv.TOL, 1e-7
     for k in range(sv._DEGREE_SAMPLES):
         zx, zy = curve(k / sv._DEGREE_SAMPLES)
         px, py, _ = sv.poincare(fld, (zx, zy), exact)
@@ -328,7 +326,7 @@ def _halve_coarse_maps(monkeypatch):
     way back to its start: the angle of z - P~(z), and so the degree, is
     kept, but |P~ - P| is as large as |z - P~|."""
     original = sv.poincare
-    coarse = max(sv.SolveOpts().tol, sv._BOUNDARY_TOL)
+    coarse = max(sv.TOL, sv._BOUNDARY_TOL)
 
     def halved(fld, z, tol):
         px, py, orbit = original(fld, z, tol)
@@ -378,8 +376,7 @@ def test_find_exits_6_when_the_winding_map_error_reaches_the_margin(
 ])
 def test_winding_around_a_rectangle_counts_the_fixed_point(box, winding):
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    assert sv._winding(fld, sv._rect_curve(*box),
-                       sv.SolveOpts()).degree == winding
+    assert sv._winding(fld, sv._rect_curve(*box), sv.TOL).degree == winding
 
 
 def test_degree_search_locates_fixed_point():
@@ -406,7 +403,7 @@ def test_homotopy_full_line_certificate():
     # certified point re-returns under the map over two periods
     fld = HomotopyField(model, 1.0)
     traj = integrate(fld, PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                     2 * T2PI, sv.SolveOpts().tol)
+                     2 * T2PI, sv.TOL)
     err = math.hypot(traj.x[-1] - cert.z_star.x, traj.y[-1] - cert.z_star.y)
     assert err < max(2 * cert.residual, 5e-9)
 
@@ -495,7 +492,7 @@ def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
     monkeypatch.setattr(sv, "newton_fixed_point", fail_once_at_15_32)
     cert = sv.homotopy_solve(rm.make_cubic_band())
     assert failed == [15 / 32]
-    assert cert.converged and cert.residual < sv.SolveOpts().newton_tol
+    assert cert.converged and cert.residual < sv._NEWTON_TOL
     assert cert.diagnostics["halvings"] == 1
     assert 11 / 32 in [p.lam for p in cert.path]
     assert cert.z_star.x == pytest.approx(base.z_star.x, abs=1e-9)
@@ -503,7 +500,7 @@ def test_homotopy_halving_recovers_a_failed_corrector(band_certificate,
 
 def test_homotopy_polishes_only_the_certified_point(band_certificate):
     cert, _ = band_certificate
-    tol = sv.SolveOpts().newton_tol
+    tol = sv._NEWTON_TOL
     assert all(p.residual < math.sqrt(tol) for p in cert.path)
     assert cert.path[-1].residual == cert.residual < tol
     # the waypoints stop well above the certificate's tolerance
@@ -525,7 +522,7 @@ def test_homotopy_orbit_is_the_certified_trajectory(band_certificate):
     model = rm.make_cubic_band()
     fresh = integrate(HomotopyField(model, 1.0),
                       PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                      model.period, sv.SolveOpts().tol)
+                      model.period, sv.TOL)
     for name in ("t", "x", "y", "rho", "theta"):
         assert np.array_equal(getattr(cert.orbit, name), getattr(fresh, name))
     assert [(e.kind, e.t, e.x, e.y) for e in cert.orbit.events] == \
@@ -538,7 +535,7 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
                                                    tmp_path):
     cert, _ = band_certificate
     report = cli.Report()
-    cli._write_certificate(cert, rm.make_cubic_band(), sv.SolveOpts(),
+    cli._write_certificate(cert, rm.make_cubic_band(), sv.TOL,
                            str(tmp_path), report)
     lines = dict(report.lines)
     assert lines["certificate.initial_guess"] == "(0.0, 4.0)"
@@ -553,13 +550,15 @@ def test_newton_orbit_is_the_returned_points_trajectory():
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
     # the three exits: the start is converged, a trial converges, and (with
     # a tolerance no residual meets) the stall rule on a fresh Jacobian
-    for guess, tol, exit_it in (((1.0, 0.0), 1e-9, 0), ((0.0, 0.0), 1e-9, 2),
-                                ((0.0, 0.0), 0.0, 5)):
-        z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess, tol)
-        assert (z, res, it) == sv.newton_fixed_point(fld, guess, tol)[:3]
+    for guess, target, exit_it in (((1.0, 0.0), 1e-9, 0),
+                                   ((0.0, 0.0), 1e-9, 2),
+                                   ((0.0, 0.0), 0.0, 5)):
+        z, res, it, orbit, _ = sv.newton_fixed_point(fld, guess,
+                                                     target=target)
+        assert (z, res, it) == sv.newton_fixed_point(fld, guess,
+                                                     target=target)[:3]
         assert it == exit_it
-        end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI,
-                        sv.SolveOpts().tol)
+        end = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, sv.TOL)
         assert np.array_equal(orbit.x, end.x) and np.array_equal(orbit.y, end.y)
         assert math.hypot(orbit.x[-1] - z[0], orbit.y[-1] - z[1]) == res
 
@@ -610,7 +609,7 @@ def test_homotopy_starts_on_the_branch_that_reaches_lambda_one(forcing,
     assert cert.diagnostics["halvings"] == 0
     assert max(p.sup_norm for p in cert.path) < 2.0
     assert cert.z_star.x == pytest.approx(x_star,
-                                          abs=sv.SolveOpts().newton_tol)
+                                          abs=sv._NEWTON_TOL)
 
 
 def test_homotopy_stall_at_the_lambda_floor_loses_the_path(monkeypatch):
@@ -644,18 +643,17 @@ def test_comparison_field_of_cubic_band_has_three_fixed_points(monkeypatch):
     # y = 0, with index signs +, - and +: the branch through (0, 0) folds
     # back to the middle one, so it does not reach lambda = 1 by itself
     maps = _record_maps(monkeypatch)
-    opts = sv.SolveOpts()
     fld = HomotopyField(rm.make_cubic_band(forcing=0.5), 0.0)
     found = []
     for guess, x_star, det_star in (((0.0, 0.0), 0.0, 2.99),
                                     ((-0.44, 0.0), -0.44122, -0.731),
                                     ((-1.12, 0.0), -1.12430, 1.48)):
         z, res, _, orbit, _ = sv.newton_fixed_point(fld, guess)
-        assert res < opts.newton_tol
+        assert res < sv._NEWTON_TOL
         assert z[0] == pytest.approx(x_star, abs=1e-5) and abs(z[1]) < 1e-9
         end = orbit.state_at_end()
         (j11, j12), (j21, j22) = sv._fd_jacobian(
-            fld, z, (end.x - z[0], end.y - z[1]), opts)
+            fld, z, (end.x - z[0], end.y - z[1]), sv.TOL)
         det = j11 * j22 - j12 * j21
         assert det == pytest.approx(det_star, rel=5e-3)
         found.append(int(np.sign(det)))
@@ -703,8 +701,7 @@ def test_index_mismatch_is_noted_and_costs_two_return_maps(monkeypatch,
     assert cert.diagnostics["index"] == -1
     assert cert.diagnostics["index_note"] == "other fixed points inside R"
     report = cli.Report()
-    cli._write_certificate(cert, model, sv.SolveOpts(), str(tmp_path),
-                           report)
+    cli._write_certificate(cert, model, sv.TOL, str(tmp_path), report)
     lines = dict(report.lines)
     assert lines["certificate.index"] == "-1"
     assert lines["certificate.index_note"] == "other fixed points inside R"
@@ -730,13 +727,13 @@ def test_profile_of_scaled_resonant_family():
             assert arc["omega"] == pytest.approx(1.0, abs=1e-6)
 
 
-def _edge_period_orbit(model, lap_target, y_lo, y_hi, opts):
+def _edge_period_orbit(model, lap_target, y_lo, y_hi, tol):
     """Start level y0 on the positive y-axis whose lap takes lap_target."""
     fld = HomotopyField(model, 1.0)
 
     def lap_time(y0):
         traj = integrate(fld, PhaseState(0.0, 0.0, y0), 3.0 * lap_target,
-                         opts.tol)
+                         tol)
         ups = [e.t for e in traj.events
                if e.kind == "cross_x_eq_0" and e.y > 0]
         return ups[0]
@@ -756,7 +753,6 @@ def test_profile_of_blowup_family_fits_band_edge_frequency():
     # diverges: the family the sign conditions are built to exclude
     n = 3
     mu_edge = eigenvalue(n + 1, T2PI)
-    opts = sv.SolveOpts()
     trajs = []
     for delta in (0.16, 0.04, 0.01):
         mu = mu_edge * (1.0 + delta)
@@ -765,9 +761,9 @@ def test_profile_of_blowup_family_fits_band_edge_frequency():
             return x ** 3 if x < 0 else mu * x
 
         model = _model(f, n_mode=n)
-        y0 = _edge_period_orbit(model, T2PI / (n + 1), 1e2, 1e7, opts)
+        y0 = _edge_period_orbit(model, T2PI / (n + 1), 1e2, 1e7, sv.TOL)
         fld = HomotopyField(model, 1.0)
-        traj = integrate(fld, PhaseState(0.0, 0.0, y0), T2PI, opts.tol)
+        traj = integrate(fld, PhaseState(0.0, 0.0, y0), T2PI, sv.TOL)
         # genuine periodic solution: the return residual is tiny
         res = math.hypot(traj.x[-1], traj.y[-1] - y0)
         assert res < 1e-5 * y0
@@ -789,11 +785,10 @@ def test_no_growing_family_when_sign_conditions_hold():
     found_norms = []
     for amp in (1e2, 1e4, 1e6):
         try:
-            z, res, *_ = sv.newton_fixed_point(fld, (0.0, amp), tol=1e-8)
+            z, res, *_ = sv.newton_fixed_point(fld, (0.0, amp), target=1e-8)
         except (sv.NewtonError, sv.SingularJacobianError):
             continue
-        traj = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI,
-                         sv.SolveOpts().tol)
+        traj = integrate(fld, PhaseState(0.0, z[0], z[1]), T2PI, sv.TOL)
         found_norms.append(traj.sup_norm())
     assert all(n < 100.0 for n in found_norms)
 
