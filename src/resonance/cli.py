@@ -145,6 +145,11 @@ def validate_config(cfg: dict) -> dict:
     has_expr = "f" in mc
     has_piece = "f_left" in mc and "f_right" in mc
     has_family = "family" in mc
+    lone = [k for k in ("f_left", "f_right") if k in mc and not has_piece]
+    if lone and (has_expr or has_family):
+        raise ConfigError(f"model.{lone[0]} is one piece of a piecewise "
+                          f"model: it needs both f_left and f_right and "
+                          f"no f or family")
     if sum([has_expr, has_piece, has_family]) != 1:
         raise ConfigError("model needs exactly one of: f, (f_left, f_right), family")
     if has_family:
@@ -430,7 +435,7 @@ def _write_certificate(cert, model, tol, out_dir, report):
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
                 "index", "index_note", "initial_guess", "halvings",
                 "winding_samples", "boundary_margin", "boundary_map_error",
-                "winding_rtol"):
+                "winding_tol"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])
     write_csv(os.path.join(out_dir, "path.csv"),

@@ -7,8 +7,9 @@ that are T-periodic in rho and advance theta by 2 pi nu over k periods
 close up into kT-periodic orbits making exactly nu revolutions.
 
 find_rotating keeps its own record of the L values it evaluates, and the
-profile solve and the advance take the reduced field they work on as an
-argument: no call depends on state outside it.
+profile solve takes the reduced field it works on as an argument: no call
+depends on state outside it.  The angle rides on the profile solve's
+return maps, so Delta_theta(L) is read off the converged map's orbit.
 """
 
 from __future__ import annotations
@@ -122,22 +123,30 @@ def _circular_momentum(model: NonlinearityModel, target: float) -> float:
     return rho * rho * rate(rho, _mean_f(model)(rho))
 
 
+def _angle_rate(L: float):
+    """The angle's rate theta' = L / rho^2 as an integration rider."""
+    return lambda t, rho, v: L / rho ** 2
+
+
 def angular_progress(reduced: NonlinearityModel, z0: PhaseState, L: float,
                      tol: float = TOL) -> Trajectory:
     """One period of the reduced field (effective_field at L) from z0, in
     one planar integration at tol with the angle's rate L / rho^2 as its
     rider: meta["rider"] is the angle swept over the period, Delta_theta.
-    The wall check keeps rho > 0."""
+    The wall check keeps rho > 0.  The L-search does not call it: its
+    profile solve carries the same rider (solve_radial_profile), whose
+    orbit is bit for bit this one from the solved profile."""
     return integrate(HomotopyField(reduced, 1.0), z0, z0.t + reduced.period,
-                     tol, rider=lambda t, rho, v: L / rho ** 2)
+                     tol, rider=_angle_rate(L))
 
 
 @dataclass
 class RotatingSolution:
     """A rotating solution as the L-search recorded it at L: reduced is
-    effective_field at L, and orbit is the advance's one integration of it
-    over a period with the angle as its rider (orbit.meta["rider"] is
-    exactly delta_theta_period); cartesian_samples post-processes both."""
+    effective_field at L, and orbit is the profile solve's converged
+    return map of it over a period with the angle as its rider
+    (orbit.meta["rider"] is exactly delta_theta_period);
+    cartesian_samples post-processes both."""
     k: int
     nu: int
     L: float
@@ -158,33 +167,43 @@ class RotatingSolution:
         return self.delta_theta_total / (2.0 * math.pi)
 
 
-def solve_radial_profile(reduced: NonlinearityModel,
+def solve_radial_profile(reduced: NonlinearityModel, L: float,
                          guess: tuple[float, float],
                          tol: float = TOL, jac=None):
     """T-periodic solution of the reduced radial equation (effective_field
-    at one L), shot at tol: (z, residual, Jacobian of P(z) - z at z).
-    Newton starts from the caller's guess and Jacobian: the nearest known
-    L's, or the circular orbit (circular_orbit(model, L), 0) and none.  A
-    failed solve raises one of solver.NEWTON_FAILURES, and the L-search
-    skips that L."""
-    z, res, _, _, jac = newton_fixed_point(HomotopyField(reduced, 1.0), guess,
-                                           tol, jac=jac)
-    return z, res, jac
+    at L), shot at tol: (z, residual, Jacobian of P(z) - z at z, orbit).
+    Each residual map carries the angle's rate L / rho^2 as its rider, so
+    the orbit, the converged map from z, holds Delta_theta in
+    meta["rider"]: angular_progress from z, bit for bit, at no further
+    integration.  Newton starts from the caller's guess and Jacobian (see
+    _delta_theta_of_L).  A failed solve raises one of
+    solver.NEWTON_FAILURES, and the L-search skips that L."""
+    z, res, _, orbit, jac = newton_fixed_point(
+        HomotopyField(reduced, 1.0), guess, tol, jac=jac,
+        rider=_angle_rate(L))
+    return z, res, jac, orbit
 
 
 def _delta_theta_of_L(model, L, known, tol):
     """Delta_theta at L, from one reduced field compiled for the profile
-    solve and the advance; known[L] records (Delta_theta, profile,
-    residual, Jacobian, reduced field, orbit).  The solve starts from the
-    nearest known L's profile and Jacobian, or from the circular orbit
-    when none is known (NoBracketError when it has no balance radius)."""
-    if known:
-        _, guess, _, jac, _, _ = known[min(known, key=lambda Lc: abs(Lc - L))]
-    else:
+    solve; known[L] records (Delta_theta, profile, residual, Jacobian,
+    reduced field, orbit).  The solve starts from a secant predictor, the
+    line in L through the profiles of the two nearest known L (Allgower &
+    Georg, Numerical Continuation Methods, 1990), with the nearest one's
+    Jacobian; from that profile alone when only one L is known; and from
+    the circular orbit when none is (NoBracketError when it has no
+    balance radius)."""
+    near = sorted(known, key=lambda Lc: abs(Lc - L))[:2]
+    if not near:
         guess, jac = (circular_orbit(model, L), 0.0), None
+    else:
+        guess, jac = known[near[0]][1], known[near[0]][3]
+    if len(near) == 2:
+        (ax, ay), (bx, by) = guess, known[near[1]][1]
+        s = (L - near[0]) / (near[1] - near[0])
+        guess = (ax + s * (bx - ax), ay + s * (by - ay))
     reduced = effective_field(model, L)
-    z, res, jac = solve_radial_profile(reduced, guess, tol, jac)
-    orbit = angular_progress(reduced, PhaseState(0.0, z[0], z[1]), L, tol)
+    z, res, jac, orbit = solve_radial_profile(reduced, L, guess, tol, jac)
     known[L] = (orbit.meta["rider"], z, res, jac, reduced, orbit)
     return known[L][0]
 
@@ -250,10 +269,11 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     Without one, the search steps from the circular orbit's L toward the
     target until a pair straddles it (_step_to_bracket); inside it, L is
     refined by Illinois steps (_illinois).  Profile solves start from the
-    profile and the shooting Jacobian at the nearest known L.  Returns the
-    solutions found and the smallest succeeding k; a solution's reduced
-    field and orbit are those its L's advance recorded, so each L's field
-    is compiled and its profile integrated once.
+    secant predictor through the two nearest known L and the shooting
+    Jacobian at the nearest (_delta_theta_of_L).  Returns the solutions
+    found and the smallest succeeding k; a solution's reduced field and
+    orbit are those its L's profile solve recorded, so each L's field is
+    compiled once and no profile is integrated twice.
     """
     results: list[RotatingSolution] = []
     k_nu: Optional[int] = None

@@ -90,7 +90,7 @@ class Winding(NamedTuple):
     samples: int          # starting samples plus refinements
     margin: float         # min |z - P(z)|/|z| over the samples
     map_error: float      # |P~(z) - P(z)|/|z| at that sample
-    rtol: float           # the tol of the sampled maps P~
+    tol: float            # the tol of the sampled maps P~
 
 
 @dataclass
@@ -113,16 +113,21 @@ class PeriodicCertificate:
         return self.status == "converged"
 
 
-def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = TOL):
+def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = TOL,
+             rider: Optional[Callable] = None):
     """Return-map image of z = (x, y) after one period, integrated at tol,
-    with the orbit that reached it: (x, y, trajectory)."""
-    traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, tol)
+    with the orbit that reached it: (x, y, trajectory).  A rider, when
+    given, is integrate's quadrature passenger: the orbit carries it in
+    meta["rider"], and x, y and the orbit are those of the map without
+    it."""
+    traj = integrate(fld, PhaseState(0.0, z[0], z[1]), fld.model.period, tol,
+                     rider=rider)
     end = traj.state_at_end()
     return end.x, end.y, traj
 
 
-def _return_residual(fld, z, tol):
-    px, py, orbit = poincare(fld, z, tol)
+def _return_residual(fld, z, tol, rider=None):
+    px, py, orbit = poincare(fld, z, tol, rider)
     return px - z[0], py - z[1], orbit
 
 
@@ -162,7 +167,7 @@ def _broyden(jac, s, dg):
 
 def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                        tol: float = TOL, *, target: float = _NEWTON_TOL,
-                       jac=None):
+                       jac=None, rider: Optional[Callable] = None):
     """Quasi-Newton on P(z) - z, with return maps integrated at tol, until
     the residual is below target; returns (z, residual, iterations, orbit,
     jacobian).
@@ -180,10 +185,12 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     that no damped step lowers).  The orbit is the trajectory of the
     returned z over one period (the one the last accepted residual
     integrated); the final Jacobian is ready to start the next solve of a
-    continuation.
+    continuation.  A rider (poincare's) rides on the residual maps, the
+    first and every damped trial, but not on the finite-difference
+    columns, so the orbit carries it; it leaves every iterate unchanged.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
-    gx, gy, orbit = _return_residual(fld, z, tol)
+    gx, gy, orbit = _return_residual(fld, z, tol, rider)
     res = math.hypot(gx, gy)
     refresh = jac is None
     it = 0
@@ -209,7 +216,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
         for _ in range(8):
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
-                gnx, gny, orbitn = _return_residual(fld, zn, tol)
+                gnx, gny, orbitn = _return_residual(fld, zn, tol, rider)
             except INTEGRATION_FAILURES:
                 step *= 0.5
                 continue
@@ -470,7 +477,7 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
     det D(P - I) at the fixed point (_index: a certificate quantity never
     rests on a carried Jacobian); diagnostics notes "other fixed points
     inside R" when the two differ, and carries the winding's evidence:
-    winding_samples, boundary_margin, boundary_map_error and winding_rtol
+    winding_samples, boundary_margin, boundary_map_error and winding_tol
     (see Winding).  Without one, no winding and no index are computed.  A
     lost continuation returns the surviving path (status "lost") so blow-up
     families remain inspectable.  diagnostics names the initial guess of
@@ -533,7 +540,7 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
         evidence = dict(winding_samples=wind.samples,
                         boundary_margin=wind.margin,
                         boundary_map_error=wind.map_error,
-                        winding_rtol=wind.rtol)
+                        winding_tol=wind.tol)
         # the boundary degree is the sum of the indices of all fixed
         # points inside the curve
         index = _index(fld_end, z, orbit, tol)

@@ -4,6 +4,7 @@ Each one checks a law of the paper against the integrator's output; no
 program path needs them, so they live beside the tests that use them.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from resonance.apriori import _polar_rates
 from resonance.integrate import (HomotopyField, LapPatternError, PhaseState,
                                  Trajectory, integrate)
+from resonance.util import fmt_float
 
 ELASTIC_AMPLITUDES = (1e2, 1e3, 1e4)      # check_elastic's amplitude ladder
 
@@ -143,3 +145,15 @@ def normalized_profile(trajs: list[Trajectory]) -> dict:
     return dict(per_orbit=out,
                 omega_trend=[o["omega_fit"] for o in out],
                 sup_norms=sups)
+
+
+def write_csv_reference(path, header, rows):
+    """util.write_csv as csv.writer alone writes it, floats serialized via
+    fmt_float: the reference its float-row template must match byte for
+    byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt_float(v) if isinstance(v, float) else v
+                        for v in row])

@@ -6,10 +6,13 @@ radial.csv) of each invocation.  A change to the commands' output or exit
 codes that the benchmark has not caught up with fails here first, on one
 failing and one passing `screen_expr` input, on the first `--defaults`
 input of each solving workload, `radial_singular` and `find_band`, and on
-every `radial_singular` input drawn for seeds 1-3.
+every `radial_singular` input drawn for seeds 1-3.  The CSVs of the first
+passing `--defaults` input of each workload match the digests in
+tests/data/artifacts_golden.json byte for byte.
 """
 
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -69,3 +72,21 @@ def test_radial_draw_meets_its_check(tmp_path, capsys, seed, draw):
         residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
     assert len(residuals) == case.k_values
     assert max(residuals) < _NEWTON_TOL
+
+
+_GOLDEN = Path(__file__).parent / "data" / "artifacts_golden.json"
+
+
+@pytest.mark.parametrize("workload", ["find_band", "radial_singular",
+                                      "screen_expr"])
+def test_defaults_artifacts_match_their_golden_digests(tmp_path, capsys,
+                                                       workload):
+    # a change that moves any CSV byte of these runs updates the golden
+    # file and declares the change
+    case = next(c for c in workloads.WORKLOADS[workload](seed=1, defaults=True)
+                if c.expected_exit == workloads.EXIT_OK)
+    _meets_its_check(case, tmp_path, capsys)
+    out = tmp_path / "out"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.csv"))}
+    assert digests == json.loads(_GOLDEN.read_text())["runs"][workload]

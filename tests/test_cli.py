@@ -130,6 +130,10 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": {"f": "x^3", "T": 2 * math.pi, "N": 2,
                 "params": {"forcing": 0.5}}},
      ["model.params", "model.family"]),
+    # a lone piece next to f or a family would be ignored by the build
+    ({"model": {"f": "2*x - cos(t)", "f_left": "x^3", "T": 2 * math.pi,
+                "N": 2}}, ["model.f_left"]),
+    ({"model": dict(_BAND, f_right="x")}, ["model.f_right"]),
     ({"model": dict(_BAND, family=["cubic_band"])}, ["model.family"]),
     ({"model": _BAND, "theorem": []}, ["theorem"]),
     ({"model": _BAND, "out_dir": 5}, ["out_dir"]),
@@ -147,7 +151,8 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "model-number",
         "model-null", "model-string",
         "params-number", "params-list", "params-string",
-        "params-without-family", "family-list", "theorem-list",
+        "params-without-family", "lone-f_left-with-f",
+        "lone-f_right-with-family", "family-list", "theorem-list",
         "out-dir-number"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, cfg,
                                                  names):
@@ -274,9 +279,9 @@ def test_tol_override_parsing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("tol, winding_rtol", [(1e-6, 1e-6), (1e-13, 1e-7)])
-def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
-        tmp_path, monkeypatch, tol, winding_rtol):
+@pytest.mark.parametrize("tol, winding_tol", [(1e-6, 1e-6), (1e-13, 1e-7)])
+def test_winding_integrates_at_the_looser_of_tol_and_the_boundary_tolerance(
+        tmp_path, monkeypatch, tol, winding_tol):
     # the winding never integrates tighter than configured, nor tighter
     # than the on-curve tolerance; its check map runs at the configured tol
     tols, in_winding = [], []
@@ -289,10 +294,10 @@ def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
         finally:
             in_winding.clear()
 
-    def traced_map(fld, z, tol):
+    def traced_map(fld, z, tol, rider=None):
         if in_winding:
             tols.append(tol)
-        return poincare(fld, z, tol)
+        return poincare(fld, z, tol, rider)
 
     monkeypatch.setattr(sv, "boundary_degree", traced_degree)
     monkeypatch.setattr(sv, "poincare", traced_map)
@@ -303,8 +308,8 @@ def test_winding_integrates_at_the_looser_of_rtol_and_the_boundary_tolerance(
     report = dict(line.split(" = ", 1)
                   for line in (out / "report.txt").read_text().splitlines())
     samples = int(report["certificate.winding_samples"])
-    assert tols == [winding_rtol] * samples + [tol]
-    assert float(report["certificate.winding_rtol"]) == winding_rtol
+    assert tols == [winding_tol] * samples + [tol]
+    assert float(report["certificate.winding_tol"]) == winding_tol
     assert report["certificate.degree"] == "1"
 
 

@@ -23,6 +23,8 @@ ALLOWED = {
                      "the next benchmark change",
     "ll_integral": "the benchmark tracer looks it up by name; goes with "
                    "the next benchmark change",
+    "angular_progress": "the benchmark tracer looks it up by name; the "
+                        "tests' fresh advance of a solved profile",
 }
 EXEMPT = set(resonance.__all__) | set(ALLOWED)
 DUNDER = {"__all__", "__version__"}     # module metadata, read from outside

@@ -129,10 +129,12 @@ def _advance_by_integrate_system(model, z0, L, horizon):
 def test_angular_progress_matches_integrate_system(L):
     model = rm.make_singular_band()
     reduced = rd.effective_field(model, L)
-    z, _, _ = rd.solve_radial_profile(reduced,
-                                      (rd.circular_orbit(model, L), 0.0))
+    z, _, _, orbit = rd.solve_radial_profile(
+        reduced, L, (rd.circular_orbit(model, L), 0.0))
     z0 = PhaseState(0.0, *z)
     dth = rd.angular_progress(reduced, z0, L).meta["rider"]
+    # the profile solve's converged map carries the same angle, bit for bit
+    assert orbit.meta["rider"] == dth
     assert dth == pytest.approx(
         _advance_by_integrate_system(model, z0, L, model.period), abs=1e-9)
 
@@ -165,8 +167,8 @@ def _homotopy_profile(L):
 def test_profile_seeded_from_circular_orbit_matches_homotopy(L, monkeypatch):
     homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
     model = rm.make_singular_band()
-    z, res, _ = rd.solve_radial_profile(rd.effective_field(model, L),
-                                        (rd.circular_orbit(model, L), 0.0))
+    z, res, _, _ = rd.solve_radial_profile(
+        rd.effective_field(model, L), L, (rd.circular_orbit(model, L), 0.0))
     assert not homotopies and res < 1e-8
     assert z == pytest.approx(_homotopy_profile(L), abs=1e-9)
 
@@ -351,11 +353,14 @@ def _count_calls(monkeypatch, name, module=rd):
 def test_find_rotating_pinned_work(monkeypatch):
     # Delta_theta(L) values are shared across k, the first profile is
     # seeded from the circular orbit, Illinois steps refine the bracket,
-    # and each profile solve starts from the Jacobian of the nearest known
-    # L: the exact numbers of advance evaluations and return maps pin that
-    # work (a finite-difference Jacobian on every Newton iteration took
-    # 153 maps; a 12-point bracket scan in L took 18 advances and 95 maps
-    # before the search started at the circular orbit)
+    # and each profile solve starts from the secant predictor of the two
+    # nearest known L with the Jacobian of the nearest, and carries the
+    # angle on its return maps: the exact numbers of separate advances and
+    # return maps pin that work (a finite-difference Jacobian on every
+    # Newton iteration took 153 maps; a 12-point bracket scan in L took 18
+    # advances and 95 maps before the search started at the circular
+    # orbit; the nearest profile as the start and a separate advance per
+    # L took 49 maps and 10 advances)
     advances = _count_calls(monkeypatch, "angular_progress")
     homotopies = _count_calls(monkeypatch, "homotopy_solve", sv)
     maps = _count_calls(monkeypatch, "poincare", sv)
@@ -367,29 +372,30 @@ def test_find_rotating_pinned_work(monkeypatch):
         maps.clear()
     (sols, k_nu), n_advances, n_maps = runs[0]
     assert k_nu == 1 and [s.k for s in sols] == [1, 2]
-    assert n_advances == 10
-    assert n_maps == 49
+    assert n_advances == 0
+    assert n_maps == 38
     assert len(homotopies) == 0
     # no state survives a call: a second search repeats the first exactly
     assert runs[1] == runs[0]
 
 
 def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
-    # the profile solve, the advance and the solution's orbit at one L
-    # share one compiled field: 10 compiles for the 10 distinct L, where
-    # compiling per call took 38 (for the 18 L of a bracket scan).  Each
-    # solution holds the orbit its L's advance returned and the field that
-    # advance integrated, so cartesian_samples compiles none (it compiled
+    # the profile solve and the solution's orbit at one L share one
+    # compiled field: 10 compiles for the 10 distinct L, where compiling
+    # per call took 38 (for the 18 L of a bracket scan).  Each solution
+    # holds the orbit its L's profile solve returned and the field that
+    # solve integrated, so cartesian_samples compiles none (it compiled
     # one per solution)
     compiles = _count_calls(monkeypatch, "from_trees")
     advanced = {}
-    original = rd.angular_progress
+    original = rd.solve_radial_profile
 
-    def advance(reduced, z0, L, tol):
-        advanced[L] = (reduced, original(reduced, z0, L, tol))
-        return advanced[L][1]
+    def solve(reduced, L, guess, tol, jac):
+        out = original(reduced, L, guess, tol, jac)
+        advanced[L] = (reduced, out[3])
+        return out
 
-    monkeypatch.setattr(rd, "angular_progress", advance)
+    monkeypatch.setattr(rd, "solve_radial_profile", solve)
     model = rm.make_singular_band()
     sols, _ = rd.find_rotating(model, nu=1, k_max=2)
     assert [s.k for s in sols] == [1, 2]
@@ -405,13 +411,17 @@ def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
 
 
 def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
-    # the search integrates each profile once, inside its advance, and the
-    # solution keeps that integration: bit for bit a fresh one
+    # the search integrates nothing but return maps: each profile's angle
+    # rides on its solve's maps, and the solution keeps the converged map,
+    # bit for bit a fresh advance of its profile
+    map_integrations = _count_calls(monkeypatch, "integrate", sv)
     integrations = _count_calls(monkeypatch, "integrate")
     advances = _count_calls(monkeypatch, "angular_progress")
+    maps = _count_calls(monkeypatch, "poincare", sv)
     model = rm.make_singular_band()
     sols, _ = rd.find_rotating(model, nu=1, k_max=2)
-    assert len(integrations) == len(advances) == 10
+    assert len(map_integrations) == len(maps) == 38
+    assert not integrations and not advances
     for s in sols:
         fresh = rd.angular_progress(rd.effective_field(model, s.L), s.z0,
                                     s.L, sv.TOL)
@@ -420,7 +430,9 @@ def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
             assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
         assert np.array_equal(fresh.meta["rider_samples"],
                               s.orbit.meta["rider_samples"])
-    assert len(integrations) == 10 + len(sols)
+        assert fresh.meta["rider"] == s.orbit.meta["rider"] == (
+            s.delta_theta_period)
+    assert len(integrations) == len(sols)
 
 
 def _autonomous_band_momentum(k):
@@ -435,16 +447,16 @@ def _autonomous_band_momentum(k):
 
 def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
     # the circular orbit of an autonomous field is an exact T-periodic
-    # profile, so its advance meets the target at once: one advance per
-    # k and no Illinois step (a bracket scan took 8 or more)
+    # profile, so its advance meets the target at once: one profile solve
+    # per k and no Illinois step (a bracket scan took 8 or more)
     advances = []
-    original = rd.angular_progress
+    original = rd.solve_radial_profile
 
-    def advance(reduced, z0, L, tol):
+    def solve(reduced, L, guess, tol, jac):
         advances.append(L)
-        return original(reduced, z0, L, tol)
+        return original(reduced, L, guess, tol, jac)
 
-    monkeypatch.setattr(rd, "angular_progress", advance)
+    monkeypatch.setattr(rd, "solve_radial_profile", solve)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(wobble=0.0), nu=1,
                                   k_max=3)
     assert k_nu == 1 and [s.k for s in sols] == [1, 2, 3]
@@ -460,11 +472,9 @@ def test_search_steps_past_a_failed_profile_solve(monkeypatch):
     # as it is); the search skips it, as the bracket scan skipped its
     # failures, and still finds the k = 1 solution of the unpatched search
     reference, _ = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
-    solves = []
+    solves, solved = [], []
     original = rd.solve_radial_profile
-    advances = _count_calls(monkeypatch, "angular_progress")
-    # the solve no longer receives L: each solve's L is that of the field
-    # compiled just before it
+    # each solve's L is that of the field compiled just before it
     momenta = []
     compile_field = rd.effective_field
 
@@ -475,21 +485,24 @@ def test_search_steps_past_a_failed_profile_solve(monkeypatch):
     monkeypatch.setattr(rd, "effective_field", counted_field)
     for failure in (sv.NewtonError("patched failure"),
                     BlowUpError(0.0, 0.2, -1.0)):
-        def second_fails(reduced, guess, tol=sv.TOL, jac=None):
+        def second_fails(reduced, L, guess, tol=sv.TOL, jac=None):
             solves.append(momenta[-1])
+            assert L == momenta[-1]
             if len(solves) == 2:
                 raise failure
-            return original(reduced, guess, tol, jac)
+            out = original(reduced, L, guess, tol, jac)
+            solved.append(L)
+            return out
 
         monkeypatch.setattr(rd, "solve_radial_profile", second_fails)
         solves.clear()
-        advances.clear()
+        solved.clear()
         momenta.clear()
         sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
         assert k_nu == 1 and [s.k for s in sols] == [1]
         assert solves == momenta
         assert solves[1] == pytest.approx(solves[0] / 1.02, rel=1e-12)
-        assert len(advances) == len(solves) - 1
+        assert len(solved) == len(solves) - 1 and solves[1] not in solved
         assert abs(sols[0].delta_theta_period - 2 * math.pi) < rd.DTHETA_TOL
         assert sols[0].L == pytest.approx(reference[0].L, rel=1e-6)
         assert sols[0].residual < 1e-9
@@ -499,7 +512,7 @@ def test_find_rotating_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken advance")
 
-    monkeypatch.setattr(rd, "angular_progress", broken)
+    monkeypatch.setattr(rd, "solve_radial_profile", broken)
     with pytest.raises(TypeError, match="broken advance"):
         rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
 
@@ -513,7 +526,7 @@ def test_find_rotating_propagates_arithmetic_errors_but_a_domain_error(
     def broken(*args, **kwargs):
         raise ZeroDivisionError("broken advance")
 
-    monkeypatch.setattr(rd, "angular_progress", broken)
+    monkeypatch.setattr(rd, "solve_radial_profile", broken)
     with pytest.raises(ZeroDivisionError, match="broken advance"):
         rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
 
@@ -533,14 +546,12 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
     L_root = 0.7
     advances = []
 
-    def fake_advance(reduced, z0, L, tol):
+    def fake_solve(reduced, L, guess, tol=None, jac=None):
         advances.append(L)
-        return SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12})
+        return ((1.2, 0.0), 0.0, None,
+                SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12}))
 
-    monkeypatch.setattr(rd, "solve_radial_profile",
-                        lambda reduced, guess, tol=None, jac=None:
-                        ((1.2, 0.0), 0.0, None))
-    monkeypatch.setattr(rd, "angular_progress", fake_advance)
+    monkeypatch.setattr(rd, "solve_radial_profile", fake_solve)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1)
     assert k_nu == 1
     assert sols[0].L == pytest.approx(L_root, rel=1e-6)

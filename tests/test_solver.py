@@ -145,9 +145,9 @@ def _record_maps(monkeypatch):
     calls = []
     original = sv.poincare
 
-    def recorded(fld, z, tol=sv.TOL):
+    def recorded(fld, z, tol=sv.TOL, rider=None):
         try:
-            out = original(fld, z, tol)
+            out = original(fld, z, tol, rider)
         except Exception as e:
             calls.append((z, type(e).__name__))
             raise
@@ -289,15 +289,15 @@ def test_defaults_winding_costs_54_maps(monkeypatch):
     tols = []
     original = sv.poincare
 
-    def counted(fld, z, tol):
+    def counted(fld, z, tol, rider=None):
         tols.append(tol)
-        return original(fld, z, tol)
+        return original(fld, z, tol, rider)
 
     monkeypatch.setattr(sv, "poincare", counted)
     wind = sv.boundary_degree(fld, radius)
     assert wind.degree == 1 and wind.samples == 53
     assert tols == [1e-7] * 53 + [1e-11]
-    assert wind.rtol == 1e-7
+    assert wind.tol == 1e-7
     assert 10.0 * wind.map_error < wind.margin
 
 
@@ -328,8 +328,8 @@ def _halve_coarse_maps(monkeypatch):
     original = sv.poincare
     coarse = max(sv.TOL, sv._BOUNDARY_TOL)
 
-    def halved(fld, z, tol):
-        px, py, orbit = original(fld, z, tol)
+    def halved(fld, z, tol, rider=None):
+        px, py, orbit = original(fld, z, tol, rider)
         if tol == coarse:
             px, py = 0.5 * (px + z[0]), 0.5 * (py + z[1])
         return px, py, orbit

@@ -59,14 +59,14 @@ def test_tracer_reconciles_return_maps_and_newton():
 
 
 def test_tracer_sees_the_radial_search(monkeypatch):
-    advances = []
-    original = radial.angular_progress
+    solves = []
+    original = radial.solve_radial_profile
 
     def counted(*args, **kwargs):
-        advances.append(1)
+        solves.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(radial, "angular_progress", counted)
+    monkeypatch.setattr(radial, "solve_radial_profile", counted)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -77,9 +77,11 @@ def test_tracer_sees_the_radial_search(monkeypatch):
     tree = spans.SpanTree(tracer.spans)
     assert [s.k for s in sols] == [1]
     assert spans.reconcile(tree, tracer.counts) == []
-    assert tree.calls("angular_progress") == len(advances) > 0
-    assert tree.calls("solve_radial_profile") == len(advances)
+    assert tree.calls("solve_radial_profile") == len(solves) > 0
     assert tree.under("homotopy_solve", {"solve_radial_profile"}) == 0
-    # the advance is one planar integration with the angle as its rider
-    assert tree.under("integrate_system", {"angular_progress"}) == 0
-    assert tree.under("integrate", {"angular_progress"}) == len(advances)
+    # the angle rides on the profile solves' return maps: no separate
+    # advance, and every integration is one planar return map
+    assert tree.calls("angular_progress") == 0
+    assert tree.under("integrate_system", {"solve_radial_profile"}) == 0
+    assert tree.calls("integrate") == tree.under(
+        "integrate", {"solve_radial_profile"}) == tree.calls("poincare") > 0
