@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import (INTEGRATION_FAILURES, HomotopyField, PhaseState,
-                        Trajectory, crossing_times, integrate)
+from .integrate import (INTEGRATION_FAILURES, TOL, HomotopyField,
+                        PhaseState, Trajectory, crossing_times, integrate)
 from .model import (ENVELOPE_T_POINTS, SINGULAR, NonlinearityModel,
                     periodic_grid)
 
@@ -320,9 +320,8 @@ def build_kit(model: NonlinearityModel,
     return kit
 
 
-def lap_report(model: NonlinearityModel, kit: AprioriKit, y0: float,
-               tol: float) -> dict:
-    """Integrate one large lap of the model's field from (0, y0) at tol and
+def lap_report(model: NonlinearityModel, kit: AprioriKit, y0: float) -> dict:
+    """Integrate one large lap of the model's field from (0, y0) at TOL and
     test every bound on it.
 
     Checks, per lap: the energy-transfer bound y(t7) < T(y(t5)), the lap
@@ -331,7 +330,7 @@ def lap_report(model: NonlinearityModel, kit: AprioriKit, y0: float,
     |rho'| <= kappa * rho * (-theta') for x > d.
     """
     fld = HomotopyField(model, 1.0)
-    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * model.period, tol,
+    traj = integrate(fld, PhaseState(0.0, 1e-9, y0), 2.0 * model.period, TOL,
                      d=kit.d)
     lap = crossing_times(traj, kit.d)
     state = {ev.t: ev for ev in traj.events}
@@ -385,12 +384,12 @@ def _n_level_states(level: float, n_points: int):
             for k in range(n_points)]
 
 
-def probe_N0(model: NonlinearityModel, tol: float) -> tuple[float, dict]:
+def probe_N0(model: NonlinearityModel) -> tuple[float, dict]:
     """Empirical largeness threshold for the singular phase portrait.
 
     Scans the start levels N0_LEVELS of 1/x^2 + x^2 + y^2: a level passes
     when all its N0_PROBES probe orbits of the model's field, integrated at
-    tol, rotate clockwise about (1, 0) with between n and n+1 laps over one
+    TOL, rotate clockwise about (1, 0) with between n and n+1 laps over one
     period; an orbit that raises one of INTEGRATION_FAILURES fails its
     level, and any other error propagates.  Orbits trade the functional
     down by a bounded factor while they rotate, so the returned threshold
@@ -408,7 +407,7 @@ def probe_N0(model: NonlinearityModel, tol: float) -> tuple[float, dict]:
         reached = math.inf
         for (x0, y0) in _n_level_states(float(level), N0_PROBES):
             try:
-                traj = integrate(fld, PhaseState(0.0, x0, y0), period, tol)
+                traj = integrate(fld, PhaseState(0.0, x0, y0), period, TOL)
             except INTEGRATION_FAILURES as e:
                 diag["failures"][float(level)] = f"integration: {e}"
                 ok = False

@@ -1,12 +1,11 @@
 """Command-line interface: config ingestion, pipeline dispatch, reporting.
 
 Subcommands: spectrum, verify, apriori, find, radial, sweep.  Runs are
-driven by a JSON config; every tolerance and grid size is echoed into the
-report so a run is reproducible from its artifacts alone.  Each run
-command is `run`, the one gated pipeline, up to its last stage.  Exit codes:
-0 success, 2 config error, 3 hypothesis gate failed, 4 sign-condition gate
-failed, 5 a-priori construction failed, 6 solver failed, 7 radial search
-failed.
+driven by a JSON config, echoed into the report so a run is reproducible
+from its artifacts alone.  Each run command is `run`, the one gated
+pipeline, up to its last stage.  Exit codes: 0 success, 2 config error, 3
+hypothesis gate failed, 4 sign-condition gate failed, 5 a-priori
+construction failed, 6 solver failed, 7 radial search failed.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from . import model as rm
 from . import radial as rd
 from . import solver as sv
 from . import spectrum as sp
-from .integrate import HomotopyField, PhaseState, integrate
+from .integrate import TOL, HomotopyField, PhaseState, integrate
 from .util import fmt_float, write_csv
 
 EXIT_OK = 0
@@ -67,12 +66,10 @@ class StageFailure(RuntimeError):
 # pipeline stages in run order; the radial theorem runs "radial" in place
 # of "apriori" and "solve"
 STAGES = ("hypotheses", "sign_conditions", "apriori", "solve", "radial")
-_RADIAL_DEFAULTS = {"nu": 1, "k_max": 4, "k_min": 1}
+_RADIAL_DEFAULTS = {"nu": 1, "k_max": 4}
 
 _MODEL_KEYS = {"f", "f_left", "f_right", "family", "params", "T", "N", "domain"}
-_TOP_KEYS = {"model", "theorem", "tolerances", "grids", "radial", "sweep",
-             "out_dir"}
-_TOL_KEYS = {"tol"}
+_TOP_KEYS = {"model", "theorem", "grids", "radial", "sweep", "out_dir"}
 _GRID_KEYS = {"tau_points"}
 # ll_verdict tabulates lcm(128, tau_points) kernel offsets per side, 128
 # times tau_points for an odd one
@@ -109,12 +106,17 @@ def _check_family(family, params):
     if not isinstance(params, dict):
         raise ConfigError(f"model.params must be an object, got {params!r}")
     # period and n_mode come from model.T and model.N
-    known = set(inspect.signature(rm.FAMILIES[family]).parameters)
-    _reject_unknown(params, known - {"period", "n_mode"},
+    known = inspect.signature(rm.FAMILIES[family]).parameters
+    _reject_unknown(params, set(known) - {"period", "n_mode"},
                     f"model.params of family {family!r}")
     for key, val in params.items():
-        # the family substitutes its parameters into an expression template
-        if not (isinstance(val, (int, float)) and math.isfinite(val)):
+        # a parameter with a bool default is a switch; the family
+        # substitutes every other one into an expression template
+        if isinstance(known[key].default, bool):
+            if not isinstance(val, bool):
+                raise ConfigError(f"model.params.{key} must be true or "
+                                  f"false, got {val!r}")
+        elif not _is_finite_number(val):
             raise ConfigError(f"model.params.{key} must be a finite number, "
                               f"got {val!r}")
 
@@ -165,7 +167,7 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"out_dir must be a non-empty string, "
                           f"got {out_dir!r}")
-    for section, keys in (("tolerances", _TOL_KEYS), ("grids", _GRID_KEYS),
+    for section, keys in (("grids", _GRID_KEYS),
                           ("radial", set(_RADIAL_DEFAULTS)),
                           ("sweep", _SWEEP_KEYS)):
         if section in cfg:
@@ -180,22 +182,14 @@ def validate_config(cfg: dict) -> dict:
     if tau_points > _TAU_POINTS_MAX:
         raise ConfigError(f"grids.tau_points must be at most "
                           f"{_TAU_POINTS_MAX}, got {tau_points}")
-    for key, val in cfg.get("tolerances", {}).items():
-        if not (_is_finite_number(val) and val > 0):
-            raise ConfigError(f"tolerances.{key} must be a finite positive "
-                              f"number, got {val!r}")
     # the pipeline reads these only after its gates, so check them first
     radial = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
     for key, val in radial.items():
         if not _is_positive_int(val):
             raise ConfigError(f"radial.{key} must be a positive integer, "
                               f"got {val!r}")
-    if radial["k_min"] > radial["k_max"]:
-        raise ConfigError(f"radial.k_min ({radial['k_min']}) exceeds "
-                          f"radial.k_max ({radial['k_max']})")
     out = copy.deepcopy(cfg)
     out.setdefault("theorem", theorem)
-    out.setdefault("tolerances", {})
     out.setdefault("grids", {})
     return out
 
@@ -320,7 +314,7 @@ def run(cfg: dict, model: rm.NonlinearityModel, out_dir: str,
     report = Report()
     _echo_config(report, cfg)
     res = RunResult(report)
-    tol, theorem = float(cfg["tolerances"].get("tol", sv.TOL)), cfg["theorem"]
+    theorem = cfg["theorem"]
     singular = model.domain == rm.SINGULAR
     variant = THEOREMS[theorem][1]
 
@@ -358,7 +352,7 @@ def run(cfg: dict, model: rm.NonlinearityModel, out_dir: str,
         if theorem == "radial":
             if not beyond("radial"):
                 report.start("radial")
-                _radial_stage(cfg, model, tol, out_dir, report)
+                _radial_stage(cfg, model, out_dir, report)
             return res
 
         if beyond("apriori"):
@@ -368,7 +362,7 @@ def run(cfg: dict, model: rm.NonlinearityModel, out_dir: str,
         # whose probe orbits passed, or the circle at the escape radius
         try:
             if singular:
-                n0, diag = ap.probe_N0(model, tol)
+                n0, diag = ap.probe_N0(model)
                 radius = diag["start_level"]
                 report.put("apriori.N0", n0)
                 report.put("apriori.start_level", radius)
@@ -389,11 +383,11 @@ def run(cfg: dict, model: rm.NonlinearityModel, out_dir: str,
             return res
         report.start("solve")
         try:
-            res.cert = sv.homotopy_solve(model, tol, radius=radius)
+            res.cert = sv.homotopy_solve(model, radius=radius)
         except _STAGE_ERRORS as e:
             report.put("solve.error", str(e))
             report.fail(EXIT_SOLVER, str(e))
-        _write_certificate(res.cert, model, tol, out_dir, report)
+        _write_certificate(res.cert, model, out_dir, report)
         report.gate(res.cert.converged, EXIT_SOLVER, "continuation lost at "
                     f"{res.cert.diagnostics.get('lost_at')}")
         return res
@@ -420,7 +414,7 @@ def _write_kit(kit: ap.AprioriKit, out_dir: str):
               ["v", "T_of_v", "L_of_v", "M_of_v"], rows)
 
 
-def _write_certificate(cert, model, tol, out_dir, report):
+def _write_certificate(cert, model, out_dir, report):
     report.put("certificate.status", cert.status)
     if cert.z_star is not None:
         report.put("certificate.x0", cert.z_star.x)
@@ -434,8 +428,7 @@ def _write_certificate(cert, model, tol, out_dir, report):
         report.put("certificate.radius", cert.radius_used)
     for key in ("min_x", "min_rho", "sup_norm", "path_min_x",
                 "index", "index_note", "initial_guess", "halvings",
-                "winding_samples", "boundary_margin", "boundary_map_error",
-                "winding_tol"):
+                "winding_samples", "boundary_margin", "boundary_map_error"):
         if cert.diagnostics.get(key) is not None:
             report.put(f"certificate.{key}", cert.diagnostics[key])
     write_csv(os.path.join(out_dir, "path.csv"),
@@ -447,7 +440,7 @@ def _write_certificate(cert, model, tol, out_dir, report):
         if traj is None:    # lost: the target field from the last path point
             traj = integrate(HomotopyField(model, 1.0),
                              PhaseState(0.0, cert.z_star.x, cert.z_star.y),
-                             model.period, tol)
+                             model.period, TOL)
         write_csv(os.path.join(out_dir, "solution.csv"),
                   ["t", "x", "y", "rho", "theta"],
                   list(zip(map(float, traj.t), map(float, traj.x),
@@ -457,10 +450,9 @@ def _write_certificate(cert, model, tol, out_dir, report):
                   [(e.kind, e.t, e.x, e.y) for e in traj.events])
 
 
-def _radial_stage(cfg, model, tol, out_dir, report):
+def _radial_stage(cfg, model, out_dir, report):
     rc = {**_RADIAL_DEFAULTS, **cfg.get("radial", {})}
-    sols, k_nu = rd.find_rotating(model, rc["nu"], rc["k_max"], tol,
-                                  k_min=rc["k_min"])
+    sols, k_nu = rd.find_rotating(model, rc["nu"], rc["k_max"])
     report.put("radial.k_nu", k_nu if k_nu is not None else "none")
     rows = []
     for s in sols:
@@ -528,11 +520,11 @@ def _cmd_apriori(args) -> int:
     cfg, model, out = _load_config(args)
     res = run(cfg, model, out, last="apriori")
     if res.kit is not None:
-        kit, tol = res.kit, float(cfg["tolerances"].get("tol", sv.TOL))
+        kit = res.kit
         rows = []
         try:
             for amp in np.geomspace(max(4.0 * kit.R0, 100.0), 1e3, 8):
-                lap = ap.lap_report(model, kit, float(amp), tol)
+                lap = ap.lap_report(model, kit, float(amp))
                 li = lap["lap"]
                 rows.append((float(amp), li.t1, li.t2, li.t3, li.t4, li.t5,
                              li.t6, li.t7, li.t8, lap["y2"], lap["x3"],
@@ -613,8 +605,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--theorem", choices=THEOREMS,
-                        help="pipeline variant (overrides config)")
 
     parser = argparse.ArgumentParser(
         prog="resonance",
@@ -635,7 +625,11 @@ def main(argv=None) -> int:
                             ("find", "full pipeline to a certified solution"),
                             ("radial", "rotating solutions of the radial system"),
                             ("sweep", "map find over a parameter grid")):
-        sub.add_parser(name, parents=[common], help=help_text)
+        p_run = sub.add_parser(name, parents=[common], help=help_text)
+        # radial runs its own theorem: a --theorem there is an error
+        if name != "radial":
+            p_run.add_argument("--theorem", choices=THEOREMS,
+                               help="pipeline variant (overrides config)")
 
     args = parser.parse_args(argv)
     try:

@@ -44,7 +44,7 @@ from .spectrum import eigenvalue
 __all__ = [
     "PhaseState", "Event", "Trajectory", "HomotopyField",
     "BlowUpError", "DomainExitError", "CenterHitError", "LapPatternError",
-    "INTEGRATION_FAILURES",
+    "INTEGRATION_FAILURES", "TOL",
     "integrate", "integrate_system", "rotation_count", "crossing_times",
     "LapInstants",
 ]
@@ -85,6 +85,10 @@ class LapPatternError(RuntimeError):
 _FIELD_ERRORS = (DomainError, ValueError, ZeroDivisionError, OverflowError)
 _STAGE_ERRORS = (WallError,) + _FIELD_ERRORS
 
+
+# the program's integration tolerance: shooting needs the return map
+# resolved below Newton's target, the residual that certifies a fixed point
+TOL = 1e-11
 
 _FIRST_STEP = 1e-4
 _STEP_FLOOR = 1e-14

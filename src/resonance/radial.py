@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .expr import Bin, DomainError, Num, Var
-from .integrate import HomotopyField, PhaseState, Trajectory, integrate
+from .integrate import TOL, HomotopyField, PhaseState, Trajectory, integrate
 from .model import SINGULAR, NonlinearityModel, from_trees, periodic_grid
-from .solver import NEWTON_FAILURES, TOL, newton_fixed_point
+from .solver import NEWTON_FAILURES, newton_fixed_point
 
 __all__ = [
     "RotatingSolution", "effective_field", "circular_orbit",
@@ -128,16 +128,16 @@ def _angle_rate(L: float):
     return lambda t, rho, v: L / rho ** 2
 
 
-def angular_progress(reduced: NonlinearityModel, z0: PhaseState, L: float,
-                     tol: float = TOL) -> Trajectory:
+def angular_progress(reduced: NonlinearityModel, z0: PhaseState,
+                     L: float) -> Trajectory:
     """One period of the reduced field (effective_field at L) from z0, in
-    one planar integration at tol with the angle's rate L / rho^2 as its
+    one planar integration at TOL with the angle's rate L / rho^2 as its
     rider: meta["rider"] is the angle swept over the period, Delta_theta.
     The wall check keeps rho > 0.  The L-search does not call it: its
     profile solve carries the same rider (solve_radial_profile), whose
     orbit is bit for bit this one from the solved profile."""
     return integrate(HomotopyField(reduced, 1.0), z0, z0.t + reduced.period,
-                     tol, rider=_angle_rate(L))
+                     TOL, rider=_angle_rate(L))
 
 
 @dataclass
@@ -168,10 +168,9 @@ class RotatingSolution:
 
 
 def solve_radial_profile(reduced: NonlinearityModel, L: float,
-                         guess: tuple[float, float],
-                         tol: float = TOL, jac=None):
+                         guess: tuple[float, float], jac=None):
     """T-periodic solution of the reduced radial equation (effective_field
-    at L), shot at tol: (z, residual, Jacobian of P(z) - z at z, orbit).
+    at L), shot at TOL: (z, residual, Jacobian of P(z) - z at z, orbit).
     Each residual map carries the angle's rate L / rho^2 as its rider, so
     the orbit, the converged map from z, holds Delta_theta in
     meta["rider"]: angular_progress from z, bit for bit, at no further
@@ -179,12 +178,11 @@ def solve_radial_profile(reduced: NonlinearityModel, L: float,
     _delta_theta_of_L).  A failed solve raises one of
     solver.NEWTON_FAILURES, and the L-search skips that L."""
     z, res, _, orbit, jac = newton_fixed_point(
-        HomotopyField(reduced, 1.0), guess, tol, jac=jac,
-        rider=_angle_rate(L))
+        HomotopyField(reduced, 1.0), guess, jac=jac, rider=_angle_rate(L))
     return z, res, jac, orbit
 
 
-def _delta_theta_of_L(model, L, known, tol):
+def _delta_theta_of_L(model, L, known):
     """Delta_theta at L, from one reduced field compiled for the profile
     solve; known[L] records (Delta_theta, profile, residual, Jacobian,
     reduced field, orbit).  The solve starts from a secant predictor, the
@@ -203,7 +201,7 @@ def _delta_theta_of_L(model, L, known, tol):
         s = (L - near[0]) / (near[1] - near[0])
         guess = (ax + s * (bx - ax), ay + s * (by - ay))
     reduced = effective_field(model, L)
-    z, res, jac, orbit = solve_radial_profile(reduced, L, guess, tol, jac)
+    z, res, jac, orbit = solve_radial_profile(reduced, L, guess, jac)
     known[L] = (orbit.meta["rider"], z, res, jac, reduced, orbit)
     return known[L][0]
 
@@ -219,7 +217,7 @@ def _known_bracket(known, target):
     return None
 
 
-def _illinois(model, target, bracket, known, tol):
+def _illinois(model, target, bracket, known):
     """Illinois regula falsi for Delta_theta(L) = target inside `bracket`
     (Dowell & Jarratt 1971): the secant root of the two ends, with the
     value at an end halved when that end is kept twice in a row.  Returns
@@ -232,7 +230,7 @@ def _illinois(model, target, bracket, known, tol):
             return None
         m = (a * fb - b * fa) / (fb - fa)
         try:
-            d = _delta_theta_of_L(model, m, known, tol)
+            d = _delta_theta_of_L(model, m, known)
         except NEWTON_FAILURES:
             a = m
             continue
@@ -257,11 +255,10 @@ def _illinois(model, target, bracket, known, tol):
 _SOLVE_ERRORS = (RuntimeError, DomainError, NoBracketError)
 
 
-def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
-                  tol: float = TOL, k_min: int = 1
+def find_rotating(model: NonlinearityModel, nu: int, k_max: int
                   ) -> tuple[list[RotatingSolution], Optional[int]]:
-    """Rotating solutions for each k: solve Delta_theta(L) = 2 pi nu / k,
-    the angular advance over one rho-period.
+    """Rotating solutions for each k = 1..k_max: solve
+    Delta_theta(L) = 2 pi nu / k, the angular advance over one rho-period.
 
     Delta_theta(L) does not depend on k, so every value computed is kept
     for all k in the search's record, local to this call.  The bracket for
@@ -279,16 +276,16 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     k_nu: Optional[int] = None
     # L -> (Delta_theta, profile, residual, Jacobian, reduced field, orbit)
     known: dict[float, tuple] = {}
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         target = 2.0 * math.pi * nu / k
         try:
             L_star = None
             bracket = _known_bracket(known, target)
             if bracket is None:
-                L_star = _step_to_bracket(model, target, known, tol)
+                L_star = _step_to_bracket(model, target, known)
                 bracket = _known_bracket(known, target)
             if L_star is None and bracket is not None:
-                L_star = _illinois(model, target, bracket, known, tol)
+                L_star = _illinois(model, target, bracket, known)
         except _SOLVE_ERRORS:       # this k has no solution; try the next
             continue
         if L_star is None:
@@ -303,7 +300,7 @@ def find_rotating(model: NonlinearityModel, nu: int, k_max: int,
     return results, k_nu
 
 
-def _step_to_bracket(model, target, known, tol):
+def _step_to_bracket(model, target, known):
     """Evaluate advances from the circular orbit's L toward the target
     until two known L values straddle it.  L is multiplied by q when the
     last advance is below the target and divided by q when above (the
@@ -317,7 +314,7 @@ def _step_to_bracket(model, target, known, tol):
     q = 1.02
     for _ in range(MAX_STEPS + 1):
         try:
-            dth = _delta_theta_of_L(model, L, known, tol)
+            dth = _delta_theta_of_L(model, L, known)
         except NEWTON_FAILURES:
             pass
         else:

@@ -10,12 +10,12 @@ index +1 fixed point, the sign of the comparison field's degree, and
 each corrector's iteration count sets the next lam step; a path that
 stalls below the smallest step is lost.  One winding routine serves the
 certifying curve and the rectangles of the standalone degree_search; it
-reads only the angle of z - P(z), so it integrates at the looser of the
-shooting and on-curve tolerances and checks that map error against its
-margin.  The shooting Jacobian is carried from one continuation step to
-the next and kept current by Broyden's secant update, so a
-finite-difference Jacobian (two return maps) is taken only when the
-carried one is missing, singular or making poor progress (the
+reads only the angle of z - P(z), so it samples at the on-curve tolerance
+and checks that map error against its margin.  Every other return map
+integrates at TOL.  The shooting Jacobian is carried from one
+continuation step to the next and kept current by Broyden's secant
+update, so a finite-difference Jacobian (two return maps) is taken only
+when the carried one is missing, singular or making poor progress (the
 predictor-corrector practice of Allgower & Georg, Numerical Continuation
 Methods, 1990).
 """
@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .apriori import n_level_point
-from .integrate import (INTEGRATION_FAILURES, CenterHitError, HomotopyField,
-                        PhaseState, Trajectory, _wrap_pi, integrate,
-                        rotation_count)
+from .integrate import (INTEGRATION_FAILURES, TOL, CenterHitError,
+                        HomotopyField, PhaseState, Trajectory, _wrap_pi,
+                        integrate, rotation_count)
 from .model import FULL_LINE, SINGULAR, NonlinearityModel
 
 __all__ = [
@@ -56,9 +56,6 @@ class NewtonError(RuntimeError):
 NEWTON_FAILURES = (NewtonError, SingularJacobianError) + INTEGRATION_FAILURES
 
 
-# integrate's tol: shooting needs the return map resolved below Newton's
-# target, the residual that certifies a fixed point
-TOL = 1e-11
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6          # relative Jacobian step, scaled by ||z||
@@ -67,7 +64,8 @@ _LAMBDA_FLOOR = 1e-6     # smallest allowed continuation step
 _MAX_SUP_NORM = 1e6      # growth cap: beyond it the branch is lost
 _DEGREE_SAMPLES = 48     # starting samples of a boundary winding
 _DEGREE_BUDGET = 2048    # most samples a winding may refine to
-_BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve
+_BOUNDARY_TOL = 1e-7     # relative: fixed point on the curve, and the
+                         # tol of a winding's sampled maps
 _MARGIN_FACTOR = 10.0    # a winding's map error stays this far below margin
 _SEARCH_CELLS = 96       # most cells degree_search visits
 
@@ -90,7 +88,6 @@ class Winding(NamedTuple):
     samples: int          # starting samples plus refinements
     margin: float         # min |z - P(z)|/|z| over the samples
     map_error: float      # |P~(z) - P(z)|/|z| at that sample
-    tol: float            # the tol of the sampled maps P~
 
 
 @dataclass
@@ -126,18 +123,18 @@ def poincare(fld: HomotopyField, z: tuple[float, float], tol: float = TOL,
     return end.x, end.y, traj
 
 
-def _return_residual(fld, z, tol, rider=None):
-    px, py, orbit = poincare(fld, z, tol, rider)
+def _return_residual(fld, z, rider=None):
+    px, py, orbit = poincare(fld, z, TOL, rider)
     return px - z[0], py - z[1], orbit
 
 
-def _fd_jacobian(fld, z, g, tol):
+def _fd_jacobian(fld, z, g):
     """Forward-difference Jacobian ((j11, j12), (j21, j22)) of P(z) - z at
     z, whose residual g is known, with step _FD_STEP * max(1, ||z||): two
     return maps."""
     h = _FD_STEP * max(1.0, math.hypot(*z))
-    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]), tol)
-    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h), tol)
+    g1x, g1y, _ = _return_residual(fld, (z[0] + h, z[1]))
+    g2x, g2y, _ = _return_residual(fld, (z[0], z[1] + h))
     return (((g1x - g[0]) / h, (g2x - g[0]) / h),
             ((g1y - g[1]) / h, (g2y - g[1]) / h))
 
@@ -165,10 +162,10 @@ def _broyden(jac, s, dg):
             (j21 + ry * s[0] / ss, j22 + ry * s[1] / ss))
 
 
-def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
-                       tol: float = TOL, *, target: float = _NEWTON_TOL,
-                       jac=None, rider: Optional[Callable] = None):
-    """Quasi-Newton on P(z) - z, with return maps integrated at tol, until
+def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float], *,
+                       target: float = _NEWTON_TOL, jac=None,
+                       rider: Optional[Callable] = None):
+    """Quasi-Newton on P(z) - z, with return maps integrated at TOL, until
     the residual is below target; returns (z, residual, iterations, orbit,
     jacobian).
 
@@ -190,13 +187,13 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
     columns, so the orbit carries it; it leaves every iterate unchanged.
     """
     z = (float(z_guess[0]), float(z_guess[1]))
-    gx, gy, orbit = _return_residual(fld, z, tol, rider)
+    gx, gy, orbit = _return_residual(fld, z, rider)
     res = math.hypot(gx, gy)
     refresh = jac is None
     it = 0
     while not res < target:
         # integration noise bounds how far the residual can be polished
-        stall_tol = max(target, 100.0 * tol * (1.0 + math.hypot(*z)))
+        stall_tol = max(target, 100.0 * TOL * (1.0 + math.hypot(*z)))
         if it == _NEWTON_MAX_ITER:
             if res < stall_tol:
                 break
@@ -204,7 +201,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
                               f"iterations; residual {res:.3g}")
         fresh = refresh or _looks_singular(jac)
         if fresh:
-            jac = _fd_jacobian(fld, z, (gx, gy), tol)
+            jac = _fd_jacobian(fld, z, (gx, gy))
         (j11, j12), (j21, j22) = jac
         det = j11 * j22 - j12 * j21
         if fresh and _looks_singular(jac):
@@ -216,7 +213,7 @@ def newton_fixed_point(fld: HomotopyField, z_guess: tuple[float, float],
         for _ in range(8):
             zn = (z[0] + step * dx, z[1] + step * dy)
             try:
-                gnx, gny, orbitn = _return_residual(fld, zn, tol, rider)
+                gnx, gny, orbitn = _return_residual(fld, zn, rider)
             except INTEGRATION_FAILURES:
                 step *= 0.5
                 continue
@@ -265,29 +262,28 @@ def _rect_curve(x0: float, x1: float, y0: float, y1: float
     return curve
 
 
-def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
-             tol: float) -> Winding:
+def _winding(fld: HomotopyField,
+             curve: Callable[[float], tuple[float, float]]) -> Winding:
     """Winding number of z - P(z) along the closed curve s -> curve(s),
     s in [0, 1), with the evidence for it.
 
     Only the angle of w = z - P(z) counts, and any map within |w| of P on
     the curve has the same degree (homotopy invariance of the Brouwer
     degree; Deimling, Nonlinear Functional Analysis, 1985, ch. 1).  So
-    the samples integrate at max(tol, _BOUNDARY_TOL), and the sample with
-    the smallest |w|/|z| is mapped once more at tol: a map error that is
-    not below that margin by _MARGIN_FACTOR is a RuntimeError.  Samples
+    the samples integrate at _BOUNDARY_TOL, and the sample with the
+    smallest |w|/|z| is mapped once more at TOL: a map error that is not
+    below that margin by _MARGIN_FACTOR is a RuntimeError.  Samples
     are refined until adjacent angular increments stay below pi/2; a fixed
     point on the curve is a ValueError, and a winding that exceeds the
     sample budget or does not close up a RuntimeError.
     """
-    sample_tol = max(tol, _BOUNDARY_TOL)
     # s -> (angle of w, |w|/|z|, P~(z)), for s in [0, 1)
     cache: dict[float, tuple[float, float, float, float]] = {}
 
     def angle(s: float) -> float:
         if s not in cache:
             zx, zy = curve(s)
-            px, py, _ = poincare(fld, (zx, zy), sample_tol)
+            px, py, _ = poincare(fld, (zx, zy), _BOUNDARY_TOL)
             wx, wy = zx - px, zy - py
             margin = math.hypot(wx, wy) / (math.hypot(zx, zy) or 1.0)
             if margin < _BOUNDARY_TOL:
@@ -324,18 +320,17 @@ def _winding(fld: HomotopyField, curve: Callable[[float], tuple[float, float]],
     s_min = min(cache, key=lambda s: cache[s][1])
     _, margin, cx, cy = cache[s_min]
     zx, zy = curve(s_min)
-    px, py, _ = poincare(fld, (zx, zy), tol)
+    px, py, _ = poincare(fld, (zx, zy), TOL)
     map_error = math.hypot(cx - px, cy - py) / (math.hypot(zx, zy) or 1.0)
     if not _MARGIN_FACTOR * map_error < margin:
         raise RuntimeError(
             f"winding not certified at s={s_min}: map error {map_error:.3g} "
-            f"(tol {sample_tol:.3g}) is not below the boundary margin "
+            f"(tol {_BOUNDARY_TOL:.3g}) is not below the boundary margin "
             f"{margin:.3g} by a factor {_MARGIN_FACTOR:g}")
-    return Winding(int(deg), len(cache), margin, map_error, sample_tol)
+    return Winding(int(deg), len(cache), margin, map_error)
 
 
-def boundary_degree(fld: HomotopyField, radius: float,
-                    tol: float = TOL) -> Winding:
+def boundary_degree(fld: HomotopyField, radius: float) -> Winding:
     """Winding number of z - P(z) along a closed curve of initial states,
     with its evidence.
 
@@ -347,11 +342,10 @@ def boundary_degree(fld: HomotopyField, radius: float,
     """
     curve = (n_level_curve(radius) if fld.model.domain == SINGULAR
              else circle_curve(radius))
-    return _winding(fld, curve, tol)
+    return _winding(fld, curve)
 
 
-def degree_search(fld: HomotopyField, radius: float,
-                  tol: float = TOL, stop_after: int = 2
+def degree_search(fld: HomotopyField, radius: float, stop_after: int = 2
                   ) -> list[tuple[tuple[float, float], float]]:
     """Locate return-map fixed points by recursive winding bisection.
 
@@ -377,7 +371,7 @@ def degree_search(fld: HomotopyField, radius: float,
         if min(x1 - x0, y1 - y0) < small:
             try:
                 z, res, *_ = newton_fixed_point(
-                    fld, (0.5 * (x0 + x1), 0.5 * (y0 + y1)), tol)
+                    fld, (0.5 * (x0 + x1), 0.5 * (y0 + y1)))
                 if not any(math.hypot(z[0] - f[0][0], z[1] - f[0][1])
                            < 1e-5 * max(1.0, radius) for f in found):
                     found.append((z, res))
@@ -385,7 +379,7 @@ def degree_search(fld: HomotopyField, radius: float,
                 pass
             continue
         try:
-            w = _winding(fld, _rect_curve(x0, x1, y0, y1), tol).degree
+            w = _winding(fld, _rect_curve(x0, x1, y0, y1)).degree
         except (ValueError, RuntimeError):
             w = None    # unresolved: subdivide
         if w == 0:
@@ -415,18 +409,18 @@ def _initial_guesses(fld: HomotopyField):
         yield (1.0, -1.0)
 
 
-def _index(fld, z, orbit, tol):
+def _index(fld, z, orbit):
     """Local index sign det D(P - I) of the fixed point z, whose orbit is
     known, from its own fresh finite-difference Jacobian (2 return maps)."""
     end = orbit.state_at_end()
-    (j11, j12), (j21, j22) = _fd_jacobian(
-        fld, z, (end.x - z[0], end.y - z[1]), tol)
+    (j11, j12), (j21, j22) = _fd_jacobian(fld, z,
+                                          (end.x - z[0], end.y - z[1]))
     return int(np.sign(j11 * j22 - j12 * j21))
 
 
-def _solve_at_lambda(model, lam, target, tol):
-    """The first fixed point of index +1 (_index) that Newton, at tol and
-    to target, reaches from _initial_guesses: (guess, z, residual, orbit,
+def _solve_at_lambda(model, lam, target):
+    """The first fixed point of index +1 (_index) that Newton, to target,
+    reaches from _initial_guesses: (guess, z, residual, orbit,
     Jacobian).
 
     At lam = 0 this is the continuation's start.  +1 is the sign of the
@@ -439,18 +433,17 @@ def _solve_at_lambda(model, lam, target, tol):
     last_err = None
     for g in _initial_guesses(fld):
         try:
-            z, res, _, orbit, jac = newton_fixed_point(fld, g, tol,
-                                                       target=target)
+            z, res, _, orbit, jac = newton_fixed_point(fld, g, target=target)
         except NEWTON_FAILURES as e:
             last_err = e
             continue
-        if _index(fld, z, orbit, tol) == 1:
+        if _index(fld, z, orbit) == 1:
             return g, z, res, orbit, jac
         last_err = f"the one at {z} has index -1"
     raise NewtonError(f"no fixed point found at lambda={lam}: {last_err}")
 
 
-def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
+def homotopy_solve(model: NonlinearityModel,
                    radius: Optional[float] = None) -> PeriodicCertificate:
     """Transport a fixed point from the comparison field to the target one.
 
@@ -466,8 +459,7 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
     accepted point, so most corrector steps cost one return map.  A waypoint
     below lam = 1 only seeds the next predictor, so its corrector stops at
     sqrt(_NEWTON_TOL); only the certified point is polished to _NEWTON_TOL,
-    and each path point's residual is the one its corrector reached.  Every
-    return map integrates at tol.
+    and each path point's residual is the one its corrector reached.
     Checking the hypotheses (conditions.validate_A or validate_A0_Ainf) and
     choosing the certifying curve beyond the a-priori bound are the caller's
     part.  On success the fixed point at lam = 1 is certified by its
@@ -477,8 +469,8 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
     det D(P - I) at the fixed point (_index: a certificate quantity never
     rests on a carried Jacobian); diagnostics notes "other fixed points
     inside R" when the two differ, and carries the winding's evidence:
-    winding_samples, boundary_margin, boundary_map_error and winding_tol
-    (see Winding).  Without one, no winding and no index are computed.  A
+    winding_samples, boundary_margin and boundary_map_error (see
+    Winding).  Without one, no winding and no index are computed.  A
     lost continuation returns the surviving path (status "lost") so blow-up
     families remain inspectable.  diagnostics names the initial guess of
     the start and counts the halvings.
@@ -499,8 +491,8 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
                                         initial_guess=initial_guess,
                                         halvings=halvings))
 
-    initial_guess, z, res, orbit, jac = _solve_at_lambda(
-        model, 0.0, waypoint_tol, tol)
+    initial_guess, z, res, orbit, jac = _solve_at_lambda(model, 0.0,
+                                                         waypoint_tol)
     path = [path_point(0.0, z, res, orbit)]
     # secant predictor from (lam_prev, z_prev); constant on the first step
     lam, lam_prev, z_prev = 0.0, -1.0, z
@@ -510,7 +502,7 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
         guess = (z[0] + f * (z[0] - z_prev[0]), z[1] + f * (z[1] - z_prev[1]))
         try:
             zn, resn, its, orbitn, jacn = newton_fixed_point(
-                HomotopyField(model, lam_target), guess, tol,
+                HomotopyField(model, lam_target), guess,
                 target=_NEWTON_TOL if lam_target == 1.0 else waypoint_tol,
                 jac=jac)
         except NEWTON_FAILURES as err:
@@ -535,15 +527,14 @@ def homotopy_solve(model: NonlinearityModel, tol: float = TOL,
     evidence = {}
     if radius is not None:
         fld_end = HomotopyField(model, 1.0)
-        wind = boundary_degree(fld_end, radius, tol)
+        wind = boundary_degree(fld_end, radius)
         degree = wind.degree
         evidence = dict(winding_samples=wind.samples,
                         boundary_margin=wind.margin,
-                        boundary_map_error=wind.map_error,
-                        winding_tol=wind.tol)
+                        boundary_map_error=wind.map_error)
         # the boundary degree is the sum of the indices of all fixed
         # points inside the curve
-        index = _index(fld_end, z, orbit, tol)
+        index = _index(fld_end, z, orbit)
         if index != degree:
             index_note = "other fixed points inside R"
 

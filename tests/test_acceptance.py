@@ -160,7 +160,7 @@ def test_criterion_4_energy_guiding_maps(band_model, band_kit):
     with _Budget(30.0):
         kit = band_kit
         for y0 in np.geomspace(100.0, 5000.0, 20):
-            rep = ap.lap_report(band_model, kit, float(y0), 1e-10)
+            rep = ap.lap_report(band_model, kit, float(y0))
             assert rep["T_ok"], f"transfer bound failed at {y0}"
             assert rep["L_ok"], f"lap bound failed at {y0}"
             assert rep["M_ok"], f"excursion bound failed at {y0}"
@@ -264,7 +264,7 @@ def test_criterion_8_singular_mode(singular_model):
         assert cert.diagnostics["path_min_x"] > 0.05
 
         fld = HomotopyField(singular_model, 1.0)
-        n0, diag = ap.probe_N0(singular_model, 1e-10)
+        n0, diag = ap.probe_N0(singular_model)
         start = diag["start_level"]
         for level in (start, 4.0 * start, 16.0 * start):
             for (x0, y0) in ap._n_level_states(level, 6):

@@ -239,7 +239,7 @@ def test_scaling_the_force_up_does_not_raise_the_radius():
 def test_lap_bounds_hold_on_sampled_laps(band_kit):
     model, _, kit = band_kit
     for y0 in np.geomspace(200, 2000, 6):
-        rep = ap.lap_report(model, kit, float(y0), 1e-10)
+        rep = ap.lap_report(model, kit, float(y0))
         assert rep["T_ok"] and rep["L_ok"] and rep["M_ok"]
         assert rep["sandwich_ok"] and rep["polar_ok"]
         assert rep["all_ok"]
@@ -270,7 +270,7 @@ def test_largeness_functional_values():
 def test_singular_probe_levels_and_lap_window():
     model = rm.make_singular_band()
     fld = HomotopyField(model, 1.0)
-    n0, diag = ap.probe_N0(model, 1e-10)
+    n0, diag = ap.probe_N0(model)
     assert n0 > 2.0
     start = diag["start_level"]
     for (x0, y0) in ap._n_level_states(4.0 * start, 6):
@@ -290,7 +290,7 @@ def test_probe_N0_propagates_programming_errors(monkeypatch, error):
 
     monkeypatch.setattr(ap, "integrate", broken)
     with pytest.raises(error, match="broken integrate"):
-        ap.probe_N0(rm.make_singular_band(), 1e-11)
+        ap.probe_N0(rm.make_singular_band())
 
 
 def test_singular_lap_timing_split_at_unit_crossing():

@@ -6,6 +6,7 @@ import pytest
 from resonance import cli
 from resonance import model as rm
 from resonance import solver as sv
+from resonance.integrate import HomotopyField, PhaseState, integrate
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -62,6 +63,8 @@ def test_missing_period_exits_with_config_code(tmp_path):
 
 
 _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
+# every integration runs at the constant TOL: the retired section is unknown
+_NO_TOLERANCES = ["unknown keys in config root", "tolerances"]
 
 
 @pytest.mark.parametrize("cfg, names", [
@@ -70,7 +73,7 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     ({"model": dict(_BAND, params={"name": "band"})},
      ["model.params", "name"]),
     ({"model": _BAND, "grids": {"tau_points": "abc"}}, ["grids.tau_points"]),
-    ({"model": _BAND, "tolerances": {"tol": "tight"}}, ["tolerances.tol"]),
+    ({"model": _BAND, "tolerances": {"tol": "tight"}}, _NO_TOLERANCES),
     ({"model": {"f": "x^3 + bogus*x", "T": 2 * math.pi, "N": 2}},
      ["model.f", "bogus"]),
     ({"model": {"f_left": "x^3", "f_right": "2*x +", "T": 2 * math.pi,
@@ -83,22 +86,29 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
                 "T": 2 * math.pi, "N": 2}}, ["model.f_right", "1e999"]),
     ({"model": dict(_BAND, params={"forcing": "x"})},
      ["model.params.forcing"]),
+    # a parameter is typed by its default: a switch takes true or false
+    # only, and no other parameter takes either
+    ({"model": dict(_BAND, params={"forcing": True})},
+     ["model.params.forcing", "finite number"]),
+    ({"model": dict(_BAND, params={"lift": False})},
+     ["model.params.lift", "finite number"]),
+    ({"model": dict(_BAND, params={"oscillating": 2.5})},
+     ["model.params.oscillating", "true or false"]),
+    ({"model": dict(_BAND, params={"oscillating": 1})},
+     ["model.params.oscillating", "true or false"]),
     ({"model": dict(_BAND, family="linear_resonant")}, ["model.N", "odd"]),
     ({"model": _BAND, "radial": {"nu": "one"}}, ["radial.nu"]),
     ({"model": _BAND, "radial": {"k_max": 0}}, ["radial.k_max"]),
+    # every search starts at k = 1: the retired key is unknown
     ({"model": _BAND, "radial": {"k_min": 3, "k_max": 2}},
-     ["radial.k_min", "radial.k_max"]),
+     ["unknown keys in radial", "k_min"]),
     ({"model": _BAND, "mu": 0.5}, ["unknown keys", "mu"]),
     ({"model": _BAND, "seed": 1}, ["unknown keys", "seed"]),
     ({"model": _BAND, "radial": 2}, ["radial", "object"]),
-    ({"model": _BAND, "tolerances": {"tol": -1}},
-     ["tolerances.tol", "positive"]),
-    ({"model": _BAND, "tolerances": {"tol": 0}},
-     ["tolerances.tol", "positive"]),
-    ({"model": _BAND, "tolerances": {"tol": math.nan}},
-     ["tolerances.tol", "finite"]),
-    ({"model": _BAND, "tolerances": {"tol": math.inf}},
-     ["tolerances.tol", "finite"]),
+    ({"model": _BAND, "tolerances": {"tol": -1}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"tol": 0}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"tol": math.nan}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"tol": math.inf}}, _NO_TOLERANCES),
     ({"model": dict(_BAND, T=math.nan)}, ["model.T", "finite"]),
     ({"model": dict(_BAND, T=math.inf)}, ["model.T", "finite"]),
     ({"model": dict(_BAND, T=True)}, ["model.T"]),
@@ -109,18 +119,12 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
     # the continuation's first step is fixed; the retired key is unknown
     ({"model": _BAND, "grids": {"lambda_points": 1}},
      ["unknown keys in grids", "lambda_points"]),
-    # one integration tolerance, tol: the retired integrator keys are unknown
-    ({"model": _BAND, "tolerances": {"rtol": 1e-9}},
-     ["unknown keys in tolerances", "rtol"]),
-    ({"model": _BAND, "tolerances": {"atol": 1e-9}},
-     ["unknown keys in tolerances", "atol"]),
-    ({"model": _BAND, "tolerances": {"event_tol": 1e-10}},
-     ["unknown keys in tolerances", "event_tol"]),
-    ({"model": _BAND, "tolerances": {"max_step": 0.05}},
-     ["unknown keys in tolerances", "max_step"]),
-    # Newton's target is a constant: the retired shooting key is unknown
-    ({"model": _BAND, "tolerances": {"newton_tol": 1e-9}},
-     ["unknown keys in tolerances", "newton_tol"]),
+    # the integrator and shooting keys retired before the section
+    ({"model": _BAND, "tolerances": {"rtol": 1e-9}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"atol": 1e-9}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"event_tol": 1e-10}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"max_step": 0.05}}, _NO_TOLERANCES),
+    ({"model": _BAND, "tolerances": {"newton_tol": 1e-9}}, _NO_TOLERANCES),
     ({"model": 3}, ["model", "object"]),
     ({"model": None}, ["model", "object"]),
     ({"model": "abc"}, ["model", "object"]),
@@ -141,7 +145,9 @@ _BAND = {"family": "cubic_band", "T": 2 * math.pi, "N": 2}
         "tolerance", "unknown-identifier", "parse-error",
         "literal-overflow-f", "literal-overflow-f_left",
         "literal-overflow-f_right",
-        "family-param-type", "linear-resonant-even-N", "radial-nu-type",
+        "family-param-type", "family-param-bool", "family-param-bool-lift",
+        "family-switch-float", "family-switch-int",
+        "linear-resonant-even-N", "radial-nu-type",
         "radial-k-range", "radial-k-order", "mu-unknown", "seed-unknown",
         "section-type", "tolerance-negative", "tolerance-zero",
         "tolerance-nan", "tolerance-inf", "period-nan", "period-inf",
@@ -279,11 +285,10 @@ def test_tol_override_parsing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("tol, winding_tol", [(1e-6, 1e-6), (1e-13, 1e-7)])
-def test_winding_integrates_at_the_looser_of_tol_and_the_boundary_tolerance(
-        tmp_path, monkeypatch, tol, winding_tol):
-    # the winding never integrates tighter than configured, nor tighter
-    # than the on-curve tolerance; its check map runs at the configured tol
+def test_winding_samples_at_the_boundary_tolerance_and_checks_at_TOL(
+        tmp_path, monkeypatch):
+    # the winding reads only angles, so its samples integrate at the
+    # on-curve tolerance; its check map runs at the program's TOL
     tols, in_winding = [], []
     boundary_degree, poincare = sv.boundary_degree, sv.poincare
 
@@ -302,15 +307,25 @@ def test_winding_integrates_at_the_looser_of_tol_and_the_boundary_tolerance(
     monkeypatch.setattr(sv, "boundary_degree", traced_degree)
     monkeypatch.setattr(sv, "poincare", traced_map)
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path, grids={"tau_points": 32},
-                        tolerances={"tol": tol})
+    cfg = _write_config(tmp_path, grids={"tau_points": 32})
     assert cli.main(["find", "--config", cfg, "--out", str(out)]) == 0
     report = dict(line.split(" = ", 1)
                   for line in (out / "report.txt").read_text().splitlines())
     samples = int(report["certificate.winding_samples"])
-    assert tols == [winding_tol] * samples + [tol]
-    assert float(report["certificate.winding_tol"]) == winding_tol
+    assert tols == [sv._BOUNDARY_TOL] * samples + [sv.TOL]
+    assert "certificate.winding_tol" not in report
     assert report["certificate.degree"] == "1"
+
+
+def test_midband_switch_builds_the_midline_model():
+    # oscillating = false is a switch, not a number: it picks the midband
+    # right side
+    cfg = cli.validate_config({"model": dict(_BAND, params={
+        "oscillating": False})})
+    model = cli.build_model(cfg)
+    assert model.f(0.0, 7.0) == rm.make_cubic_band(oscillating=False).f(
+        0.0, 7.0)
+    assert model.f(0.0, 7.0) != rm.make_cubic_band().f(0.0, 7.0)
 
 
 def test_expression_model_roundtrip():
@@ -366,6 +381,19 @@ def test_spectrum_takes_no_run_flags(tmp_path, capsys, flag, value):
         cli.main(["spectrum", "--T", "6.28", flag, value, "--out", str(out)])
     assert exc.value.code == cli.EXIT_CONFIG
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem", ["main", "radial"])
+def test_radial_takes_no_theorem_flag(tmp_path, capsys, theorem):
+    # radial runs the radial theorem: another variant is an argparse
+    # error, not silently replaced
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["radial", "--config", _write_config(tmp_path),
+                  "--theorem", theorem, "--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--theorem" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -462,15 +490,14 @@ def test_apriori_and_find_report_the_same_N0(tmp_path):
 
 
 def test_apriori_report_names_what_fixed_R0(tmp_path):
-    # the kit integrates nothing, so it names no tolerances of its own; it
+    # the kit integrates nothing, so it names no tolerance of its own; it
     # names the constraint that fixed R0 and where the polar constants are
     # attained
-    with open(_write_config(tmp_path, tolerances={"tol": 1e-12})) as fh:
+    with open(_write_config(tmp_path)) as fh:
         cfg = cli.validate_config(json.load(fh))
     res = cli.run(cfg, cli.build_model(cfg), str(tmp_path / "out"),
                   last="apriori")
     lines = dict(res.report.lines)
-    assert lines["config.tolerances.tol"] == cli.fmt_float(1e-12)
     assert not any(k.startswith("apriori.") and "tol" in k for k in lines)
     diag = res.kit.diagnostics
     assert lines["apriori.binding"] == diag["binding"] == (
@@ -491,26 +518,22 @@ def test_apriori_stops_at_the_hypothesis_gate(tmp_path):
     assert "stage.apriori" not in (out / "report.txt").read_text()
 
 
-def test_apriori_lap_table_integrates_at_the_configured_tol(tmp_path,
-                                                          monkeypatch):
+def test_apriori_lap_table_integrates_at_TOL(tmp_path, monkeypatch):
     # the lap table is the a-priori stage's one integration: it runs at the
-    # tol that report.txt echoes, not at integrate's default
-    tols, lap_report = [], cli.ap.lap_report
+    # program's TOL, not at integrate's default
+    tols, integrate = [], cli.ap.integrate
 
-    def traced(model, kit, y0, tol):
-        tols.append(tol)
-        return lap_report(model, kit, y0, tol)
+    def traced(fld, z0, t_end, *args, **kwargs):
+        tols.append(args[0] if args else kwargs.get("tol"))
+        return integrate(fld, z0, t_end, *args, **kwargs)
 
-    monkeypatch.setattr(cli.ap, "lap_report", traced)
+    monkeypatch.setattr(cli.ap, "integrate", traced)
     out = tmp_path / "out"
-    assert cli.main(["apriori", "--config",
-                     _write_config(tmp_path, tolerances={"tol": 1e-9}),
+    assert cli.main(["apriori", "--config", _write_config(tmp_path),
                      "--out", str(out)]) == 0
-    assert tols == [1e-9] * 8
+    assert tols == [sv.TOL] * 8
     rows = (out / "laps.csv").read_text().splitlines()[1:]
     assert len(rows) == 8 and all(r.endswith(",1") for r in rows)
-    assert f"config.tolerances.tol = {cli.fmt_float(1e-9)}" in \
-        (out / "report.txt").read_text()
 
 
 def test_apriori_lap_table_failure_exits_5(tmp_path, monkeypatch, capsys):
@@ -527,6 +550,39 @@ def test_apriori_lap_table_failure_exits_5(tmp_path, monkeypatch, capsys):
     assert not (out / "laps.csv").exists()
     assert "apriori.laps_error = lap did not close" in \
         (out / "report.txt").read_text()
+
+
+def test_lost_path_artifacts_integrate_the_last_point_at_TOL(
+        tmp_path, monkeypatch, capsys):
+    # a lost certificate carries no orbit: solution.csv is the target
+    # field's period from the last path point, integrated at TOL
+    z_star = PhaseState(0.0, -1.2, 0.3)
+    lost = sv.PeriodicCertificate(
+        status="lost", z_star=z_star, residual=0.25, rotation=None,
+        degree=None, radius_used=None,
+        path=[sv.PathPoint(0.0, -1.12, 0.0, 1e-6, 1.5, -1.12)],
+        diagnostics=dict(lost_at=0.5, error="patched",
+                         initial_guess=(0.0, 4.0), halvings=3))
+    monkeypatch.setattr(cli.sv, "homotopy_solve",
+                        lambda model, radius=None: lost)
+    out = tmp_path / "out"
+    code = cli.main(["find", "--config", _write_config(tmp_path),
+                     "--out", str(out)])
+    assert code == cli.EXIT_SOLVER
+    assert "continuation lost at 0.5" in capsys.readouterr().err
+    model = rm.make_cubic_band()
+    fresh = integrate(HomotopyField(model, 1.0), z_star, model.period, sv.TOL)
+    rows = [tuple(map(float, line.split(","))) for line in
+            (out / "solution.csv").read_text().splitlines()[1:]]
+    assert rows == list(zip(fresh.t.tolist(), fresh.x.tolist(),
+                            fresh.y.tolist(), fresh.rho.tolist(),
+                            fresh.theta.tolist()))
+    report = dict(line.split(" = ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    assert {k for k in report if k.startswith("certificate.")} == {
+        f"certificate.{k}" for k in ("status", "x0", "y0", "residual",
+                                     "initial_guess", "halvings")}
+    assert report["certificate.status"] == "lost"
 
 
 def test_find_pipeline_stops_at_hypothesis_gate(tmp_path):
@@ -624,7 +680,7 @@ def test_sweep_aggregates_pass_and_fail_cells(tmp_path):
      ["sweep.values"]),
     ({"param": 5, "values": [0.5]}, ["sweep.param"]),
     ({"param": "tolerances.tol", "values": [1e-11, -1]},
-     ["sweep.values[1]", "tolerances.tol", "positive"]),
+     ["sweep.values[0]", *_NO_TOLERANCES]),
     ({"param": "model.N", "values": [2, 2.5]},
      ["sweep.values[1]", "model.N", "positive integer"]),
     ({"param": "grids.tau_points", "values": [256, 4097]},

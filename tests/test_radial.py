@@ -186,7 +186,7 @@ def test_profile_without_balance_radius_raises_and_runs_no_homotopy(
     maps = _count_calls(monkeypatch, "poincare", sv)
     compiles = _count_calls(monkeypatch, "from_trees")
     with pytest.raises(rd.NoBracketError, match="no balance radius"):
-        rd._delta_theta_of_L(rm.make_singular_band(), 0.373, {}, sv.TOL)
+        rd._delta_theta_of_L(rm.make_singular_band(), 0.373, {})
     assert rd.find_rotating(rm.make_singular_band(), nu=1, k_max=1) == (
         [], None)
     assert not homotopies and not maps and not compiles
@@ -218,7 +218,7 @@ def test_radius_window_stable_across_revolution_counts():
     model = rm.make_singular_band()
     windows = []
     for nu in (1, 2):
-        sols, _ = rd.find_rotating(model, nu=nu, k_max=2, k_min=2)
+        sols, _ = rd.find_rotating(model, nu=nu, k_max=2)
         assert sols
         windows.append((min(s.rho_min for s in sols),
                         max(s.rho_max for s in sols)))
@@ -390,8 +390,8 @@ def test_find_rotating_compiles_each_reduced_field_once(monkeypatch):
     advanced = {}
     original = rd.solve_radial_profile
 
-    def solve(reduced, L, guess, tol, jac):
-        out = original(reduced, L, guess, tol, jac)
+    def solve(reduced, L, guess, jac):
+        out = original(reduced, L, guess, jac)
         advanced[L] = (reduced, out[3])
         return out
 
@@ -424,7 +424,7 @@ def test_solution_orbit_is_the_last_advance_integration(monkeypatch):
     assert not integrations and not advances
     for s in sols:
         fresh = rd.angular_progress(rd.effective_field(model, s.L), s.z0,
-                                    s.L, sv.TOL)
+                                    s.L)
         assert fresh is not s.orbit
         for name in ("t", "x", "y"):
             assert np.array_equal(getattr(fresh, name), getattr(s.orbit, name))
@@ -452,9 +452,9 @@ def test_autonomous_band_solved_at_the_circular_orbit(monkeypatch):
     advances = []
     original = rd.solve_radial_profile
 
-    def solve(reduced, L, guess, tol, jac):
+    def solve(reduced, L, guess, jac):
         advances.append(L)
-        return original(reduced, L, guess, tol, jac)
+        return original(reduced, L, guess, jac)
 
     monkeypatch.setattr(rd, "solve_radial_profile", solve)
     sols, k_nu = rd.find_rotating(rm.make_singular_band(wobble=0.0), nu=1,
@@ -485,12 +485,12 @@ def test_search_steps_past_a_failed_profile_solve(monkeypatch):
     monkeypatch.setattr(rd, "effective_field", counted_field)
     for failure in (sv.NewtonError("patched failure"),
                     BlowUpError(0.0, 0.2, -1.0)):
-        def second_fails(reduced, L, guess, tol=sv.TOL, jac=None):
+        def second_fails(reduced, L, guess, jac=None):
             solves.append(momenta[-1])
             assert L == momenta[-1]
             if len(solves) == 2:
                 raise failure
-            out = original(reduced, L, guess, tol, jac)
+            out = original(reduced, L, guess, jac)
             solved.append(L)
             return out
 
@@ -546,7 +546,7 @@ def test_illinois_refinement_converges_on_steep_convex_advance(monkeypatch):
     L_root = 0.7
     advances = []
 
-    def fake_solve(reduced, L, guess, tol=None, jac=None):
+    def fake_solve(reduced, L, guess, jac=None):
         advances.append(L)
         return ((1.2, 0.0), 0.0, None,
                 SimpleNamespace(meta={"rider": 2 * math.pi * (L / L_root) ** 12}))

@@ -50,7 +50,7 @@ def test_certificate_keys_in_the_readme_are_the_ones_written(tmp_path):
                                degree=1, radius_used=8.0,
                                diagnostics=EveryKey())
     report = cli.Report()
-    cli._write_certificate(cert, model, sv.TOL, str(tmp_path), report)
+    cli._write_certificate(cert, model, str(tmp_path), report)
     written = {k.removeprefix("certificate.") for k, _ in report.lines}
     listed = re.search(r"and the `certificate\.\*`\s+keys:(.*?)\. A lost path",
                        _README, re.S).group(1)
@@ -83,16 +83,17 @@ def test_command_line_flags_in_the_readme_are_the_parsers(capsys):
 
 
 def test_config_prose_names_exactly_the_keys_the_cli_accepts():
-    # each section's "accepts" sentence under "Config format" lists the
-    # keys validate_config allows there, and the radial sentence its keys
-    # with their defaults in order
+    # "Config format" names every top-level key validate_config allows and
+    # none it retired; the grids sentence lists the keys allowed there, and
+    # the radial sentence its keys with their defaults in order
     section = _README[_README.index("### Config format"):]
     section = section[:section.index("\n### ", 1)]
-    for name, keys in (("tolerances", cli._TOL_KEYS),
-                       ("grids", cli._GRID_KEYS)):
-        sentence = re.search(rf"`{name}` accepts(.*?)\.\s", section,
-                             re.S).group(1)
-        assert set(re.findall(r"`(\w+)`", sentence)) == keys, name
+    named = set(re.findall(r"`(\w+)", section))
+    assert cli._TOP_KEYS <= named, cli._TOP_KEYS - named
+    assert "tolerances" not in section and "k_min" not in section
+    sentence = re.search(r"`grids` accepts(.*?)\.\s", section,
+                         re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", sentence)) == cli._GRID_KEYS
     radial = re.search(r"((?:`radial\.\w+`(?:,\s+|\s+and\s+))+`radial\.\w+`)"
                        r"\s+\(defaults ([^)]*)\)", section)
     names = re.findall(r"`radial\.(\w+)`", radial.group(1))

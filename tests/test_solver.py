@@ -179,7 +179,7 @@ def test_first_guess_that_converges_seeds_the_continuation(monkeypatch):
     # Newton maps and 2 for the index
     maps = _record_maps(monkeypatch)
     guess, z, res, orbit, _ = sv._solve_at_lambda(
-        rm.make_cubic_band(), 0.0, sv._NEWTON_TOL, sv.TOL)
+        rm.make_cubic_band(), 0.0, sv._NEWTON_TOL)
     assert guess == (0.0, 4.0)
     assert z[0] == pytest.approx(-1.12430, abs=1e-5) and abs(z[1]) < 1e-9
     assert res < sv._NEWTON_TOL
@@ -195,15 +195,14 @@ def test_start_passes_over_a_fixed_point_of_index_minus_one(monkeypatch):
     target = math.sqrt(sv._NEWTON_TOL)
     monkeypatch.setattr(sv, "_initial_guesses",
                         lambda fld: iter([(4.0, 0.0), (0.0, 4.0)]))
-    guess, z, *_ = sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target,
-                                       sv.TOL)
+    guess, z, *_ = sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target)
     assert guess == (0.0, 4.0)
     assert z[0] == pytest.approx(-1.12430, abs=1e-4)
     monkeypatch.setattr(sv, "_initial_guesses", lambda fld: iter([(1.0, 0.0)]))
     with pytest.raises(sv.NewtonError, match=r"no fixed point found at "
                        r"lambda=0\.0: the one at \(-0\.441\d*, .* has "
                        r"index -1"):
-        sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target, sv.TOL)
+        sv._solve_at_lambda(rm.make_cubic_band(), 0.0, target)
 
 
 def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
@@ -214,7 +213,7 @@ def test_no_fixed_point_at_lambda_names_the_last_failure(monkeypatch):
                        match=r"no fixed point found at lambda=1\.0: "
                              r"return-map linearization is singular"):
         sv._solve_at_lambda(rm.make_linear_resonant(n_mode=1), 1.0,
-                            sv._NEWTON_TOL, sv.TOL)
+                            sv._NEWTON_TOL)
     assert len(maps) == 27
 
 
@@ -297,7 +296,6 @@ def test_defaults_winding_costs_54_maps(monkeypatch):
     wind = sv.boundary_degree(fld, radius)
     assert wind.degree == 1 and wind.samples == 53
     assert tols == [1e-7] * 53 + [1e-11]
-    assert wind.tol == 1e-7
     assert 10.0 * wind.map_error < wind.margin
 
 
@@ -326,11 +324,10 @@ def _halve_coarse_maps(monkeypatch):
     way back to its start: the angle of z - P~(z), and so the degree, is
     kept, but |P~ - P| is as large as |z - P~|."""
     original = sv.poincare
-    coarse = max(sv.TOL, sv._BOUNDARY_TOL)
 
     def halved(fld, z, tol, rider=None):
         px, py, orbit = original(fld, z, tol, rider)
-        if tol == coarse:
+        if tol == sv._BOUNDARY_TOL:
             px, py = 0.5 * (px + z[0]), 0.5 * (py + z[1])
         return px, py, orbit
 
@@ -376,7 +373,7 @@ def test_find_exits_6_when_the_winding_map_error_reaches_the_margin(
 ])
 def test_winding_around_a_rectangle_counts_the_fixed_point(box, winding):
     fld = HomotopyField(_model(lambda t, x: 2 * x - math.cos(t)), 1.0)
-    assert sv._winding(fld, sv._rect_curve(*box), sv.TOL).degree == winding
+    assert sv._winding(fld, sv._rect_curve(*box)).degree == winding
 
 
 def test_degree_search_locates_fixed_point():
@@ -535,8 +532,7 @@ def test_certificate_report_says_how_the_path_went(band_certificate,
                                                    tmp_path):
     cert, _ = band_certificate
     report = cli.Report()
-    cli._write_certificate(cert, rm.make_cubic_band(), sv.TOL,
-                           str(tmp_path), report)
+    cli._write_certificate(cert, rm.make_cubic_band(), str(tmp_path), report)
     lines = dict(report.lines)
     assert lines["certificate.initial_guess"] == "(0.0, 4.0)"
     assert lines["certificate.halvings"] == "0"
@@ -653,7 +649,7 @@ def test_comparison_field_of_cubic_band_has_three_fixed_points(monkeypatch):
         assert z[0] == pytest.approx(x_star, abs=1e-5) and abs(z[1]) < 1e-9
         end = orbit.state_at_end()
         (j11, j12), (j21, j22) = sv._fd_jacobian(
-            fld, z, (end.x - z[0], end.y - z[1]), sv.TOL)
+            fld, z, (end.x - z[0], end.y - z[1]))
         det = j11 * j22 - j12 * j21
         assert det == pytest.approx(det_star, rel=5e-3)
         found.append(int(np.sign(det)))
@@ -694,14 +690,14 @@ def test_index_mismatch_is_noted_and_costs_two_return_maps(monkeypatch,
     calls.clear()
     # a winding of +1 around an index -1 point: more fixed points inside
     monkeypatch.setattr(sv, "boundary_degree", lambda *args, **kwargs:
-                        sv.Winding(1, 48, 1.0, 0.0, 1e-7))
+                        sv.Winding(1, 48, 1.0, 0.0))
     cert = sv.homotopy_solve(model, radius=64.0)
     assert len(calls) == plain + 2
     assert cert.converged and cert.degree == 1
     assert cert.diagnostics["index"] == -1
     assert cert.diagnostics["index_note"] == "other fixed points inside R"
     report = cli.Report()
-    cli._write_certificate(cert, model, sv.TOL, str(tmp_path), report)
+    cli._write_certificate(cert, model, str(tmp_path), report)
     lines = dict(report.lines)
     assert lines["certificate.index"] == "-1"
     assert lines["certificate.index_note"] == "other fixed points inside R"
